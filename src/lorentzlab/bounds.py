@@ -9,6 +9,12 @@ pencil as well (up to the eigensolver residual). Reports that mix the
 discrete eigenvalue with pointwise curvature integrals carry a
 discretization-aware tolerance instead.
 
+The direction-dependent fields are <a, W> = W J a for the centered
+position psi_hat and the mean curvature H, with J = diag(-1, 1, ..., 1).
+The engine therefore builds the m x m Gram matrices W'KW and W'MW once;
+with b = J a each bound is then b'Gb plus a signed trace, and a batch of
+sampled directions is one einsum.
+
 Vector-equation residuals are measured in an auxiliary Euclidean norm on
 canonical components; the causal square can vanish on nonzero lightlike
 residuals, so it is reported separately where it matters.
@@ -22,15 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fem import (
-    FEMPencil,
-    Spectrum,
-    apply_discrete_laplacian,
-    assemble_pencil,
-    mesh_geometry,
-    solve_lambda1,
-)
-from .immersions import TAU_CENTER
+from .fem import Spectrum, assemble_pencil, mesh_geometry, solve_lambda1
 from .minkowski import (
     CausalClass,
     causal_classify,
@@ -49,14 +47,14 @@ STRICT_FACTOR = 8.0
 TAU_ELLE = 1e-6
 S_MAX = 2.0
 H_CENTER_TOL = 1e-2
+# sampled right-hand sides this close to the minimum count as tied; the
+# first such sample is reported, so a flat landscape reports the axis
+TIE_RTOL = 1e-12
 
 __all__ = [
     "TestField",
     "BoundReport",
     "EqualityDiagnostic",
-    "make_test_field_mean_curvature",
-    "make_test_field_position",
-    "make_test_field_projected",
     "signed_gradient_trace_density",
     "BoundEngine",
 ]
@@ -127,57 +125,6 @@ def _center_residual(geom, values) -> np.ndarray:
     return (geom.lumped @ values) / geom.total_volume
 
 
-def make_test_field_mean_curvature(
-    mesh, imm, pencil: FEMPencil | None = None, center_tol: float = H_CENTER_TOL
-) -> TestField:
-    """Mean curvature as a test field.
-
-    The continuum field always integrates to zero; discretely it does so
-    only to quadrature accuracy, so the centered flag uses a
-    discretization-aware tolerance.
-    """
-    if pencil is None:
-        pencil = assemble_pencil(mesh, imm)
-    geom = pencil.geometry
-    h = mean_curvature_vertices(mesh, imm, pencil)
-    residual = _center_residual(geom, h)
-    centered = bool(np.abs(residual).max() <= center_tol)
-    return TestField(
-        values=h,
-        provenance="mean-curvature",
-        centered=centered,
-        center_residual=residual,
-    )
-
-
-def make_test_field_position(mesh, imm, geometry=None) -> TestField:
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
-    residual = _center_residual(geom, geom.positions)
-    scale = max(1.0, float(np.abs(geom.positions).max()))
-    if np.abs(residual).max() > 10.0 * TAU_CENTER * scale:
-        raise UsageError("position test field needs a recentered immersion")
-    return TestField(
-        values=geom.positions,
-        provenance="position",
-        centered=True,
-        center_residual=residual,
-    )
-
-
-def make_test_field_projected(mesh, imm, a, geometry=None) -> TestField:
-    a = require_unit_timelike(a)
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
-    base = make_test_field_position(mesh, imm, geometry=geom)
-    s = inner(base.values, a)
-    values = base.values + s[:, None] * a
-    return TestField(
-        values=values,
-        provenance="projected-position",
-        centered=True,
-        center_residual=_center_residual(geom, values),
-    )
-
-
 def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:
     """Per-element signed sum of squared P1 gradients of <b_j, W>.
 
@@ -198,9 +145,10 @@ def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:
 class BoundEngine:
     """Shared state for bound evaluations on one (mesh, immersion) pair.
 
-    Assembles the pencil, solves for the smallest nonzero eigenvalue, and
-    recenters the position field once; all evaluations are then pure reads
-    and may run concurrently.
+    Assembles the pencil, solves for the smallest nonzero eigenvalue,
+    recenters the position field and builds the Gram matrices of the
+    position and mean-curvature fields once; all evaluations are then pure
+    reads and may run concurrently.
     """
 
     def __init__(
@@ -227,32 +175,50 @@ class BoundEngine:
         self.positions_hat = self.positions - center
         self.recentered_immersion = imm.translated(-center)
         self.mean_curvature = mean_curvature_vertices(mesh, imm, self.pencil)
-        self._K = self.pencil.stiffness
-        self._M = self.pencil.mass
+
+        K, M, lumped = self.pencil.stiffness, self.pencil.mass, self.geometry.lumped
+        psi, h = self.positions_hat, self.mean_curvature
+        k_psi = K @ psi
+        self.gram_k_pos = psi.T @ k_psi
+        self.gram_m_pos = psi.T @ (M @ psi)
+        self.gram_k_h = h.T @ (K @ h)
+        self.gram_m_h = h.T @ (M @ h)
+        self.curvature_sq_integral = self._trace(self.gram_m_h)
+        defect = self.gram_k_pos - self.lambda1 * self.gram_m_pos
+        self._defect = 0.5 * (defect + defect.T)
+        self._defect_scale = max(self.lambda1 * float(np.trace(self.gram_m_pos)), 1e-300)
+
+        # Delta psi_hat + lambda1 psi_hat with the lumped-mass Laplacian
+        self._resid = -k_psi / lumped[:, None] + self.lambda1 * psi
+        self._resid_integral = lumped @ self._resid
+        self._gram_m_resid = self._resid.T @ (M @ self._resid)
+        self._lumped_resid = self._resid.T @ (lumped[:, None] * self._resid)
+        self._lumped_pos = psi.T @ (lumped[:, None] * psi)
 
     def _finish(self, report: BoundReport) -> BoundReport:
         report.meta.setdefault("vertices", self.mesh.num_vertices)
         report.meta.setdefault("level", self.mesh.level)
         return report
 
-    # quadratic-form quadrature -------------------------------------------------
+    # quadratic forms in b = J a ----------------------------------------------------
 
-    def k_form(self, x, y=None) -> float:
-        y = x if y is None else y
-        return float(x @ (self._K @ y))
+    def _trace(self, gram) -> float:
+        """Signed trace: the integral summed over components with metric signs."""
+        return float(self.signs @ np.diagonal(gram))
 
-    def m_form(self, x, y=None) -> float:
-        y = x if y is None else y
-        return float(x @ (self._M @ y))
+    def _form(self, gram, a):
+        """b'Gb with b = J a, for one direction or a stack of them (rows)."""
+        b = np.asarray(a, dtype=float) * self.signs
+        return np.einsum("...i,ij,...j->...", b, gram, b)
 
-    def field_k_trace(self, values) -> float:
-        """Integral of the signed gradient trace; equals the stiffness form
-        summed over components with metric signs."""
-        return float(sum(s * self.k_form(values[:, j]) for j, s in enumerate(self.signs)))
-
-    def field_m_trace(self, values) -> float:
-        """Integral of <W, W> for the P1 interpolant of W."""
-        return float(sum(s * self.m_form(values[:, j]) for j, s in enumerate(self.signs)))
+    def _master_sides(self, k_gram, m_gram, a):
+        """Gradient and lambda1 sides of the master inequality,
+        m <a, W>^2 + <W, W> integrated, without the factor lambda1."""
+        m = self.imm.m
+        return (
+            m * float(self._form(k_gram, a)) + self._trace(k_gram),
+            m * float(self._form(m_gram, a)) + self._trace(m_gram),
+        )
 
     def f_direction(self, values, a) -> np.ndarray:
         """Vertex values of <a, W>."""
@@ -260,12 +226,24 @@ class BoundEngine:
 
     def tangential_energy(self, a) -> float:
         """Integral of the squared tangential part of a (gradient of <a, psi>)."""
-        return self.k_form(self.f_direction(self.positions, a))
+        return float(self._form(self.gram_k_pos, a))
 
     # test fields ---------------------------------------------------------------
 
     def test_field_mean_curvature(self) -> TestField:
-        return make_test_field_mean_curvature(self.mesh, self.imm, self.pencil)
+        """Mean curvature as a test field.
+
+        The continuum field always integrates to zero; discretely it does so
+        only to quadrature accuracy, so the centered flag uses a
+        discretization-aware tolerance.
+        """
+        residual = _center_residual(self.geometry, self.mean_curvature)
+        return TestField(
+            values=self.mean_curvature,
+            provenance="mean-curvature",
+            centered=bool(np.abs(residual).max() <= H_CENTER_TOL),
+            center_residual=residual,
+        )
 
     def test_field_position(self) -> TestField:
         return TestField(
@@ -292,17 +270,15 @@ class BoundEngine:
         any centered test field and any unit timelike direction."""
         a = require_unit_timelike(a)
         values = W.values
-        m = self.imm.m
-        fa = self.f_direction(values, a)
-        weight = m * self.m_form(fa) + self.field_m_trace(values)
+        rhs, weight = self._master_sides(
+            values.T @ (self.pencil.stiffness @ values), values.T @ (self.pencil.mass @ values), a
+        )
         if weight <= 1e-14 * max(1.0, float(np.abs(values).max()) ** 2):
             raise DomainError("test field vanishes identically")
-        lhs = self.lambda1 * weight
-        rhs = m * self.k_form(fa) + self.field_k_trace(values)
         return self._finish(_report(
             label or f"test-field[{W.provenance}]",
             "test-field",
-            lhs,
+            self.lambda1 * weight,
             rhs,
             TAU_BOUND,
             direction=a,
@@ -316,7 +292,7 @@ class BoundEngine:
         Valid through spacelike or lightlike hyperplanes; fails in general,
         which is what the counterexample gallery item certifies.
         """
-        h_sq_int = self.field_m_trace(self.mean_curvature)
+        h_sq_int = self.curvature_sq_integral
         rhs = self.imm.n * h_sq_int / self.volume
         return self._finish(
             _report(
@@ -326,13 +302,9 @@ class BoundEngine:
 
     def mean_curvature_field_bound(self, a) -> BoundReport:
         a = require_unit_timelike(a)
-        h = self.mean_curvature
-        m = self.imm.m
-        fa = self.f_direction(h, a)
-        denom = m * self.m_form(fa) + self.field_m_trace(h)
+        num, denom = self._master_sides(self.gram_k_h, self.gram_m_h, a)
         if denom <= 0:
             raise DomainError("mean curvature field has vanishing weight")
-        num = m * self.k_form(fa) + self.field_k_trace(h)
         return self._finish(
             _report(
                 "mean-curvature-field",
@@ -356,10 +328,9 @@ class BoundEngine:
         a = require_unit_timelike(a)
         n = self.imm.n
         m = self.imm.m
-        s = inner(self.positions_hat, a)
-        s_m = self.m_form(s)
-        psi_m = self.field_m_trace(self.positions_hat)
-        tangential = self.k_form(s)
+        s_m = float(self._form(self.gram_m_pos, a))
+        psi_m = self._trace(self.gram_m_pos)
+        tangential = self.tangential_energy(a)
 
         first = self._finish(_report(
             "position-field",
@@ -383,8 +354,7 @@ class BoundEngine:
 
     def projected_curvature_sq_integral(self, a) -> float:
         """Integral of the squared projection of H onto the hyperplane of a."""
-        fa = self.f_direction(self.mean_curvature, a)
-        return self.field_m_trace(self.mean_curvature) + self.m_form(fa)
+        return self.curvature_sq_integral + float(self._form(self.gram_m_h, a))
 
     def projected_curvature_bound(self, a, sharp: bool = False) -> BoundReport:
         """lambda1 <= n * int |H_a|^2 / Vol, the headline bound.
@@ -414,24 +384,25 @@ class BoundEngine:
 
     def infimum_over_directions(self, count: int, seed: int, s_max: float = S_MAX) -> BoundReport:
         """Minimum of the sharp projected-curvature bound over boost-sampled
-        unit timelike directions (the axis direction is sample zero)."""
+        unit timelike directions (the axis direction is sample zero).
+
+        Samples within TIE_RTOL of the minimum tie, and the first of them
+        is reported, so a flat landscape reports the axis rather than
+        whichever sample rounding favours.
+        """
         dirs = sample_timelike_directions(self.imm.m, count, seed, s_max=s_max)
         n = self.imm.n
-        best_rhs = math.inf
-        best_dir = dirs[0]
-        for a in dirs:
-            h_a_int = self.projected_curvature_sq_integral(a)
-            denom = self.volume + self.tangential_energy(a) / n
-            rhs = n * h_a_int / denom
-            if rhs < best_rhs:
-                best_rhs = rhs
-                best_dir = a
+        h_a_int = self.curvature_sq_integral + self._form(self.gram_m_h, dirs)
+        rhs = n * h_a_int / (self.volume + self._form(self.gram_k_pos, dirs) / n)
+        best = rhs.min()
+        pick = int(np.flatnonzero(rhs <= best + TIE_RTOL * abs(best))[0])
+        best_dir = dirs[pick]
         return self._finish(
             _report(
                 "direction-infimum",
                 "direction-infimum",
                 self.lambda1,
-                best_rhs,
+                rhs[pick],
                 self.tol_disc,
                 direction=best_dir,
                 samples=len(dirs),
@@ -445,26 +416,13 @@ class BoundEngine:
     def rayleigh_defect(self, v, w=None) -> float:
         """Q(v, w) = int <grad F_v, grad F_w> - lambda1 int F_v F_w for the
         centered position field; positive semi-definite by construction."""
-        v = np.asarray(v, dtype=float)
-        w = v if w is None else np.asarray(w, dtype=float)
-        fv = self.f_direction(self.positions_hat, v)
-        fw = self.f_direction(self.positions_hat, w)
-        return self.k_form(fv, fw) - self.lambda1 * self.m_form(fv, fw)
+        bv = np.asarray(v, dtype=float) * self.signs
+        bw = bv if w is None else np.asarray(w, dtype=float) * self.signs
+        return float(bv @ self._defect @ bw)
 
     def rayleigh_defect_matrix(self) -> np.ndarray:
-        m = self.imm.m
-        basis = np.eye(m)
-        out = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                out[i, j] = out[j, i] = self.rayleigh_defect(basis[i], basis[j])
-        return out
-
-    def _defect_scale(self) -> float:
-        psi_e = float(
-            sum(self.m_form(self.positions_hat[:, j]) for j in range(self.imm.m))
-        )
-        return max(self.lambda1 * psi_e, 1e-300)
+        """Q in canonical coordinates, J sym(G_K - lambda1 G_M) J; exactly symmetric."""
+        return self.signs[:, None] * self._defect * self.signs
 
     def reilly_causal_certificate(self, ell, tol: float = TAU_ELLE) -> BoundReport:
         """Classical bound certified by a causal direction annihilating the
@@ -479,32 +437,29 @@ class BoundEngine:
         if cls not in (CausalClass.TIMELIKE, CausalClass.LIGHTLIKE):
             raise DomainError(f"certificate direction must be causal, got {cls.value}")
         q = self.rayleigh_defect(ell)
-        scale = self._defect_scale() * float(ell @ ell)
+        scale = self._defect_scale * float(ell @ ell)
         precondition_ok = abs(q) <= tol * scale
         base = self.reilly()
         n = self.imm.n
 
-        resid = apply_discrete_laplacian(self.pencil, self.positions_hat) + self.lambda1 * self.positions_hat
-        causal_sq = float(
-            sum(
-                s * self.m_form(resid[:, j])
-                for j, s in enumerate(self.signs)
-            )
-        )
-        euclid_sq = float(sum(self.m_form(resid[:, j]) for j in range(self.imm.m)))
-        psi_sq = self.field_m_trace(self.positions_hat)
+        # the causal square drops twice the time component from the
+        # Euclidean one, so a residual without one gives equal squares
+        time_sq, *_ = np.diagonal(self._gram_m_resid)
+        euclid_sq = float(np.trace(self._gram_m_resid))
+        causal_sq = euclid_sq - 2.0 * float(time_sq)
+        psi_sq = self._trace(self.gram_m_pos)
         volume_ratio = self.lambda1 * psi_sq / (n * self.volume)
         meta = {
             "defect": q,
             "defect_rel": q / scale,
             "precondition_ok": precondition_ok,
-            "causal_residual_sq": causal_sq / self._defect_scale() / self.lambda1,
-            "euclid_residual_sq": euclid_sq / self._defect_scale() / self.lambda1,
+            "causal_residual_sq": causal_sq / self._defect_scale / self.lambda1,
+            "euclid_residual_sq": euclid_sq / self._defect_scale / self.lambda1,
             "volume_identity_ratio": volume_ratio,
             "equality": precondition_ok
             and abs(volume_ratio - 1.0) <= self.tol_disc
             and abs(causal_sq) / max(euclid_sq, 1e-300) <= 1.0
-            and abs(causal_sq) / self._defect_scale() / self.lambda1 <= TAU_EQ,
+            and abs(causal_sq) / self._defect_scale / self.lambda1 <= TAU_EQ,
         }
         return self._finish(BoundReport(
             name="reilly-causal-certificate",
@@ -522,15 +477,16 @@ class BoundEngine:
     def causal_defect_search(self, count: int, seed: int) -> dict:
         """Sampling search for a causal direction with vanishing defect."""
         dirs = sample_causal_directions(self.imm.m, count, seed, s_max=S_MAX)
-        best = None
-        for ell in dirs:
-            q = self.rayleigh_defect(ell)
-            rel = abs(q) / (self._defect_scale() * float(ell @ ell))
-            if best is None or rel < best["defect_rel"]:
-                best = {"direction": tuple(float(x) for x in ell), "defect_rel": rel}
-        best["found"] = best["defect_rel"] <= TAU_ELLE
-        best["samples"] = count
-        return best
+        rel = np.abs(self._form(self._defect, dirs)) / (
+            self._defect_scale * np.einsum("ij,ij->i", dirs, dirs)
+        )
+        pick = int(np.argmin(rel))
+        return {
+            "direction": tuple(float(x) for x in dirs[pick]),
+            "defect_rel": float(rel[pick]),
+            "found": bool(rel[pick] <= TAU_ELLE),
+            "samples": count,
+        }
 
     # equality diagnostics ---------------------------------------------------------
 
@@ -562,23 +518,22 @@ class BoundEngine:
         a = require_unit_timelike(a)
         if tau_eq is None:
             tau_eq = self.equality_tolerance()
-        geom = self.geometry
-        resid = apply_discrete_laplacian(self.pencil, self.positions_hat) + self.lambda1 * self.positions_hat
-        mu = -self.f_direction(resid, a)
-        rho = resid - mu[:, None] * a
-        rho_sq = inner(rho, rho)  # rho is orthogonal to a, so this is >= 0
-        rho_l2 = math.sqrt(max(float(geom.lumped @ rho_sq), 0.0) / self.volume)
-        s_hat = inner(self.positions_hat, a)
-        psi_sq_adapted = inner(self.positions_hat, self.positions_hat) + 2.0 * s_hat**2
-        psi_l2 = math.sqrt(float(geom.lumped @ psi_sq_adapted) / self.volume)
+        vol = self.volume
+        b = self.signs * a
+        mu = -self.f_direction(self._resid, a)
+        # lumped integrals of rho = resid - mu a = resid + c a, c = <resid, a>:
+        # <rho, rho> = <resid, resid> + c^2 and |rho|^2 = |resid|^2 + 2 c resid.a + c^2 |a|^2
+        g_r, g_p = self._lumped_resid, self._lumped_pos
+        c_sq = float(self._form(g_r, a))
+        rho_l2 = math.sqrt(max(self._trace(g_r) + c_sq, 0.0) / vol)
+        psi_l2 = math.sqrt((self._trace(g_p) + 2.0 * float(self._form(g_p, a))) / vol)
         residual_rel = rho_l2 / max(psi_l2, 1e-300)
 
-        rho_l2_canon = math.sqrt(float(geom.lumped @ (rho * rho).sum(axis=1)) / self.volume)
-        psi_l2_canon = math.sqrt(
-            float(geom.lumped @ (self.positions_hat**2).sum(axis=1)) / self.volume
-        )
+        rho_canon_sq = float(np.trace(g_r)) + 2.0 * float(a @ g_r @ b) + float(a @ a) * c_sq
+        rho_l2_canon = math.sqrt(max(rho_canon_sq, 0.0) / vol)
+        psi_l2_canon = math.sqrt(float(np.trace(g_p)) / vol)
         residual_rel_canonical = rho_l2_canon / max(psi_l2_canon, 1e-300)
-        causal_sq = float(geom.lumped @ inner(resid, resid)) / self.volume
+        causal_sq = self._trace(g_r) / vol
 
         if residual_rel <= tau_eq:
             verdict = "equality-case"
@@ -587,14 +542,14 @@ class BoundEngine:
         else:
             verdict = "inconclusive"
 
-        h_a_mean = self.projected_curvature_sq_integral(a) / self.volume
+        h_a_mean = self.projected_curvature_sq_integral(a) / vol
         return EqualityDiagnostic(
             direction=tuple(float(x) for x in a),
             residual_rel=residual_rel,
             residual_rel_canonical=residual_rel_canonical,
             causal_residual_sq=causal_sq,
-            a_component_integral=float(geom.lumped @ mu),
-            tangential_ratio=self.tangential_energy(a) / self.volume,
+            a_component_integral=-float(self._resid_integral @ b),
+            tangential_ratio=self.tangential_energy(a) / vol,
             radius_from_curvature=1.0 / math.sqrt(max(h_a_mean, 1e-300)),
             radius_from_lambda1=math.sqrt(self.imm.n / self.lambda1),
             verdict=verdict,

@@ -106,11 +106,10 @@ def _config_from_args(args) -> RunConfig:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     report = run_case(config)
-    text = report_to_json(report)
     if config.out:
         write_report(report, config.out, config.fmt)
     if config.fmt == "json" and not config.out:
-        sys.stdout.write(text)
+        sys.stdout.write(report_to_json(report))
     else:
         print(f"case={config.case} level={config.level} verdict={report.verdict}")
     for failure in report.failures:

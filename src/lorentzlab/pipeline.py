@@ -335,13 +335,15 @@ def run_case(config: RunConfig) -> RunReport:
     t3 = time.perf_counter()
     recentered = engine.recentered_immersion
     vol = engine.volume
-    mink = minkowski_residual(mesh, imm, engine.pencil)
+    mink = minkowski_residual(mesh, imm, engine.pencil, geometry=engine.geometry)
+    # the recentered immersion is a translation: same elements, shifted positions
+    recentered_geometry = replace(engine.geometry, positions=engine.positions_hat)
     proj1, proj2 = minkowski_projected_identities(
-        mesh, recentered, axis, pencil=engine.pencil
+        mesh, recentered, axis, pencil=engine.pencil, geometry=recentered_geometry
     )
     boosted = directions[1] if len(directions) > 1 else axis
     proj1b, proj2b = minkowski_projected_identities(
-        mesh, recentered, boosted, pencil=engine.pencil
+        mesh, recentered, boosted, pencil=engine.pencil, geometry=recentered_geometry
     )
     identities = {
         "minkowski_residual_rel": abs(mink.value) / vol,
@@ -353,7 +355,7 @@ def run_case(config: RunConfig) -> RunReport:
         profile = getattr(imm, "mean_curvature_sq_of_height", None)
         if profile is not None:
             slice_int = sphere_slice_integral(n, profile)
-            mesh_int = engine.field_m_trace(engine.mean_curvature)
+            mesh_int = engine.curvature_sq_integral
             identities["reilly_rhs_slice"] = n * slice_int.value / (
                 sphere_slice_integral(n, lambda t: np.ones_like(t)).value
             )

@@ -1,0 +1,99 @@
+"""Reference evaluations the bound catalogue is checked against.
+
+`BoundEngine` evaluates every bound from m x m Gram matrices built once
+per engine. The helpers here recompute the same numbers the direct way,
+one sparse stiffness or mass product per vertex field, and build test
+fields from a mesh and an immersion without an engine.
+"""
+
+import numpy as np
+
+from lorentzlab.bounds import H_CENTER_TOL, TestField, _center_residual
+from lorentzlab.errors import UsageError
+from lorentzlab.fem import apply_discrete_laplacian, assemble_pencil, mesh_geometry
+from lorentzlab.immersions import TAU_CENTER
+from lorentzlab.minkowski import inner, require_unit_timelike
+from lorentzlab.quadrature import mean_curvature_vertices
+
+
+def k_form(engine, x, y=None) -> float:
+    y = x if y is None else y
+    return float(x @ (engine.pencil.stiffness @ y))
+
+
+def m_form(engine, x, y=None) -> float:
+    y = x if y is None else y
+    return float(x @ (engine.pencil.mass @ y))
+
+
+def field_k_trace(engine, values) -> float:
+    """Integral of the signed gradient trace of a vector field."""
+    return float(sum(s * k_form(engine, values[:, j]) for j, s in enumerate(engine.signs)))
+
+
+def field_m_trace(engine, values) -> float:
+    """Integral of <W, W> for the P1 interpolant of W."""
+    return float(sum(s * m_form(engine, values[:, j]) for j, s in enumerate(engine.signs)))
+
+
+def make_test_field_mean_curvature(mesh, imm, pencil=None, center_tol: float = H_CENTER_TOL) -> TestField:
+    """Mean curvature as a test field, centered up to quadrature accuracy."""
+    if pencil is None:
+        pencil = assemble_pencil(mesh, imm)
+    h = mean_curvature_vertices(mesh, imm, pencil)
+    residual = _center_residual(pencil.geometry, h)
+    return TestField(
+        values=h,
+        provenance="mean-curvature",
+        centered=bool(np.abs(residual).max() <= center_tol),
+        center_residual=residual,
+    )
+
+
+def make_test_field_position(mesh, imm, geometry=None) -> TestField:
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    residual = _center_residual(geom, geom.positions)
+    scale = max(1.0, float(np.abs(geom.positions).max()))
+    if np.abs(residual).max() > 10.0 * TAU_CENTER * scale:
+        raise UsageError("position test field needs a recentered immersion")
+    return TestField(
+        values=geom.positions,
+        provenance="position",
+        centered=True,
+        center_residual=residual,
+    )
+
+
+def make_test_field_projected(mesh, imm, a, geometry=None) -> TestField:
+    a = require_unit_timelike(a)
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    base = make_test_field_position(mesh, imm, geometry=geom)
+    s = inner(base.values, a)
+    values = base.values + s[:, None] * a
+    return TestField(
+        values=values,
+        provenance="projected-position",
+        centered=True,
+        center_residual=_center_residual(geom, values),
+    )
+
+
+def equality_residuals(engine, a) -> dict:
+    """Equality-diagnostic norms evaluated vertex by vertex."""
+    lumped, vol = engine.geometry.lumped, engine.volume
+    psi = engine.positions_hat
+    resid = apply_discrete_laplacian(engine.pencil, psi) + engine.lambda1 * psi
+    mu = -engine.f_direction(resid, a)
+    rho = resid - mu[:, None] * a
+    s_hat = inner(psi, a)
+    rho_l2 = np.sqrt(max(float(lumped @ inner(rho, rho)), 0.0) / vol)
+    psi_l2 = np.sqrt(float(lumped @ (inner(psi, psi) + 2.0 * s_hat**2)) / vol)
+    rho_l2_canon = np.sqrt(float(lumped @ (rho * rho).sum(axis=1)) / vol)
+    psi_l2_canon = np.sqrt(float(lumped @ (psi**2).sum(axis=1)) / vol)
+    return {
+        "residual_rel": rho_l2 / psi_l2,
+        "residual_rel_canonical": rho_l2_canon / psi_l2_canon,
+        "causal_residual_sq": float(lumped @ inner(resid, resid)) / vol,
+        "a_component_integral": float(lumped @ mu),
+        "a_component": mu,
+    }

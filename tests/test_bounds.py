@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from lorentzlab.bounds import (
-    BoundEngine,
-    TAU_BOUND,
-    make_test_field_mean_curvature,
-    make_test_field_position,
-    make_test_field_projected,
-    signed_gradient_trace_density,
-)
+from lorentzlab.bounds import BoundEngine, TAU_BOUND, signed_gradient_trace_density
 from lorentzlab.errors import DomainError, UsageError
 from lorentzlab.fem import gradient_squared_per_element, mesh_geometry
 from lorentzlab.immersions import (
@@ -25,6 +18,16 @@ from lorentzlab.minkowski import (
     boost_direction,
     sample_timelike_directions,
     signature_orthonormalize,
+)
+from oracles import (
+    equality_residuals,
+    field_k_trace,
+    field_m_trace,
+    k_form,
+    m_form,
+    make_test_field_mean_curvature,
+    make_test_field_position,
+    make_test_field_projected,
 )
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -62,6 +65,90 @@ def engines_for_cases(level=3):
         BoundEngine(mesh, CylinderSphere(2, HyperbolicArc(2.0)), seed=0),
         BoundEngine(mesh, NullHyperplaneSphere(2, 0.5), seed=0),
     ]
+
+
+@pytest.fixture(scope="module")
+def case_engines():
+    return engines_for_cases(level=3)
+
+
+# --- Gram-matrix evaluation against direct sparse forms ------------------------------
+
+
+def _magnitude(A, fields) -> float:
+    """|F|'|A||F| summed over columns: bounds the rounding of any form in F."""
+    f = np.abs(fields).reshape(fields.shape[0], -1)
+    return float(np.sum(f * (abs(A) @ f)))
+
+
+def test_gram_forms_match_sparse_oracle(case_engines):
+    rtol = 1e-12
+    for eng in case_engines:
+        name = type(eng.imm).__name__
+        K, M = eng.pencil.stiffness, eng.pencil.mass
+        psi, h = eng.positions_hat, eng.mean_curvature
+        m, lam = eng.imm.m, eng.lambda1
+        assert abs(eng.curvature_sq_integral - field_m_trace(eng, h)) <= rtol * _magnitude(M, h)
+        for a in sample_timelike_directions(m, 8, seed=41, include_axis=True):
+            b = eng.signs * a
+            f_psi, f_h = psi @ b, h @ b
+            # the Gram forms never see the cancellation inside V b
+            g_psi, g_h = np.abs(psi) @ np.abs(b), np.abs(h) @ np.abs(b)
+
+            def close(value, expected, scale):
+                assert abs(value - expected) <= rtol * scale, (name, a, value, expected)
+
+            close(eng.tangential_energy(a), k_form(eng, f_psi), _magnitude(K, g_psi))
+            close(
+                eng.rayleigh_defect(a),
+                k_form(eng, f_psi) - lam * m_form(eng, f_psi),
+                _magnitude(K, g_psi) + lam * _magnitude(M, g_psi),
+            )
+            close(
+                eng.projected_curvature_sq_integral(a),
+                field_m_trace(eng, h) + m_form(eng, f_h),
+                _magnitude(M, h) + _magnitude(M, g_h),
+            )
+            mc = eng.mean_curvature_field_bound(a).meta
+            close(mc["numerator"], m * k_form(eng, f_h) + field_k_trace(eng, h),
+                  m * _magnitude(K, g_h) + _magnitude(K, h))
+            close(mc["denominator"], m * m_form(eng, f_h) + field_m_trace(eng, h),
+                  m * _magnitude(M, g_h) + _magnitude(M, h))
+            first, _ = eng.position_field_bounds(a)
+            close(first.lhs, lam * (m * m_form(eng, f_psi) + field_m_trace(eng, psi)),
+                  lam * (m * _magnitude(M, g_psi) + _magnitude(M, psi)))
+            close(first.meta["tangential"], k_form(eng, f_psi), _magnitude(K, g_psi))
+
+            projected = eng.test_field_projected(a)
+            w = projected.values
+            report = eng.test_field_bound(projected, a)
+            g_w = np.abs(psi) @ (1.0 + np.abs(np.outer(b, a)))  # magnitude of psi_hat T
+            close(report.lhs, lam * (m * m_form(eng, w @ b) + field_m_trace(eng, w)),
+                  lam * (m + 1) * _magnitude(M, g_w))
+            close(report.rhs, m * k_form(eng, w @ b) + field_k_trace(eng, w),
+                  (m + 1) * _magnitude(K, g_w))
+
+            diag = eng.equality_diagnostic(a)
+            expected = equality_residuals(eng, a)
+            for key in ("residual_rel", "residual_rel_canonical", "causal_residual_sq"):
+                assert getattr(diag, key) == pytest.approx(expected[key], rel=1e-12, abs=1e-300), key
+            assert np.array_equal(diag.a_component, expected["a_component"])
+            mu_scale = float(eng.geometry.lumped @ np.abs(expected["a_component"]))
+            close(diag.a_component_integral, expected["a_component_integral"], mu_scale)
+
+
+def test_sampled_searches_match_direction_loop(case_engines):
+    for eng in case_engines:
+        dirs = sample_timelike_directions(eng.imm.m, 12, seed=3)
+        loop = [eng.projected_curvature_bound(a, sharp=True).rhs for a in dirs]
+        report = eng.infimum_over_directions(12, seed=3)
+        assert report.rhs == pytest.approx(min(loop), rel=1e-12)
+        search = eng.causal_defect_search(16, seed=5)
+        ell = np.array(search["direction"])
+        q = eng.rayleigh_defect(ell)
+        assert search["defect_rel"] == pytest.approx(
+            abs(q) / (eng.lambda1 * np.trace(eng.gram_m_pos) * (ell @ ell)), rel=1e-12
+        )
 
 
 # --- test fields ----------------------------------------------------------------
@@ -219,9 +306,9 @@ def test_master_inequality_reduces_to_minimum_principle(counter_engine):
     m = eng.imm.m
     # both sides carry the factor m - 1 relative to the minimum principle
     assert report.lhs == pytest.approx(
-        eng.lambda1 * (m - 1) * eng.m_form(f), rel=1e-12
+        eng.lambda1 * (m - 1) * m_form(eng, f), rel=1e-12
     )
-    assert report.rhs == pytest.approx((m - 1) * eng.k_form(f), rel=1e-12)
+    assert report.rhs == pytest.approx((m - 1) * k_form(eng, f), rel=1e-12)
     assert report.holds
 
 
@@ -334,6 +421,14 @@ def test_infimum_over_directions(counter_engine, sphere_engine):
     assert sphere_report.rhs == pytest.approx(2.0, rel=2e-2)
 
 
+def test_infimum_reports_axis_on_flat_landscape():
+    # every sample ties to rounding on the round sphere; the axis is reported
+    eng = BoundEngine(build_icosphere_mesh(3), unit_sphere(), seed=7)
+    report = eng.infimum_over_directions(20, seed=8)
+    assert report.direction == (1.0, 0.0, 0.0, 0.0)
+    assert report.meta["boost"] == 0.0
+
+
 # --- defect form and certificates --------------------------------------------------
 
 
@@ -342,6 +437,15 @@ def test_rayleigh_defect_matrix_positive_semidefinite(counter_engine):
     assert np.allclose(q, q.T, atol=1e-10)
     eigs = np.linalg.eigvalsh(q)
     assert eigs.min() >= -TAU_BOUND * np.abs(q).max()
+
+
+def test_rayleigh_defect_matrix_exactly_symmetric_psd(case_engines):
+    for eng in case_engines:
+        q = eng.rayleigh_defect_matrix()
+        assert np.array_equal(q, q.T)
+        assert np.linalg.eigvalsh(q).min() >= -1e-12 * np.abs(q).max()
+        e1 = np.eye(eng.imm.m)[1]
+        assert eng.rayleigh_defect(e1) == pytest.approx(q[1, 1], rel=1e-15)
 
 
 def test_rayleigh_defect_sphere_examples(sphere_engine):
@@ -369,6 +473,13 @@ def test_certificate_null_normal(null_engine):
     assert report.meta["causal_residual_sq"] <= 1e-3
     assert report.meta["euclid_residual_sq"] > 1e-2
     assert report.meta["equality"]
+
+
+def test_certificate_defect_vanishes_on_shipped_directions(sphere_engine, null_engine):
+    for eng, ell in ((sphere_engine, AXIS4), (null_engine, null_engine.imm.null_normal)):
+        report = eng.reilly_causal_certificate(ell)
+        assert report.meta["precondition_ok"]
+        assert abs(report.meta["defect_rel"]) <= 1e-12
 
 
 def test_certificate_counterexample_precondition_fails(counter_engine):

@@ -188,6 +188,19 @@ def test_cli_output_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_cli_out_file_matches_stdout(tmp_path, capsys):
+    args = ["run", "--case", "counterexample", "--level", "2", "--samples", "2", "--mc-samples", "5000"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert summary == "case=counterexample level=2 verdict=pass\n"
+    # the config echo records --out; every other byte is the printed report
+    echoed = json.dumps({"out": str(out)})[1:-1]
+    assert out.read_bytes() == printed.replace('"out": null', echoed, 1).encode("utf-8")
+
+
 def test_cli_csv_format(tmp_path):
     out = tmp_path / "report.csv"
     code = main(
