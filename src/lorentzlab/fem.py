@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh as scipy_eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import EigenSolveError, NotSpacelikeError, UsageError
 from .meshes import ParamMesh
@@ -27,7 +26,6 @@ from .minkowski import metric_signs
 
 TAU_EIG = 1e-8
 TAU_ASSEMBLY = 1e-10
-EIG_MAX_ITER = 10000
 
 __all__ = [
     "TAU_EIG",
@@ -39,7 +37,6 @@ __all__ = [
     "solve_lambda1",
     "apply_discrete_laplacian",
     "gradient_squared_per_element",
-    "gradient_inner_per_element",
 ]
 
 
@@ -155,21 +152,15 @@ class Spectrum:
     near_degenerate: bool
 
 
-def solve_lambda1(
-    pencil: FEMPencil,
-    tol: float = TAU_EIG,
-    max_iter: int = EIG_MAX_ITER,
-    seed: int = 0,
-    block_size: int = 4,
-) -> Spectrum:
+def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG, seed: int = 0) -> Spectrum:
     """Smallest nonzero generalized eigenvalue of (K, Mass).
 
-    Block inverse iteration on a factorized small shift of the pencil,
-    with the constant vector projected out (in the mass inner product) at
-    every step and a Rayleigh-Ritz rotation per sweep. The block resolves
-    nearly degenerate clusters, which single-vector iteration cannot push
-    below the cluster spread; extra Ritz values only feed the
-    near-degenerate flag.
+    Shift-invert Lanczos (ARPACK) on a factorized small shift of the
+    pencil, with the constant vector projected out (in the mass inner
+    product) after every solve. It computes the n + 1 smallest nonzero
+    eigenpairs, the size of the round-sphere cluster, so a nearly
+    degenerate cluster is resolved as a whole; the second Ritz value only
+    feeds the near-degenerate flag.
     """
     K = pencil.stiffness.tocsc()
     M = pencil.mass.tocsc()
@@ -185,48 +176,44 @@ def solve_lambda1(
     except RuntimeError as exc:  # pragma: no cover - singular pencil
         raise EigenSolveError(f"factorization failed: {exc}") from exc
 
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((k, block_size))
-
     def deflate(x):
-        return x - np.outer(ones, (m_ones @ x) / vol)
+        return x - (m_ones @ x) / vol
 
-    def m_orthonormalize(x):
-        gram = x.T @ (M @ x)
-        w, v = np.linalg.eigh(gram)
-        keep = w > 1e-14 * w.max()
-        if not keep.all():  # pragma: no cover - rank collapse
-            raise EigenSolveError("iteration block lost rank")
-        return x @ (v / np.sqrt(w))
+    solves = 0
 
-    block = m_orthonormalize(deflate(block))
-    lam = float("inf")
-    ritz = None
-    residual = float("inf")
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        block = lu.solve(M @ block)
-        block = m_orthonormalize(deflate(block))
-        k_small = block.T @ (K @ block)
-        m_small = block.T @ (M @ block)
-        ritz, rotation = scipy_eigh(k_small, m_small)
-        block = block @ rotation
-        lam = float(ritz[0])
-        x = block[:, 0]
-        kx = K @ x
-        mx = M @ x
-        r = kx - lam * mx
-        scale = max(float(np.linalg.norm(kx)), lam * float(np.linalg.norm(mx)), 1e-300)
-        residual = float(np.linalg.norm(r)) / scale
-        if residual <= tol:
-            break
-    else:
+    def shifted_inverse(x):
+        nonlocal solves
+        solves += 1
+        return deflate(lu.solve(x))
+
+    v0 = deflate(np.random.default_rng(seed).standard_normal(k))
+    try:
+        ritz, vectors = eigsh(
+            K,
+            k=pencil.geometry.mesh.n + 1,
+            M=M,
+            sigma=-shift,
+            OPinv=LinearOperator((k, k), matvec=shifted_inverse, dtype=float),
+            v0=v0,
+            tol=tol,
+            rng=seed,
+        )
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise EigenSolveError(f"Lanczos iteration failed: {exc}") from exc
+    order = np.argsort(ritz)
+    ritz = ritz[order]
+    lam = float(ritz[0])
+    x = vectors[:, order[0]]
+    kx = K @ x
+    mx = M @ x
+    scale = max(float(np.linalg.norm(kx)), lam * float(np.linalg.norm(mx)), 1e-300)
+    residual = float(np.linalg.norm(kx - lam * mx)) / scale
+    if not residual <= tol:
         raise EigenSolveError(
-            f"no convergence after {max_iter} iterations (residual {residual:.3e})"
+            f"no convergence after {solves} solves (residual {residual:.3e})"
         )
 
-    x = block[:, 0]
-    x = x / math.sqrt(max(float(x @ (M @ x)), 1e-300))
+    x = x / math.sqrt(max(float(x @ mx), 1e-300))
     # deterministic sign: largest-magnitude entry positive
     pivot = int(np.argmax(np.abs(x)))
     if x[pivot] < 0:
@@ -237,7 +224,7 @@ def solve_lambda1(
     return Spectrum(
         lambda1=lam,
         eigenfunction=x,
-        iterations=iterations,
+        iterations=solves,
         residual=residual,
         near_degenerate=near_degenerate,
     )
@@ -264,10 +251,3 @@ def gradient_squared_per_element(mesh: ParamMesh, imm, values, geometry=None) ->
         raise UsageError("value count does not match vertex count")
     du = values[mesh.simplices[:, 1:]] - values[mesh.simplices[:, :1]]
     return np.einsum("ea,eab,eb->e", du, geom.gram_inv, du)
-
-
-def gradient_inner_per_element(geom: MeshGeometry, u, v) -> np.ndarray:
-    simplices = geom.mesh.simplices
-    du = np.asarray(u, float)[simplices[:, 1:]] - np.asarray(u, float)[simplices[:, :1]]
-    dv = np.asarray(v, float)[simplices[:, 1:]] - np.asarray(v, float)[simplices[:, :1]]
-    return np.einsum("ea,eab,eb->e", du, geom.gram_inv, dv)

@@ -95,29 +95,28 @@ def build_icosphere_mesh(level: int) -> ParamMesh:
     """
     if level < 0:
         raise UsageError("level must be nonnegative")
-    vertices = [v for v in _icosahedron_vertices()]
+    vertices = _icosahedron_vertices().copy()
     faces = _ICO_FACES.copy()
     for _ in range(level):
-        midpoints: dict[tuple[int, int], int] = {}
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            idx = midpoints.get(key)
-            if idx is None:
-                mid = vertices[i] + vertices[j]
-                vertices.append(mid / np.linalg.norm(mid))
-                idx = len(vertices) - 1
-                midpoints[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in faces:
-            ab = midpoint(a, b)
-            bc = midpoint(b, c)
-            ca = midpoint(c, a)
-            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-        faces = np.array(new_faces)
-    return ParamMesh(np.array(vertices), faces, kind="sphere", level=level)
+        # edges in face order ab, bc, ca; each midpoint is numbered at the
+        # first face that meets its edge
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = len(vertices) + np.arange(order.size)
+        ends = edges[first[order]]
+        mid = vertices[ends[:, 0]] + vertices[ends[:, 1]]
+        # the same ddot per row as np.linalg.norm, so vertices are bit-stable
+        mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+        vertices = np.concatenate([vertices, mid])
+        a, b, c = faces.T
+        ab, bc, ca = number[inverse.reshape(-1, 3)].T
+        faces = np.stack(
+            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
+    return ParamMesh(vertices, faces, kind="sphere", level=level)
 
 
 def facet_incidence(mesh: ParamMesh) -> dict:

@@ -1,9 +1,10 @@
-"""Reference evaluations the bound catalogue is checked against.
+"""Reference evaluations the library is checked against.
 
 `BoundEngine` evaluates every bound from m x m Gram matrices built once
 per engine. The helpers here recompute the same numbers the direct way,
 one sparse stiffness or mass product per vertex field, and build test
-fields from a mesh and an immersion without an engine.
+fields from a mesh and an immersion without an engine. The icosphere is
+rebuilt one midpoint at a time, the way the array build must number it.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from lorentzlab.bounds import H_CENTER_TOL, TestField, _center_residual
 from lorentzlab.errors import UsageError
 from lorentzlab.fem import apply_discrete_laplacian, assemble_pencil, mesh_geometry
 from lorentzlab.immersions import TAU_CENTER
+from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import inner, require_unit_timelike
 from lorentzlab.quadrature import mean_curvature_vertices
 
@@ -97,3 +99,30 @@ def equality_residuals(engine, a) -> dict:
         "a_component_integral": float(lumped @ mu),
         "a_component": mu,
     }
+
+
+def build_icosphere_mesh_loop(level: int) -> ParamMesh:
+    """Icosphere subdivided face by face through a midpoint dictionary."""
+    vertices = [v for v in _icosahedron_vertices()]
+    faces = _ICO_FACES.copy()
+    for _ in range(level):
+        midpoints: dict[tuple[int, int], int] = {}
+
+        def midpoint(i: int, j: int) -> int:
+            key = (i, j) if i < j else (j, i)
+            idx = midpoints.get(key)
+            if idx is None:
+                mid = vertices[i] + vertices[j]
+                vertices.append(mid / np.linalg.norm(mid))
+                idx = len(vertices) - 1
+                midpoints[key] = idx
+            return idx
+
+        new_faces = []
+        for a, b, c in faces:
+            ab = midpoint(a, b)
+            bc = midpoint(b, c)
+            ca = midpoint(c, a)
+            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+        faces = np.array(new_faces)
+    return ParamMesh(np.array(vertices), faces, kind="sphere", level=level)

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from lorentzlab.errors import NotSpacelikeError, UsageError
+import lorentzlab.fem
+from lorentzlab.errors import EigenSolveError, NotSpacelikeError, UsageError
 from lorentzlab.fem import (
     apply_discrete_laplacian,
     assemble_pencil,
@@ -28,6 +30,8 @@ from lorentzlab.meshes import (
     save_mesh,
 )
 from lorentzlab.quadrature import beltrami_residual
+
+from oracles import build_icosphere_mesh_loop
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -78,6 +82,16 @@ def test_icosphere_counts():
     counts = facet_incidence(mesh2)
     assert all(c == 2 for c in counts.values())
     assert euler_characteristic(mesh2) == 2
+
+
+def test_icosphere_matches_loop_oracle_bit_for_bit():
+    for level in range(7):
+        mesh = build_icosphere_mesh(level)
+        ref = build_icosphere_mesh_loop(level)
+        assert mesh.vertices.dtype == ref.vertices.dtype
+        assert mesh.simplices.dtype == ref.simplices.dtype
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert np.array_equal(mesh.simplices, ref.simplices)
 
 
 def test_mesh_ascii_roundtrip(tmp_path):
@@ -151,6 +165,15 @@ def test_lambda1_circle():
     assert spec.lambda1 == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("segments, exact", [(3, 2.0), (4, 1.5)])
+def test_lambda1_tiny_circles_match_exact_p1(segments, exact):
+    # the deflated space (dimension 2 or 3) barely exceeds the n + 1 = 2
+    # eigenpairs asked for
+    imm = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    spec = solve_lambda1(assemble_pencil(build_circle_mesh(segments), imm), seed=0)
+    assert spec.lambda1 == pytest.approx(exact, rel=1e-7)
+
+
 def test_lambda1_sphere_and_counterexample():
     mesh = build_icosphere_mesh(4)
     spec = solve_lambda1(assemble_pencil(mesh, unit_sphere()), seed=0)
@@ -179,6 +202,41 @@ def test_spectrum_invariants():
     again = solve_lambda1(pen, seed=0)
     assert again.lambda1 == spec.lambda1
     assert np.array_equal(again.eigenfunction, f)
+
+
+def test_lambda1_counterexample_level3_reference():
+    # the value `lab run --case counterexample --level 3` reported with the
+    # block inverse-iteration solver this one replaced
+    pen = assemble_pencil(build_icosphere_mesh(3), CounterexampleSphere(2))
+    spec = solve_lambda1(pen, seed=7)
+    assert spec.lambda1 == pytest.approx(2.0098083572057615, rel=1e-10)
+    assert spec.residual <= 1e-8
+
+
+def test_iterations_count_factor_solves(monkeypatch):
+    solves = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return self._lu.solve(*args, **kwargs)
+
+    splu = lorentzlab.fem.splu
+    monkeypatch.setattr(lorentzlab.fem, "splu", lambda a: CountingLU(splu(a)))
+    pen = assemble_pencil(build_icosphere_mesh(3), CounterexampleSphere(2))
+    spec = solve_lambda1(pen, seed=0)
+    assert spec.iterations == len(solves) > 0
+
+
+def test_unattainable_tolerance_raises_quickly():
+    pen = assemble_pencil(build_icosphere_mesh(2), CounterexampleSphere(2))
+    start = time.perf_counter()
+    with pytest.raises(EigenSolveError):
+        solve_lambda1(pen, tol=1e-20, seed=0)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_lambda1_convergence_through_level5():
