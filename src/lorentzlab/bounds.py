@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .fem import Spectrum, assemble_pencil, mesh_geometry, solve_lambda1
+from .errors import DomainError
+from .fem import assemble_pencil, solve_lambda1
 from .minkowski import (
     CausalClass,
     causal_classify,
@@ -55,7 +55,6 @@ __all__ = [
     "TestField",
     "BoundReport",
     "EqualityDiagnostic",
-    "signed_gradient_trace_density",
     "BoundEngine",
 ]
 
@@ -110,6 +109,7 @@ class EqualityDiagnostic:
     """Residual analysis of Delta psi_hat + lambda1 psi_hat = mu * a."""
 
     direction: tuple
+    verdict: str
     residual_rel: float
     residual_rel_canonical: float
     causal_residual_sq: float
@@ -117,29 +117,11 @@ class EqualityDiagnostic:
     tangential_ratio: float
     radius_from_curvature: float
     radius_from_lambda1: float
-    verdict: str
     a_component: np.ndarray = field(repr=False, default=None)
 
 
 def _center_residual(geom, values) -> np.ndarray:
     return (geom.lumped @ values) / geom.total_volume
-
-
-def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:
-    """Per-element signed sum of squared P1 gradients of <b_j, W>.
-
-    The sum runs over the canonical pseudo-orthonormal basis with signs
-    (-1, 1, ..., 1); signature weighting makes the value basis
-    independent.
-    """
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
-    values = W.values if isinstance(W, TestField) else np.asarray(W, dtype=float)
-    if values.shape != (mesh.num_vertices, imm.m):
-        raise UsageError("field shape does not match mesh and ambient dimension")
-    simplices = mesh.simplices
-    dw = values[simplices[:, 1:]] - values[simplices[:, :1]]  # (E, n, m)
-    signs = metric_signs(imm.m)
-    return np.einsum("eam,m,ebm,eba->e", dw, signs, dw, geom.gram_inv)
 
 
 class BoundEngine:
@@ -151,30 +133,20 @@ class BoundEngine:
     reads and may run concurrently.
     """
 
-    def __init__(
-        self,
-        mesh,
-        imm,
-        seed: int = 0,
-        pencil=None,
-        spectrum: Spectrum | None = None,
-        tol_disc: float = TAU_DISC,
-    ):
+    def __init__(self, mesh, imm, seed: int = 0, tol_disc: float = TAU_DISC):
         self.mesh = mesh
         self.imm = imm
         self.tol_disc = float(tol_disc)
-        self.pencil = pencil if pencil is not None else assemble_pencil(mesh, imm)
+        self.pencil = assemble_pencil(mesh, imm)
         self.geometry = self.pencil.geometry
-        self.spectrum = spectrum if spectrum is not None else solve_lambda1(self.pencil, seed=seed)
+        self.spectrum = solve_lambda1(self.pencil, seed=seed)
         self.lambda1 = self.spectrum.lambda1
         self.volume = self.geometry.total_volume
         self.signs = metric_signs(imm.m)
         self.positions = self.geometry.positions
         center = (self.geometry.lumped @ self.positions) / self.volume
-        self.gravity_shift = center
         self.positions_hat = self.positions - center
-        self.recentered_immersion = imm.translated(-center)
-        self.mean_curvature = mean_curvature_vertices(mesh, imm, self.pencil)
+        self.mean_curvature = mean_curvature_vertices(imm, self.pencil)
 
         K, M, lumped = self.pencil.stiffness, self.pencil.mass, self.geometry.lumped
         psi, h = self.positions_hat, self.mean_curvature
@@ -265,7 +237,7 @@ class BoundEngine:
 
     # bounds ----------------------------------------------------------------------
 
-    def test_field_bound(self, W: TestField, a, label: str | None = None) -> BoundReport:
+    def test_field_bound(self, W: TestField, a) -> BoundReport:
         """Master inequality: gradient side dominates the lambda1 side for
         any centered test field and any unit timelike direction."""
         a = require_unit_timelike(a)
@@ -276,7 +248,7 @@ class BoundEngine:
         if weight <= 1e-14 * max(1.0, float(np.abs(values).max()) ** 2):
             raise DomainError("test field vanishes identically")
         return self._finish(_report(
-            label or f"test-field[{W.provenance}]",
+            f"test-field[{W.provenance}]",
             "test-field",
             self.lambda1 * weight,
             rhs,
@@ -382,7 +354,7 @@ class BoundEngine:
             )
         )
 
-    def infimum_over_directions(self, count: int, seed: int, s_max: float = S_MAX) -> BoundReport:
+    def infimum_over_directions(self, count: int, seed: int) -> BoundReport:
         """Minimum of the sharp projected-curvature bound over boost-sampled
         unit timelike directions (the axis direction is sample zero).
 
@@ -390,7 +362,7 @@ class BoundEngine:
         is reported, so a flat landscape reports the axis rather than
         whichever sample rounding favours.
         """
-        dirs = sample_timelike_directions(self.imm.m, count, seed, s_max=s_max)
+        dirs = sample_timelike_directions(self.imm.m, count, seed, s_max=S_MAX)
         n = self.imm.n
         h_a_int = self.curvature_sq_integral + self._form(self.gram_m_h, dirs)
         rhs = n * h_a_int / (self.volume + self._form(self.gram_k_pos, dirs) / n)
@@ -413,18 +385,17 @@ class BoundEngine:
 
     # defect form and causal certificate ------------------------------------------
 
-    def rayleigh_defect(self, v, w=None) -> float:
-        """Q(v, w) = int <grad F_v, grad F_w> - lambda1 int F_v F_w for the
-        centered position field; positive semi-definite by construction."""
+    def rayleigh_defect(self, v) -> float:
+        """Q(v) = int |grad F_v|^2 - lambda1 int F_v^2 for the centered
+        position field; positive semi-definite by construction."""
         bv = np.asarray(v, dtype=float) * self.signs
-        bw = bv if w is None else np.asarray(w, dtype=float) * self.signs
-        return float(bv @ self._defect @ bw)
+        return float(bv @ self._defect @ bv)
 
     def rayleigh_defect_matrix(self) -> np.ndarray:
         """Q in canonical coordinates, J sym(G_K - lambda1 G_M) J; exactly symmetric."""
         return self.signs[:, None] * self._defect * self.signs
 
-    def reilly_causal_certificate(self, ell, tol: float = TAU_ELLE) -> BoundReport:
+    def reilly_causal_certificate(self, ell) -> BoundReport:
         """Classical bound certified by a causal direction annihilating the
         defect form; carries equality sub-checks in its metadata.
 
@@ -438,7 +409,7 @@ class BoundEngine:
             raise DomainError(f"certificate direction must be causal, got {cls.value}")
         q = self.rayleigh_defect(ell)
         scale = self._defect_scale * float(ell @ ell)
-        precondition_ok = abs(q) <= tol * scale
+        precondition_ok = abs(q) <= TAU_ELLE * scale
         base = self.reilly()
         n = self.imm.n
 
@@ -500,9 +471,7 @@ class BoundEngine:
         level = self.mesh.level if self.mesh.level is not None else 4
         return TAU_EQ * 2.0 ** (4 - level)
 
-    def equality_diagnostic(
-        self, a, tau_eq: float | None = None, strict_factor: float = STRICT_FACTOR
-    ) -> EqualityDiagnostic:
+    def equality_diagnostic(self, a, tau_eq: float | None = None) -> EqualityDiagnostic:
         """Measure how far Delta psi_hat + lambda1 psi_hat is from a multiple
         of the direction a.
 
@@ -513,7 +482,7 @@ class BoundEngine:
         the canonical Euclidean norm when a is the time axis, and keeps
         verdicts boost equivariant). The canonical-frame number is
         reported alongside. Verdicts: equality-case below tau_eq, strict
-        above strict_factor times tau_eq, inconclusive between.
+        above STRICT_FACTOR times tau_eq, inconclusive between.
         """
         a = require_unit_timelike(a)
         if tau_eq is None:
@@ -537,7 +506,7 @@ class BoundEngine:
 
         if residual_rel <= tau_eq:
             verdict = "equality-case"
-        elif residual_rel >= strict_factor * tau_eq:
+        elif residual_rel >= STRICT_FACTOR * tau_eq:
             verdict = "strict"
         else:
             verdict = "inconclusive"

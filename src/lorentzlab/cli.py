@@ -17,6 +17,7 @@ from dataclasses import fields
 from .errors import NumericalError, UsageError, DomainError
 from .pipeline import (
     CASE_NAMES,
+    SCHEMA_VERSION,
     RunConfig,
     report_to_json,
     run_case,
@@ -74,7 +75,10 @@ def _config_from_args(args) -> RunConfig:
     base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
         known = {f.name for f in fields(RunConfig)}
         unknown = set(loaded) - known
         if unknown:
@@ -143,13 +147,11 @@ def _cmd_suite(args) -> int:
     print(f"suite verdict: {summary['verdict']}")
     if args.out:
         payload = {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "summary": summary,
             "reports": [r.to_dict() for r in reports],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_report(payload, args.out)
     failing = [r for r in summary["rows"] if r["verdict"] != "pass"]
     if failing:
         for row in failing:
@@ -160,12 +162,10 @@ def _cmd_suite(args) -> int:
 
 def _cmd_section_avg(args) -> int:
     result = section_average_battery(args.m, args.samples, args.seed)
-    text = json.dumps(result, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_report(result, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report_to_json(result))
     return 0 if result["verdict"] == "pass" else 1
 
 
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
         if args.command == "suite":
             return _cmd_suite(args)
         return _cmd_section_avg(args)
-    except (UsageError, DomainError, FileNotFoundError) as exc:
+    except (UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -25,7 +25,6 @@ from .meshes import ParamMesh
 from .minkowski import metric_signs
 
 TAU_EIG = 1e-8
-TAU_ASSEMBLY = 1e-10
 
 __all__ = [
     "TAU_EIG",
@@ -243,11 +242,11 @@ def apply_discrete_laplacian(pencil: FEMPencil, values) -> np.ndarray:
     return out if values.ndim == 2 else out[:, 0]
 
 
-def gradient_squared_per_element(mesh: ParamMesh, imm, values, geometry=None) -> np.ndarray:
+def gradient_squared_per_element(geometry: MeshGeometry, values) -> np.ndarray:
     """Squared P1 gradient under the element metric; exact for affine data."""
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    mesh = geometry.mesh
     values = np.asarray(values, dtype=float)
     if values.shape[0] != mesh.num_vertices:
         raise UsageError("value count does not match vertex count")
     du = values[mesh.simplices[:, 1:]] - values[mesh.simplices[:, :1]]
-    return np.einsum("ea,eab,eb->e", du, geom.gram_inv, du)
+    return np.einsum("ea,eab,eb->e", du, geometry.gram_inv, du)

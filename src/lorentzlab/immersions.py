@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrameError, DomainError, NotSpacelikeError, UsageError
+from .errors import DegenerateFrameError, DomainError, LorentzLabError, NotSpacelikeError, UsageError
 from .minkowski import (
     inner,
     metric_signs,
@@ -28,7 +28,6 @@ from .minkowski import (
 )
 
 TAU_FRAME = 1e-8
-TAU_CENTER = 1e-8
 FD_STEP = 1e-5
 
 __all__ = [
@@ -46,14 +45,6 @@ __all__ = [
     "NumericalImmersion",
     "ShapeSample",
     "shape_at",
-    "batched_chart_jacobians",
-    "tangential_sq",
-    "gravity_center",
-    "recenter_to_gravity_origin",
-    "gallery_round_sphere",
-    "gallery_counterexample",
-    "gallery_cylinder_curve",
-    "gallery_lightlike_sphere",
     "immersion_from_spec",
     "load_immersion_spec",
 ]
@@ -610,74 +601,26 @@ def shape_at(imm: Immersion, p, a=None, frame_tol: float = TAU_FRAME) -> ShapeSa
     return sample
 
 
-def batched_chart_jacobians(imm: Immersion, pts) -> np.ndarray:
-    """Chart Jacobians at many points, shape (k, m, n)."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty((pts.shape[0], imm.m, imm.n))
-    last = pts[:, -1]
-    for pole, mask in ((1, last <= 0), (-1, last > 0)):
-        if not mask.any():
-            continue
-        chart = StereographicChart(n=imm.n, pole=pole)
-        u = chart.from_manifold(pts[mask])
-        x = chart.to_manifold(u)
-        out[mask] = np.einsum("kca,kai->kci", imm._jac(x), chart.jac(u))
-    return out
-
-
-def tangential_sq(imm: Immersion, pts, a) -> np.ndarray:
-    """Pointwise squared norm of the tangential part of a, per point."""
-    a = require_unit_timelike(a)
-    jac = batched_chart_jacobians(imm, pts)
-    signs = metric_signs(imm.m)
-    w = np.einsum("kci,c->ki", jac, signs * a)
-    g = np.einsum("kci,c,kcj->kij", jac, signs, jac)
-    sol = np.linalg.solve(g, w[..., None])[..., 0]
-    return np.einsum("ki,ki->k", w, sol)
-
-
-def gravity_center(imm: Immersion, mesh) -> np.ndarray:
-    """Componentwise mesh average of the position field."""
-    from .fem import mesh_geometry
-
-    geom = mesh_geometry(mesh, imm)
-    return (geom.lumped @ geom.positions) / geom.total_volume
-
-
-def recenter_to_gravity_origin(imm: Immersion, mesh) -> Immersion:
-    """Translate so the mesh-quadrature gravity center sits at the origin."""
-    return imm.translated(-gravity_center(imm, mesh))
-
-
-def gallery_round_sphere(n: int, r: float, center, a) -> HyperplaneSphere:
-    return HyperplaneSphere(n, r, center, a)
-
-
-def gallery_counterexample(n: int) -> CounterexampleSphere:
-    return CounterexampleSphere(n)
-
-
-def gallery_cylinder_curve(n: int, curve: PlaneCurve) -> CylinderSphere:
-    return CylinderSphere(n, curve)
-
-
-def gallery_lightlike_sphere(n: int, amplitude: float = 0.5) -> NullHyperplaneSphere:
-    return NullHyperplaneSphere(n, amplitude)
-
-
 def immersion_from_spec(spec: dict) -> Immersion:
     """Build a gallery immersion from a declarative description.
 
     Expected keys: "gallery" (one of round-sphere, counterexample,
     cylinder-curve, lightlike-hyperplane), "n", and gallery-specific
-    "params".
+    "params". A field of the wrong type raises UsageError.
     """
     try:
         name = spec["gallery"]
     except (KeyError, TypeError):
         raise UsageError("immersion spec needs a 'gallery' key") from None
-    n = int(spec.get("n", 2))
-    params = dict(spec.get("params", {}))
+    try:
+        return _gallery_item(name, int(spec.get("n", 2)), dict(spec.get("params", {})))
+    except LorentzLabError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad value in immersion spec: {exc}") from None
+
+
+def _gallery_item(name: str, n: int, params: dict) -> Immersion:
     if name == "round-sphere":
         radius = float(params.get("radius", 1.0))
         m = int(params.get("m", n + 2))
@@ -700,4 +643,8 @@ def immersion_from_spec(spec: dict) -> Immersion:
 
 def load_immersion_spec(path) -> Immersion:
     with open(path, "r", encoding="utf-8") as fh:
-        return immersion_from_spec(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"spec file {path} is not valid JSON: {exc}") from None
+    return immersion_from_spec(spec)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import NumericalError, UsageError
-from .fem import FEMPencil, apply_discrete_laplacian, assemble_pencil, mesh_geometry
+from .fem import FEMPencil, MeshGeometry, apply_discrete_laplacian, mesh_geometry
 from .fem import gradient_squared_per_element
 from .minkowski import (
     SymBilinearForm,
@@ -109,81 +109,68 @@ def sphere_slice_integral(n: int, phi, nodes: int = SLICE_NODES) -> IntegralResu
     )
 
 
-def mean_curvature_vertices(mesh, imm, pencil: FEMPencil | None = None) -> np.ndarray:
+def mean_curvature_vertices(imm, pencil: FEMPencil) -> np.ndarray:
     """Mean curvature vector at every vertex; closed form when available,
     otherwise the discrete Laplacian of the position field divided by n."""
+    geom = pencil.geometry
     if imm.has_closed_mean_curvature:
-        return imm.mean_curvature(mesh.vertices)
-    if pencil is None:
-        pencil = assemble_pencil(mesh, imm)
-    return apply_discrete_laplacian(pencil, pencil.geometry.positions) / imm.n
+        return imm.mean_curvature(geom.mesh.vertices)
+    return apply_discrete_laplacian(pencil, geom.positions) / imm.n
 
 
-def minkowski_residual(mesh, imm, pencil: FEMPencil | None = None, geometry=None) -> IntegralResult:
+def minkowski_residual(geometry: MeshGeometry, h) -> IntegralResult:
     """Residual of the volume identity: integral of 1 + <psi, H>.
 
     Vanishes on compact submanifolds; the discrete value measures
     quadrature plus discretization error.
     """
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
-    h = mean_curvature_vertices(mesh, imm, pencil)
-    density = 1.0 + inner(geom.positions, h)
-    out = integrate_over_mesh(mesh, imm, density, geometry=geom)
-    out.params["identity"] = "minkowski"
-    return out
+    density = 1.0 + inner(geometry.positions, h)
+    return IntegralResult(value=float(geometry.lumped @ density), params={"identity": "minkowski"})
 
 
-def minkowski_projected_identities(mesh, imm, a, pencil=None, geometry=None):
+def minkowski_projected_identities(geometry: MeshGeometry, psi_hat, h, a):
     """Residuals of the two projected-field integral identities.
 
     First: integral of 1 + <psi_a, H_a> - <psi,a><H,a>. Second: integral
     of <psi_a, H_a> plus Vol plus (1/n) integral of the squared tangential
-    part of a. Both vanish in the continuum once the gravity center sits
-    at the origin (the caller recenters first).
+    part of a. Both vanish in the continuum for the position field psi_hat
+    centered at the gravity center; `geometry` supplies the elements.
+    Since <psi_a, H_a> - <psi,a><H,a> = <psi, H>, the first does not
+    depend on a.
     """
     a = require_unit_timelike(a)
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
-    h = mean_curvature_vertices(mesh, imm, pencil)
-    pos = geom.positions
-    s = inner(pos, a)
+    s = inner(psi_hat, a)
     ha = inner(h, a)
-    pos_a = pos + s[:, None] * a
+    pos_a = psi_hat + s[:, None] * a
     h_a = h + ha[:, None] * a
     cross = inner(pos_a, h_a)
 
-    first = integrate_over_mesh(mesh, imm, 1.0 + cross - s * ha, geometry=geom)
-    first.params["identity"] = "minkowski-projected"
-
-    grad_sq = gradient_squared_per_element(mesh, imm, s, geometry=geom)
-    tangential = float(geom.volumes @ grad_sq)
-    cross_int = float(geom.lumped @ cross)
+    first = IntegralResult(
+        value=float(geometry.lumped @ (1.0 + cross - s * ha)),
+        params={"identity": "minkowski-projected"},
+    )
+    grad_sq = gradient_squared_per_element(geometry, s)
+    tangential = float(geometry.volumes @ grad_sq)
+    cross_int = float(geometry.lumped @ cross)
     second = IntegralResult(
-        value=cross_int + geom.total_volume + tangential / imm.n,
-        error=0.0,
-        method="mesh",
+        value=cross_int + geometry.total_volume + tangential / geometry.mesh.n,
         params={"identity": "position-curvature-projected", "tangential": tangential},
     )
     return first, second
 
 
-def beltrami_residual(mesh, imm, pencil: FEMPencil | None = None) -> IntegralResult:
+def beltrami_residual(pencil: FEMPencil, h) -> IntegralResult:
     """L2 norm (componentwise Euclidean) of Delta_h psi - n H over the mesh.
 
-    Requires a closed-form mean curvature; measures the consistency of the
-    discrete Laplacian.
+    Needs the closed-form mean curvature H; measures the consistency of
+    the discrete Laplacian.
     """
-    if not imm.has_closed_mean_curvature:
-        raise UsageError("Beltrami residual needs a closed-form mean curvature")
-    if pencil is None:
-        pencil = assemble_pencil(mesh, imm)
     geom = pencil.geometry
     lap = apply_discrete_laplacian(pencil, geom.positions)
-    target = imm.n * imm.mean_curvature(mesh.vertices)
+    target = geom.mesh.n * h
     diff_sq = ((lap - target) ** 2).sum(axis=1)
     value = float(np.sqrt(geom.lumped @ diff_sq / geom.total_volume))
-    return IntegralResult(
-        value=value, error=0.0, method="mesh", params={"identity": "beltrami"}
-    )
+    return IntegralResult(value=value, params={"identity": "beltrami"})
 
 
 def monte_carlo_section_integral(Q, a, samples: int, seed: int) -> IntegralResult:

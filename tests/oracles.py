@@ -5,6 +5,9 @@ per engine. The helpers here recompute the same numbers the direct way,
 one sparse stiffness or mass product per vertex field, and build test
 fields from a mesh and an immersion without an engine. The icosphere is
 rebuilt one midpoint at a time, the way the array build must number it.
+Pointwise chart data (tangential parts of a direction, per-element
+signed gradient traces) and the gravity-center recentering are the
+continuum references for the engine's discrete identities.
 """
 
 import numpy as np
@@ -12,10 +15,66 @@ import numpy as np
 from lorentzlab.bounds import H_CENTER_TOL, TestField, _center_residual
 from lorentzlab.errors import UsageError
 from lorentzlab.fem import apply_discrete_laplacian, assemble_pencil, mesh_geometry
-from lorentzlab.immersions import TAU_CENTER
+from lorentzlab.immersions import Immersion, StereographicChart
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
-from lorentzlab.minkowski import inner, require_unit_timelike
+from lorentzlab.minkowski import inner, metric_signs, require_unit_timelike
 from lorentzlab.quadrature import mean_curvature_vertices
+
+TAU_CENTER = 1e-8
+
+
+def batched_chart_jacobians(imm: Immersion, pts) -> np.ndarray:
+    """Chart Jacobians at many points, shape (k, m, n)."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty((pts.shape[0], imm.m, imm.n))
+    last = pts[:, -1]
+    for pole, mask in ((1, last <= 0), (-1, last > 0)):
+        if not mask.any():
+            continue
+        chart = StereographicChart(n=imm.n, pole=pole)
+        u = chart.from_manifold(pts[mask])
+        x = chart.to_manifold(u)
+        out[mask] = np.einsum("kca,kai->kci", imm._jac(x), chart.jac(u))
+    return out
+
+
+def tangential_sq(imm: Immersion, pts, a) -> np.ndarray:
+    """Pointwise squared norm of the tangential part of a, per point."""
+    a = require_unit_timelike(a)
+    jac = batched_chart_jacobians(imm, pts)
+    signs = metric_signs(imm.m)
+    w = np.einsum("kci,c->ki", jac, signs * a)
+    g = np.einsum("kci,c,kcj->kij", jac, signs, jac)
+    sol = np.linalg.solve(g, w[..., None])[..., 0]
+    return np.einsum("ki,ki->k", w, sol)
+
+
+def gravity_center(imm: Immersion, mesh) -> np.ndarray:
+    """Componentwise mesh average of the position field."""
+    geom = mesh_geometry(mesh, imm)
+    return (geom.lumped @ geom.positions) / geom.total_volume
+
+
+def recenter_to_gravity_origin(imm: Immersion, mesh) -> Immersion:
+    """Translate so the mesh-quadrature gravity center sits at the origin."""
+    return imm.translated(-gravity_center(imm, mesh))
+
+
+def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:
+    """Per-element signed sum of squared P1 gradients of <b_j, W>.
+
+    The sum runs over the canonical pseudo-orthonormal basis with signs
+    (-1, 1, ..., 1); signature weighting makes the value basis
+    independent.
+    """
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    values = W.values if isinstance(W, TestField) else np.asarray(W, dtype=float)
+    if values.shape != (mesh.num_vertices, imm.m):
+        raise UsageError("field shape does not match mesh and ambient dimension")
+    simplices = mesh.simplices
+    dw = values[simplices[:, 1:]] - values[simplices[:, :1]]  # (E, n, m)
+    signs = metric_signs(imm.m)
+    return np.einsum("eam,m,ebm,eba->e", dw, signs, dw, geom.gram_inv)
 
 
 def k_form(engine, x, y=None) -> float:
@@ -42,7 +101,7 @@ def make_test_field_mean_curvature(mesh, imm, pencil=None, center_tol: float = H
     """Mean curvature as a test field, centered up to quadrature accuracy."""
     if pencil is None:
         pencil = assemble_pencil(mesh, imm)
-    h = mean_curvature_vertices(mesh, imm, pencil)
+    h = mean_curvature_vertices(imm, pencil)
     residual = _center_residual(pencil.geometry, h)
     return TestField(
         values=h,

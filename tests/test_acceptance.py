@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from lorentzlab.bounds import BoundEngine, signed_gradient_trace_density
+from lorentzlab.bounds import BoundEngine
 from lorentzlab.fem import assemble_pencil, mesh_geometry, solve_lambda1
 from lorentzlab.immersions import (
     CounterexampleSphere,
@@ -19,8 +19,6 @@ from lorentzlab.immersions import (
     HyperplaneSphere,
     NullHyperplaneSphere,
     chart_at,
-    recenter_to_gravity_origin,
-    tangential_sq,
 )
 from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
 from lorentzlab.minkowski import (
@@ -31,13 +29,21 @@ from lorentzlab.minkowski import (
     sphere_integral_exact,
 )
 from lorentzlab.quadrature import (
+    mean_curvature_vertices,
     minkowski_projected_identities,
     minkowski_residual,
     monte_carlo_section_integral,
     monte_carlo_sphere_integral,
     sphere_slice_integral,
 )
-from oracles import k_form, m_form, make_test_field_projected
+from oracles import (
+    k_form,
+    m_form,
+    make_test_field_projected,
+    recenter_to_gravity_origin,
+    signed_gradient_trace_density,
+    tangential_sq,
+)
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 ROUNDOFF_FLOOR = 1e-12  # residuals below this are machine noise, not mesh error
@@ -190,7 +196,8 @@ def test_criterion_5_volume_identities():
             else:
                 mesh = build_icosphere_mesh(level)
             geom = mesh_geometry(mesh, imm)
-            res = abs(minkowski_residual(mesh, imm, geometry=geom).value) / geom.total_volume
+            h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm, geometry=geom))
+            res = abs(minkowski_residual(geom, h).value) / geom.total_volume
             residuals.append(res)
         assert residuals[-1] <= 1e-3, f"{name}: residual {residuals[-1]:.2e}"
         worst = max(worst, residuals[-1])
@@ -203,11 +210,10 @@ def test_criterion_5_volume_identities():
             mesh = build_icosphere_mesh(4)
         recentered = recenter_to_gravity_origin(imm, mesh)
         geom = mesh_geometry(mesh, recentered)
+        h = mean_curvature_vertices(recentered, assemble_pencil(mesh, recentered, geometry=geom))
         a = np.concatenate(([1.0], np.zeros(imm.m - 1)))
         for direction in (a, boost_direction(0.5, _spatial_unit(imm.m))):
-            first, second = minkowski_projected_identities(
-                mesh, recentered, direction, geometry=geom
-            )
+            first, second = minkowski_projected_identities(geom, geom.positions, h, direction)
             assert abs(first.value) / geom.total_volume <= 1e-3, name
             assert abs(second.value) / geom.total_volume <= 1e-3, name
             worst = max(
@@ -289,7 +295,7 @@ def test_criterion_8_master_inequality_and_trace_identities(engines):
 
         # the identity's discretization constant grows like cosh^2 of the
         # boost, so the stated bound is checked at the axis and a mild boost
-        recentered = engine.recentered_immersion
+        recentered = recenter_to_gravity_origin(engine.imm, engine.mesh)
         axis = np.concatenate(([1.0], np.zeros(engine.imm.m - 1)))
         for a in (axis, boost_direction(0.5, _spatial_unit(engine.imm.m))):
             field = make_test_field_projected(engine.mesh, recentered, a)

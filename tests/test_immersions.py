@@ -13,14 +13,12 @@ from lorentzlab.immersions import (
     NullHyperplaneSphere,
     NumericalImmersion,
     chart_at,
-    gravity_center,
     immersion_from_spec,
-    recenter_to_gravity_origin,
     shape_at,
-    tangential_sq,
 )
 from lorentzlab.meshes import build_icosphere_mesh
 from lorentzlab.minkowski import inner, metric_signs, sq_norm
+from oracles import gravity_center, recenter_to_gravity_origin, tangential_sq
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 

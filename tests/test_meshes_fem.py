@@ -29,7 +29,7 @@ from lorentzlab.meshes import (
     load_mesh,
     save_mesh,
 )
-from lorentzlab.quadrature import beltrami_residual
+from lorentzlab.quadrature import beltrami_residual, mean_curvature_vertices
 
 from oracles import build_icosphere_mesh_loop
 
@@ -302,8 +302,8 @@ def test_beltrami_residual_decreases_for_gallery():
     for imm in closed_h_gallery():
         values = []
         for level in (2, 3, 4):
-            mesh = build_icosphere_mesh(level)
-            values.append(beltrami_residual(mesh, imm).value)
+            pencil = assemble_pencil(build_icosphere_mesh(level), imm)
+            values.append(beltrami_residual(pencil, mean_curvature_vertices(imm, pencil)).value)
         assert values[0] > values[1] > values[2]
 
 
@@ -312,7 +312,8 @@ def test_beltrami_residual_decreases_on_circle():
     values = []
     for level in (2, 3, 4):
         mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
-        values.append(beltrami_residual(mesh, imm).value)
+        pencil = assemble_pencil(mesh, imm)
+        values.append(beltrami_residual(pencil, mean_curvature_vertices(imm, pencil)).value)
     assert values[0] > values[1] > values[2]
 
 
@@ -320,11 +321,11 @@ def test_gradient_squared_examples():
     mesh = build_circle_mesh(256)
     imm = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     geom = mesh_geometry(mesh, imm)
-    const = gradient_squared_per_element(mesh, imm, np.ones(mesh.num_vertices), geometry=geom)
+    const = gradient_squared_per_element(geom, np.ones(mesh.num_vertices))
     assert np.abs(const).max() < 1e-20
 
     theta = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
-    grads = gradient_squared_per_element(mesh, imm, np.sin(theta), geometry=geom)
+    grads = gradient_squared_per_element(geom, np.sin(theta))
     assert float(geom.volumes @ grads) == pytest.approx(math.pi, rel=1e-3)
 
 
@@ -333,7 +334,7 @@ def test_gradient_rayleigh_of_height_coordinate():
     imm = unit_sphere()
     geom = mesh_geometry(mesh, imm)
     t = mesh.vertices[:, 0]
-    grads = gradient_squared_per_element(mesh, imm, t, geometry=geom)
+    grads = gradient_squared_per_element(geom, t)
     num = float(geom.volumes @ grads)
     den = float(geom.lumped @ (t * t))
     assert num / den == pytest.approx(2.0, rel=5e-3)
@@ -342,4 +343,4 @@ def test_gradient_rayleigh_of_height_coordinate():
 def test_gradient_shape_guard():
     mesh = build_icosphere_mesh(2)
     with pytest.raises(UsageError):
-        gradient_squared_per_element(mesh, unit_sphere(), np.ones(3))
+        gradient_squared_per_element(mesh_geometry(mesh, unit_sphere()), np.ones(3))

@@ -122,6 +122,30 @@ def test_custom_spec_file_case(tmp_path):
     )
     assert report.verdict == "pass"
     assert report.lambda1["value"] == pytest.approx(2.0 / 1.25**2, rel=1e-2)
+    # the reference is the round sphere of radius 1.25, not the unit sphere
+    assert report.lambda1["reference"] == 2.0 / 1.25**2
+    assert report.lambda1["rel_error"] == abs(report.lambda1["value"] - 1.28) / 1.28
+    assert report.lambda1["rel_error"] < 1e-2
+
+
+def test_case_run_computes_geometry_and_mean_curvature_once(monkeypatch):
+    from lorentzlab import bounds, fem, quadrature
+
+    calls = {"mesh_geometry": 0, "mean_curvature_vertices": 0}
+    # every module binding each function is looked up through
+    bindings = {"mesh_geometry": (fem, quadrature), "mean_curvature_vertices": (quadrature, bounds)}
+    for name, modules in bindings.items():
+        original = getattr(modules[0], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            assert getattr(module, name) is original
+            monkeypatch.setattr(module, name, counted)
+    run_case(RunConfig(case="counterexample", level=2, samples=2, mc_samples=5000))
+    assert calls == {"mesh_geometry": 1, "mean_curvature_vertices": 1}
 
 
 def test_run_suite_convergence_and_validation():
@@ -249,6 +273,33 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_malformed_spec_file_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"gallery": "round-sphere", "n": 2', encoding="utf-8")
+    assert main(["run", "--case", "custom-spec-file", "--spec-file", str(spec)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_malformed_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"level": 2,', encoding="utf-8")
+    assert main(["run", "--case", "sphere-hyperplane", "--config", str(config)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_non_numeric_spec_field_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"gallery": "round-sphere", "n": "two"}), encoding="utf-8")
+    assert main(["run", "--case", "custom-spec-file", "--spec-file", str(spec)]) == 2
+    assert "bad value in immersion spec" in capsys.readouterr().err
+
+
+def test_cli_out_directory_exits_2(tmp_path, capsys):
+    args = ["run", "--case", "sphere-hyperplane", "--level", "2", "--samples", "2"]
+    assert main(args + ["--mc-samples", "5000", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     from lorentzlab import cli
     from lorentzlab.errors import EigenSolveError
@@ -297,6 +348,15 @@ def test_cli_section_avg(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
+
+
+def test_cli_section_avg_out_file_matches_stdout(tmp_path, capsys):
+    args = ["section-avg", "--m", "4", "--samples", "20000", "--seed", "7"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "avg.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_cli_entrypoint_subprocess():

@@ -11,7 +11,6 @@ from lorentzlab.immersions import (
     HyperbolicArc,
     HyperplaneSphere,
     NullHyperplaneSphere,
-    recenter_to_gravity_origin,
 )
 from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh
 from lorentzlab.minkowski import (
@@ -31,6 +30,7 @@ from lorentzlab.quadrature import (
     monte_carlo_sphere_integral,
     sphere_slice_integral,
 )
+from oracles import recenter_to_gravity_origin
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -99,7 +99,7 @@ def test_mesh_integral_accepts_element_data_and_rejects_garbage():
 def test_mesh_integral_vector_density():
     mesh = build_icosphere_mesh(3)
     imm = CounterexampleSphere(2)
-    h = mean_curvature_vertices(mesh, imm)
+    h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm))
     out = integrate_over_mesh(mesh, imm, h)
     assert out.value.shape == (4,)
 
@@ -178,8 +178,8 @@ def test_slice_vs_mesh_agreement():
 
 
 def test_minkowski_residual_sphere_is_exact():
-    mesh = build_icosphere_mesh(3)
-    out = minkowski_residual(mesh, unit_sphere())
+    pencil = assemble_pencil(build_icosphere_mesh(3), unit_sphere())
+    out = minkowski_residual(pencil.geometry, mean_curvature_vertices(unit_sphere(), pencil))
     assert abs(out.value) < 1e-14
 
 
@@ -191,8 +191,9 @@ def test_minkowski_residual_decreases_and_is_small(imm):
     values = []
     for level in (2, 3, 4):
         mesh = build_icosphere_mesh(level)
-        geom = mesh_geometry(mesh, imm)
-        out = minkowski_residual(mesh, imm, geometry=geom)
+        pencil = assemble_pencil(mesh, imm)
+        geom = pencil.geometry
+        out = minkowski_residual(geom, mean_curvature_vertices(imm, pencil))
         values.append(abs(out.value) / geom.total_volume)
     assert values[0] > values[1] > values[2]
     assert values[-1] <= 1e-3
@@ -204,7 +205,7 @@ def test_minkowski_residual_discrete_curvature_fallback():
     imm.has_closed_mean_curvature = False
     mesh = build_icosphere_mesh(3)
     pencil = assemble_pencil(mesh, imm)
-    out = minkowski_residual(mesh, imm, pencil=pencil)
+    out = minkowski_residual(pencil.geometry, mean_curvature_vertices(imm, pencil))
     assert abs(out.value) / pencil.geometry.total_volume <= 1e-2
 
 
@@ -215,9 +216,11 @@ def test_projected_identities_counterexample(boost):
     for level in (3, 4):
         mesh = build_icosphere_mesh(level)
         recentered = recenter_to_gravity_origin(imm, mesh)
-        geom = mesh_geometry(mesh, recentered)
+        pencil = assemble_pencil(mesh, recentered)
+        geom = pencil.geometry
+        h = mean_curvature_vertices(recentered, pencil)
         a = boost_direction(boost, np.array([0.0, 0.6, 0.8]))
-        first, second = minkowski_projected_identities(mesh, recentered, a, geometry=geom)
+        first, second = minkowski_projected_identities(geom, geom.positions, h, a)
         values.append(
             (abs(first.value) / geom.total_volume, abs(second.value) / geom.total_volume)
         )
@@ -228,7 +231,11 @@ def test_projected_identities_counterexample(boost):
 def test_projected_identities_sphere_reduce_to_exact():
     mesh = build_icosphere_mesh(3)
     imm = unit_sphere()
-    first, second = minkowski_projected_identities(mesh, imm, AXIS4)
+    pencil = assemble_pencil(mesh, imm)
+    geom = pencil.geometry
+    first, second = minkowski_projected_identities(
+        geom, geom.positions, mean_curvature_vertices(imm, pencil), AXIS4
+    )
     assert abs(first.value) < 1e-13
     assert abs(second.value) < 1e-13
 
@@ -239,7 +246,7 @@ def test_curvature_field_mean_tends_to_zero():
     for level in (2, 3, 4):
         mesh = build_icosphere_mesh(level)
         geom = mesh_geometry(mesh, imm)
-        h = mean_curvature_vertices(mesh, imm)
+        h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm, geometry=geom))
         norms.append(np.abs(geom.lumped @ h).max() / geom.total_volume)
     assert norms[0] > norms[1] > norms[2]
     assert norms[-1] <= 1e-3
@@ -249,7 +256,7 @@ def test_projected_curvature_energy_is_positive():
     for imm in closed_h_gallery():
         mesh = build_icosphere_mesh(3)
         geom = mesh_geometry(mesh, imm)
-        h = mean_curvature_vertices(mesh, imm)
+        h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm, geometry=geom))
         a = np.concatenate(([1.0], np.zeros(imm.m - 1)))
         h_a = h + inner(h, a)[:, None] * a
         density = inner(h_a, h_a)
