@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
@@ -26,6 +27,9 @@ from .minkowski import metric_signs
 
 TAU_EIG = 1e-8
 
+# parts of the nested-dissection ordering this small are not split further
+ND_LEAF = 64
+
 __all__ = [
     "TAU_EIG",
     "MeshGeometry",
@@ -33,6 +37,7 @@ __all__ = [
     "FEMPencil",
     "assemble_pencil",
     "Spectrum",
+    "nested_dissection_order",
     "solve_lambda1",
     "apply_discrete_laplacian",
     "gradient_squared_per_element",
@@ -151,54 +156,126 @@ class Spectrum:
     near_degenerate: bool
 
 
+def nested_dissection_order(points: np.ndarray, pattern) -> np.ndarray:
+    """Geometric nested-dissection ordering of mesh vertices (George 1973).
+
+    Recursive coordinate bisection: every part is split at the median of
+    its widest coordinate, and the left-side vertices with a neighbour on
+    the right in the sparsity `pattern` form its separator. The order is
+    left, right, separator, recursively (post-order); parts of at most
+    `ND_LEAF` vertices stay whole. All parts of one depth are split at
+    once with array operations, and each vertex carries its path as
+    base-3 digits (0 left, 1 right, 2 separator), so one sort of the paths
+    gives the order. Ties keep vertex order, so the result is deterministic.
+    """
+    k, d = points.shape
+    upper = sp.triu(pattern, 1, format="coo")
+    rows, cols = upper.row.astype(np.int64), upper.col.astype(np.int64)
+    # rank along each axis: an exact, tie-free sort key
+    rank = np.empty((d, k), dtype=np.int64)
+    for axis in range(d):
+        rank[axis, np.argsort(points[:, axis], kind="stable")] = np.arange(k)
+    part = np.zeros(k, dtype=np.int64)  # part to split; -1 once placed
+    path = np.zeros(k, dtype=np.int64)
+    live = np.arange(k)  # vertices still to place, grouped by part
+    while True:
+        live = live[part[live] >= 0]
+        live = live[np.bincount(part[live])[part[live]] > ND_LEAF]
+        if live.size == 0:
+            break
+        p = part[live]
+        first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        counts = np.diff(np.r_[first, live.size])
+        group = np.repeat(np.arange(first.size), counts)
+        pts = points[live]
+        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
+        widest = np.argmax(extent, axis=1)
+        live = live[np.argsort(group * k + rank[widest[group], live])]
+        right = np.zeros(k, dtype=bool)
+        right[live] = np.arange(live.size) - first[group] >= (counts // 2)[group]
+        child = np.full(k, -1, dtype=np.int64)
+        child[live] = 2 * group + right[live]
+        ci, cj = child[rows], child[cols]
+        cross = (ci >= 0) & ((ci ^ 1) == cj)
+        separator = np.zeros(k, dtype=bool)
+        separator[np.where(right[rows[cross]], cols[cross], rows[cross])] = True
+        path = 3 * path + right + 2 * separator
+        child[separator] = -1
+        part = child
+        inside = (ci >= 0) & (ci == cj)
+        rows, cols = rows[inside], cols[inside]
+    return np.argsort(path, kind="stable")
+
+
 def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG, seed: int = 0) -> Spectrum:
     """Smallest nonzero generalized eigenvalue of (K, Mass).
 
     Shift-invert Lanczos (ARPACK) on a factorized small shift of the
     pencil, with the constant vector projected out (in the mass inner
-    product) after every solve. It computes the n + 1 smallest nonzero
-    eigenpairs, the size of the round-sphere cluster, so a nearly
-    degenerate cluster is resolved as a whole; the second Ritz value only
-    feeds the near-degenerate flag.
+    product) after every solve. The shifted pencil is SPD, so it is
+    factored without pivoting in nested-dissection order. It computes the
+    n + 1 smallest nonzero eigenpairs, the size of the round-sphere
+    cluster, so a nearly degenerate cluster is resolved as a whole; the
+    second Ritz value only feeds the near-degenerate flag. A pencil no
+    larger than ARPACK's default Lanczos basis is solved densely: there
+    that basis would outgrow the deflated space, and ARPACK would restart
+    on rounding noise.
     """
     K = pencil.stiffness.tocsc()
     M = pencil.mass.tocsc()
     k = K.shape[0]
-    ones = np.ones(k)
-    m_ones = M @ ones
-    vol = float(m_ones @ ones)
-
-    diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
-    shift = 1e-8 * diag_ratio
-    try:
-        lu = splu(K + shift * M)
-    except RuntimeError as exc:  # pragma: no cover - singular pencil
-        raise EigenSolveError(f"factorization failed: {exc}") from exc
-
-    def deflate(x):
-        return x - (m_ones @ x) / vol
-
+    nev = pencil.geometry.mesh.n + 1
     solves = 0
 
-    def shifted_inverse(x):
-        nonlocal solves
-        solves += 1
-        return deflate(lu.solve(x))
+    if k <= max(2 * nev + 1, 20):
+        try:
+            ritz, vectors = scipy.linalg.eigh(K.toarray(), M.toarray())
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolveError(f"dense eigensolve failed: {exc}") from exc
+        # the zero eigenvalue (constant mode) comes first
+        ritz, vectors = ritz[1 : nev + 1], vectors[:, 1 : nev + 1]
+    else:
+        ones = np.ones(k)
+        m_ones = M @ ones
+        vol = float(m_ones @ ones)
+        diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
+        shift = 1e-8 * diag_ratio
+        shifted = K + shift * M
+        perm = nested_dissection_order(pencil.geometry.mesh.vertices, shifted)
+        try:
+            lu = splu(
+                shifted[perm][:, perm],
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # pragma: no cover - singular pencil
+            raise EigenSolveError(f"factorization failed: {exc}") from exc
 
-    v0 = deflate(np.random.default_rng(seed).standard_normal(k))
-    try:
-        ritz, vectors = eigsh(
-            K,
-            k=pencil.geometry.mesh.n + 1,
-            M=M,
-            sigma=-shift,
-            OPinv=LinearOperator((k, k), matvec=shifted_inverse, dtype=float),
-            v0=v0,
-            tol=tol,
-            rng=seed,
-        )
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise EigenSolveError(f"Lanczos iteration failed: {exc}") from exc
+        def deflate(x):
+            return x - (m_ones @ x) / vol
+
+        def shifted_inverse(x):
+            nonlocal solves
+            solves += 1
+            y = np.empty_like(x)
+            y[perm] = lu.solve(x[perm])
+            return deflate(y)
+
+        v0 = deflate(np.random.default_rng(seed).standard_normal(k))
+        try:
+            ritz, vectors = eigsh(
+                K,
+                k=nev,
+                M=M,
+                sigma=-shift,
+                OPinv=LinearOperator((k, k), matvec=shifted_inverse, dtype=float),
+                v0=v0,
+                tol=tol,
+                rng=seed,
+            )
+        except ArpackError as exc:  # ArpackNoConvergence included
+            raise EigenSolveError(f"Lanczos iteration failed: {exc}") from exc
     order = np.argsort(ritz)
     ritz = ritz[order]
     lam = float(ritz[0])

@@ -263,9 +263,16 @@ class PlaneCurve:
 
 @dataclass(frozen=True)
 class HyperbolicArc(PlaneCurve):
-    """scale * (cosh(t/scale), sinh(t/scale)); unit-speed spacelike."""
+    """scale * (cosh(t/scale), sinh(t/scale)); unit-speed spacelike.
+
+    A negative scale gives the time reflection of the positive one.
+    """
 
     scale: float = 1.0
+
+    def __post_init__(self):
+        if self.scale == 0:
+            raise UsageError("hyperbolic arc scale must be nonzero")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)

@@ -211,12 +211,13 @@ def spacelike_complement_basis(a) -> np.ndarray:
     return basis[1:]
 
 
-def sample_spherical_section(a, rng_seed: int, count: int) -> np.ndarray:
+def sample_spherical_section(a, rng_seed, count: int) -> np.ndarray:
     """Uniform samples from the light-cone section {<v,v> = 0, <v,a> = -1}.
 
     Samples are v = a + u with u uniform on the unit sphere of a-perp,
     which realizes the section's round-sphere geometry. Deterministic per
-    seed.
+    seed; `rng_seed` may also be a `numpy.random.Generator`, which is then
+    drawn from in place.
     """
     a = require_unit_timelike(a)
     if count < 1:

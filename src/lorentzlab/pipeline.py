@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -67,6 +68,10 @@ __all__ = [
 ]
 
 
+# value types a RunConfig field accepts, by its annotation
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+
+
 @dataclass
 class RunConfig:
     case: str
@@ -86,6 +91,16 @@ class RunConfig:
     spec_file: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            # bool is an int subclass, so it is refused apart
+            if not isinstance(value, _FIELD_TYPES[kind]) or (
+                isinstance(value, bool) and kind != "bool"
+            ):
+                raise UsageError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.level < 0:
             raise UsageError("level must be nonnegative")
         if self.samples < 1:
@@ -127,8 +142,9 @@ def _build_case(config: RunConfig):
         imm = CounterexampleSphere(n)
         row = (False, False, None)
     elif config.case == "cylinder-curve":
+        # a negative scale is the time reflection, an isometric image
         imm = CylinderSphere(n, HyperbolicArc(config.scale))
-        row = (not config.scale > 0, None, None)
+        row = (False, None, None)
     elif config.case == "lightlike-hyperplane":
         imm = NullHyperplaneSphere(n, config.amplitude)
         row = (True, None, imm.null_normal)

@@ -28,6 +28,8 @@ from .minkowski import (
 )
 
 SLICE_NODES = 64
+# Monte Carlo samples are drawn and evaluated this many rows at a time
+MC_BLOCK = 16384
 
 __all__ = [
     "IntegralResult",
@@ -173,14 +175,29 @@ def beltrami_residual(pencil: FEMPencil, h) -> IntegralResult:
     return IntegralResult(value=value, params={"identity": "beltrami"})
 
 
+def _blocked_values(samples: int, values_of_block) -> np.ndarray:
+    """Fill `samples` values `MC_BLOCK` rows at a time.
+
+    The blocks draw from one generator in turn, so the samples are bit for
+    bit those of one large draw, while memory stays bounded by the block.
+    """
+    if samples < 1:
+        raise UsageError("count must be positive")
+    vals = np.empty(samples)
+    for start in range(0, samples, MC_BLOCK):
+        stop = min(start + MC_BLOCK, samples)
+        vals[start:stop] = values_of_block(stop - start)
+    return vals
+
+
 def monte_carlo_section_integral(Q, a, samples: int, seed: int) -> IntegralResult:
     """Monte Carlo estimate of the integral of Q(v,v) over the light-cone
     section relative to a, with its standard error."""
     a = require_unit_timelike(a)
     if not isinstance(Q, SymBilinearForm):
         Q = SymBilinearForm(np.asarray(Q, dtype=float))
-    v = sample_spherical_section(a, seed, samples)
-    vals = Q.quad(v)
+    rng = np.random.default_rng(seed)
+    vals = _blocked_values(samples, lambda count: Q.quad(sample_spherical_section(a, rng, count)))
     vol = unit_sphere_volume(Q.m - 2)
     value = vol * float(vals.mean())
     stderr = vol * float(vals.std(ddof=1)) / np.sqrt(samples)
@@ -197,9 +214,13 @@ def monte_carlo_sphere_integral(Q, samples: int, seed: int) -> IntegralResult:
     if not isinstance(Q, SymBilinearForm):
         Q = SymBilinearForm(np.asarray(Q, dtype=float))
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, Q.m))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    vals = Q.quad(g)
+
+    def block(count):
+        g = rng.standard_normal((count, Q.m))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return Q.quad(g)
+
+    vals = _blocked_values(samples, block)
     vol = unit_sphere_volume(Q.m - 1)
     value = vol * float(vals.mean())
     stderr = vol * float(vals.std(ddof=1)) / np.sqrt(samples)

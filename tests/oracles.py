@@ -5,16 +5,21 @@ per engine. The helpers here recompute the same numbers the direct way,
 one sparse stiffness or mass product per vertex field, and build test
 fields from a mesh and an immersion without an engine. The icosphere is
 rebuilt one midpoint at a time, the way the array build must number it.
+The nested-dissection ordering is rebuilt one part per recursive call,
+and the first eigenvalue is recomputed on SuperLU's own COLAMD factor,
+with the constant mode left in the spectrum instead of deflated.
 Pointwise chart data (tangential parts of a direction, per-element
 signed gradient traces) and the gravity-center recentering are the
 continuum references for the engine's discrete identities.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from lorentzlab.bounds import H_CENTER_TOL, TestField, _center_residual
 from lorentzlab.errors import UsageError
-from lorentzlab.fem import apply_discrete_laplacian, assemble_pencil, mesh_geometry
+from lorentzlab.fem import ND_LEAF, apply_discrete_laplacian, assemble_pencil, mesh_geometry
 from lorentzlab.immersions import Immersion, StereographicChart
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import inner, metric_signs, require_unit_timelike
@@ -185,3 +190,50 @@ def build_icosphere_mesh_loop(level: int) -> ParamMesh:
             new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
         faces = np.array(new_faces)
     return ParamMesh(np.array(vertices), faces, kind="sphere", level=level)
+
+
+def nested_dissection_order_recursive(points, pattern) -> np.ndarray:
+    """Nested-dissection order built one part per call: split at the median
+    of the widest coordinate (ties by vertex number), take the left
+    vertices with a neighbour on the right as the separator, and list
+    left, right, separator; parts of at most ND_LEAF vertices in vertex
+    order."""
+    adjacency = sp.csr_matrix(pattern)
+
+    def order(part):
+        if part.size <= ND_LEAF:
+            return list(part)
+        pts = points[part]
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        by_coord = part[np.argsort(pts[:, axis], kind="stable")]
+        left, right = by_coord[: part.size // 2], by_coord[part.size // 2 :]
+        on_separator = adjacency[left][:, right].getnnz(axis=1) > 0
+        return (
+            order(np.sort(left[~on_separator]))
+            + order(np.sort(right))
+            + sorted(left[on_separator])
+        )
+
+    return np.array(order(np.arange(points.shape[0])), dtype=np.int64)
+
+
+def lambda1_colamd(pencil, seed: int = 0) -> float:
+    """Smallest nonzero eigenvalue by shift-invert Lanczos on a COLAMD
+    factor of the shifted pencil; the zero eigenvalue is computed and
+    dropped."""
+    K = pencil.stiffness.tocsc()
+    M = pencil.mass.tocsc()
+    k = K.shape[0]
+    shift = 1e-8 * K.diagonal().sum() / M.diagonal().sum()
+    lu = splu(K + shift * M, permc_spec="COLAMD")
+    ritz = eigsh(
+        K,
+        k=pencil.geometry.mesh.n + 2,
+        M=M,
+        sigma=-shift,
+        OPinv=LinearOperator((k, k), matvec=lu.solve, dtype=float),
+        v0=np.random.default_rng(seed).standard_normal(k),
+        tol=1e-14,
+        return_eigenvectors=False,
+    )
+    return float(np.sort(ritz)[1])

@@ -11,6 +11,7 @@ from lorentzlab.fem import (
     assemble_pencil,
     gradient_squared_per_element,
     mesh_geometry,
+    nested_dissection_order,
     solve_lambda1,
 )
 from lorentzlab.immersions import (
@@ -29,9 +30,10 @@ from lorentzlab.meshes import (
     load_mesh,
     save_mesh,
 )
+from lorentzlab.pipeline import RunConfig, _build_case
 from lorentzlab.quadrature import beltrami_residual, mean_curvature_vertices
 
-from oracles import build_icosphere_mesh_loop
+from oracles import build_icosphere_mesh_loop, lambda1_colamd, nested_dissection_order_recursive
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -165,13 +167,24 @@ def test_lambda1_circle():
     assert spec.lambda1 == pytest.approx(1.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("segments, exact", [(3, 2.0), (4, 1.5)])
+def p1_circle_lambda1(segments):
+    """P1 eigenvalue of the first Fourier mode on the inscribed regular polygon."""
+    t = 2.0 * math.pi / segments
+    h = 2.0 * math.sin(math.pi / segments)
+    return 6.0 * (1.0 - math.cos(t)) / (h**2 * (2.0 + math.cos(t)))
+
+
+@pytest.mark.parametrize("segments, exact", [(3, 2.0), (4, 1.5), (5, p1_circle_lambda1(5))])
 def test_lambda1_tiny_circles_match_exact_p1(segments, exact):
-    # the deflated space (dimension 2 or 3) barely exceeds the n + 1 = 2
-    # eigenpairs asked for
+    # the deflated space (dimension 2 to 4) is smaller than ARPACK's
+    # Lanczos basis would be
+    assert p1_circle_lambda1(segments) == pytest.approx(exact, rel=1e-15)
     imm = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    spec = solve_lambda1(assemble_pencil(build_circle_mesh(segments), imm), seed=0)
-    assert spec.lambda1 == pytest.approx(exact, rel=1e-7)
+    pen = assemble_pencil(build_circle_mesh(segments), imm)
+    for seed in (0, 7):
+        spec = solve_lambda1(pen, seed=seed)
+        assert abs(spec.lambda1 - exact) <= 1e-12 * exact
+        assert spec.residual <= 1e-12
 
 
 def test_lambda1_sphere_and_counterexample():
@@ -225,10 +238,67 @@ def test_iterations_count_factor_solves(monkeypatch):
             return self._lu.solve(*args, **kwargs)
 
     splu = lorentzlab.fem.splu
-    monkeypatch.setattr(lorentzlab.fem, "splu", lambda a: CountingLU(splu(a)))
+    monkeypatch.setattr(lorentzlab.fem, "splu", lambda a, **kw: CountingLU(splu(a, **kw)))
     pen = assemble_pencil(build_icosphere_mesh(3), CounterexampleSphere(2))
     spec = solve_lambda1(pen, seed=0)
     assert spec.iterations == len(solves) > 0
+
+
+@pytest.mark.parametrize(
+    "kind, size",
+    [("sphere", level) for level in range(6)]
+    + [("circle", segments) for segments in (3, 64, 65, 1024)],
+)
+def test_nested_dissection_matches_recursive_oracle(kind, size):
+    if kind == "sphere":
+        pen = assemble_pencil(build_icosphere_mesh(size), CounterexampleSphere(2))
+    else:
+        pen = assemble_pencil(build_circle_mesh(size), unit_sphere(n=1))
+    points = pen.geometry.mesh.vertices
+    perm = nested_dissection_order(points, pen.stiffness)
+    assert perm.shape == (pen.size,)
+    assert np.array_equal(np.sort(perm), np.arange(pen.size))
+    assert np.array_equal(perm, nested_dissection_order(points, pen.stiffness))
+    assert np.array_equal(perm, nested_dissection_order_recursive(points, pen.stiffness))
+
+
+def test_nested_dissection_separates_the_halves():
+    # a circle's first cut takes two of the 512 left-side vertices as the
+    # separator, listed last; no stiffness edge joins the 510 remaining
+    # left vertices (listed first) to the 512 right ones
+    pen = assemble_pencil(build_circle_mesh(1024), unit_sphere(n=1))
+    perm = nested_dissection_order(pen.geometry.mesh.vertices, pen.stiffness)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(perm.size)
+    edges = pen.stiffness.tocoo()
+    side = np.where(position < 510, 0, np.where(position < 1022, 1, 2))
+    assert not np.any((side[edges.row] == 0) & (side[edges.col] == 1))
+    assert np.count_nonzero((side[edges.row] == 2) & (side[edges.col] == 1)) == 2
+
+
+def test_level5_factor_fill_below_colamd(monkeypatch):
+    fills = []
+    splu = lorentzlab.fem.splu
+
+    def recording_splu(a, **kw):
+        lu = splu(a, **kw)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
+    solve_lambda1(assemble_pencil(build_icosphere_mesh(5), CounterexampleSphere(2)), seed=7)
+    # COLAMD gives 1,347,336 entries here
+    assert len(fills) == 1 and fills[0] < 1_100_000
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize(
+    "case", ["sphere-hyperplane", "counterexample", "cylinder-curve", "lightlike-hyperplane"]
+)
+def test_lambda1_matches_colamd_oracle(case, level):
+    imm, _ = _build_case(RunConfig(case=case))
+    pen = assemble_pencil(build_icosphere_mesh(level), imm)
+    assert solve_lambda1(pen, seed=7).lambda1 == pytest.approx(lambda1_colamd(pen), rel=1e-10)
 
 
 def test_unattainable_tolerance_raises_quickly():

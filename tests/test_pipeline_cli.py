@@ -287,6 +287,35 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_cli_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"level": "two"}), encoding="utf-8")
+    assert main(["run", "--case", "sphere-hyperplane", "--config", str(config)]) == 2
+    assert "level must be of type int" in capsys.readouterr().err
+    with pytest.raises(UsageError):
+        RunConfig(case="sphere-hyperplane", samples=True)
+    with pytest.raises(UsageError):
+        RunConfig(case="sphere-hyperplane", level=2.0)
+    assert RunConfig(case="sphere-hyperplane", radius=2, tol_eq=None).radius == 2
+
+
+def test_cli_negative_cylinder_scale_violates_classical_bound(tmp_path):
+    # HyperbolicArc(-1) is the time reflection of HyperbolicArc(1)
+    out = tmp_path / "report.json"
+    args = ["run", "--case", "cylinder-curve", "--level", "3", "--scale", "-1"]
+    assert main(args + ["--samples", "2", "--mc-samples", "5000", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["verdict"] == "pass"
+    reilly = next(b for b in report["bounds"] if b["anchor"] == "reilly")
+    assert reilly["holds"] is False and reilly["as_expected"] is True
+
+
+def test_cli_zero_cylinder_scale_exits_2(capsys):
+    args = ["run", "--case", "cylinder-curve", "--level", "2", "--scale", "0"]
+    assert main(args) == 2
+    assert "scale must be nonzero" in capsys.readouterr().err
+
+
 def test_cli_non_numeric_spec_field_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"gallery": "round-sphere", "n": "two"}), encoding="utf-8")
