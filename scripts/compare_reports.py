@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tolerance-aware diff of two JSON reports written by `lab run` or `lab suite`.
+"""Tolerance-aware diff of two JSON reports of `lab run`, `suite` or `section-avg`.
 
 Keys and their order, strings, booleans, ints and null must be identical.
 Floats must agree within 1e-9 * max(1, |old|); the `slack` of a bound

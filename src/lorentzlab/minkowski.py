@@ -39,7 +39,6 @@ __all__ = [
     "euclid_trace",
     "signature_orthonormalize",
     "spacelike_complement_basis",
-    "sample_spherical_section",
     "unit_sphere_volume",
     "section_integral_exact",
     "sphere_integral_exact",
@@ -209,24 +208,6 @@ def spacelike_complement_basis(a) -> np.ndarray:
     if signs[0] != -1.0 or (signs[1:] != 1.0).any():
         raise DegenerateFrameError("complement of a timelike direction must be spacelike")
     return basis[1:]
-
-
-def sample_spherical_section(a, rng_seed, count: int) -> np.ndarray:
-    """Uniform samples from the light-cone section {<v,v> = 0, <v,a> = -1}.
-
-    Samples are v = a + u with u uniform on the unit sphere of a-perp,
-    which realizes the section's round-sphere geometry. Deterministic per
-    seed; `rng_seed` may also be a `numpy.random.Generator`, which is then
-    drawn from in place.
-    """
-    a = require_unit_timelike(a)
-    if count < 1:
-        raise UsageError("count must be positive")
-    basis = spacelike_complement_basis(a)
-    rng = np.random.default_rng(rng_seed)
-    g = rng.standard_normal((count, a.shape[-1] - 1))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return a + g @ basis
 
 
 def unit_sphere_volume(k: int) -> float:

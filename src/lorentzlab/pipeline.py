@@ -319,10 +319,12 @@ def run_case(config: RunConfig) -> RunReport:
 
     if expect.equality_direction is True and not sharp_equality_found:
         gate("expected an equality direction, none detected", True)
+    # the equality tolerance halves per level while the residual of a true
+    # non-equality case does not shrink, so a coarse mesh can admit one
     if expect.equality_direction is False and any(
         e["verdict"] == "equality-case" for e in equality_entries
     ):
-        gate("detected an equality direction where none should exist", False)
+        gate("detected an equality direction where none should exist", True)
     stamps["bounds"] = time.perf_counter() - t2
 
     # integral identities, all from the engine's geometry, psi_hat and H
@@ -419,6 +421,8 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
     Five seeded random forms against three directions (axis plus two
     boosts) on the light-cone section, plus the round-sphere analogue.
     """
+    if m < 3:
+        raise UsageError(f"ambient dimension must be at least 3, got {m}")
     rng = np.random.default_rng(seed)
     dirs = [
         _axis(m),

@@ -21,8 +21,8 @@ from .minkowski import (
     SymBilinearForm,
     inner,
     require_unit_timelike,
-    sample_spherical_section,
     section_integral_exact,
+    spacelike_complement_basis,
     sphere_integral_exact,
     unit_sphere_volume,
 )
@@ -181,8 +181,8 @@ def _blocked_values(samples: int, values_of_block) -> np.ndarray:
     The blocks draw from one generator in turn, so the samples are bit for
     bit those of one large draw, while memory stays bounded by the block.
     """
-    if samples < 1:
-        raise UsageError("count must be positive")
+    if samples < 2:
+        raise UsageError("need at least two Monte Carlo samples")
     vals = np.empty(samples)
     for start in range(0, samples, MC_BLOCK):
         stop = min(start + MC_BLOCK, samples)
@@ -190,43 +190,69 @@ def _blocked_values(samples: int, values_of_block) -> np.ndarray:
     return vals
 
 
-def monte_carlo_section_integral(Q, a, samples: int, seed: int) -> IntegralResult:
-    """Monte Carlo estimate of the integral of Q(v,v) over the light-cone
-    section relative to a, with its standard error."""
-    a = require_unit_timelike(a)
-    if not isinstance(Q, SymBilinearForm):
-        Q = SymBilinearForm(np.asarray(Q, dtype=float))
-    rng = np.random.default_rng(seed)
-    vals = _blocked_values(samples, lambda count: Q.quad(sample_spherical_section(a, rng, count)))
-    vol = unit_sphere_volume(Q.m - 2)
-    value = vol * float(vals.mean())
-    stderr = vol * float(vals.std(ddof=1)) / np.sqrt(samples)
+def _monte_carlo_result(vals: np.ndarray, vol: float, seed: int, exact: float) -> IntegralResult:
+    """Sphere volume times the sample mean, with its standard error."""
+    samples = vals.size
     return IntegralResult(
-        value=value,
-        error=stderr,
+        value=vol * float(vals.mean()),
+        error=vol * float(vals.std(ddof=1)) / np.sqrt(samples),
         method="monte-carlo",
-        params={"samples": samples, "seed": seed, "exact": section_integral_exact(Q, a)},
+        params={"samples": samples, "seed": seed, "exact": exact},
     )
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
+
+
+def monte_carlo_section_integral(Q, a, samples: int, seed: int) -> IntegralResult:
+    """Monte Carlo estimate of the integral of Q(v,v) over the light-cone
+    section relative to a, with its standard error.
+
+    The samples are v = a + (g/|g|) B for standard normal rows g and the
+    orthonormal frame B of a-perp, so Q(v,v) is the quadratic
+    Q(a,a) + 2 (g.w)/|g| + g P g^T/|g|^2 in g with w = B Q a and
+    P = B Q B^T, evaluated without forming v.
+    """
+    a = require_unit_timelike(a)
+    if not isinstance(Q, SymBilinearForm):
+        Q = SymBilinearForm(np.asarray(Q, dtype=float))
+    exact = section_integral_exact(Q, a)  # also rejects a direction of another dimension
+    basis = spacelike_complement_basis(a)
+    qa = Q.matrix @ a
+    qaa = float(a @ qa)
+    w = basis @ qa
+    P = basis @ Q.matrix @ basis.T
+    rng = np.random.default_rng(seed)
+
+    def block(count):
+        g = rng.standard_normal((count, Q.m - 1))
+        r2 = _row_dots(g, g)
+        vals = _row_dots(g @ P, g)
+        vals /= r2
+        lin = g @ w
+        lin /= np.sqrt(r2, out=r2)
+        lin *= 2.0
+        vals += lin
+        vals += qaa
+        return vals
+
+    vals = _blocked_values(samples, block)
+    return _monte_carlo_result(vals, unit_sphere_volume(Q.m - 2), seed, exact)
+
+
 def monte_carlo_sphere_integral(Q, samples: int, seed: int) -> IntegralResult:
-    """Euclidean analogue: integral of Q(v,v) over the round unit sphere."""
+    """Euclidean analogue: integral of Q(v,v) over the round unit sphere,
+    sampled as Q(g,g)/|g|^2 for standard normal rows g."""
     if not isinstance(Q, SymBilinearForm):
         Q = SymBilinearForm(np.asarray(Q, dtype=float))
     rng = np.random.default_rng(seed)
 
     def block(count):
         g = rng.standard_normal((count, Q.m))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return Q.quad(g)
+        vals = _row_dots(g @ Q.matrix, g)
+        vals /= _row_dots(g, g)
+        return vals
 
     vals = _blocked_values(samples, block)
-    vol = unit_sphere_volume(Q.m - 1)
-    value = vol * float(vals.mean())
-    stderr = vol * float(vals.std(ddof=1)) / np.sqrt(samples)
-    return IntegralResult(
-        value=value,
-        error=stderr,
-        method="monte-carlo",
-        params={"samples": samples, "seed": seed, "exact": sphere_integral_exact(Q)},
-    )
+    return _monte_carlo_result(vals, unit_sphere_volume(Q.m - 1), seed, sphere_integral_exact(Q))

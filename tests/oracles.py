@@ -10,7 +10,9 @@ and the first eigenvalue is recomputed on SuperLU's own COLAMD factor,
 with the constant mode left in the spectrum instead of deflated.
 Pointwise chart data (tangential parts of a direction, per-element
 signed gradient traces) and the gravity-center recentering are the
-continuum references for the engine's discrete identities.
+continuum references for the engine's discrete identities. Light-cone
+section samples are formed as points v = a + u, the direct way the Monte
+Carlo estimators' reduced quadratic must reproduce.
 """
 
 import numpy as np
@@ -22,7 +24,12 @@ from lorentzlab.errors import UsageError
 from lorentzlab.fem import ND_LEAF, apply_discrete_laplacian, assemble_pencil, mesh_geometry
 from lorentzlab.immersions import Immersion, StereographicChart
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
-from lorentzlab.minkowski import inner, metric_signs, require_unit_timelike
+from lorentzlab.minkowski import (
+    inner,
+    metric_signs,
+    require_unit_timelike,
+    spacelike_complement_basis,
+)
 from lorentzlab.quadrature import mean_curvature_vertices
 
 TAU_CENTER = 1e-8
@@ -237,3 +244,21 @@ def lambda1_colamd(pencil, seed: int = 0) -> float:
         return_eigenvectors=False,
     )
     return float(np.sort(ritz)[1])
+
+
+def sample_spherical_section(a, rng_seed, count: int) -> np.ndarray:
+    """Uniform samples from the light-cone section {<v,v> = 0, <v,a> = -1}.
+
+    Samples are v = a + u with u uniform on the unit sphere of a-perp,
+    which realizes the section's round-sphere geometry. Deterministic per
+    seed; `rng_seed` may also be a `numpy.random.Generator`, which is then
+    drawn from in place.
+    """
+    a = require_unit_timelike(a)
+    if count < 1:
+        raise UsageError("count must be positive")
+    basis = spacelike_complement_basis(a)
+    rng = np.random.default_rng(rng_seed)
+    g = rng.standard_normal((count, a.shape[-1] - 1))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return a + g @ basis

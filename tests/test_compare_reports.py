@@ -60,6 +60,20 @@ def test_exact_fields_must_match():
     assert compare_reports.compare(BASE, reordered)[0][2].startswith("keys")
 
 
+def test_section_avg_reports():
+    case = {"lemma": "section", "form": 0, "direction": 1, "exact": 2.5, "estimate": 2.49}
+    case.update({"stderr": 0.01, "z": 1.0, "pass": True})
+    old = {"schema_version": 1, "m": 4, "samples": 400000, "seed": 7, "cases": [case]}
+    old["verdict"] = "pass"
+    drifted = copy.deepcopy(old)
+    drifted["cases"][0]["z"] = 1.0 + 1e-12
+    assert compare_reports.compare(old, drifted) == []
+    flipped = copy.deepcopy(old)
+    flipped["cases"][0]["pass"] = False
+    (excess, path, _), = compare_reports.compare(old, flipped)
+    assert path == "$.cases[0].pass" and excess == float("inf")
+
+
 def test_main_exit_codes(tmp_path, capsys):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps(BASE), encoding="utf-8")

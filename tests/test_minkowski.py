@@ -15,7 +15,6 @@ from lorentzlab.minkowski import (
     lorentz_trace,
     euclid_trace,
     project_onto_orthogonal,
-    sample_spherical_section,
     sample_timelike_directions,
     section_integral_exact,
     signature_orthonormalize,
@@ -24,6 +23,7 @@ from lorentzlab.minkowski import (
     sq_norm,
     unit_sphere_volume,
 )
+from oracles import sample_spherical_section
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 

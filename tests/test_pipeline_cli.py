@@ -329,6 +329,23 @@ def test_cli_out_directory_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_forbidden_equality_direction_warns_on_coarse_mesh(tmp_path):
+    # the axis residual (0.21 at level 0) is below the level-0 equality
+    # tolerance (0.4), so the coarse mesh reports a false equality direction
+    out = tmp_path / "report.json"
+    args = ["run", "--case", "counterexample", "--n", "1", "--level", "0"]
+    assert main(args + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["failures"] == []
+    assert "detected an equality direction where none should exist" in report["warnings"]
+
+
+def test_cli_forbidden_equality_direction_fails_on_fine_mesh(capsys):
+    args = ["run", "--case", "counterexample", "--level", "3", "--tol-eq", "10"]
+    assert main(args + ["--samples", "2", "--mc-samples", "5000"]) == 1
+    assert "detected an equality direction where none should exist" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     from lorentzlab import cli
     from lorentzlab.errors import EigenSolveError
@@ -386,6 +403,18 @@ def test_cli_section_avg_out_file_matches_stdout(tmp_path, capsys):
     out = tmp_path / "avg.json"
     assert main(args + ["--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == printed
+
+
+def test_cli_section_avg_bad_input_exits_2(capsys):
+    for args, message in (
+        (["--m", "4", "--samples", "1"], "need at least two Monte Carlo samples"),
+        (["--m", "4", "--samples", "0"], "need at least two Monte Carlo samples"),
+        (["--m", "2", "--samples", "100"], "ambient dimension must be at least 3"),
+    ):
+        assert main(["section-avg"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_cli_entrypoint_subprocess():

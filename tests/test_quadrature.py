@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lorentzlab import quadrature
 from lorentzlab.errors import NumericalError, UsageError
 from lorentzlab.fem import assemble_pencil, mesh_geometry
 from lorentzlab.immersions import (
@@ -21,6 +22,7 @@ from lorentzlab.minkowski import (
     unit_sphere_volume,
 )
 from lorentzlab.quadrature import (
+    MC_BLOCK,
     IntegralResult,
     integrate_over_mesh,
     mean_curvature_vertices,
@@ -30,7 +32,7 @@ from lorentzlab.quadrature import (
     monte_carlo_sphere_integral,
     sphere_slice_integral,
 )
-from oracles import recenter_to_gravity_origin
+from oracles import recenter_to_gravity_origin, sample_spherical_section
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -309,6 +311,60 @@ def test_monte_carlo_sphere_analogue():
     q = SymBilinearForm.random(4, rng)
     out = monte_carlo_sphere_integral(q, 200_000, seed=3)
     assert abs(out.value - out.params["exact"]) <= 3.0 * out.error
+
+
+@pytest.fixture
+def sample_values(monkeypatch):
+    """The per-sample values of each Monte Carlo estimate, in call order,
+    captured on their way into the result."""
+    seen = []
+    build = quadrature._monte_carlo_result
+
+    def record(vals, *args):
+        seen.append(vals.copy())
+        return build(vals, *args)
+
+    monkeypatch.setattr(quadrature, "_monte_carlo_result", record)
+    return seen
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("boost", [0.0, 1.0, 2.0])
+def test_section_values_match_sampled_points(sample_values, m, boost):
+    # the reduced quadratic in g against Q(v, v) at the points v = a + u,
+    # over one draw, for counts that do and do not divide into MC_BLOCK rows
+    spatial = np.arange(1.0, m)
+    a = boost_direction(boost, spatial / np.linalg.norm(spatial))
+    q = SymBilinearForm.random(m, np.random.default_rng(m))
+    tol = 1e-12 * np.linalg.norm(q.matrix, 2) * (1.0 + a @ a)
+    for count in (2 * MC_BLOCK, MC_BLOCK + 777):
+        out = monte_carlo_section_integral(q, a, count, seed=31)
+        expected = q.quad(sample_spherical_section(a, np.random.default_rng(31), count))
+        assert sample_values[-1].shape == (count,)
+        assert np.abs(sample_values[-1] - expected).max() <= tol
+        assert out.params["samples"] == count
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_sphere_values_match_normalized_draws(sample_values, m):
+    q = SymBilinearForm.random(m, np.random.default_rng(m))
+    tol = 1e-12 * np.linalg.norm(q.matrix, 2)
+    for count in (2 * MC_BLOCK, MC_BLOCK + 777):
+        monte_carlo_sphere_integral(q, count, seed=32)
+        g = np.random.default_rng(32).standard_normal((count, m))
+        expected = q.quad(g / np.linalg.norm(g, axis=1, keepdims=True))
+        assert np.abs(sample_values[-1] - expected).max() <= tol
+
+
+def test_monte_carlo_input_checks():
+    q = SymBilinearForm.random(4, np.random.default_rng(0))
+    for samples in (1, 0):
+        with pytest.raises(UsageError, match="two Monte Carlo samples"):
+            monte_carlo_section_integral(q, AXIS4, samples, seed=0)
+        with pytest.raises(UsageError, match="two Monte Carlo samples"):
+            monte_carlo_sphere_integral(q, samples, seed=0)
+    with pytest.raises(UsageError, match="dimensions differ"):
+        monte_carlo_section_integral(q, AXIS4[:3], 100, seed=0)
 
 
 def test_integral_result_fields():
