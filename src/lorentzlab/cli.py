@@ -118,6 +118,8 @@ def _cmd_run(args) -> int:
         print(f"case={config.case} level={config.level} verdict={report.verdict}")
     for failure in report.failures:
         print(f"FAIL: {failure}", file=sys.stderr)
+    for warning in report.warnings:
+        print(f"WARN: {warning}", file=sys.stderr)
     return 0 if report.verdict == "pass" else 1
 
 

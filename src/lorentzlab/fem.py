@@ -50,9 +50,7 @@ class MeshGeometry:
 
     mesh: ParamMesh
     positions: np.ndarray  # (k, m)
-    chords: np.ndarray  # (E, n, m)
-    gram: np.ndarray  # (E, n, n)
-    gram_inv: np.ndarray
+    gram_inv: np.ndarray  # (E, n, n), inverse Lorentz Gram of the edge chords
     volumes: np.ndarray  # (E,)
     lumped: np.ndarray  # (k,)
     total_volume: float
@@ -96,8 +94,6 @@ def mesh_geometry(mesh: ParamMesh, imm) -> MeshGeometry:
     return MeshGeometry(
         mesh=mesh,
         positions=positions,
-        chords=chords,
-        gram=gram,
         gram_inv=gram_inv,
         volumes=volumes,
         lumped=lumped,

@@ -1,10 +1,11 @@
 """Parametric spacelike immersions of round spheres into flat Lorentzian R^m.
 
-Parameter points are unit vectors in R^{n+1} (chart-free); derivative data
-refers to the stereographic chart selected by `chart_at`, which projects
-from the pole opposite the point's hemisphere. Gallery immersions carry
-exact ambient derivatives; `NumericalImmersion` provides a central
-finite-difference fallback for user-supplied maps.
+Parameter points are unit vectors in R^{n+1}. An immersion gives the
+pipeline its position and its closed-form mean curvature vector, plus the
+squared mean curvature as a function of the height (first parameter
+coordinate) for the slice integrals. Gallery immersions also carry exact
+ambient derivatives, which the tests' pointwise shape oracle checks the
+closed forms against.
 
 Immersions are immutable and shareable; every evaluation is pure, so batch
 work may be partitioned across workers freely.
@@ -12,28 +13,15 @@ work may be partitioned across workers freely.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrameError, DomainError, LorentzLabError, NotSpacelikeError, UsageError
-from .minkowski import (
-    inner,
-    metric_signs,
-    require_unit_timelike,
-    signature_orthonormalize,
-    spacelike_complement_basis,
-)
-
-TAU_FRAME = 1e-8
-FD_STEP = 1e-5
+from .errors import DomainError, LorentzLabError, UsageError
+from .minkowski import inner, require_unit_timelike, spacelike_complement_basis
 
 __all__ = [
-    "Domain",
-    "StereographicChart",
-    "chart_at",
     "Immersion",
     "HyperplaneSphere",
     "CylinderSphere",
@@ -42,92 +30,21 @@ __all__ = [
     "PlaneCurve",
     "HyperbolicArc",
     "LineCurve",
-    "NumericalImmersion",
-    "ShapeSample",
-    "shape_at",
     "immersion_from_spec",
     "load_immersion_spec",
 ]
 
 
-@dataclass(frozen=True)
-class Domain:
-    kind: str  # "circle" | "sphere" | "torus"
-    n: int
-
-
-@dataclass(frozen=True)
-class StereographicChart:
-    """Stereographic coordinates on the unit n-sphere.
-
-    pole = +1 projects from +e_{n+1} (covers everything but the north
-    pole), pole = -1 from -e_{n+1}.
-    """
-
-    n: int
-    pole: int
-
-    def to_manifold(self, u):
-        u = np.asarray(u, dtype=float)
-        s = (u * u).sum(axis=-1, keepdims=True)
-        d = 1.0 + s
-        first = 2.0 * u / d
-        last = self.pole * (s - 1.0) / d
-        return np.concatenate([first, last], axis=-1)
-
-    def from_manifold(self, p):
-        p = np.asarray(p, dtype=float)
-        return p[..., :-1] / (1.0 - self.pole * p[..., -1:])
-
-    def jac(self, u):
-        """d(to_manifold)/du with shape (..., n+1, n)."""
-        u = np.asarray(u, dtype=float)
-        n = self.n
-        s = (u * u).sum(axis=-1)
-        d = 1.0 + s
-        eye = np.eye(n)
-        top = 2.0 * eye / d[..., None, None] - 4.0 * np.einsum(
-            "...i,...j->...ij", u, u
-        ) / (d * d)[..., None, None]
-        bottom = self.pole * 4.0 * u / (d * d)[..., None]
-        return np.concatenate([top, bottom[..., None, :]], axis=-2)
-
-    def hess(self, u):
-        """Second derivatives with shape (..., n+1, n, n)."""
-        u = np.asarray(u, dtype=float)
-        n = self.n
-        s = (u * u).sum(axis=-1)
-        d = 1.0 + s
-        d2 = (d * d)[..., None, None, None]
-        d3 = (d * d * d)[..., None, None, None]
-        eye = np.eye(n)
-        du = np.einsum("ij,...k->...ijk", eye, u)
-        ud = np.einsum("...i,jk->...ijk", u, eye)
-        dxu = np.einsum("ik,...j->...ijk", eye, u)
-        uuu = np.einsum("...i,...j,...k->...ijk", u, u, u)
-        top = -4.0 * (du + dxu + ud) / d2 + 16.0 * uuu / d3
-        uu = np.einsum("...j,...k->...jk", u, u)
-        bottom = self.pole * (
-            4.0 * eye / d2[..., 0] - 16.0 * uu / d3[..., 0]
-        )
-        return np.concatenate([top, bottom[..., None, :, :]], axis=-3)
-
-
-def chart_at(p) -> StereographicChart:
-    """Chart projecting from the pole opposite p's hemisphere."""
-    p = np.asarray(p, dtype=float)
-    return StereographicChart(n=p.shape[-1] - 1, pole=1 if p[-1] <= 0 else -1)
-
-
 class Immersion:
     """Base class: spacelike immersion of the unit n-sphere into R^m.
 
-    Subclasses implement the ambient map on a neighborhood of the sphere
-    via `_value`, `_jac`, `_hess` (shapes (...,m), (...,m,n+1),
-    (...,m,n+1,n+1)); chart derivatives follow by the chain rule.
+    Subclasses implement the ambient map `_value` on a neighborhood of the
+    sphere (shape (..., m)), the closed-form mean curvature vector
+    `_mean_curvature` and its causal square as a function of the height,
+    `mean_curvature_sq_of_height`. The exact ambient derivatives `_jac`
+    and `_hess` (shapes (..., m, n+1) and (..., m, n+1, n+1)) feed the
+    tests' pointwise shape oracle only.
     """
-
-    has_closed_mean_curvature = False
 
     def __init__(self, n: int, m: int):
         if n < 1:
@@ -140,10 +57,7 @@ class Immersion:
             raise DomainError("ambient dimension must be at least 3")
         self.n = n
         self.m = m
-        self.domain = Domain("circle" if n == 1 else "sphere", n)
-        self.offset = np.zeros(m)
 
-    # ambient map, supplied by subclasses
     def _value(self, x):
         raise NotImplementedError
 
@@ -153,62 +67,28 @@ class Immersion:
     def _hess(self, x):
         raise NotImplementedError
 
-    def eval(self, p):
-        """Position in R^m; broadcasts over leading axes of p."""
-        return self._value(np.asarray(p, dtype=float)) + self.offset
-
-    def eval_chart(self, chart: StereographicChart, u):
-        return self.eval(chart.to_manifold(u))
-
-    def jacobian(self, p) -> np.ndarray:
-        """First chart partials at a single point, shape (m, n)."""
-        chart = chart_at(p)
-        u = chart.from_manifold(np.asarray(p, dtype=float))
-        x = chart.to_manifold(u)
-        return np.einsum("ca,ai->ci", self._jac(x), chart.jac(u))
-
-    def hessian(self, p) -> np.ndarray:
-        """Second chart partials at a single point, shape (m, n, n)."""
-        chart = chart_at(p)
-        u = chart.from_manifold(np.asarray(p, dtype=float))
-        x = chart.to_manifold(u)
-        s_jac = chart.jac(u)
-        s_hess = chart.hess(u)
-        return np.einsum("cab,ai,bj->cij", self._hess(x), s_jac, s_jac) + np.einsum(
-            "ca,aij->cij", self._jac(x), s_hess
-        )
-
-    def mean_curvature(self, p) -> np.ndarray:
-        """Closed-form mean curvature vector, where available."""
-        if not self.has_closed_mean_curvature:
-            raise UsageError(f"{type(self).__name__} has no closed-form mean curvature")
-        return self._mean_curvature(np.asarray(p, dtype=float))
-
     def _mean_curvature(self, x):
         raise NotImplementedError
 
-    def mean_curvature_sq(self, p):
-        h = self.mean_curvature(p)
-        return inner(h, h)
+    def eval(self, p):
+        """Position in R^m; broadcasts over leading axes of p."""
+        return self._value(np.asarray(p, dtype=float))
 
-    def translated(self, delta) -> "Immersion":
-        """Copy of this immersion shifted by delta; derivatives unchanged."""
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != (self.m,):
-            raise UsageError("translation vector has the wrong dimension")
-        clone = copy.copy(self)
-        clone.offset = self.offset + delta
-        return clone
+    def mean_curvature(self, p) -> np.ndarray:
+        """Closed-form mean curvature vector; broadcasts over leading axes of p."""
+        return self._mean_curvature(np.asarray(p, dtype=float))
+
+    def mean_curvature_sq_of_height(self, t):
+        """<H, H> at parameter points of height t; <H, H> depends on t only."""
+        raise NotImplementedError
 
 
 class HyperplaneSphere(Immersion):
     """Round n-sphere of radius r inside the spacelike affine hyperplane
     through `center` orthogonal to the unit timelike `axis`."""
 
-    has_closed_mean_curvature = True
-
     def __init__(self, n: int, radius: float, center, axis):
-        center = np.asarray(center, dtype=float)
+        center = np.array(center, dtype=float)
         axis = require_unit_timelike(axis)
         if axis.shape != center.shape:
             raise UsageError("center and axis dimensions differ")
@@ -220,10 +100,9 @@ class HyperplaneSphere(Immersion):
         self.axis = axis
         # first n+1 orthonormal spacelike directions of axis-perp
         self.frame = spacelike_complement_basis(axis)[: n + 1]
-        self.offset = center.copy()
 
     def _value(self, x):
-        return self.radius * x @ self.frame
+        return self.radius * x @ self.frame + self.center
 
     def _jac(self, x):
         jac = self.radius * self.frame.T  # (m, n+1)
@@ -235,10 +114,6 @@ class HyperplaneSphere(Immersion):
 
     def _mean_curvature(self, x):
         return -(x @ self.frame) / self.radius
-
-    def mean_curvature_sq(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.full(p.shape[:-1], 1.0 / self.radius**2)
 
     def mean_curvature_sq_of_height(self, t):
         return np.full(np.shape(t), 1.0 / self.radius**2)
@@ -321,8 +196,6 @@ class CylinderSphere(Immersion):
     spacelike curves keep the induced metric round.
     """
 
-    has_closed_mean_curvature = True
-
     def __init__(self, n: int, curve: PlaneCurve):
         super().__init__(n, n + 2)
         self.curve = curve
@@ -367,10 +240,6 @@ class CylinderSphere(Immersion):
         ) / self.n
         return np.concatenate([top, -y], axis=-1)
 
-    def mean_curvature_sq(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.mean_curvature_sq_of_height(p[..., 0])
-
     def mean_curvature_sq_of_height(self, t):
         t = np.asarray(t, dtype=float)
         return 1.0 + (1.0 - t * t) ** 2 / self.n**2 * self.curve.accel_sq(t)
@@ -386,20 +255,6 @@ class CounterexampleSphere(CylinderSphere):
     def __init__(self, n: int):
         super().__init__(n, HyperbolicArc(1.0))
 
-    def normal_fields(self, p):
-        """The two canonical unit normals (timelike, spacelike) at p."""
-        p = np.asarray(p, dtype=float)
-        t = p[..., 0]
-        y = p[..., 1:]
-        zero = np.zeros_like(y)
-        n1 = np.concatenate(
-            [np.stack([np.cosh(t), np.sinh(t)], axis=-1), zero], axis=-1
-        )
-        n2 = np.concatenate(
-            [np.stack([t * np.sinh(t), t * np.cosh(t)], axis=-1), y], axis=-1
-        )
-        return n1, n2
-
 
 class NullHyperplaneSphere(Immersion):
     """Round n-sphere pushed into the null hyperplane x_1 = x_m.
@@ -409,8 +264,6 @@ class NullHyperplaneSphere(Immersion):
     default height is a degree-two spherical harmonic, which keeps the
     position field away from the eigenfield case.
     """
-
-    has_closed_mean_curvature = True
 
     def __init__(self, n: int, amplitude: float = 0.5):
         super().__init__(n, n + 3)
@@ -460,152 +313,8 @@ class NullHyperplaneSphere(Immersion):
         g = (-2.0 * (self.n + 1) / self.n) * self._height(x)[..., None]
         return np.concatenate([g, -x, g], axis=-1)
 
-    def mean_curvature_sq(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.ones(p.shape[:-1])
-
     def mean_curvature_sq_of_height(self, t):
         return np.ones(np.shape(t))
-
-
-class NumericalImmersion(Immersion):
-    """Immersion defined by an ambient value function only.
-
-    Chart derivatives come from central differences with one Richardson
-    extrapolation step; intended for user-defined maps without closed-form
-    derivatives. Convergence studies should prefer exact gallery items.
-    """
-
-    def __init__(self, n: int, m: int, value_fn, step: float = FD_STEP):
-        super().__init__(n, m)
-        self._fn = value_fn
-        self.step = float(step)
-
-    def _value(self, x):
-        return np.asarray(self._fn(x), dtype=float)
-
-    def _chart_value(self, chart, u):
-        return self._value(chart.to_manifold(u))
-
-    def _fd_jac(self, chart, u, h):
-        cols = []
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = h
-            cols.append(
-                (self._chart_value(chart, u + e) - self._chart_value(chart, u - e))
-                / (2.0 * h)
-            )
-        return np.stack(cols, axis=-1)
-
-    def jacobian(self, p):
-        chart = chart_at(p)
-        u = chart.from_manifold(np.asarray(p, dtype=float))
-        h = self.step
-        return (4.0 * self._fd_jac(chart, u, h / 2.0) - self._fd_jac(chart, u, h)) / 3.0
-
-    def _fd_hess(self, chart, u, h):
-        def jac(uu):
-            return (
-                4.0 * self._fd_jac(chart, uu, h / 2.0) - self._fd_jac(chart, uu, h)
-            ) / 3.0
-
-        cols = []
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = h
-            cols.append((jac(u + e) - jac(u - e)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
-
-    def hessian(self, p):
-        chart = chart_at(p)
-        u = chart.from_manifold(np.asarray(p, dtype=float))
-        h = self.step
-        return (4.0 * self._fd_hess(chart, u, h / 2.0) - self._fd_hess(chart, u, h)) / 3.0
-
-
-@dataclass
-class ShapeSample:
-    """Pointwise geometry bundle at a parameter point."""
-
-    point: np.ndarray
-    position: np.ndarray
-    metric: np.ndarray
-    tangent_frame: np.ndarray  # (n, m) orthonormal spacelike rows
-    normal_frame: np.ndarray  # (m-n, m) rows, exactly one timelike
-    normal_signs: np.ndarray
-    second_fundamental: np.ndarray  # (n, n, m), normal-valued
-    mean_curvature: np.ndarray
-    direction: np.ndarray | None = None
-    mean_curvature_projected: np.ndarray | None = None
-    direction_tangent: np.ndarray | None = None
-    direction_normal: np.ndarray | None = None
-
-
-def shape_at(imm: Immersion, p, a=None, frame_tol: float = TAU_FRAME) -> ShapeSample:
-    """Frames, second fundamental form and mean curvature at one point.
-
-    The tangent frame orthonormalizes the chart Jacobian columns; the
-    normal frame completes it by signature Gram-Schmidt over the canonical
-    basis with the timelike direction processed last, so exactly one
-    normal direction carries sign -1.
-    """
-    p = np.asarray(p, dtype=float)
-    jac = imm.jacobian(p)
-    signs_m = metric_signs(imm.m)
-    metric = np.einsum("ci,c,cj->ij", jac, signs_m, jac)
-    eigvals = np.linalg.eigvalsh(metric)
-    if eigvals.min() <= 0:
-        raise NotSpacelikeError(
-            f"induced metric is not spacelike here (min eigenvalue {eigvals.min():.3e})"
-        )
-
-    tangent, t_signs = signature_orthonormalize(list(jac.T), need=imm.n, pivot_tol=frame_tol)
-    if (t_signs != 1.0).any():
-        raise DegenerateFrameError("tangent frame picked up a non-spacelike direction")
-
-    # complete with canonical vectors, timelike candidate last
-    candidates = []
-    order = list(range(1, imm.m)) + [0]
-    for j in order:
-        e = np.zeros(imm.m)
-        e[j] = 1.0
-        e = e - sum(float(inner(e, t)) * t for t in tangent)
-        candidates.append(e)
-    normal, n_signs = signature_orthonormalize(
-        candidates, need=imm.m - imm.n, pivot_tol=frame_tol
-    )
-    if int((n_signs < 0).sum()) != 1:
-        raise DegenerateFrameError("normal frame must contain exactly one timelike direction")
-
-    hess = imm.hessian(p)
-    # normal projection uses signature weights
-    coeff = np.einsum("cij,c,kc->kij", hess, signs_m, normal)  # (m-n, n, n)
-    second = np.einsum("kij,k,kc->ijc", coeff, n_signs, normal)
-    ginv = np.linalg.inv(metric)
-    mean = np.einsum("ij,ijc->c", ginv, second) / imm.n
-
-    sample = ShapeSample(
-        point=p,
-        position=imm.eval(p),
-        metric=metric,
-        tangent_frame=tangent,
-        normal_frame=normal,
-        normal_signs=n_signs,
-        second_fundamental=second,
-        mean_curvature=mean,
-    )
-    if a is not None:
-        a = require_unit_timelike(a)
-        sample.direction = a
-        sample.mean_curvature_projected = mean + float(inner(mean, a)) * a
-        sample.direction_tangent = np.einsum(
-            "i,ic->c", np.einsum("ic,c,c->i", tangent, signs_m, a), tangent
-        )
-        sample.direction_normal = np.einsum(
-            "k,k,kc->c", np.einsum("kc,c,c->k", normal, signs_m, a), n_signs, normal
-        )
-    return sample
 
 
 def immersion_from_spec(spec: dict) -> Immersion:

@@ -1,9 +1,7 @@
 """Simplicial meshes of the parameter manifold (circle and sphere).
 
 Vertices are stored chart-free as unit vectors; simplices are index
-tuples (segments for n=1, triangles for n=2). A minimal ASCII format is
-provided for export: vertex count, vertex coordinates, simplex count,
-index tuples.
+tuples (segments for n=1, triangles for n=2).
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ __all__ = [
     "build_circle_mesh",
     "build_icosphere_mesh",
     "circle_segments_for_level",
-    "euler_characteristic",
-    "facet_incidence",
-    "save_mesh",
-    "load_mesh",
 ]
 
 
@@ -117,52 +111,3 @@ def build_icosphere_mesh(level: int) -> ParamMesh:
             [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
         ).reshape(-1, 3)
     return ParamMesh(vertices, faces, kind="sphere", level=level)
-
-
-def facet_incidence(mesh: ParamMesh) -> dict:
-    """Map facet (sorted vertex tuple) -> incidence count."""
-    counts: dict[tuple, int] = {}
-    n = mesh.n
-    for simplex in mesh.simplices:
-        for drop in range(n + 1):
-            facet = tuple(sorted(v for k, v in enumerate(simplex) if k != drop))
-            counts[facet] = counts.get(facet, 0) + 1
-    return counts
-
-
-def euler_characteristic(mesh: ParamMesh) -> int:
-    if mesh.n == 1:
-        return mesh.num_vertices - mesh.num_simplices
-    edges = {
-        tuple(sorted(e))
-        for simplex in mesh.simplices
-        for e in ((simplex[0], simplex[1]), (simplex[1], simplex[2]), (simplex[2], simplex[0]))
-    }
-    return mesh.num_vertices - len(edges) + mesh.num_simplices
-
-
-def save_mesh(mesh: ParamMesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mesh.num_vertices}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(repr(float(x)) for x in v) + "\n")
-        fh.write(f"{mesh.num_simplices}\n")
-        for s in mesh.simplices:
-            fh.write(" ".join(str(int(i)) for i in s) + "\n")
-
-
-def load_mesh(path) -> ParamMesh:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split("\n")
-    pos = 0
-    nv = int(tokens[pos]); pos += 1
-    vertices = np.array(
-        [[float(x) for x in tokens[pos + i].split()] for i in range(nv)]
-    )
-    pos += nv
-    ne = int(tokens[pos]); pos += 1
-    simplices = np.array(
-        [[int(x) for x in tokens[pos + i].split()] for i in range(ne)]
-    )
-    kind = "circle" if simplices.shape[1] == 2 else "sphere"
-    return ParamMesh(vertices, simplices, kind=kind, level=None)

@@ -19,13 +19,11 @@ from .errors import DegenerateFrameError, DomainError, UsageError
 
 TAU_UNIT = 1e-9
 TAU_CAUSAL = 1e-9
-TAU_SECTION = 1e-9
 PIVOT_TOL = 1e-8
 
 __all__ = [
     "TAU_UNIT",
     "TAU_CAUSAL",
-    "TAU_SECTION",
     "metric_signs",
     "inner",
     "sq_norm",
@@ -33,7 +31,6 @@ __all__ = [
     "causal_classify",
     "is_unit_timelike",
     "require_unit_timelike",
-    "project_onto_orthogonal",
     "SymBilinearForm",
     "lorentz_trace",
     "euclid_trace",
@@ -103,16 +100,6 @@ def require_unit_timelike(a, tol: float = TAU_UNIT) -> np.ndarray:
     return a
 
 
-def project_onto_orthogonal(v, a):
-    """Orthogonal projection of v onto the spacelike hyperplane a-perp.
-
-    `a` must be unit timelike; the result satisfies <result, a> = 0.
-    """
-    a = require_unit_timelike(a)
-    v = np.asarray(v, dtype=float)
-    return v + inner(v, a)[..., None] * a
-
-
 @dataclass(frozen=True)
 class SymBilinearForm:
     """Symmetric bilinear form Q(u, v) = u^T Q v in canonical coordinates."""
@@ -140,10 +127,6 @@ class SymBilinearForm:
     def quad(self, v):
         """Q(v, v) for a batch of vectors with shape (..., m)."""
         return self(v, v)
-
-    def operator_lorentz(self) -> np.ndarray:
-        """Matrix of the operator A with <A u, v> = Q(u, v)."""
-        return metric_signs(self.m)[:, None] * self.matrix
 
     @staticmethod
     def random(m: int, rng: np.random.Generator) -> "SymBilinearForm":

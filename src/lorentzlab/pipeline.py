@@ -337,16 +337,12 @@ def run_case(config: RunConfig) -> RunReport:
         "minkowski_residual_rel": abs(minkowski_residual(geom, h).value) / vol,
         "minkowski_projected_rel": [abs(first.value) / vol for first, _ in projected],
         "position_curvature_rel": [abs(second.value) / vol for _, second in projected],
+        "beltrami_l2": beltrami_residual(engine.pencil, h).value,
+        "reilly_rhs_slice": imm.n
+        * sphere_slice_integral(imm.n, imm.mean_curvature_sq_of_height).value
+        / sphere_slice_integral(imm.n, lambda t: np.ones_like(t)).value,
+        "reilly_rhs_mesh": imm.n * engine.curvature_sq_integral / vol,
     }
-    if imm.has_closed_mean_curvature:
-        identities["beltrami_l2"] = beltrami_residual(engine.pencil, h).value
-        profile = getattr(imm, "mean_curvature_sq_of_height", None)
-        if profile is not None:
-            slice_int = sphere_slice_integral(imm.n, profile)
-            identities["reilly_rhs_slice"] = imm.n * slice_int.value / (
-                sphere_slice_integral(imm.n, lambda t: np.ones_like(t)).value
-            )
-            identities["reilly_rhs_mesh"] = imm.n * engine.curvature_sq_integral / vol
 
     rng = np.random.default_rng(config.seed + 3)
     q = SymBilinearForm.random(imm.m, rng)
@@ -407,7 +403,7 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
                     "lambda1": report.lambda1["value"],
                     "lambda1_rel_error": report.lambda1["rel_error"],
                     "minkowski_residual_rel": report.identities["minkowski_residual_rel"],
-                    "beltrami_l2": report.identities.get("beltrami_l2"),
+                    "beltrami_l2": report.identities["beltrami_l2"],
                     "verdict": report.verdict,
                 }
             )

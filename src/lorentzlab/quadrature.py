@@ -1,10 +1,10 @@
-"""Integration over meshes, symmetry-reduced slices of round spheres, and
-Monte Carlo integration over light-cone sections.
+"""Integral identities over meshes, symmetry-reduced slices of round
+spheres, and Monte Carlo integration over light-cone sections.
 
-Mesh integrals use element-average quadrature matched to the P1 assembly
-order; slice integrals use Gauss-Jacobi rules sized to be effectively
-exact for every shipped integrand. All routines are pure; Monte Carlo
-runs are deterministic per seed.
+Mesh integrals use the lumped-mass vertex rule of the P1 assembly; slice
+integrals use Gauss-Jacobi rules sized to be effectively exact for every
+shipped integrand. All routines are pure; Monte Carlo runs are
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import NumericalError, UsageError
-from .fem import FEMPencil, MeshGeometry, apply_discrete_laplacian, mesh_geometry
-from .fem import gradient_squared_per_element
+from .fem import FEMPencil, MeshGeometry, apply_discrete_laplacian, gradient_squared_per_element
 from .minkowski import (
     SymBilinearForm,
     inner,
@@ -33,7 +32,6 @@ MC_BLOCK = 16384
 
 __all__ = [
     "IntegralResult",
-    "integrate_over_mesh",
     "sphere_slice_integral",
     "mean_curvature_vertices",
     "minkowski_residual",
@@ -50,35 +48,6 @@ class IntegralResult:
     error: float = 0.0
     method: str = "mesh"
     params: dict = field(default_factory=dict)
-
-
-def _as_result_value(v):
-    arr = np.asarray(v)
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def integrate_over_mesh(mesh, imm, density, geometry=None) -> IntegralResult:
-    """Sum of element volume times element-average density.
-
-    Accepts per-vertex or per-element data; vertex data is averaged onto
-    elements, which coincides with the lumped-mass vertex rule.
-    """
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
-    density = np.asarray(density, dtype=float)
-    if density.shape[0] == mesh.num_vertices:
-        value = geom.lumped @ density
-    elif density.shape[0] == mesh.num_simplices:
-        value = geom.volumes @ density
-    else:
-        raise UsageError(
-            f"density length {density.shape[0]} matches neither vertices nor elements"
-        )
-    return IntegralResult(
-        value=_as_result_value(value),
-        error=0.0,
-        method="mesh",
-        params={"vertices": mesh.num_vertices, "elements": mesh.num_simplices},
-    )
 
 
 def sphere_slice_integral(n: int, phi, nodes: int = SLICE_NODES) -> IntegralResult:
@@ -112,12 +81,8 @@ def sphere_slice_integral(n: int, phi, nodes: int = SLICE_NODES) -> IntegralResu
 
 
 def mean_curvature_vertices(imm, pencil: FEMPencil) -> np.ndarray:
-    """Mean curvature vector at every vertex; closed form when available,
-    otherwise the discrete Laplacian of the position field divided by n."""
-    geom = pencil.geometry
-    if imm.has_closed_mean_curvature:
-        return imm.mean_curvature(geom.mesh.vertices)
-    return apply_discrete_laplacian(pencil, geom.positions) / imm.n
+    """Closed-form mean curvature vector at every vertex of the pencil's mesh."""
+    return imm.mean_curvature(pencil.geometry.mesh.vertices)
 
 
 def minkowski_residual(geometry: MeshGeometry, h) -> IntegralResult:

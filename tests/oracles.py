@@ -13,26 +13,303 @@ signed gradient traces) and the gravity-center recentering are the
 continuum references for the engine's discrete identities. Light-cone
 section samples are formed as points v = a + u, the direct way the Monte
 Carlo estimators' reduced quadratic must reproduce.
+
+The pointwise geometry is rebuilt from first principles: stereographic
+charts, chart derivatives by the chain rule from an immersion's exact
+ambient `_jac`/`_hess`, and `shape_at` (frames, second fundamental form
+and mean curvature at one point), which the closed-form mean curvature
+of every gallery immersion is checked against. Central finite
+differences in the chart check the exact derivatives in turn. Mesh
+integrals, facet incidences and the Euler characteristic are the direct
+references for the assembled volumes and for mesh topology.
 """
+
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from lorentzlab.bounds import H_CENTER_TOL, TestField, _center_residual
-from lorentzlab.errors import UsageError
+from lorentzlab.errors import DegenerateFrameError, NotSpacelikeError, UsageError
 from lorentzlab.fem import ND_LEAF, apply_discrete_laplacian, assemble_pencil, mesh_geometry
-from lorentzlab.immersions import Immersion, StereographicChart
+from lorentzlab.immersions import Immersion
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import (
     inner,
     metric_signs,
     require_unit_timelike,
+    signature_orthonormalize,
     spacelike_complement_basis,
 )
-from lorentzlab.quadrature import mean_curvature_vertices
+from lorentzlab.quadrature import IntegralResult, mean_curvature_vertices
 
 TAU_CENTER = 1e-8
+TAU_FRAME = 1e-8
+
+
+@dataclass(frozen=True)
+class StereographicChart:
+    """Stereographic coordinates on the unit n-sphere.
+
+    pole = +1 projects from +e_{n+1} (covers everything but the north
+    pole), pole = -1 from -e_{n+1}.
+    """
+
+    n: int
+    pole: int
+
+    def to_manifold(self, u):
+        u = np.asarray(u, dtype=float)
+        s = (u * u).sum(axis=-1, keepdims=True)
+        d = 1.0 + s
+        first = 2.0 * u / d
+        last = self.pole * (s - 1.0) / d
+        return np.concatenate([first, last], axis=-1)
+
+    def from_manifold(self, p):
+        p = np.asarray(p, dtype=float)
+        return p[..., :-1] / (1.0 - self.pole * p[..., -1:])
+
+    def jac(self, u):
+        """d(to_manifold)/du with shape (..., n+1, n)."""
+        u = np.asarray(u, dtype=float)
+        n = self.n
+        s = (u * u).sum(axis=-1)
+        d = 1.0 + s
+        eye = np.eye(n)
+        top = 2.0 * eye / d[..., None, None] - 4.0 * np.einsum(
+            "...i,...j->...ij", u, u
+        ) / (d * d)[..., None, None]
+        bottom = self.pole * 4.0 * u / (d * d)[..., None]
+        return np.concatenate([top, bottom[..., None, :]], axis=-2)
+
+    def hess(self, u):
+        """Second derivatives with shape (..., n+1, n, n)."""
+        u = np.asarray(u, dtype=float)
+        n = self.n
+        s = (u * u).sum(axis=-1)
+        d = 1.0 + s
+        d2 = (d * d)[..., None, None, None]
+        d3 = (d * d * d)[..., None, None, None]
+        eye = np.eye(n)
+        du = np.einsum("ij,...k->...ijk", eye, u)
+        ud = np.einsum("...i,jk->...ijk", u, eye)
+        dxu = np.einsum("ik,...j->...ijk", eye, u)
+        uuu = np.einsum("...i,...j,...k->...ijk", u, u, u)
+        top = -4.0 * (du + dxu + ud) / d2 + 16.0 * uuu / d3
+        uu = np.einsum("...j,...k->...jk", u, u)
+        bottom = self.pole * (
+            4.0 * eye / d2[..., 0] - 16.0 * uu / d3[..., 0]
+        )
+        return np.concatenate([top, bottom[..., None, :, :]], axis=-3)
+
+
+def chart_at(p) -> StereographicChart:
+    """Chart projecting from the pole opposite p's hemisphere."""
+    p = np.asarray(p, dtype=float)
+    return StereographicChart(n=p.shape[-1] - 1, pole=1 if p[-1] <= 0 else -1)
+
+
+def eval_chart(imm: Immersion, chart: StereographicChart, u):
+    return imm.eval(chart.to_manifold(u))
+
+
+def jacobian(imm: Immersion, p) -> np.ndarray:
+    """First chart partials at a single point, shape (m, n)."""
+    chart = chart_at(p)
+    u = chart.from_manifold(np.asarray(p, dtype=float))
+    x = chart.to_manifold(u)
+    return np.einsum("ca,ai->ci", imm._jac(x), chart.jac(u))
+
+
+def hessian(imm: Immersion, p) -> np.ndarray:
+    """Second chart partials at a single point, shape (m, n, n)."""
+    chart = chart_at(p)
+    u = chart.from_manifold(np.asarray(p, dtype=float))
+    x = chart.to_manifold(u)
+    s_jac = chart.jac(u)
+    s_hess = chart.hess(u)
+    return np.einsum("cab,ai,bj->cij", imm._hess(x), s_jac, s_jac) + np.einsum(
+        "ca,aij->cij", imm._jac(x), s_hess
+    )
+
+
+def fd_jacobian(imm: Immersion, chart: StereographicChart, u, h=1e-5):
+    """Central-difference chart Jacobian, shape (m, n)."""
+    cols = []
+    for i in range(imm.n):
+        e = np.zeros(imm.n)
+        e[i] = h
+        cols.append((eval_chart(imm, chart, u + e) - eval_chart(imm, chart, u - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def fd_hessian(imm: Immersion, chart: StereographicChart, u, h=1e-4):
+    """Central differences of `fd_jacobian`, shape (m, n, n)."""
+    cols = []
+    for i in range(imm.n):
+        e = np.zeros(imm.n)
+        e[i] = h
+        jp = fd_jacobian(imm, chart, u + e, h)
+        jm = fd_jacobian(imm, chart, u - e, h)
+        cols.append((jp - jm) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+@dataclass
+class ShapeSample:
+    """Pointwise geometry bundle at a parameter point."""
+
+    point: np.ndarray
+    position: np.ndarray
+    metric: np.ndarray
+    tangent_frame: np.ndarray  # (n, m) orthonormal spacelike rows
+    normal_frame: np.ndarray  # (m-n, m) rows, exactly one timelike
+    normal_signs: np.ndarray
+    second_fundamental: np.ndarray  # (n, n, m), normal-valued
+    mean_curvature: np.ndarray
+    direction: np.ndarray | None = None
+    mean_curvature_projected: np.ndarray | None = None
+    direction_tangent: np.ndarray | None = None
+    direction_normal: np.ndarray | None = None
+
+
+def shape_at(imm: Immersion, p, a=None, frame_tol: float = TAU_FRAME) -> ShapeSample:
+    """Frames, second fundamental form and mean curvature at one point.
+
+    The tangent frame orthonormalizes the chart Jacobian columns; the
+    normal frame completes it by signature Gram-Schmidt over the canonical
+    basis with the timelike direction processed last, so exactly one
+    normal direction carries sign -1.
+    """
+    p = np.asarray(p, dtype=float)
+    jac = jacobian(imm, p)
+    signs_m = metric_signs(imm.m)
+    metric = np.einsum("ci,c,cj->ij", jac, signs_m, jac)
+    eigvals = np.linalg.eigvalsh(metric)
+    if eigvals.min() <= 0:
+        raise NotSpacelikeError(
+            f"induced metric is not spacelike here (min eigenvalue {eigvals.min():.3e})"
+        )
+
+    tangent, t_signs = signature_orthonormalize(list(jac.T), need=imm.n, pivot_tol=frame_tol)
+    if (t_signs != 1.0).any():
+        raise DegenerateFrameError("tangent frame picked up a non-spacelike direction")
+
+    # complete with canonical vectors, timelike candidate last
+    candidates = []
+    order = list(range(1, imm.m)) + [0]
+    for j in order:
+        e = np.zeros(imm.m)
+        e[j] = 1.0
+        e = e - sum(float(inner(e, t)) * t for t in tangent)
+        candidates.append(e)
+    normal, n_signs = signature_orthonormalize(
+        candidates, need=imm.m - imm.n, pivot_tol=frame_tol
+    )
+    if int((n_signs < 0).sum()) != 1:
+        raise DegenerateFrameError("normal frame must contain exactly one timelike direction")
+
+    hess = hessian(imm, p)
+    # normal projection uses signature weights
+    coeff = np.einsum("cij,c,kc->kij", hess, signs_m, normal)  # (m-n, n, n)
+    second = np.einsum("kij,k,kc->ijc", coeff, n_signs, normal)
+    ginv = np.linalg.inv(metric)
+    mean = np.einsum("ij,ijc->c", ginv, second) / imm.n
+
+    sample = ShapeSample(
+        point=p,
+        position=imm.eval(p),
+        metric=metric,
+        tangent_frame=tangent,
+        normal_frame=normal,
+        normal_signs=n_signs,
+        second_fundamental=second,
+        mean_curvature=mean,
+    )
+    if a is not None:
+        a = require_unit_timelike(a)
+        sample.direction = a
+        sample.mean_curvature_projected = mean + float(inner(mean, a)) * a
+        sample.direction_tangent = np.einsum(
+            "i,ic->c", np.einsum("ic,c,c->i", tangent, signs_m, a), tangent
+        )
+        sample.direction_normal = np.einsum(
+            "k,k,kc->c", np.einsum("kc,c,c->k", normal, signs_m, a), n_signs, normal
+        )
+    return sample
+
+
+def counterexample_normal_fields(p):
+    """The two canonical unit normals (timelike, spacelike) of
+    `CounterexampleSphere` at p."""
+    p = np.asarray(p, dtype=float)
+    t = p[..., 0]
+    y = p[..., 1:]
+    zero = np.zeros_like(y)
+    n1 = np.concatenate(
+        [np.stack([np.cosh(t), np.sinh(t)], axis=-1), zero], axis=-1
+    )
+    n2 = np.concatenate(
+        [np.stack([t * np.sinh(t), t * np.cosh(t)], axis=-1), y], axis=-1
+    )
+    return n1, n2
+
+
+def translated(imm: Immersion, delta) -> Immersion:
+    """Shallow copy of imm whose positions are shifted by delta."""
+    moved = copy.copy(imm)
+    value = imm._value
+    moved._value = lambda x: value(x) + delta
+    return moved
+
+
+def facet_incidence(mesh: ParamMesh) -> dict:
+    """Map facet (sorted vertex tuple) -> incidence count."""
+    counts: dict[tuple, int] = {}
+    n = mesh.n
+    for simplex in mesh.simplices:
+        for drop in range(n + 1):
+            facet = tuple(sorted(v for k, v in enumerate(simplex) if k != drop))
+            counts[facet] = counts.get(facet, 0) + 1
+    return counts
+
+
+def euler_characteristic(mesh: ParamMesh) -> int:
+    if mesh.n == 1:
+        return mesh.num_vertices - mesh.num_simplices
+    edges = {
+        tuple(sorted(e))
+        for simplex in mesh.simplices
+        for e in ((simplex[0], simplex[1]), (simplex[1], simplex[2]), (simplex[2], simplex[0]))
+    }
+    return mesh.num_vertices - len(edges) + mesh.num_simplices
+
+
+def integrate_over_mesh(mesh, imm, density, geometry=None) -> IntegralResult:
+    """Sum of element volume times element-average density.
+
+    Accepts per-vertex or per-element data; vertex data is averaged onto
+    elements, which coincides with the lumped-mass vertex rule.
+    """
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    density = np.asarray(density, dtype=float)
+    if density.shape[0] == mesh.num_vertices:
+        value = geom.lumped @ density
+    elif density.shape[0] == mesh.num_simplices:
+        value = geom.volumes @ density
+    else:
+        raise UsageError(
+            f"density length {density.shape[0]} matches neither vertices nor elements"
+        )
+    return IntegralResult(
+        value=float(value) if value.ndim == 0 else value,
+        error=0.0,
+        method="mesh",
+        params={"vertices": mesh.num_vertices, "elements": mesh.num_simplices},
+    )
 
 
 def batched_chart_jacobians(imm: Immersion, pts) -> np.ndarray:
@@ -69,7 +346,7 @@ def gravity_center(imm: Immersion, mesh) -> np.ndarray:
 
 def recenter_to_gravity_origin(imm: Immersion, mesh) -> Immersion:
     """Translate so the mesh-quadrature gravity center sits at the origin."""
-    return imm.translated(-gravity_center(imm, mesh))
+    return translated(imm, -gravity_center(imm, mesh))
 
 
 def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:

@@ -29,6 +29,7 @@ from oracles import (
     recenter_to_gravity_origin,
     signed_gradient_trace_density,
     tangential_sq,
+    translated,
 )
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -394,7 +395,7 @@ def test_projection_bounds_counterexample_strict(counter_engine):
 def test_projection_bound_translation_invariance():
     mesh = build_icosphere_mesh(3)
     imm = CounterexampleSphere(2)
-    moved = imm.translated(np.array([0.7, -2.0, 4.0, 1.3]))
+    moved = translated(imm, np.array([0.7, -2.0, 4.0, 1.3]))
     a = boost_direction(0.6, np.array([1.0, 0.0, 0.0]))
     eng = BoundEngine(mesh, imm, seed=0)
     eng_moved = BoundEngine(mesh, moved, seed=0)

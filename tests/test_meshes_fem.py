@@ -25,15 +25,17 @@ from lorentzlab.meshes import (
     build_circle_mesh,
     build_icosphere_mesh,
     circle_segments_for_level,
-    euler_characteristic,
-    facet_incidence,
-    load_mesh,
-    save_mesh,
 )
 from lorentzlab.pipeline import RunConfig, _build_case
 from lorentzlab.quadrature import beltrami_residual, mean_curvature_vertices
 
-from oracles import build_icosphere_mesh_loop, lambda1_colamd, nested_dissection_order_recursive
+from oracles import (
+    build_icosphere_mesh_loop,
+    euler_characteristic,
+    facet_incidence,
+    lambda1_colamd,
+    nested_dissection_order_recursive,
+)
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -96,22 +98,6 @@ def test_icosphere_matches_loop_oracle_bit_for_bit():
         assert np.array_equal(mesh.simplices, ref.simplices)
 
 
-def test_mesh_ascii_roundtrip(tmp_path):
-    mesh = build_icosphere_mesh(1)
-    path = tmp_path / "mesh.txt"
-    save_mesh(mesh, path)
-    back = load_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.simplices, mesh.simplices)
-    assert back.kind == "sphere"
-
-    circle = build_circle_mesh(16)
-    save_mesh(circle, path)
-    back = load_mesh(path)
-    assert back.kind == "circle"
-    assert np.array_equal(back.simplices, circle.simplices)
-
-
 # --- assembly ----------------------------------------------------------------
 
 
@@ -147,7 +133,6 @@ def test_assembly_rejects_non_spacelike_elements():
     # stretching the time coordinate makes the induced metric Lorentzian
     class TimeStretchedGraph:
         n, m = 2, 4
-        has_closed_mean_curvature = False
 
         def eval(self, pts):
             pts = np.asarray(pts, dtype=float)

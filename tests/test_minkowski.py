@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentzlab.errors import DomainError, UsageError
+from lorentzlab.errors import UsageError
 from lorentzlab.minkowski import (
     CausalClass,
     SymBilinearForm,
@@ -14,7 +14,6 @@ from lorentzlab.minkowski import (
     inner,
     lorentz_trace,
     euclid_trace,
-    project_onto_orthogonal,
     sample_timelike_directions,
     section_integral_exact,
     signature_orthonormalize,
@@ -72,38 +71,11 @@ def test_causal_classify_matches_sign(v):
         assert abs(q) <= 1e-9
 
 
-def test_projection_strips_time_component():
-    out = project_onto_orthogonal(np.array([3.0, 1.0, 0.0, 0.0]), AXIS4)
-    assert np.allclose(out, [0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(project_onto_orthogonal(AXIS4, AXIS4), 0.0)
-
-
-def test_projection_orthogonal_boosted():
-    a = np.array([math.sqrt(2.0), 1.0, 0.0, 0.0])  # already unit timelike
-    out = project_onto_orthogonal(np.array([1.0, 2.0, 0.0, 0.0]), a)
-    assert abs(inner(out, a)) < 1e-12
-
-
-def test_projection_rejects_non_unit_direction():
-    with pytest.raises(DomainError):
-        project_onto_orthogonal(np.ones(4), np.array([2.0, 0.0, 0.0, 0.0]))
-
-
 def test_sym_form_rejects_asymmetric():
     bad = np.eye(4)
     bad[0, 1] = 1.0
     with pytest.raises(UsageError):
         SymBilinearForm(bad)
-
-
-def test_sym_form_operator_identity():
-    rng = np.random.default_rng(0)
-    q = SymBilinearForm.random(4, rng)
-    op = q.operator_lorentz()
-    for _ in range(20):
-        u = rng.standard_normal(4)
-        v = rng.standard_normal(4)
-        assert inner(op @ u, v) == pytest.approx(q(u, v), rel=1e-12, abs=1e-12)
 
 
 def test_trace_examples():

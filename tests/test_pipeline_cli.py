@@ -133,7 +133,7 @@ def test_case_run_computes_geometry_and_mean_curvature_once(monkeypatch):
 
     calls = {"mesh_geometry": 0, "mean_curvature_vertices": 0}
     # every module binding each function is looked up through
-    bindings = {"mesh_geometry": (fem, quadrature), "mean_curvature_vertices": (quadrature, bounds)}
+    bindings = {"mesh_geometry": (fem,), "mean_curvature_vertices": (quadrature, bounds)}
     for name, modules in bindings.items():
         original = getattr(modules[0], name)
 
@@ -338,6 +338,16 @@ def test_cli_forbidden_equality_direction_warns_on_coarse_mesh(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["failures"] == []
     assert "detected an equality direction where none should exist" in report["warnings"]
+
+
+def test_cli_run_prints_warnings_to_stderr(capsys):
+    args = ["run", "--case", "counterexample", "--n", "1", "--level", "0"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    report = run_case(RunConfig(case="counterexample", n=1, level=0))
+    assert captured.out == report_to_json(report)
+    assert captured.err == "".join(f"WARN: {w}\n" for w in report.warnings)
+    assert "WARN: detected an equality direction where none should exist\n" in captured.err
 
 
 def test_cli_forbidden_equality_direction_fails_on_fine_mesh(capsys):

