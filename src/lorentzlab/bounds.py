@@ -13,7 +13,10 @@ The direction-dependent fields are <a, W> = W J a for the centered
 position psi_hat and the mean curvature H, with J = diag(-1, 1, ..., 1).
 The engine therefore builds the m x m Gram matrices W'KW and W'MW once;
 with b = J a each bound is then b'Gb plus a signed trace, and a batch of
-sampled directions is one einsum.
+sampled directions is one einsum. A test field enters the master
+inequality through its Gram pair alone: H and psi_hat read the stored
+pairs, and the projected position psi_hat T, T = I + (J a) a', reads
+T'GT.
 
 Vector-equation residuals are measured in an auxiliary Euclidean norm on
 canonical components; the causal square can vanish on nonzero lightlike
@@ -23,7 +26,7 @@ residuals, so it is reported separately where it matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .fem import assemble_pencil, solve_lambda1
 from .minkowski import (
     CausalClass,
     causal_classify,
-    inner,
     metric_signs,
     require_unit_timelike,
     sample_causal_directions,
@@ -45,28 +47,16 @@ TAU_DISC = 2e-2
 TAU_EQ = 2.5e-2
 STRICT_FACTOR = 8.0
 TAU_ELLE = 1e-6
-S_MAX = 2.0
 H_CENTER_TOL = 1e-2
 # sampled right-hand sides this close to the minimum count as tied; the
 # first such sample is reported, so a flat landscape reports the axis
 TIE_RTOL = 1e-12
 
 __all__ = [
-    "TestField",
     "BoundReport",
     "EqualityDiagnostic",
     "BoundEngine",
 ]
-
-
-@dataclass
-class TestField:
-    """Vector field along the immersion used as eigenvalue test data."""
-
-    values: np.ndarray  # (k, m)
-    provenance: str
-    centered: bool
-    center_residual: np.ndarray  # componentwise integral / Vol
 
 
 @dataclass
@@ -85,25 +75,6 @@ class BoundReport:
     meta: dict = field(default_factory=dict)
 
 
-def _report(name, anchor, lhs, rhs, tol, direction=None, status="ok", **meta):
-    lhs = float(lhs)
-    rhs = float(rhs)
-    slack = rhs - lhs
-    holds = slack >= -tol * max(abs(lhs), abs(rhs))
-    return BoundReport(
-        name=name,
-        anchor=anchor,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=holds,
-        tol=tol,
-        direction=None if direction is None else tuple(float(x) for x in direction),
-        status=status,
-        meta=meta,
-    )
-
-
 @dataclass
 class EqualityDiagnostic:
     """Residual analysis of Delta psi_hat + lambda1 psi_hat = mu * a."""
@@ -120,17 +91,14 @@ class EqualityDiagnostic:
     a_component: np.ndarray = field(repr=False, default=None)
 
 
-def _center_residual(geom, values) -> np.ndarray:
-    return (geom.lumped @ values) / geom.total_volume
-
-
 class BoundEngine:
     """Shared state for bound evaluations on one (mesh, immersion) pair.
 
     Assembles the pencil, solves for the smallest nonzero eigenvalue,
     recenters the position field and builds the Gram matrices of the
-    position and mean-curvature fields once; all evaluations are then pure
-    reads and may run concurrently.
+    position and mean-curvature fields once; all evaluations, the test
+    fields of the master inequality included, are then pure reads of
+    m x m matrices and may run concurrently.
     """
 
     def __init__(self, mesh, imm, seed: int = 0, tol_disc: float = TAU_DISC):
@@ -147,6 +115,10 @@ class BoundEngine:
         center = (self.geometry.lumped @ self.positions) / self.volume
         self.positions_hat = self.positions - center
         self.mean_curvature = mean_curvature_vertices(imm, self.pencil)
+        # the continuum H integrates to zero, the mesh field only to
+        # quadrature accuracy, so its centered flag has a looser tolerance
+        h_center = (self.geometry.lumped @ self.mean_curvature) / self.volume
+        self._h_centered = bool(np.abs(h_center).max() <= H_CENTER_TOL)
 
         K, M, lumped = self.pencil.stiffness, self.pencil.mass, self.geometry.lumped
         psi, h = self.positions_hat, self.mean_curvature
@@ -167,10 +139,22 @@ class BoundEngine:
         self._lumped_resid = self._resid.T @ (lumped[:, None] * self._resid)
         self._lumped_pos = psi.T @ (lumped[:, None] * psi)
 
-    def _finish(self, report: BoundReport) -> BoundReport:
-        report.meta.setdefault("vertices", self.mesh.num_vertices)
-        report.meta.setdefault("level", self.mesh.level)
-        return report
+    def _report(self, name, anchor, lhs, rhs, tol, direction=None, **meta) -> BoundReport:
+        """The one BoundReport constructor; stamps the mesh size and level."""
+        lhs = float(lhs)
+        rhs = float(rhs)
+        slack = rhs - lhs
+        return BoundReport(
+            name=name,
+            anchor=anchor,
+            lhs=lhs,
+            rhs=rhs,
+            slack=slack,
+            holds=slack >= -tol * max(abs(lhs), abs(rhs)),
+            tol=tol,
+            direction=None if direction is None else tuple(float(x) for x in direction),
+            meta={**meta, "vertices": self.mesh.num_vertices, "level": self.mesh.level},
+        )
 
     # quadratic forms in b = J a ----------------------------------------------------
 
@@ -200,63 +184,42 @@ class BoundEngine:
         """Integral of the squared tangential part of a (gradient of <a, psi>)."""
         return float(self._form(self.gram_k_pos, a))
 
-    # test fields ---------------------------------------------------------------
-
-    def test_field_mean_curvature(self) -> TestField:
-        """Mean curvature as a test field.
-
-        The continuum field always integrates to zero; discretely it does so
-        only to quadrature accuracy, so the centered flag uses a
-        discretization-aware tolerance.
-        """
-        residual = _center_residual(self.geometry, self.mean_curvature)
-        return TestField(
-            values=self.mean_curvature,
-            provenance="mean-curvature",
-            centered=bool(np.abs(residual).max() <= H_CENTER_TOL),
-            center_residual=residual,
-        )
-
-    def test_field_position(self) -> TestField:
-        return TestField(
-            values=self.positions_hat,
-            provenance="position",
-            centered=True,
-            center_residual=_center_residual(self.geometry, self.positions_hat),
-        )
-
-    def test_field_projected(self, a) -> TestField:
-        a = require_unit_timelike(a)
-        s = inner(self.positions_hat, a)
-        return TestField(
-            values=self.positions_hat + s[:, None] * a,
-            provenance="projected-position",
-            centered=True,
-            center_residual=_center_residual(self.geometry, self.positions_hat),
-        )
-
     # bounds ----------------------------------------------------------------------
 
-    def test_field_bound(self, W: TestField, a) -> BoundReport:
-        """Master inequality: gradient side dominates the lambda1 side for
-        any centered test field and any unit timelike direction."""
+    def test_field_bound(self, provenance, k_gram, m_gram, a, centered=True) -> BoundReport:
+        """Master inequality for the test field W with Gram pair
+        (W'KW, W'MW): the gradient side dominates the lambda1 side for any
+        centered test field and any unit timelike direction."""
         a = require_unit_timelike(a)
-        values = W.values
-        rhs, weight = self._master_sides(
-            values.T @ (self.pencil.stiffness @ values), values.T @ (self.pencil.mass @ values), a
-        )
-        if weight <= 1e-14 * max(1.0, float(np.abs(values).max()) ** 2):
+        rhs, weight = self._master_sides(k_gram, m_gram, a)
+        if weight <= 1e-14 * max(1.0, float(np.abs(m_gram).max())):
             raise DomainError("test field vanishes identically")
-        return self._finish(_report(
-            f"test-field[{W.provenance}]",
+        return self._report(
+            f"test-field[{provenance}]",
             "test-field",
             self.lambda1 * weight,
             rhs,
             TAU_BOUND,
             direction=a,
-            provenance=W.provenance,
-            centered=W.centered,
-        ))
+            provenance=provenance,
+            centered=centered,
+        )
+
+    def test_field_bounds(self, a):
+        """Master inequality for H, psi_hat and the projected position
+        psi_hat + <psi_hat, a> a = psi_hat T, T = I + (J a) a', whose Gram
+        matrices are T'GT."""
+        a = require_unit_timelike(a)
+        t = np.eye(self.imm.m) + np.outer(self.signs * a, a)
+        return (
+            self.test_field_bound(
+                "mean-curvature", self.gram_k_h, self.gram_m_h, a, self._h_centered
+            ),
+            self.test_field_bound("position", self.gram_k_pos, self.gram_m_pos, a),
+            self.test_field_bound(
+                "projected-position", t.T @ self.gram_k_pos @ t, t.T @ self.gram_m_pos @ t, a
+            ),
+        )
 
     def reilly(self) -> BoundReport:
         """Classical bound lambda1 <= n * mean of the causal curvature square.
@@ -266,10 +229,8 @@ class BoundEngine:
         """
         h_sq_int = self.curvature_sq_integral
         rhs = self.imm.n * h_sq_int / self.volume
-        return self._finish(
-            _report(
-                "reilly", "reilly", self.lambda1, rhs, self.tol_disc, curvature_integral=h_sq_int
-            )
+        return self._report(
+            "reilly", "reilly", self.lambda1, rhs, self.tol_disc, curvature_integral=h_sq_int
         )
 
     def mean_curvature_field_bound(self, a) -> BoundReport:
@@ -277,17 +238,15 @@ class BoundEngine:
         num, denom = self._master_sides(self.gram_k_h, self.gram_m_h, a)
         if denom <= 0:
             raise DomainError("mean curvature field has vanishing weight")
-        return self._finish(
-            _report(
-                "mean-curvature-field",
-                "mean-curvature-field",
-                self.lambda1,
-                num / denom,
-                self.tol_disc,
-                direction=a,
-                numerator=num,
-                denominator=denom,
-            )
+        return self._report(
+            "mean-curvature-field",
+            "mean-curvature-field",
+            self.lambda1,
+            num / denom,
+            self.tol_disc,
+            direction=a,
+            numerator=num,
+            denominator=denom,
         )
 
     def position_field_bounds(self, a):
@@ -304,7 +263,7 @@ class BoundEngine:
         psi_m = self._trace(self.gram_m_pos)
         tangential = self.tangential_energy(a)
 
-        first = self._finish(_report(
+        first = self._report(
             "position-field",
             "position-field",
             self.lambda1 * (m * s_m + psi_m),
@@ -312,8 +271,8 @@ class BoundEngine:
             TAU_BOUND,
             direction=a,
             tangential=tangential,
-        ))
-        second = self._finish(_report(
+        )
+        second = self._report(
             "projected-position-field",
             "projected-position-field",
             self.lambda1 * (psi_m + s_m),
@@ -321,7 +280,7 @@ class BoundEngine:
             TAU_BOUND,
             direction=a,
             tangential=tangential,
-        ))
+        )
         return first, second
 
     def projected_curvature_sq_integral(self, a) -> float:
@@ -341,17 +300,15 @@ class BoundEngine:
         tangential = self.tangential_energy(a)
         denom = self.volume + (tangential / n if sharp else 0.0)
         name = "projected-curvature-sharp" if sharp else "projected-curvature"
-        return self._finish(
-            _report(
-                name,
-                name,
-                self.lambda1,
-                n * h_a_int / denom,
-                self.tol_disc,
-                direction=a,
-                curvature_integral=h_a_int,
-                tangential=tangential,
-            )
+        return self._report(
+            name,
+            name,
+            self.lambda1,
+            n * h_a_int / denom,
+            self.tol_disc,
+            direction=a,
+            curvature_integral=h_a_int,
+            tangential=tangential,
         )
 
     def infimum_over_directions(self, count: int, seed: int) -> BoundReport:
@@ -362,25 +319,23 @@ class BoundEngine:
         is reported, so a flat landscape reports the axis rather than
         whichever sample rounding favours.
         """
-        dirs = sample_timelike_directions(self.imm.m, count, seed, s_max=S_MAX)
+        dirs = sample_timelike_directions(self.imm.m, count, seed)
         n = self.imm.n
         h_a_int = self.curvature_sq_integral + self._form(self.gram_m_h, dirs)
         rhs = n * h_a_int / (self.volume + self._form(self.gram_k_pos, dirs) / n)
         best = rhs.min()
         pick = int(np.flatnonzero(rhs <= best + TIE_RTOL * abs(best))[0])
         best_dir = dirs[pick]
-        return self._finish(
-            _report(
-                "direction-infimum",
-                "direction-infimum",
-                self.lambda1,
-                rhs[pick],
-                self.tol_disc,
-                direction=best_dir,
-                samples=len(dirs),
-                seed=seed,
-                boost=float(np.arccosh(max(best_dir[0], 1.0))),
-            )
+        return self._report(
+            "direction-infimum",
+            "direction-infimum",
+            self.lambda1,
+            rhs[pick],
+            self.tol_disc,
+            direction=best_dir,
+            samples=len(dirs),
+            seed=seed,
+            boost=float(np.arccosh(max(best_dir[0], 1.0))),
         )
 
     # defect form and causal certificate ------------------------------------------
@@ -390,10 +345,6 @@ class BoundEngine:
         position field; positive semi-definite by construction."""
         bv = np.asarray(v, dtype=float) * self.signs
         return float(bv @ self._defect @ bv)
-
-    def rayleigh_defect_matrix(self) -> np.ndarray:
-        """Q in canonical coordinates, J sym(G_K - lambda1 G_M) J; exactly symmetric."""
-        return self.signs[:, None] * self._defect * self.signs
 
     def reilly_causal_certificate(self, ell) -> BoundReport:
         """Classical bound certified by a causal direction annihilating the
@@ -432,22 +383,19 @@ class BoundEngine:
             and abs(causal_sq) / max(euclid_sq, 1e-300) <= 1.0
             and abs(causal_sq) / self._defect_scale / self.lambda1 <= TAU_EQ,
         }
-        return self._finish(BoundReport(
+        return replace(
+            base,
             name="reilly-causal-certificate",
             anchor="reilly-causal-certificate",
-            lhs=base.lhs,
-            rhs=base.rhs,
-            slack=base.slack,
-            holds=base.holds,
-            tol=base.tol,
             direction=tuple(float(x) for x in ell),
             status="ok" if precondition_ok else "precondition-failed",
-            meta=meta,
-        ))
+            # keep the mesh stamp _report gave the classical bound
+            meta=meta | {key: base.meta[key] for key in ("vertices", "level")},
+        )
 
     def causal_defect_search(self, count: int, seed: int) -> dict:
         """Sampling search for a causal direction with vanishing defect."""
-        dirs = sample_causal_directions(self.imm.m, count, seed, s_max=S_MAX)
+        dirs = sample_causal_directions(self.imm.m, count, seed)
         rel = np.abs(self._form(self._defect, dirs)) / (
             self._defect_scale * np.einsum("ij,ij->i", dirs, dirs)
         )

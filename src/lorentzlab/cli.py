@@ -84,26 +84,11 @@ def _config_from_args(args) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         base.update(loaded)
-    base["case"] = args.case
-    for name in (
-        "n",
-        "level",
-        "samples",
-        "seed",
-        "mc_samples",
-        "radius",
-        "scale",
-        "amplitude",
-        "tol_disc",
-        "tol_eq",
-        "spec_file",
-        "out",
-        "fmt",
-        "include_timings",
-    ):
-        value = getattr(args, name)
+    # every RunConfig field is a flag of the same dest; --case is required
+    for f in fields(RunConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            base[name] = value
+            base[f.name] = value
     return RunConfig(**base)
 
 
@@ -155,11 +140,13 @@ def _cmd_suite(args) -> int:
         }
         write_report(payload, args.out)
     failing = [r for r in summary["rows"] if r["verdict"] != "pass"]
-    if failing:
-        for row in failing:
-            print(f"FAIL: {row['case']} level {row['level']}", file=sys.stderr)
-        return 1
-    return 0
+    for row in failing:
+        print(f"FAIL: {row['case']} level {row['level']}", file=sys.stderr)
+    for report in reports:
+        for warning in report.warnings:
+            print(f"WARN: {report.config['case']} level {report.config['level']}: {warning}",
+                  file=sys.stderr)
+    return 1 if failing else 0
 
 
 def _cmd_section_avg(args) -> int:

@@ -36,10 +36,6 @@ class ParamMesh:
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def num_simplices(self) -> int:
-        return self.simplices.shape[0]
-
 
 def circle_segments_for_level(level: int) -> int:
     return 16 * 2**level

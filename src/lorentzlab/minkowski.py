@@ -20,6 +20,8 @@ from .errors import DegenerateFrameError, DomainError, UsageError
 TAU_UNIT = 1e-9
 TAU_CAUSAL = 1e-9
 PIVOT_TOL = 1e-8
+# largest boost rapidity of the sampled direction sets
+S_MAX = 2.0
 
 __all__ = [
     "TAU_UNIT",
@@ -124,10 +126,6 @@ class SymBilinearForm:
     def __call__(self, u, v):
         return np.einsum("...i,ij,...j->...", np.asarray(u, float), self.matrix, np.asarray(v, float))
 
-    def quad(self, v):
-        """Q(v, v) for a batch of vectors with shape (..., m)."""
-        return self(v, v)
-
     @staticmethod
     def random(m: int, rng: np.random.Generator) -> "SymBilinearForm":
         a = rng.standard_normal((m, m))
@@ -224,14 +222,9 @@ def boost_direction(s: float, u) -> np.ndarray:
     return np.concatenate(([math.cosh(s)], math.sinh(s) * u))
 
 
-def sample_timelike_directions(
-    m: int,
-    count: int,
-    seed: int,
-    s_max: float = 2.0,
-    include_axis: bool = True,
-) -> np.ndarray:
-    """Boost-sampled unit timelike directions, prefix-stable in count.
+def sample_timelike_directions(m: int, count: int, seed: int) -> np.ndarray:
+    """The time axis, then `count` boost-sampled unit timelike directions;
+    prefix-stable in count.
 
     Draws interleave per sample so the first k rows agree for any larger
     count with the same seed.
@@ -239,27 +232,25 @@ def sample_timelike_directions(
     if m < 3:
         raise UsageError("need ambient dimension >= 3")
     rng = np.random.default_rng(seed)
-    rows = []
-    if include_axis:
-        axis = np.zeros(m)
-        axis[0] = 1.0
-        rows.append(axis)
+    axis = np.zeros(m)
+    axis[0] = 1.0
+    rows = [axis]
     for _ in range(count):
         g = rng.standard_normal(m - 1)
         u = g / np.linalg.norm(g)
-        s = rng.uniform(0.0, s_max)
+        s = rng.uniform(0.0, S_MAX)
         rows.append(boost_direction(s, u))
     return np.array(rows)
 
 
-def sample_causal_directions(m: int, count: int, seed: int, s_max: float = 2.0) -> np.ndarray:
+def sample_causal_directions(m: int, count: int, seed: int) -> np.ndarray:
     """Mixed timelike and lightlike causal directions for search loops."""
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(count):
         g = rng.standard_normal(m - 1)
         u = g / np.linalg.norm(g)
-        s = rng.uniform(0.0, s_max)
+        s = rng.uniform(0.0, S_MAX)
         if k % 2 == 0:
             rows.append(boost_direction(s, u))
         else:

@@ -281,11 +281,9 @@ def run_case(config: RunConfig) -> RunReport:
         for report in engine.position_field_bounds(a):
             add(report, tag=f" dir{j}")
 
-    field_h = engine.test_field_mean_curvature()
-    field_pos = engine.test_field_position()
     for j, a in enumerate(directions[:4]):
-        for field_w in (field_h, field_pos, engine.test_field_projected(a)):
-            add(engine.test_field_bound(field_w, a), tag=f" dir{j}")
+        for report in engine.test_field_bounds(a):
+            add(report, tag=f" dir{j}")
 
     equality_entries = []
     sharp_equality_found = False
@@ -426,42 +424,30 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
         boost_direction(1.0, _unit_spatial(m, 1)),
     ]
     cases = []
-    ok = True
-    for i in range(5):
-        q = SymBilinearForm.random(m, rng)
-        for j, a in enumerate(dirs):
-            exact = section_integral_exact(q, a)
-            mc = monte_carlo_section_integral(q, a, samples, seed=seed + 100 + 3 * i + j)
-            z = abs(mc.value - exact) / mc.error
-            entry = {
-                "lemma": "section",
-                "form": i,
-                "direction": j,
-                "exact": exact,
-                "estimate": mc.value,
-                "stderr": mc.error,
-                "z": z,
-                "pass": bool(z <= 4.0),
-            }
-            ok = ok and entry["pass"]
-            cases.append(entry)
-    for i in range(5):
-        q = SymBilinearForm.random(m, rng)
-        exact = sphere_integral_exact(q)
-        mc = monte_carlo_sphere_integral(q, samples, seed=seed + 200 + i)
+
+    def add(lemma, form, direction, exact, mc):
         z = abs(mc.value - exact) / mc.error
-        entry = {
-            "lemma": "sphere",
-            "form": i,
-            "direction": None,
+        cases.append({
+            "lemma": lemma,
+            "form": form,
+            "direction": direction,
             "exact": exact,
             "estimate": mc.value,
             "stderr": mc.error,
             "z": z,
             "pass": bool(z <= 4.0),
-        }
-        ok = ok and entry["pass"]
-        cases.append(entry)
+        })
+
+    for i in range(5):
+        q = SymBilinearForm.random(m, rng)
+        for j, a in enumerate(dirs):
+            mc = monte_carlo_section_integral(q, a, samples, seed=seed + 100 + 3 * i + j)
+            add("section", i, j, section_integral_exact(q, a), mc)
+    for i in range(5):
+        q = SymBilinearForm.random(m, rng)
+        mc = monte_carlo_sphere_integral(q, samples, seed=seed + 200 + i)
+        add("sphere", i, None, sphere_integral_exact(q), mc)
+    ok = all(entry["pass"] for entry in cases)
     return {
         "schema_version": SCHEMA_VERSION,
         "m": m,

@@ -3,8 +3,10 @@
 `BoundEngine` evaluates every bound from m x m Gram matrices built once
 per engine. The helpers here recompute the same numbers the direct way,
 one sparse stiffness or mass product per vertex field, and build test
-fields from a mesh and an immersion without an engine. The icosphere is
-rebuilt one midpoint at a time, the way the array build must number it.
+fields from a mesh and an immersion without an engine; `field_grams`
+turns any vertex field into the Gram pair the engine's master inequality
+reads. The icosphere is rebuilt one midpoint at a time, the way the
+array build must number it.
 The nested-dissection ordering is rebuilt one part per recursive call,
 and the first eigenvalue is recomputed on SuperLU's own COLAMD factor,
 with the constant mode left in the spectrum instead of deflated.
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from lorentzlab.bounds import H_CENTER_TOL, TestField, _center_residual
+from lorentzlab.bounds import H_CENTER_TOL
 from lorentzlab.errors import DegenerateFrameError, NotSpacelikeError, UsageError
 from lorentzlab.fem import ND_LEAF, apply_discrete_laplacian, assemble_pencil, mesh_geometry
 from lorentzlab.immersions import Immersion
@@ -279,13 +281,13 @@ def facet_incidence(mesh: ParamMesh) -> dict:
 
 def euler_characteristic(mesh: ParamMesh) -> int:
     if mesh.n == 1:
-        return mesh.num_vertices - mesh.num_simplices
+        return mesh.num_vertices - len(mesh.simplices)
     edges = {
         tuple(sorted(e))
         for simplex in mesh.simplices
         for e in ((simplex[0], simplex[1]), (simplex[1], simplex[2]), (simplex[2], simplex[0]))
     }
-    return mesh.num_vertices - len(edges) + mesh.num_simplices
+    return mesh.num_vertices - len(edges) + len(mesh.simplices)
 
 
 def integrate_over_mesh(mesh, imm, density, geometry=None) -> IntegralResult:
@@ -298,7 +300,7 @@ def integrate_over_mesh(mesh, imm, density, geometry=None) -> IntegralResult:
     density = np.asarray(density, dtype=float)
     if density.shape[0] == mesh.num_vertices:
         value = geom.lumped @ density
-    elif density.shape[0] == mesh.num_simplices:
+    elif density.shape[0] == len(mesh.simplices):
         value = geom.volumes @ density
     else:
         raise UsageError(
@@ -308,7 +310,7 @@ def integrate_over_mesh(mesh, imm, density, geometry=None) -> IntegralResult:
         value=float(value) if value.ndim == 0 else value,
         error=0.0,
         method="mesh",
-        params={"vertices": mesh.num_vertices, "elements": mesh.num_simplices},
+        params={"vertices": mesh.num_vertices, "elements": len(mesh.simplices)},
     )
 
 
@@ -366,6 +368,38 @@ def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:
     return np.einsum("eam,m,ebm,eba->e", dw, signs, dw, geom.gram_inv)
 
 
+@dataclass
+class TestField:
+    """Vector field along the immersion used as eigenvalue test data."""
+
+    values: np.ndarray  # (k, m)
+    provenance: str
+    centered: bool
+    center_residual: np.ndarray  # componentwise integral / Vol
+
+
+def _center_residual(geom, values) -> np.ndarray:
+    return (geom.lumped @ values) / geom.total_volume
+
+
+def field_grams(engine, values):
+    """Gram pair (W'KW, W'MW) of a vertex field W, one sparse product each."""
+    values = np.asarray(values, dtype=float)
+    return values.T @ (engine.pencil.stiffness @ values), values.T @ (engine.pencil.mass @ values)
+
+
+def projected_position(psi, a) -> np.ndarray:
+    """psi + <psi, a> a, vertex by vertex."""
+    return psi + inner(psi, a)[:, None] * a
+
+
+def rayleigh_defect_matrix(engine) -> np.ndarray:
+    """Defect form in canonical coordinates, J sym(G_K - lambda1 G_M) J,
+    from the engine's position Grams; exactly symmetric."""
+    defect = engine.gram_k_pos - engine.lambda1 * engine.gram_m_pos
+    return engine.signs[:, None] * (0.5 * (defect + defect.T)) * engine.signs
+
+
 def k_form(engine, x, y=None) -> float:
     y = x if y is None else y
     return float(x @ (engine.pencil.stiffness @ y))
@@ -418,8 +452,7 @@ def make_test_field_projected(mesh, imm, a, geometry=None) -> TestField:
     a = require_unit_timelike(a)
     geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
     base = make_test_field_position(mesh, imm, geometry=geom)
-    s = inner(base.values, a)
-    values = base.values + s[:, None] * a
+    values = projected_position(base.values, a)
     return TestField(
         values=values,
         provenance="projected-position",

@@ -19,6 +19,7 @@ from lorentzlab.minkowski import (
 )
 from oracles import (
     equality_residuals,
+    field_grams,
     field_k_trace,
     field_m_trace,
     k_form,
@@ -26,6 +27,8 @@ from oracles import (
     make_test_field_mean_curvature,
     make_test_field_position,
     make_test_field_projected,
+    projected_position,
+    rayleigh_defect_matrix,
     recenter_to_gravity_origin,
     signed_gradient_trace_density,
     tangential_sq,
@@ -91,7 +94,7 @@ def test_gram_forms_match_sparse_oracle(case_engines):
         psi, h = eng.positions_hat, eng.mean_curvature
         m, lam = eng.imm.m, eng.lambda1
         assert abs(eng.curvature_sq_integral - field_m_trace(eng, h)) <= rtol * _magnitude(M, h)
-        for a in sample_timelike_directions(m, 8, seed=41, include_axis=True):
+        for a in sample_timelike_directions(m, 8, seed=41):
             b = eng.signs * a
             f_psi, f_h = psi @ b, h @ b
             # the Gram forms never see the cancellation inside V b
@@ -121,9 +124,8 @@ def test_gram_forms_match_sparse_oracle(case_engines):
                   lam * (m * _magnitude(M, g_psi) + _magnitude(M, psi)))
             close(first.meta["tangential"], k_form(eng, f_psi), _magnitude(K, g_psi))
 
-            projected = eng.test_field_projected(a)
-            w = projected.values
-            report = eng.test_field_bound(projected, a)
+            w = projected_position(psi, a)
+            report = eng.test_field_bounds(a)[2]
             g_w = np.abs(psi) @ (1.0 + np.abs(np.outer(b, a)))  # magnitude of psi_hat T
             close(report.lhs, lam * (m * m_form(eng, w @ b) + field_m_trace(eng, w)),
                   lam * (m + 1) * _magnitude(M, g_w))
@@ -208,7 +210,7 @@ def test_gradient_trace_of_position_is_dimension(counter_engine):
 def test_gradient_trace_of_projected_position(counter_engine):
     eng = counter_engine
     a = boost_direction(0.5, np.array([0.6, 0.8, 0.0]))
-    field = eng.test_field_projected(a)
+    field = projected_position(eng.positions_hat, a)
     density = signed_gradient_trace_density(eng.mesh, eng.imm, field, geometry=eng.geometry)
     s = eng.f_direction(eng.positions_hat, a)
     grad_sq = gradient_squared_per_element(eng.geometry, s)
@@ -245,14 +247,14 @@ def test_gradient_trace_of_scalar_times_direction(counter_engine):
 
 def test_gradient_trace_basis_independence(counter_engine):
     eng = counter_engine
-    field = eng.test_field_mean_curvature()
+    field = eng.mean_curvature
     base = signed_gradient_trace_density(eng.mesh, eng.imm, field, geometry=eng.geometry)
     rng = np.random.default_rng(8)
     basis, signs = signature_orthonormalize([rng.standard_normal(4) for _ in range(6)], need=4)
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     recomputed = np.zeros_like(base)
     for b, eps in zip(basis, signs):
-        f_b = field.values @ (eta @ b)
+        f_b = field @ (eta @ b)
         recomputed += eps * gradient_squared_per_element(eng.geometry, f_b)
     scale = np.abs(base).max()
     assert np.abs(recomputed - base).max() <= 1e-9 * max(scale, 1.0)
@@ -262,33 +264,27 @@ def test_gradient_trace_basis_independence(counter_engine):
 
 
 def test_master_inequality_all_cases_and_fields():
-    rng_dirs = sample_timelike_directions(4, 3, seed=21, include_axis=True)
     for eng in engines_for_cases(level=3):
-        dirs = sample_timelike_directions(eng.imm.m, 3, seed=21, include_axis=True)
-        fields = [
-            eng.test_field_mean_curvature(),
-            eng.test_field_position(),
-        ]
-        for a in dirs:
-            for field in fields + [eng.test_field_projected(a)]:
-                report = eng.test_field_bound(field, a)
-                assert report.holds, (type(eng.imm).__name__, field.provenance)
+        h_field = make_test_field_mean_curvature(eng.mesh, eng.imm, pencil=eng.pencil)
+        for a in sample_timelike_directions(eng.imm.m, 3, seed=21):
+            reports = eng.test_field_bounds(a)
+            assert [r.meta["provenance"] for r in reports] == [
+                "mean-curvature", "position", "projected-position"
+            ]
+            assert [r.meta["centered"] for r in reports] == [h_field.centered, True, True]
+            for report in reports:
+                assert report.holds, (type(eng.imm).__name__, report.meta["provenance"])
 
 
 def test_master_inequality_holds_at_level5():
     eng = BoundEngine(build_icosphere_mesh(5), CounterexampleSphere(2), seed=0)
-    for a in sample_timelike_directions(4, 2, seed=31, include_axis=True):
-        for field in (
-            eng.test_field_mean_curvature(),
-            eng.test_field_position(),
-            eng.test_field_projected(a),
-        ):
-            assert eng.test_field_bound(field, a).holds
+    for a in sample_timelike_directions(4, 2, seed=31):
+        for report in eng.test_field_bounds(a):
+            assert report.holds
 
 
 def test_master_inequality_equality_case_slack(sphere_engine):
-    field = sphere_engine.test_field_mean_curvature()
-    report = sphere_engine.test_field_bound(field, AXIS4)
+    report = sphere_engine.test_field_bounds(AXIS4)[0]
     assert report.holds
     assert report.slack / max(abs(report.lhs), abs(report.rhs)) <= 1e-2
 
@@ -299,10 +295,7 @@ def test_master_inequality_reduces_to_minimum_principle(counter_engine):
     f = rng.standard_normal(eng.mesh.num_vertices)
     m_ones = eng.pencil.mass @ np.ones(eng.mesh.num_vertices)
     f -= (m_ones @ f) / eng.volume
-    from lorentzlab.bounds import TestField
-
-    field = TestField(np.outer(f, AXIS4), "custom", True, np.zeros(4))
-    report = eng.test_field_bound(field, AXIS4)
+    report = eng.test_field_bound("custom", *field_grams(eng, np.outer(f, AXIS4)), AXIS4)
     m = eng.imm.m
     # both sides carry the factor m - 1 relative to the minimum principle
     assert report.lhs == pytest.approx(
@@ -313,11 +306,9 @@ def test_master_inequality_reduces_to_minimum_principle(counter_engine):
 
 
 def test_vanishing_test_field_is_rejected(counter_engine):
-    from lorentzlab.bounds import TestField
-
-    zero = TestField(np.zeros((counter_engine.mesh.num_vertices, 4)), "custom", True, np.zeros(4))
+    zero = np.zeros((counter_engine.mesh.num_vertices, 4))
     with pytest.raises(DomainError):
-        counter_engine.test_field_bound(zero, AXIS4)
+        counter_engine.test_field_bound("custom", *field_grams(counter_engine, zero), AXIS4)
 
 
 # --- named bounds ---------------------------------------------------------------------
@@ -354,7 +345,7 @@ def test_mean_curvature_field_bound(sphere_engine, counter_engine):
 
 def test_position_field_bounds_hold_exactly():
     for eng in engines_for_cases(level=3):
-        for a in sample_timelike_directions(eng.imm.m, 3, seed=5, include_axis=True):
+        for a in sample_timelike_directions(eng.imm.m, 3, seed=5):
             first, second = eng.position_field_bounds(a)
             assert first.holds and second.holds
             scale = max(abs(first.lhs), abs(first.rhs))
@@ -383,7 +374,7 @@ def test_projection_bounds_sphere_equality(sphere_engine):
 
 
 def test_projection_bounds_counterexample_strict(counter_engine):
-    for a in sample_timelike_directions(4, 10, seed=7, include_axis=False):
+    for a in sample_timelike_directions(4, 10, seed=7)[1:]:
         sharp = counter_engine.projected_curvature_bound(a, sharp=True)
         plain = counter_engine.projected_curvature_bound(a)
         assert sharp.holds and sharp.slack > 0
@@ -433,7 +424,7 @@ def test_infimum_reports_axis_on_flat_landscape():
 
 
 def test_rayleigh_defect_matrix_positive_semidefinite(counter_engine):
-    q = counter_engine.rayleigh_defect_matrix()
+    q = rayleigh_defect_matrix(counter_engine)
     assert np.allclose(q, q.T, atol=1e-10)
     eigs = np.linalg.eigvalsh(q)
     assert eigs.min() >= -TAU_BOUND * np.abs(q).max()
@@ -441,7 +432,7 @@ def test_rayleigh_defect_matrix_positive_semidefinite(counter_engine):
 
 def test_rayleigh_defect_matrix_exactly_symmetric_psd(case_engines):
     for eng in case_engines:
-        q = eng.rayleigh_defect_matrix()
+        q = rayleigh_defect_matrix(eng)
         assert np.array_equal(q, q.T)
         assert np.linalg.eigvalsh(q).min() >= -1e-12 * np.abs(q).max()
         e1 = np.eye(eng.imm.m)[1]
@@ -504,12 +495,12 @@ def test_equality_diagnostic_sphere(sphere_engine):
     assert diag.radius_from_curvature == pytest.approx(diag.radius_from_lambda1, rel=1e-2)
     assert abs(diag.a_component_integral) <= 1e-10
     # equality persists at boosted directions
-    for a in sample_timelike_directions(4, 5, seed=13, include_axis=False):
+    for a in sample_timelike_directions(4, 5, seed=13)[1:]:
         assert sphere_engine.equality_diagnostic(a).verdict == "equality-case"
 
 
 def test_equality_diagnostic_counterexample_strict(counter_engine):
-    for a in sample_timelike_directions(4, 10, seed=7, include_axis=True):
+    for a in sample_timelike_directions(4, 10, seed=7):
         diag = counter_engine.equality_diagnostic(a)
         assert diag.verdict == "strict"
         assert abs(diag.a_component_integral) <= 1e-10

@@ -1,13 +1,21 @@
-"""Package layout: every exported name is used by the package itself.
+"""Package layout: every exported name and every public method is used by
+the package itself.
 
-A name in a module's `__all__` that nothing in `src/lorentzlab` reads is
-a helper only tests use; it belongs in `tests/oracles.py` or nowhere.
+A name in a module's `__all__`, or a public method or property of a
+package class, that nothing in `src/lorentzlab` reads is a helper only
+tests use; it belongs in `tests/oracles.py` or nowhere. Methods are
+matched by attribute name, so a read of any attribute with that name
+counts.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lorentzlab"
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _exported(tree: ast.Module) -> list[str]:
@@ -27,6 +35,15 @@ def _defined_name(node: ast.stmt) -> str | None:
     return None
 
 
+def _read_name(node: ast.AST) -> str | None:
+    """The name a node loads, if it loads a name or an attribute."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
 def _references(tree: ast.Module) -> set[tuple[str, str | None]]:
     """(name read, top-level definition it is read in) for every load of a
     name or attribute; the `__all__` strings are constants, not loads."""
@@ -34,15 +51,14 @@ def _references(tree: ast.Module) -> set[tuple[str, str | None]]:
     for top in tree.body:
         owner = _defined_name(top)
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.add((node.id, owner))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                out.add((node.attr, owner))
+            name = _read_name(node)
+            if name is not None:
+                out.add((name, owner))
     return out
 
 
 def unused_exports() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     refs = {module: _references(tree) for module, tree in trees.items()}
     unused = []
     for module, tree in trees.items():
@@ -57,5 +73,30 @@ def unused_exports() -> list[str]:
     return unused
 
 
+def unused_methods() -> list[str]:
+    """Public methods and properties of package classes never read in the
+    package outside their own body."""
+    trees = _trees()
+    unused = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                used = any(
+                    _read_name(node) == method.name and id(node) not in own
+                    for other in trees.values()
+                    for node in ast.walk(other)
+                )
+                if not used:
+                    unused.append(f"{module}.{cls.name}.{method.name}")
+    return unused
+
+
 def test_every_export_is_used_inside_the_package():
     assert unused_exports() == []
+
+
+def test_every_public_method_is_used_inside_the_package():
+    assert unused_methods() == []

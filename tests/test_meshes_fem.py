@@ -61,7 +61,7 @@ def closed_h_gallery():
 
 def test_circle_mesh_basics():
     mesh = build_circle_mesh(4)
-    assert mesh.num_vertices == 4 and mesh.num_simplices == 4
+    assert mesh.num_vertices == 4 and len(mesh.simplices) == 4
     angles = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
     gaps = np.diff(np.unwrap(angles))
     assert np.allclose(gaps, 2 * math.pi / 4)
@@ -78,10 +78,10 @@ def test_circle_mesh_rejects_tiny():
 
 def test_icosphere_counts():
     mesh0 = build_icosphere_mesh(0)
-    assert mesh0.num_vertices == 12 and mesh0.num_simplices == 20
+    assert mesh0.num_vertices == 12 and len(mesh0.simplices) == 20
     mesh2 = build_icosphere_mesh(2)
     assert mesh2.num_vertices == 10 * 4**2 + 2 == 162
-    assert mesh2.num_simplices == 20 * 4**2
+    assert len(mesh2.simplices) == 20 * 4**2
     assert np.allclose(np.linalg.norm(mesh2.vertices, axis=1), 1.0)
     counts = facet_incidence(mesh2)
     assert all(c == 2 for c in counts.values())

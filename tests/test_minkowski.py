@@ -155,7 +155,7 @@ def test_section_integral_monte_carlo_oracle():
     for a in (AXIS4, boost_direction(0.7, np.array([0.0, 1.0, 0.0]))):
         q = SymBilinearForm.random(4, rng)
         v = sample_spherical_section(a, rng_seed=17, count=400_000)
-        vals = q.quad(v)
+        vals = q(v, v)
         estimate = unit_sphere_volume(2) * vals.mean()
         stderr = unit_sphere_volume(2) * vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(estimate - section_integral_exact(q, a)) < 4.0 * stderr
@@ -166,7 +166,7 @@ def test_sphere_integral_exact_matches_sampling():
     q = SymBilinearForm.random(4, rng)
     g = rng.standard_normal((400_000, 4))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    vals = q.quad(g)
+    vals = q(g, g)
     estimate = unit_sphere_volume(3) * vals.mean()
     stderr = unit_sphere_volume(3) * vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(estimate - sphere_integral_exact(q)) < 4.0 * stderr

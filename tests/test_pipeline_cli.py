@@ -398,6 +398,17 @@ def test_cli_suite_smoke(capsys):
     assert "suite verdict: pass" in out
 
 
+def test_cli_suite_prints_warnings_to_stderr(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    args = ["suite", "--levels", "1", "--cases", "counterexample", "--samples", "2"]
+    assert main(args + ["--mc-samples", "5000", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    warnings = json.loads(out.read_text(encoding="utf-8"))["reports"][0]["warnings"]
+    assert warnings
+    assert captured.err == "".join(f"WARN: counterexample level 1: {w}\n" for w in warnings)
+    assert captured.out.endswith("suite verdict: pass\n")
+
+
 def test_cli_section_avg(capsys):
     code = main(["section-avg", "--m", "4", "--samples", "50000", "--seed", "7"])
     out = capsys.readouterr().out
