@@ -27,7 +27,7 @@ def main():
 
     imm, _ = _build_case(RunConfig(case=args.case, n=args.n, level=args.level))
     mesh = _build_mesh(imm, args.level)
-    engine = BoundEngine(mesh, imm, seed=0)
+    engine = BoundEngine(mesh, imm)
     print(f"case={args.case} level={args.level} lambda1={engine.lambda1:.8f}")
 
     u = np.zeros(imm.m - 1)

@@ -101,13 +101,13 @@ class BoundEngine:
     m x m matrices and may run concurrently.
     """
 
-    def __init__(self, mesh, imm, seed: int = 0, tol_disc: float = TAU_DISC):
+    def __init__(self, mesh, imm, tol_disc: float = TAU_DISC):
         self.mesh = mesh
         self.imm = imm
         self.tol_disc = float(tol_disc)
         self.pencil = assemble_pencil(mesh, imm)
         self.geometry = self.pencil.geometry
-        self.spectrum = solve_lambda1(self.pencil, seed=seed)
+        self.spectrum = solve_lambda1(self.pencil)
         self.lambda1 = self.spectrum.lambda1
         self.volume = self.geometry.total_volume
         self.signs = metric_signs(imm.m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, lobpcg, splu
 
 from .errors import EigenSolveError, NotSpacelikeError, UsageError
 from .meshes import ParamMesh
@@ -128,9 +128,7 @@ def assemble_pencil(mesh: ParamMesh, imm, geometry: MeshGeometry | None = None) 
     n = mesh.n
     k = mesh.num_vertices
     diff = _difference_matrix(n)
-    k_loc = np.einsum(
-        "ak,eab,bl->ekl", diff, geom.gram_inv * geom.volumes[:, None, None], diff
-    )
+    k_loc = diff.T @ ((geom.gram_inv * geom.volumes[:, None, None]) @ diff)
     m_loc = (np.ones((n + 1, n + 1)) + np.eye(n + 1)) / ((n + 1) * (n + 2))
     m_loc = geom.volumes[:, None, None] * m_loc
 
@@ -203,19 +201,23 @@ def nested_dissection_order(points: np.ndarray, pattern) -> np.ndarray:
     return np.argsort(path, kind="stable")
 
 
-def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG, seed: int = 0) -> Spectrum:
+def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     """Smallest nonzero generalized eigenvalue of (K, Mass).
 
-    Shift-invert Lanczos (ARPACK) on a factorized small shift of the
-    pencil, with the constant vector projected out (in the mass inner
-    product) after every solve. The shifted pencil is SPD, so it is
-    factored without pivoting in nested-dissection order. It computes the
-    n + 1 smallest nonzero eigenpairs, the size of the round-sphere
-    cluster, so a nearly degenerate cluster is resolved as a whole; the
-    second Ritz value only feeds the near-degenerate flag. A pencil no
-    larger than ARPACK's default Lanczos basis is solved densely: there
-    that basis would outgrow the deflated space, and ARPACK would restart
-    on rounding noise.
+    Block LOBPCG (Knyazev 2001) with the constant vector as its
+    constraint, started from the n + 1 parameter coordinates: they span
+    the lambda1 eigenspace of a round sphere, so they nearly span the
+    discrete cluster of every immersion isometric to one, and the whole
+    cluster is resolved together; the second Ritz value only feeds the
+    near-degenerate flag. The preconditioner is a factor of a small shift
+    of the pencil, SPD and so factored without pivoting in
+    nested-dissection order; each iteration solves its block of active
+    residuals in one call, and `iterations` counts the solved columns.
+    LOBPCG stops on absolute residuals of mass-normalised vectors, so it
+    is asked for a tenth of the gate in those units, as the start block
+    measures them; the relative residual is then checked against `tol`.
+    A pencil of at most 20 vertices is solved densely: its deflated
+    space is too small for the block to iterate in.
     """
     K = pencil.stiffness.tocsc()
     M = pencil.mass.tocsc()
@@ -223,7 +225,7 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG, seed: int = 0) -> Spe
     nev = pencil.geometry.mesh.n + 1
     solves = 0
 
-    if k <= max(2 * nev + 1, 20):
+    if k <= 20:
         try:
             ritz, vectors = scipy.linalg.eigh(K.toarray(), M.toarray())
         except np.linalg.LinAlgError as exc:
@@ -231,9 +233,8 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG, seed: int = 0) -> Spe
         # the zero eigenvalue (constant mode) comes first
         ritz, vectors = ritz[1 : nev + 1], vectors[:, 1 : nev + 1]
     else:
-        ones = np.ones(k)
+        ones = np.ones((k, 1))
         m_ones = M @ ones
-        vol = float(m_ones @ ones)
         diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
         shift = 1e-8 * diag_ratio
         shifted = K + shift * M
@@ -248,30 +249,38 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG, seed: int = 0) -> Spe
         except RuntimeError as exc:  # pragma: no cover - singular pencil
             raise EigenSolveError(f"factorization failed: {exc}") from exc
 
-        def deflate(x):
-            return x - (m_ones @ x) / vol
-
-        def shifted_inverse(x):
+        # lobpcg takes a LinearOperator preconditioner in every supported
+        # scipy; it only ever applies it to (k, c) blocks
+        def shifted_inverse(block):
             nonlocal solves
-            solves += 1
-            y = np.empty_like(x)
-            y[perm] = lu.solve(x[perm])
-            return deflate(y)
+            block = block.reshape(k, -1)
+            solves += block.shape[1]
+            out = np.empty_like(block)
+            out[perm] = lu.solve(np.asfortranarray(block[perm]))
+            return out
 
-        v0 = deflate(np.random.default_rng(seed).standard_normal(k))
+        start = pencil.geometry.mesh.vertices
+        start = start - (m_ones.T @ start) / m_ones.sum()
+        m_start = M @ start
+        start_mass = np.einsum("ij,ij->j", start, m_start)
+        rayleigh = np.einsum("ij,ij->j", start, K @ start) / start_mass
+        # the gate's denominator for a mass-normalised vector: about lambda |M x|
+        m_norm = np.linalg.norm(m_start, axis=0) / np.sqrt(start_mass)
+        gate_scale = float(np.min(rayleigh * m_norm))
         try:
-            ritz, vectors = eigsh(
+            ritz, vectors = lobpcg(
                 K,
-                k=nev,
-                M=M,
-                sigma=-shift,
-                OPinv=LinearOperator((k, k), matvec=shifted_inverse, dtype=float),
-                v0=v0,
-                tol=tol,
-                rng=seed,
+                start,
+                B=M,
+                M=LinearOperator(
+                    (k, k), matvec=shifted_inverse, matmat=shifted_inverse, dtype=float
+                ),
+                Y=ones,
+                tol=0.1 * tol * gate_scale,
+                largest=False,
             )
-        except ArpackError as exc:  # ArpackNoConvergence included
-            raise EigenSolveError(f"Lanczos iteration failed: {exc}") from exc
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise EigenSolveError(f"LOBPCG iteration failed: {exc}") from exc
     order = np.argsort(ritz)
     ritz = ritz[order]
     lam = float(ritz[0])

@@ -241,7 +241,7 @@ def run_case(config: RunConfig) -> RunReport:
     stamps["setup"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    engine = BoundEngine(mesh, imm, seed=config.seed, tol_disc=config.tol_disc or TAU_DISC)
+    engine = BoundEngine(mesh, imm, tol_disc=config.tol_disc or TAU_DISC)
     stamps["assemble_solve"] = time.perf_counter() - t1
 
     # the axis, then the sampled directions

@@ -8,8 +8,10 @@ turns any vertex field into the Gram pair the engine's master inequality
 reads. The icosphere is rebuilt one midpoint at a time, the way the
 array build must number it.
 The nested-dissection ordering is rebuilt one part per recursive call,
-and the first eigenvalue is recomputed on SuperLU's own COLAMD factor,
-with the constant mode left in the spectrum instead of deflated.
+the element stiffness is summed by one einsum over the edge-difference
+matrix, and the first eigenvalue is recomputed by shift-invert Lanczos on
+SuperLU's own COLAMD factor, with the constant mode left in the spectrum
+instead of deflated.
 Pointwise chart data (tangential parts of a direction, per-element
 signed gradient traces) and the gravity-center recentering are the
 continuum references for the engine's discrete identities. Light-cone
@@ -35,7 +37,13 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from lorentzlab.bounds import H_CENTER_TOL
 from lorentzlab.errors import DegenerateFrameError, NotSpacelikeError, UsageError
-from lorentzlab.fem import ND_LEAF, apply_discrete_laplacian, assemble_pencil, mesh_geometry
+from lorentzlab.fem import (
+    ND_LEAF,
+    _difference_matrix,
+    apply_discrete_laplacian,
+    assemble_pencil,
+    mesh_geometry,
+)
 from lorentzlab.immersions import Immersion
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import (
@@ -532,6 +540,20 @@ def nested_dissection_order_recursive(points, pattern) -> np.ndarray:
         )
 
     return np.array(order(np.arange(points.shape[0])), dtype=np.int64)
+
+
+def stiffness_einsum(mesh, geometry) -> sp.csr_matrix:
+    """P1 stiffness from element matrices summed by one 3-operand einsum
+    over the edge-difference matrix, then scattered like the assembly."""
+    n = mesh.n
+    diff = _difference_matrix(n)
+    k_loc = np.einsum(
+        "ak,eab,bl->ekl", diff, geometry.gram_inv * geometry.volumes[:, None, None], diff
+    )
+    rows = np.repeat(mesh.simplices, n + 1, axis=1).ravel()
+    cols = np.tile(mesh.simplices, (1, n + 1)).ravel()
+    k = mesh.num_vertices
+    return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
 
 
 def lambda1_colamd(pencil, seed: int = 0) -> float:

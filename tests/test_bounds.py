@@ -47,28 +47,28 @@ def unit_sphere(n=2):
 
 @pytest.fixture(scope="module")
 def sphere_engine():
-    return BoundEngine(build_icosphere_mesh(4), unit_sphere(), seed=0)
+    return BoundEngine(build_icosphere_mesh(4), unit_sphere())
 
 
 @pytest.fixture(scope="module")
 def counter_engine():
-    return BoundEngine(build_icosphere_mesh(4), CounterexampleSphere(2), seed=0)
+    return BoundEngine(build_icosphere_mesh(4), CounterexampleSphere(2))
 
 
 @pytest.fixture(scope="module")
 def null_engine():
-    return BoundEngine(build_icosphere_mesh(4), NullHyperplaneSphere(2, 0.5), seed=0)
+    return BoundEngine(build_icosphere_mesh(4), NullHyperplaneSphere(2, 0.5))
 
 
 def engines_for_cases(level=3):
     mesh = build_icosphere_mesh(level)
     circle = build_circle_mesh(circle_segments_for_level(level), level=level)
     return [
-        BoundEngine(mesh, unit_sphere(), seed=0),
-        BoundEngine(mesh, CounterexampleSphere(2), seed=0),
-        BoundEngine(circle, CounterexampleSphere(1), seed=0),
-        BoundEngine(mesh, CylinderSphere(2, HyperbolicArc(2.0)), seed=0),
-        BoundEngine(mesh, NullHyperplaneSphere(2, 0.5), seed=0),
+        BoundEngine(mesh, unit_sphere()),
+        BoundEngine(mesh, CounterexampleSphere(2)),
+        BoundEngine(circle, CounterexampleSphere(1)),
+        BoundEngine(mesh, CylinderSphere(2, HyperbolicArc(2.0))),
+        BoundEngine(mesh, NullHyperplaneSphere(2, 0.5)),
     ]
 
 
@@ -277,7 +277,7 @@ def test_master_inequality_all_cases_and_fields():
 
 
 def test_master_inequality_holds_at_level5():
-    eng = BoundEngine(build_icosphere_mesh(5), CounterexampleSphere(2), seed=0)
+    eng = BoundEngine(build_icosphere_mesh(5), CounterexampleSphere(2))
     for a in sample_timelike_directions(4, 2, seed=31):
         for report in eng.test_field_bounds(a):
             assert report.holds
@@ -330,7 +330,7 @@ def test_reilly_counterexample_violated(counter_engine):
 
 
 def test_reilly_cylinder_violated():
-    eng = BoundEngine(build_icosphere_mesh(4), CylinderSphere(2, HyperbolicArc(2.0)), seed=0)
+    eng = BoundEngine(build_icosphere_mesh(4), CylinderSphere(2, HyperbolicArc(2.0)))
     report = eng.reilly()
     assert not report.holds
     assert report.rhs == pytest.approx(2.0 * 29.0 / 30.0, rel=1e-2)
@@ -388,8 +388,8 @@ def test_projection_bound_translation_invariance():
     imm = CounterexampleSphere(2)
     moved = translated(imm, np.array([0.7, -2.0, 4.0, 1.3]))
     a = boost_direction(0.6, np.array([1.0, 0.0, 0.0]))
-    eng = BoundEngine(mesh, imm, seed=0)
-    eng_moved = BoundEngine(mesh, moved, seed=0)
+    eng = BoundEngine(mesh, imm)
+    eng_moved = BoundEngine(mesh, moved)
     for sharp in (False, True):
         r1 = eng.projected_curvature_bound(a, sharp=sharp)
         r2 = eng_moved.projected_curvature_bound(a, sharp=sharp)
@@ -414,7 +414,7 @@ def test_infimum_over_directions(counter_engine, sphere_engine):
 
 def test_infimum_reports_axis_on_flat_landscape():
     # every sample ties to rounding on the round sphere; the axis is reported
-    eng = BoundEngine(build_icosphere_mesh(3), unit_sphere(), seed=7)
+    eng = BoundEngine(build_icosphere_mesh(3), unit_sphere())
     report = eng.infimum_over_directions(20, seed=8)
     assert report.direction == (1.0, 0.0, 0.0, 0.0)
     assert report.meta["boost"] == 0.0
@@ -515,8 +515,8 @@ def test_equality_diagnostic_null_graph_strict(null_engine):
 
 def test_equality_tolerance_tracks_level():
     mesh3 = build_icosphere_mesh(3)
-    eng3 = BoundEngine(mesh3, unit_sphere(), seed=0)
+    eng3 = BoundEngine(mesh3, unit_sphere())
     assert eng3.equality_tolerance() == pytest.approx(2 * BoundEngine(
-        build_icosphere_mesh(4), unit_sphere(), seed=0
+        build_icosphere_mesh(4), unit_sphere()
     ).equality_tolerance())
     assert eng3.equality_diagnostic(AXIS4).verdict == "equality-case"

@@ -446,3 +446,26 @@ def test_cli_entrypoint_subprocess():
         timeout=300,
     )
     assert proc.returncode == 0
+
+
+def test_cli_never_loads_scipy_special(tmp_path):
+    # the slice rules are numpy-only, so the import chain and a run of
+    # each kind stay clear of scipy.special and its start-up cost
+    script = (
+        "import sys\n"
+        "import lorentzlab.cli\n"
+        "out = sys.argv[1]\n"
+        "lorentzlab.cli.main(['run', '--case', 'counterexample', '--level', '2', '--out', out])\n"
+        "lorentzlab.cli.main(['suite', '--levels', '1', '--cases', 'all', '--samples', '2',"
+        " '--mc-samples', '1000', '--out', out])\n"
+        "lorentzlab.cli.main(['section-avg', '--samples', '1000', '--out', out])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

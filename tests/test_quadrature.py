@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from lorentzlab import quadrature
 from lorentzlab.errors import NumericalError, UsageError
@@ -114,6 +115,15 @@ def test_nonnegative_density_gives_nonnegative_integral():
 
 
 # --- slice integrals -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [32, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slice_rule_matches_scipy_gauss_jacobi(n, count):
+    x, w = quadrature._slice_rule(n, count)
+    x_ref, w_ref = roots_jacobi(count, (n - 2) / 2.0, (n - 2) / 2.0)
+    assert np.abs(x - x_ref).max() <= 2e-15
+    assert np.abs(w - w_ref).max() <= 2e-13 * w_ref.max()
 
 
 def test_slice_total_volume():
