@@ -4,8 +4,12 @@
 Keys and their order, strings, booleans, ints and null must be identical.
 Floats must agree within 1e-9 * max(1, |old|); the `slack` of a bound
 entry (an object with `lhs`, `rhs` and `slack`) must agree within
-1e-9 * max(|lhs|, |rhs|) of the old entry. On a mismatch the worst
-offenders are printed and the exit code is 1.
+1e-9 * max(|lhs|, |rhs|) of the old entry. A `lambda1.residual` pair
+matches when both values are at most the report's residual gate 1e-8
+(`fem.TAU_EIG`): the value only says that the eigensolve passed the gate,
+and a solver change may move it by more than 1e-9 within it. A residual
+above the gate on either side is a mismatch unless the two are equal. On
+a mismatch the worst offenders are printed and the exit code is 1.
 
 Usage: python scripts/compare_reports.py OLD NEW
 """
@@ -16,6 +20,7 @@ import math
 import sys
 
 RTOL = 1e-9
+RESIDUAL_GATE = 1e-8  # fem.TAU_EIG, the gate on lambda1.residual
 SHOW = 20  # offenders printed on a mismatch
 
 
@@ -46,6 +51,10 @@ def _walk(old, new, path, out, slack_scale=None):
             _walk(a, b, f"{path}[{i}]", out)
     elif isinstance(old, float):
         if old == new or (math.isnan(old) and math.isnan(new)):
+            return
+        if path.endswith(".lambda1.residual"):
+            if not (old <= RESIDUAL_GATE and new <= RESIDUAL_GATE):
+                out.append((math.inf, path, f"{old!r} -> {new!r} (above the gate {RESIDUAL_GATE:g})"))
             return
         tol = RTOL * (slack_scale if slack_scale is not None else max(1.0, abs(old)))
         diff = abs(new - old)

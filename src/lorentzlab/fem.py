@@ -7,8 +7,9 @@ integrates products of P1 interpolants exactly; these two facts make the
 discrete minimum principle exact and are relied on by the bounds layer.
 
 Assembly is vectorized with a fixed reduction order, so matrices are
-reproducible bit for bit. The eigensolver is single-threaded by contract;
-independent solves may run concurrently.
+reproducible bit for bit. The eigensolver iterates in float64 on a float32
+preconditioner factor; only its float64 residual gate accepts lambda1. It
+is single-threaded by contract; independent solves may run concurrently.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ TAU_EIG = 1e-8
 
 # parts of the nested-dissection ordering this small are not split further
 ND_LEAF = 64
+
+# the float32 preconditioner factors K + FACTOR_SHIFT tr(K)/tr(M) M;
+# solve_lambda1 derives the value from float32 rounding
+FACTOR_SHIFT = 1e-6
 
 __all__ = [
     "TAU_EIG",
@@ -201,6 +206,23 @@ def nested_dissection_order(points: np.ndarray, pattern) -> np.ndarray:
     return np.argsort(path, kind="stable")
 
 
+def _permuted_csc32(a: sp.csr_matrix, perm: np.ndarray) -> sp.csc_matrix:
+    """P a P' of a symmetric CSR matrix as a float32 CSC matrix, in one gather.
+
+    Row i of the result is row perm[i] of `a` with its columns renumbered;
+    `a` is symmetric, so the same arrays hold the columns.
+    """
+    inverse = np.empty(perm.size, dtype=a.indices.dtype)
+    inverse[perm] = np.arange(perm.size)
+    lengths = np.diff(a.indptr)[perm]
+    indptr = np.zeros(perm.size + 1, dtype=a.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    gather = np.repeat(a.indptr[perm] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return sp.csc_matrix(
+        (a.data[gather].astype(np.float32), inverse[a.indices[gather]], indptr), shape=a.shape
+    )
+
+
 def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     """Smallest nonzero generalized eigenvalue of (K, Mass).
 
@@ -209,18 +231,38 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     the lambda1 eigenspace of a round sphere, so they nearly span the
     discrete cluster of every immersion isometric to one, and the whole
     cluster is resolved together; the second Ritz value only feeds the
-    near-degenerate flag. The preconditioner is a factor of a small shift
-    of the pencil, SPD and so factored without pivoting in
-    nested-dissection order; each iteration solves its block of active
-    residuals in one call, and `iterations` counts the solved columns.
-    LOBPCG stops on absolute residuals of mass-normalised vectors, so it
-    is asked for a tenth of the gate in those units, as the start block
-    measures them; the relative residual is then checked against `tol`.
-    A pencil of at most 20 vertices is solved densely: its deflated
-    space is too small for the block to iterate in.
+    near-degenerate flag. LOBPCG stops on absolute residuals of
+    mass-normalised vectors, so it is asked for a tenth of the gate in
+    those units, as the start block measures them; the float64 relative
+    residual is then checked against `tol`, and only that gate accepts
+    lambda1. A pencil of at most 20 vertices is solved densely: its
+    deflated space is too small for the block to iterate in.
+
+    The preconditioner is a float32 factor of A = K + s M, SPD and so
+    factored without pivoting in nested-dissection order; each iteration
+    solves its block of active residuals in one call, and `iterations`
+    counts the solved columns. The shift s keeps A positive definite
+    after rounding to float32 (unit roundoff u = 2^-24). Rounding moves
+    each entry by at most u |a_ij|, so it moves x'Ax by at most
+    u sum_i r_i x_i^2, with r_i = sum_j |a_ij| the Gershgorin row sums
+    (|x_i x_j| <= (x_i^2 + x_j^2) / 2). K is semidefinite and each element
+    mass matrix dominates its lumped one over n + 2, so M >= lumped/(n + 2)
+    and x'Ax >= s sum_i lumped_i x_i^2 / (n + 2). The row of s M sums to
+    s lumped_i, so A stays definite when, to first order in u,
+
+        s > u (n + 2) max_i (sum_j |K_ij|) / lumped_i.
+
+    K rows sum to zero and lumped_i = (n + 2) M_ii / 2, so on a
+    quasi-uniform mesh the bound is about 4 u max_i K_ii / M_ii, near
+    2.4e-7 tr(K)/tr(M); the shipped meshes need at most 3.2e-7 tr(K)/tr(M).
+    s = FACTOR_SHIFT tr(K)/tr(M) = 1e-6 tr(K)/tr(M) leaves a factor of
+    three. Below the bound factors fail: at 1e-8 tr(K)/tr(M) the n = 1,
+    level-1 cylinder-curve factor is exactly singular. Above it the
+    preconditioner weakens: at 1e-5 tr(K)/tr(M) the level-6 solves take
+    15 columns instead of 12.
     """
-    K = pencil.stiffness.tocsc()
-    M = pencil.mass.tocsc()
+    K = pencil.stiffness
+    M = pencil.mass
     k = K.shape[0]
     nev = pencil.geometry.mesh.n + 1
     solves = 0
@@ -236,18 +278,19 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         ones = np.ones((k, 1))
         m_ones = M @ ones
         diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
-        shift = 1e-8 * diag_ratio
-        shifted = K + shift * M
+        shifted = K + (FACTOR_SHIFT * diag_ratio) * M
         perm = nested_dissection_order(pencil.geometry.mesh.vertices, shifted)
+        shifted = _permuted_csc32(shifted, perm)
         try:
             lu = splu(
-                shifted[perm][:, perm],
+                shifted,
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
         except RuntimeError as exc:  # pragma: no cover - singular pencil
             raise EigenSolveError(f"factorization failed: {exc}") from exc
+        del shifted
 
         # lobpcg takes a LinearOperator preconditioner in every supported
         # scipy; it only ever applies it to (k, c) blocks
@@ -256,7 +299,7 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
             block = block.reshape(k, -1)
             solves += block.shape[1]
             out = np.empty_like(block)
-            out[perm] = lu.solve(np.asfortranarray(block[perm]))
+            out[perm] = lu.solve(np.asfortranarray(block[perm], dtype=np.float32))
             return out
 
         start = pencil.geometry.mesh.vertices

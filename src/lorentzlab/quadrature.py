@@ -9,6 +9,7 @@ deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,25 +51,31 @@ class IntegralResult:
     params: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=None)
 def _slice_rule(n: int, count: int):
     """Gauss-Jacobi nodes (ascending) and weights for (1-t^2)^{(n-2)/2} on [-1, 1].
 
     Closed-form Gauss-Chebyshev for n = 1, Gauss-Legendre for n = 2, and
     otherwise Golub-Welsch: the nodes are the eigenvalues of the Jacobi
     matrix of the symmetric Jacobi weight, the weights are the squared
-    first eigenvector components times the weight's total mass.
+    first eigenvector components times the weight's total mass. Rules are
+    computed once per (n, count) and returned read-only.
     """
     if n == 1:
         x = -np.cos((2 * np.arange(1, count + 1) - 1) * (np.pi / (2 * count)))
-        return x, np.full(count, np.pi / count)
-    if n == 2:
-        return np.polynomial.legendre.leggauss(count)
-    a = (n - 2) / 2.0
-    k = np.arange(1, count)
-    off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
-    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    mass = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
-    return x, mass * vectors[0] ** 2
+        w = np.full(count, np.pi / count)
+    elif n == 2:
+        x, w = np.polynomial.legendre.leggauss(count)
+    else:
+        a = (n - 2) / 2.0
+        k = np.arange(1, count)
+        off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+        x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        mass = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+        w = mass * vectors[0] ** 2
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def sphere_slice_integral(n: int, phi, nodes: int = SLICE_NODES) -> IntegralResult:

@@ -9,7 +9,7 @@ compare_reports = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_reports)
 
 BASE = {
-    "lambda1": {"value": 2.0, "iterations": 19},
+    "lambda1": {"value": 2.0, "iterations": 19, "residual": 8.3e-10},
     "bounds": [
         {"name": "reilly", "lhs": 2.0, "rhs": 1.7, "slack": -0.3, "holds": False, "direction": None},
         {"name": "tiny", "lhs": 1e-3, "rhs": 2e-3, "slack": 1e-3, "holds": True, "direction": [1.0]},
@@ -44,6 +44,22 @@ def test_slack_is_measured_against_its_entry():
     # ... but 1e-11 is not, although it is far below 1e-9 * max(1, |slack|)
     (_, path, _), = compare_reports.compare(BASE, edited(("bounds", 1, "slack"), 1e-3 + 1e-11))
     assert path == "$.bounds[1].slack"
+
+
+def test_residual_matches_within_its_gate():
+    # 8.3e-10 -> 9.9e-9 is far beyond 1e-9 but both pass the 1e-8 gate
+    assert compare_reports.compare(BASE, edited(("lambda1", "residual"), 9.9e-9)) == []
+    assert compare_reports.compare(BASE, edited(("lambda1", "residual"), 1e-8)) == []
+    nan = float("nan")
+    for old, new in ((8.3e-10, 1.05e-8), (9.5e-9, 1.02e-8), (2e-8, 9e-9), (nan, 1e-9), (1e-9, nan)):
+        base = edited(("lambda1", "residual"), old)
+        (excess, path, message), = compare_reports.compare(base, edited(("lambda1", "residual"), new))
+        assert path == "$.lambda1.residual" and "above the gate" in message, (old, new)
+    # a residual outside the lambda1 block is an ordinary float
+    other = dict(BASE, identities={"residual": 1e-10})
+    drifted = dict(BASE, identities={"residual": 5e-9})
+    (_, path, message), = compare_reports.compare(other, drifted)
+    assert path == "$.identities.residual" and "tol" in message
 
 
 def test_exact_fields_must_match():

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import lorentzlab.fem
 from lorentzlab.errors import EigenSolveError, NotSpacelikeError, UsageError
@@ -293,6 +294,56 @@ def test_level5_factor_fill_below_colamd(monkeypatch):
     solve_lambda1(assemble_pencil(build_icosphere_mesh(5), CounterexampleSphere(2)))
     # COLAMD gives 1,347,336 entries here
     assert len(fills) == 1 and fills[0] < 1_100_000
+
+
+def test_preconditioner_is_one_float32_csc_factor(monkeypatch):
+    factored = []
+    splu = lorentzlab.fem.splu
+
+    def recording_splu(a, **kw):
+        factored.append((a.format, a.dtype))
+        return splu(a, **kw)
+
+    monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
+    solve_lambda1(assemble_pencil(build_icosphere_mesh(3), CounterexampleSphere(2)))
+    assert factored == [("csc", np.float32)]
+
+
+@pytest.mark.parametrize(
+    "n, level", [(1, level) for level in range(9)] + [(2, level) for level in range(1, 7)]
+)
+def test_float32_factor_pivots_positive(monkeypatch, n, level):
+    factors = []
+    splu = lorentzlab.fem.splu
+
+    def recording_splu(a, **kw):
+        factors.append(splu(a, **kw))
+        return factors[-1]
+
+    monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
+    for case in CASES:
+        imm, _ = _build_case(RunConfig(case=case, n=n))
+        pen = assemble_pencil(_build_mesh(imm, level), imm)
+        if pen.size <= 20:
+            continue
+        # the shift outweighs float32 rounding (see solve_lambda1)
+        K, M = pen.stiffness, pen.mass
+        shift = lorentzlab.fem.FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum()
+        rows = abs(K) @ np.ones(pen.size)
+        assert shift > 2.0**-24 * (n + 2) * np.max(rows / pen.lumped + shift)
+        solve_lambda1(pen)
+        lu = factors.pop()
+        assert np.array_equal(lu.perm_r, np.arange(pen.size)), case
+        assert lu.U.diagonal().min() > 0, case
+    assert not factors
+
+
+@pytest.mark.parametrize("level", (3, 4, 5))
+@pytest.mark.parametrize("case", CASES)
+def test_block_solves_take_12_or_15_columns(case, level):
+    imm, _ = _build_case(RunConfig(case=case))
+    spec = solve_lambda1(assemble_pencil(build_icosphere_mesh(level), imm))
+    assert spec.iterations in (12, 15)
 
 
 @pytest.mark.parametrize("level", range(6))

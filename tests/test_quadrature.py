@@ -126,6 +126,16 @@ def test_slice_rule_matches_scipy_gauss_jacobi(n, count):
     assert np.abs(w - w_ref).max() <= 2e-13 * w_ref.max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slice_rule_is_cached_read_only(n):
+    x, w = quadrature._slice_rule(n, 64)
+    x_fresh, w_fresh = quadrature._slice_rule.__wrapped__(n, 64)
+    again = quadrature._slice_rule(n, 64)
+    for cached, repeat, fresh in ((x, again[0], x_fresh), (w, again[1], w_fresh)):
+        assert np.array_equal(repeat, cached) and np.array_equal(fresh, cached)
+        assert not cached.flags.writeable and not repeat.flags.writeable
+
+
 def test_slice_total_volume():
     assert sphere_slice_integral(2, lambda t: np.ones_like(t)).value == pytest.approx(4 * math.pi)
     assert sphere_slice_integral(1, lambda t: np.ones_like(t)).value == pytest.approx(2 * math.pi)
