@@ -25,9 +25,5 @@ class NumericalError(LorentzLabError, RuntimeError):
     """A numerical procedure failed to converge or broke down."""
 
 
-class DegenerateFrameError(NumericalError):
-    """Frame construction hit a pivot below tolerance."""
-
-
 class EigenSolveError(NumericalError):
     """Eigenvalue iteration failed to reach the requested residual."""

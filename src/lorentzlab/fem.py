@@ -44,8 +44,6 @@ __all__ = [
     "Spectrum",
     "nested_dissection_order",
     "solve_lambda1",
-    "apply_discrete_laplacian",
-    "gradient_squared_per_element",
 ]
 
 
@@ -119,17 +117,12 @@ class FEMPencil:
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    lumped: np.ndarray
     geometry: MeshGeometry
 
-    @property
-    def size(self) -> int:
-        return self.stiffness.shape[0]
 
-
-def assemble_pencil(mesh: ParamMesh, imm, geometry: MeshGeometry | None = None) -> FEMPencil:
+def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
     """Assemble P1 stiffness and consistent mass under the chord metric."""
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    geom = mesh_geometry(mesh, imm)
     n = mesh.n
     k = mesh.num_vertices
     diff = _difference_matrix(n)
@@ -141,7 +134,7 @@ def assemble_pencil(mesh: ParamMesh, imm, geometry: MeshGeometry | None = None) 
     cols = np.tile(mesh.simplices, (1, n + 1)).ravel()
     stiffness = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
     mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
-    return FEMPencil(stiffness=stiffness, mass=mass, lumped=geom.lumped, geometry=geom)
+    return FEMPencil(stiffness=stiffness, mass=mass, geometry=geom)
 
 
 @dataclass
@@ -235,7 +228,13 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     mass-normalised vectors, so it is asked for a tenth of the gate in
     those units, as the start block measures them; the float64 relative
     residual is then checked against `tol`, and only that gate accepts
-    lambda1. A pencil of at most 20 vertices is solved densely: its
+    lambda1. The request never goes below what float64 can reach:
+    rounding K x leaves a residual of about eps tr(K)/tr(M) |x| against a
+    gate denominator of about lambda |M x|, so the request is at least
+    ten times eps tr(K)/tr(M) / lambda in gate units, with lambda the
+    smallest start Rayleigh quotient. Below that floor LOBPCG would only
+    exhaust its iterations and warn; an unreachable `tol` is reported by
+    the gate alone. A pencil of at most 20 vertices is solved densely: its
     deflated space is too small for the block to iterate in.
 
     The preconditioner is a float32 factor of A = K + s M, SPD and so
@@ -310,6 +309,7 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         # the gate's denominator for a mass-normalised vector: about lambda |M x|
         m_norm = np.linalg.norm(m_start, axis=0) / np.sqrt(start_mass)
         gate_scale = float(np.min(rayleigh * m_norm))
+        floor = 10.0 * np.finfo(float).eps * diag_ratio / float(np.min(rayleigh))
         try:
             ritz, vectors = lobpcg(
                 K,
@@ -319,7 +319,7 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
                     (k, k), matvec=shifted_inverse, matmat=shifted_inverse, dtype=float
                 ),
                 Y=ones,
-                tol=0.1 * tol * gate_scale,
+                tol=max(0.1 * tol, floor) * gate_scale,
                 largest=False,
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -352,26 +352,3 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         residual=residual,
         near_degenerate=near_degenerate,
     )
-
-
-def apply_discrete_laplacian(pencil: FEMPencil, values) -> np.ndarray:
-    """Lumped-mass Laplacian, signed so eigenfields satisfy L f = -lambda f.
-
-    Vector-valued fields (k, c) are handled componentwise.
-    """
-    values = np.asarray(values, dtype=float)
-    flat = values if values.ndim == 2 else values[:, None]
-    if flat.shape[0] != pencil.size:
-        raise UsageError("value count does not match vertex count")
-    out = -(pencil.stiffness @ flat) / pencil.lumped[:, None]
-    return out if values.ndim == 2 else out[:, 0]
-
-
-def gradient_squared_per_element(geometry: MeshGeometry, values) -> np.ndarray:
-    """Squared P1 gradient under the element metric; exact for affine data."""
-    mesh = geometry.mesh
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != mesh.num_vertices:
-        raise UsageError("value count does not match vertex count")
-    du = values[mesh.simplices[:, 1:]] - values[mesh.simplices[:, :1]]
-    return np.einsum("ea,eab,eb->e", du, geometry.gram_inv, du)

@@ -3,9 +3,7 @@
 Parameter points are unit vectors in R^{n+1}. An immersion gives the
 pipeline its position and its closed-form mean curvature vector, plus the
 squared mean curvature as a function of the height (first parameter
-coordinate) for the slice integrals. Gallery immersions also carry exact
-ambient derivatives, which the tests' pointwise shape oracle checks the
-closed forms against.
+coordinate) for the slice integrals.
 
 Immersions are immutable and shareable; every evaluation is pure, so batch
 work may be partitioned across workers freely.
@@ -41,9 +39,7 @@ class Immersion:
     Subclasses implement the ambient map `_value` on a neighborhood of the
     sphere (shape (..., m)), the closed-form mean curvature vector
     `_mean_curvature` and its causal square as a function of the height,
-    `mean_curvature_sq_of_height`. The exact ambient derivatives `_jac`
-    and `_hess` (shapes (..., m, n+1) and (..., m, n+1, n+1)) feed the
-    tests' pointwise shape oracle only.
+    `mean_curvature_sq_of_height`.
     """
 
     def __init__(self, n: int, m: int):
@@ -59,12 +55,6 @@ class Immersion:
         self.m = m
 
     def _value(self, x):
-        raise NotImplementedError
-
-    def _jac(self, x):
-        raise NotImplementedError
-
-    def _hess(self, x):
         raise NotImplementedError
 
     def _mean_curvature(self, x):
@@ -103,14 +93,6 @@ class HyperplaneSphere(Immersion):
 
     def _value(self, x):
         return self.radius * x @ self.frame + self.center
-
-    def _jac(self, x):
-        jac = self.radius * self.frame.T  # (m, n+1)
-        return np.broadcast_to(jac, x.shape[:-1] + jac.shape)
-
-    def _hess(self, x):
-        d = self.n + 1
-        return np.zeros(x.shape[:-1] + (self.m, d, d))
 
     def _mean_curvature(self, x):
         return -(x @ self.frame) / self.radius
@@ -214,22 +196,6 @@ class CylinderSphere(Immersion):
         y = x[..., 1:]
         return np.concatenate([self.curve.value(t), y], axis=-1)
 
-    def _jac(self, x):
-        t = x[..., 0]
-        d = self.n + 1
-        jac = np.zeros(x.shape[:-1] + (self.m, d))
-        jac[..., 0:2, 0] = self.curve.d1(t)
-        idx = np.arange(1, d)
-        jac[..., idx + 1, idx] = 1.0
-        return jac
-
-    def _hess(self, x):
-        t = x[..., 0]
-        d = self.n + 1
-        hess = np.zeros(x.shape[:-1] + (self.m, d, d))
-        hess[..., 0:2, 0, 0] = self.curve.d2(t)
-        return hess
-
     def _mean_curvature(self, x):
         # Laplacian of f(t) on the round sphere is (1-t^2) f'' - n t f'
         t = x[..., 0]
@@ -279,34 +245,9 @@ class NullHyperplaneSphere(Immersion):
     def _height(self, x):
         return self.amplitude * x[..., 0] * x[..., 1]
 
-    def _height_grad(self, x):
-        g = np.zeros_like(x)
-        g[..., 0] = self.amplitude * x[..., 1]
-        g[..., 1] = self.amplitude * x[..., 0]
-        return g
-
-    def _height_hess(self, x):
-        d = self.n + 1
-        h = np.zeros(x.shape[:-1] + (d, d))
-        h[..., 0, 1] = self.amplitude
-        h[..., 1, 0] = self.amplitude
-        return h
-
     def _value(self, x):
         h = self._height(x)[..., None]
         return np.concatenate([h, x, h], axis=-1)
-
-    def _jac(self, x):
-        g = self._height_grad(x)[..., None, :]
-        d = self.n + 1
-        eye = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d))
-        return np.concatenate([g, eye, g], axis=-2)
-
-    def _hess(self, x):
-        hh = self._height_hess(x)[..., None, :, :]
-        d = self.n + 1
-        zeros = np.zeros(x.shape[:-1] + (d, d, d))
-        return np.concatenate([hh, zeros, hh], axis=-3)
 
     def _mean_curvature(self, x):
         # the height is a degree-2 harmonic: Delta h = -2(n+1) h on the sphere

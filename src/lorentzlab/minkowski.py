@@ -15,11 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateFrameError, DomainError, UsageError
+from .errors import DomainError, UsageError
 
 TAU_UNIT = 1e-9
 TAU_CAUSAL = 1e-9
-PIVOT_TOL = 1e-8
 # largest boost rapidity of the sampled direction sets
 S_MAX = 2.0
 
@@ -36,7 +35,6 @@ __all__ = [
     "SymBilinearForm",
     "lorentz_trace",
     "euclid_trace",
-    "signature_orthonormalize",
     "spacelike_complement_basis",
     "unit_sphere_volume",
     "section_integral_exact",
@@ -80,24 +78,24 @@ class CausalClass(Enum):
     ZERO = "zero"
 
 
-def causal_classify(v, tol: float = TAU_CAUSAL) -> CausalClass:
+def causal_classify(v) -> CausalClass:
     v = np.asarray(v, dtype=float)
     if not v.any():
         return CausalClass.ZERO
     q = float(sq_norm(v))
-    if abs(q) <= tol:
+    if abs(q) <= TAU_CAUSAL:
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if q < 0 else CausalClass.SPACELIKE
 
 
-def is_unit_timelike(a, tol: float = TAU_UNIT) -> bool:
+def is_unit_timelike(a) -> bool:
     a = np.asarray(a, dtype=float)
-    return a.shape[-1] >= 3 and abs(float(sq_norm(a)) + 1.0) <= tol
+    return a.shape[-1] >= 3 and abs(float(sq_norm(a)) + 1.0) <= TAU_UNIT
 
 
-def require_unit_timelike(a, tol: float = TAU_UNIT) -> np.ndarray:
+def require_unit_timelike(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if not is_unit_timelike(a, tol):
+    if not is_unit_timelike(a):
         raise DomainError(f"expected a unit timelike vector, got <a,a> = {float(sq_norm(a))}")
     return a
 
@@ -149,46 +147,22 @@ def euclid_trace(Q) -> float:
     return float(np.trace(_form_matrix(Q)))
 
 
-def signature_orthonormalize(candidates, need=None, pivot_tol: float = PIVOT_TOL):
-    """Modified Gram-Schmidt under the indefinite product.
-
-    Candidates whose orthogonalized remainder is close to the light cone
-    (|<w,w>| below pivot_tol relative to the Euclidean size) are skipped.
-    Returns (rows, signs) with rows[i] satisfying <row_i, row_j> = signs[i] delta_ij.
-    """
-    basis: list[np.ndarray] = []
-    signs: list[float] = []
-    for cand in candidates:
-        w = np.array(cand, dtype=float)
-        size = float(w @ w)
-        for _ in range(2):  # second pass controls cancellation near the cone
-            for b, eps in zip(basis, signs):
-                w = w - eps * float(inner(b, w)) * b
-        e2 = float(w @ w)
-        q = float(sq_norm(w))
-        # candidate already spanned, or residue hugging the light cone
-        if e2 <= pivot_tol**2 * max(size, 1.0) or abs(q) <= pivot_tol * e2:
-            continue
-        basis.append(w / math.sqrt(abs(q)))
-        signs.append(1.0 if q > 0 else -1.0)
-        if need is not None and len(basis) == need:
-            break
-    if need is not None and len(basis) < need:
-        raise DegenerateFrameError(
-            f"could only extract {len(basis)} of {need} frame vectors"
-        )
-    return np.array(basis), np.array(signs)
-
-
 def spacelike_complement_basis(a) -> np.ndarray:
-    """Orthonormal spacelike rows spanning the hyperplane orthogonal to a."""
+    """Orthonormal spacelike rows spanning the hyperplane orthogonal to a.
+
+    For a = (a0, v) the rows are (v_j, e_j + v_j v / (1 + a0)), the boost
+    taking e_0 to a applied to e_1, ..., e_{m-1}; at a = e_0 they are the
+    identity rows. a and -a share the complement, so a past-directed a is
+    flipped first and 1 + a0 >= 2.
+    """
     a = require_unit_timelike(a)
-    m = a.shape[-1]
-    candidates = [a] + list(np.eye(m))
-    basis, signs = signature_orthonormalize(candidates, need=m)
-    if signs[0] != -1.0 or (signs[1:] != 1.0).any():
-        raise DegenerateFrameError("complement of a timelike direction must be spacelike")
-    return basis[1:]
+    if a[0] < 0:
+        a = -a
+    v = a[1:]
+    rows = np.empty((v.size, a.size))
+    rows[:, 0] = v
+    rows[:, 1:] = np.eye(v.size) + np.outer(v, v / (1.0 + a[0]))
+    return rows
 
 
 def unit_sphere_volume(k: int) -> float:

@@ -330,7 +330,9 @@ def run_case(config: RunConfig) -> RunReport:
     geom, psi_hat, h = engine.geometry, engine.positions_hat, engine.mean_curvature
     vol = engine.volume
     # the axis and the first sampled direction
-    projected = [minkowski_projected_identities(geom, psi_hat, h, a) for a in directions[:2]]
+    projected = [
+        minkowski_projected_identities(engine.pencil, psi_hat, h, a) for a in directions[:2]
+    ]
     identities = {
         "minkowski_residual_rel": abs(minkowski_residual(geom, h).value) / vol,
         "minkowski_projected_rel": [abs(first.value) / vol for first, _ in projected],

@@ -1,10 +1,11 @@
 """Integral identities over meshes, symmetry-reduced slices of round
 spheres, and Monte Carlo integration over light-cone sections.
 
-Mesh integrals use the lumped-mass vertex rule of the P1 assembly; slice
-integrals use Gauss-Jacobi rules sized to be effectively exact for every
-shipped integrand. All routines are pure; Monte Carlo runs are
-deterministic per seed.
+Mesh integrals use the lumped-mass vertex rule of the P1 assembly and read
+its stiffness matrix for gradient energies and the Laplacian, so the
+module needs numpy only. Slice integrals use Gauss-Jacobi rules sized to
+be effectively exact for every shipped integrand. All routines are pure;
+Monte Carlo runs are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .fem import FEMPencil, MeshGeometry, apply_discrete_laplacian, gradient_squared_per_element
 from .minkowski import (
     SymBilinearForm,
     inner,
@@ -78,13 +78,13 @@ def _slice_rule(n: int, count: int):
     return x, w
 
 
-def sphere_slice_integral(n: int, phi, nodes: int = SLICE_NODES) -> IntegralResult:
+def sphere_slice_integral(n: int, phi) -> IntegralResult:
     """Integral over the unit n-sphere of a function of the height t.
 
     Uses the slice reduction Vol(S^{n-1}) * int phi(t) (1-t^2)^{(n-2)/2} dt
-    with a Gauss-Jacobi rule; exact to machine precision for polynomial
-    phi up to the rule degree. The error estimate compares against a rule
-    with half the nodes.
+    with a `SLICE_NODES`-point Gauss-Jacobi rule; exact to machine
+    precision for polynomial phi up to the rule degree. The error estimate
+    compares against a rule with half the nodes.
     """
     if n < 1:
         raise UsageError("sphere dimension must be at least 1")
@@ -97,22 +97,22 @@ def sphere_slice_integral(n: int, phi, nodes: int = SLICE_NODES) -> IntegralResu
             raise NumericalError("slice integrand produced non-finite values")
         return ring * float(w @ vals)
 
-    value = run(nodes)
-    coarse = run(max(nodes // 2, 2))
+    value = run(SLICE_NODES)
+    coarse = run(SLICE_NODES // 2)
     return IntegralResult(
         value=value,
         error=abs(value - coarse),
         method="slice",
-        params={"nodes": nodes, "n": n},
+        params={"nodes": SLICE_NODES, "n": n},
     )
 
 
-def mean_curvature_vertices(imm, pencil: FEMPencil) -> np.ndarray:
+def mean_curvature_vertices(imm, pencil) -> np.ndarray:
     """Closed-form mean curvature vector at every vertex of the pencil's mesh."""
     return imm.mean_curvature(pencil.geometry.mesh.vertices)
 
 
-def minkowski_residual(geometry: MeshGeometry, h) -> IntegralResult:
+def minkowski_residual(geometry, h) -> IntegralResult:
     """Residual of the volume identity: integral of 1 + <psi, H>.
 
     Vanishes on compact submanifolds; the discrete value measures
@@ -122,17 +122,19 @@ def minkowski_residual(geometry: MeshGeometry, h) -> IntegralResult:
     return IntegralResult(value=float(geometry.lumped @ density), params={"identity": "minkowski"})
 
 
-def minkowski_projected_identities(geometry: MeshGeometry, psi_hat, h, a):
+def minkowski_projected_identities(pencil, psi_hat, h, a):
     """Residuals of the two projected-field integral identities.
 
     First: integral of 1 + <psi_a, H_a> - <psi,a><H,a>. Second: integral
     of <psi_a, H_a> plus Vol plus (1/n) integral of the squared tangential
     part of a. Both vanish in the continuum for the position field psi_hat
-    centered at the gravity center; `geometry` supplies the elements.
-    Since <psi_a, H_a> - <psi,a><H,a> = <psi, H>, the first does not
-    depend on a.
+    centered at the gravity center. The tangential part of a is the
+    gradient of s = <psi_hat, a>, so its squared integral is the
+    stiffness form s'Ks. Since <psi_a, H_a> - <psi,a><H,a> = <psi, H>,
+    the first does not depend on a.
     """
     a = require_unit_timelike(a)
+    geometry = pencil.geometry
     s = inner(psi_hat, a)
     ha = inner(h, a)
     pos_a = psi_hat + s[:, None] * a
@@ -143,8 +145,7 @@ def minkowski_projected_identities(geometry: MeshGeometry, psi_hat, h, a):
         value=float(geometry.lumped @ (1.0 + cross - s * ha)),
         params={"identity": "minkowski-projected"},
     )
-    grad_sq = gradient_squared_per_element(geometry, s)
-    tangential = float(geometry.volumes @ grad_sq)
+    tangential = float(s @ (pencil.stiffness @ s))
     cross_int = float(geometry.lumped @ cross)
     second = IntegralResult(
         value=cross_int + geometry.total_volume + tangential / geometry.mesh.n,
@@ -153,14 +154,15 @@ def minkowski_projected_identities(geometry: MeshGeometry, psi_hat, h, a):
     return first, second
 
 
-def beltrami_residual(pencil: FEMPencil, h) -> IntegralResult:
+def beltrami_residual(pencil, h) -> IntegralResult:
     """L2 norm (componentwise Euclidean) of Delta_h psi - n H over the mesh.
 
-    Needs the closed-form mean curvature H; measures the consistency of
-    the discrete Laplacian.
+    Delta_h is the lumped-mass Laplacian -K/lumped, signed so eigenfields
+    satisfy Delta_h f = -lambda f. Needs the closed-form mean curvature H;
+    measures the consistency of the discrete Laplacian.
     """
     geom = pencil.geometry
-    lap = apply_discrete_laplacian(pencil, geom.positions)
+    lap = -(pencil.stiffness @ geom.positions) / geom.lumped[:, None]
     target = geom.mesh.n * h
     diff_sq = ((lap - target) ** 2).sum(axis=1)
     value = float(np.sqrt(geom.lumped @ diff_sq / geom.total_volume))

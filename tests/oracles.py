@@ -19,16 +19,22 @@ section samples are formed as points v = a + u, the direct way the Monte
 Carlo estimators' reduced quadratic must reproduce.
 
 The pointwise geometry is rebuilt from first principles: stereographic
-charts, chart derivatives by the chain rule from an immersion's exact
-ambient `_jac`/`_hess`, and `shape_at` (frames, second fundamental form
-and mean curvature at one point), which the closed-form mean curvature
-of every gallery immersion is checked against. Central finite
+charts, exact ambient derivatives of every gallery class
+(`ambient_jacobian`/`ambient_hessian`), chart derivatives from them by
+the chain rule, and `shape_at` (frames by signature Gram-Schmidt, second
+fundamental form and mean curvature at one point), which the
+closed-form mean curvature of every gallery immersion is checked
+against. The same Gram-Schmidt is the reference for the package's
+closed-form section frame. Central finite
 differences in the chart check the exact derivatives in turn. Mesh
 integrals, facet incidences and the Euler characteristic are the direct
-references for the assembled volumes and for mesh topology.
+references for the assembled volumes and for mesh topology; the
+lumped-mass Laplacian and per-element squared gradients are the direct
+references for the stiffness reads of the identities.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,27 +42,165 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from lorentzlab.bounds import H_CENTER_TOL
-from lorentzlab.errors import DegenerateFrameError, NotSpacelikeError, UsageError
-from lorentzlab.fem import (
-    ND_LEAF,
-    _difference_matrix,
-    apply_discrete_laplacian,
-    assemble_pencil,
-    mesh_geometry,
+from lorentzlab.errors import NotSpacelikeError, NumericalError, UsageError
+from lorentzlab.fem import ND_LEAF, _difference_matrix, assemble_pencil, mesh_geometry
+from lorentzlab.immersions import (
+    CylinderSphere,
+    HyperplaneSphere,
+    Immersion,
+    NullHyperplaneSphere,
 )
-from lorentzlab.immersions import Immersion
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import (
     inner,
     metric_signs,
     require_unit_timelike,
-    signature_orthonormalize,
+    sq_norm,
     spacelike_complement_basis,
 )
 from lorentzlab.quadrature import IntegralResult, mean_curvature_vertices
 
 TAU_CENTER = 1e-8
 TAU_FRAME = 1e-8
+
+
+class DegenerateFrameError(NumericalError):
+    """Frame construction hit a pivot below tolerance."""
+
+
+def signature_orthonormalize(candidates, need=None, pivot_tol: float = TAU_FRAME):
+    """Modified Gram-Schmidt under the indefinite product.
+
+    Candidates whose orthogonalized remainder is close to the light cone
+    (|<w,w>| below pivot_tol relative to the Euclidean size) are skipped.
+    Returns (rows, signs) with rows[i] satisfying <row_i, row_j> = signs[i] delta_ij.
+    """
+    basis: list[np.ndarray] = []
+    signs: list[float] = []
+    for cand in candidates:
+        w = np.array(cand, dtype=float)
+        size = float(w @ w)
+        for _ in range(2):  # second pass controls cancellation near the cone
+            for b, eps in zip(basis, signs):
+                w = w - eps * float(inner(b, w)) * b
+        e2 = float(w @ w)
+        q = float(sq_norm(w))
+        # candidate already spanned, or residue hugging the light cone
+        if e2 <= pivot_tol**2 * max(size, 1.0) or abs(q) <= pivot_tol * e2:
+            continue
+        basis.append(w / math.sqrt(abs(q)))
+        signs.append(1.0 if q > 0 else -1.0)
+        if need is not None and len(basis) == need:
+            break
+    if need is not None and len(basis) < need:
+        raise DegenerateFrameError(
+            f"could only extract {len(basis)} of {need} frame vectors"
+        )
+    return np.array(basis), np.array(signs)
+
+
+def gram_schmidt_complement_basis(a) -> np.ndarray:
+    """Spacelike rows of a-perp by signature Gram-Schmidt of a, e_0, ..., e_{m-1}."""
+    a = require_unit_timelike(a)
+    basis, signs = signature_orthonormalize([a] + list(np.eye(a.shape[-1])), need=a.shape[-1])
+    if signs[0] != -1.0 or (signs[1:] != 1.0).any():
+        raise DegenerateFrameError("complement of a timelike direction must be spacelike")
+    return basis[1:]
+
+
+def apply_discrete_laplacian(pencil, values) -> np.ndarray:
+    """Lumped-mass Laplacian, signed so eigenfields satisfy L f = -lambda f.
+
+    Vector-valued fields (k, c) are handled componentwise.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values if values.ndim == 2 else values[:, None]
+    if flat.shape[0] != pencil.stiffness.shape[0]:
+        raise UsageError("value count does not match vertex count")
+    out = -(pencil.stiffness @ flat) / pencil.geometry.lumped[:, None]
+    return out if values.ndim == 2 else out[:, 0]
+
+
+def gradient_squared_per_element(geometry, values) -> np.ndarray:
+    """Squared P1 gradient under the element metric; exact for affine data."""
+    mesh = geometry.mesh
+    values = np.asarray(values, dtype=float)
+    if values.shape[0] != mesh.num_vertices:
+        raise UsageError("value count does not match vertex count")
+    du = values[mesh.simplices[:, 1:]] - values[mesh.simplices[:, :1]]
+    return np.einsum("ea,eab,eb->e", du, geometry.gram_inv, du)
+
+
+# exact ambient derivatives of the gallery maps on a neighbourhood of the
+# sphere, shapes (..., m, n+1) and (..., m, n+1, n+1)
+
+
+def _hyperplane_jacobian(imm: HyperplaneSphere, x):
+    jac = imm.radius * imm.frame.T  # (m, n+1)
+    return np.broadcast_to(jac, x.shape[:-1] + jac.shape)
+
+
+def _hyperplane_hessian(imm: HyperplaneSphere, x):
+    d = imm.n + 1
+    return np.zeros(x.shape[:-1] + (imm.m, d, d))
+
+
+def _cylinder_jacobian(imm: CylinderSphere, x):
+    d = imm.n + 1
+    jac = np.zeros(x.shape[:-1] + (imm.m, d))
+    jac[..., 0:2, 0] = imm.curve.d1(x[..., 0])
+    idx = np.arange(1, d)
+    jac[..., idx + 1, idx] = 1.0
+    return jac
+
+
+def _cylinder_hessian(imm: CylinderSphere, x):
+    d = imm.n + 1
+    hess = np.zeros(x.shape[:-1] + (imm.m, d, d))
+    hess[..., 0:2, 0, 0] = imm.curve.d2(x[..., 0])
+    return hess
+
+
+def _null_graph_jacobian(imm: NullHyperplaneSphere, x):
+    # the height is amplitude * x_0 x_1
+    g = np.zeros_like(x)
+    g[..., 0] = imm.amplitude * x[..., 1]
+    g[..., 1] = imm.amplitude * x[..., 0]
+    g = g[..., None, :]
+    d = imm.n + 1
+    eye = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d))
+    return np.concatenate([g, eye, g], axis=-2)
+
+
+def _null_graph_hessian(imm: NullHyperplaneSphere, x):
+    d = imm.n + 1
+    hh = np.zeros(x.shape[:-1] + (1, d, d))
+    hh[..., 0, 0, 1] = imm.amplitude
+    hh[..., 0, 1, 0] = imm.amplitude
+    zeros = np.zeros(x.shape[:-1] + (d, d, d))
+    return np.concatenate([hh, zeros, hh], axis=-3)
+
+
+_AMBIENT_DERIVATIVES = {
+    HyperplaneSphere: (_hyperplane_jacobian, _hyperplane_hessian),
+    CylinderSphere: (_cylinder_jacobian, _cylinder_hessian),
+    NullHyperplaneSphere: (_null_graph_jacobian, _null_graph_hessian),
+}
+
+
+def _ambient_derivatives(imm: Immersion):
+    for cls in type(imm).__mro__:
+        if cls in _AMBIENT_DERIVATIVES:
+            return _AMBIENT_DERIVATIVES[cls]
+    raise UsageError(f"no exact derivatives for {type(imm).__name__}")
+
+
+def ambient_jacobian(imm: Immersion, x) -> np.ndarray:
+    return _ambient_derivatives(imm)[0](imm, np.asarray(x, dtype=float))
+
+
+def ambient_hessian(imm: Immersion, x) -> np.ndarray:
+    return _ambient_derivatives(imm)[1](imm, np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -131,7 +275,7 @@ def jacobian(imm: Immersion, p) -> np.ndarray:
     chart = chart_at(p)
     u = chart.from_manifold(np.asarray(p, dtype=float))
     x = chart.to_manifold(u)
-    return np.einsum("ca,ai->ci", imm._jac(x), chart.jac(u))
+    return np.einsum("ca,ai->ci", ambient_jacobian(imm, x), chart.jac(u))
 
 
 def hessian(imm: Immersion, p) -> np.ndarray:
@@ -141,8 +285,8 @@ def hessian(imm: Immersion, p) -> np.ndarray:
     x = chart.to_manifold(u)
     s_jac = chart.jac(u)
     s_hess = chart.hess(u)
-    return np.einsum("cab,ai,bj->cij", imm._hess(x), s_jac, s_jac) + np.einsum(
-        "ca,aij->cij", imm._jac(x), s_hess
+    return np.einsum("cab,ai,bj->cij", ambient_hessian(imm, x), s_jac, s_jac) + np.einsum(
+        "ca,aij->cij", ambient_jacobian(imm, x), s_hess
     )
 
 
@@ -333,7 +477,7 @@ def batched_chart_jacobians(imm: Immersion, pts) -> np.ndarray:
         chart = StereographicChart(n=imm.n, pole=pole)
         u = chart.from_manifold(pts[mask])
         x = chart.to_manifold(u)
-        out[mask] = np.einsum("kca,kai->kci", imm._jac(x), chart.jac(u))
+        out[mask] = np.einsum("kca,kai->kci", ambient_jacobian(imm, x), chart.jac(u))
     return out
 
 

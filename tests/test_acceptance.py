@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lorentzlab.bounds import BoundEngine
-from lorentzlab.fem import assemble_pencil, mesh_geometry, solve_lambda1
+from lorentzlab.fem import assemble_pencil, solve_lambda1
 from lorentzlab.immersions import (
     CounterexampleSphere,
     CylinderSphere,
@@ -200,8 +200,9 @@ def test_criterion_5_volume_identities():
                 mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
             else:
                 mesh = build_icosphere_mesh(level)
-            geom = mesh_geometry(mesh, imm)
-            h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm, geometry=geom))
+            pencil = assemble_pencil(mesh, imm)
+            geom = pencil.geometry
+            h = mean_curvature_vertices(imm, pencil)
             res = abs(minkowski_residual(geom, h).value) / geom.total_volume
             residuals.append(res)
         assert residuals[-1] <= 1e-3, f"{name}: residual {residuals[-1]:.2e}"
@@ -214,11 +215,12 @@ def test_criterion_5_volume_identities():
         else:
             mesh = build_icosphere_mesh(4)
         recentered = recenter_to_gravity_origin(imm, mesh)
-        geom = mesh_geometry(mesh, recentered)
-        h = mean_curvature_vertices(recentered, assemble_pencil(mesh, recentered, geometry=geom))
+        pencil = assemble_pencil(mesh, recentered)
+        geom = pencil.geometry
+        h = mean_curvature_vertices(recentered, pencil)
         a = np.concatenate(([1.0], np.zeros(imm.m - 1)))
         for direction in (a, boost_direction(0.5, _spatial_unit(imm.m))):
-            first, second = minkowski_projected_identities(geom, geom.positions, h, direction)
+            first, second = minkowski_projected_identities(pencil, geom.positions, h, direction)
             assert abs(first.value) / geom.total_volume <= 1e-3, name
             assert abs(second.value) / geom.total_volume <= 1e-3, name
             worst = max(

@@ -3,7 +3,7 @@ import pytest
 
 from lorentzlab.bounds import BoundEngine, TAU_BOUND
 from lorentzlab.errors import DomainError, UsageError
-from lorentzlab.fem import gradient_squared_per_element, mesh_geometry
+from lorentzlab.fem import mesh_geometry
 from lorentzlab.immersions import (
     CounterexampleSphere,
     CylinderSphere,
@@ -12,16 +12,13 @@ from lorentzlab.immersions import (
     NullHyperplaneSphere,
 )
 from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
-from lorentzlab.minkowski import (
-    boost_direction,
-    sample_timelike_directions,
-    signature_orthonormalize,
-)
+from lorentzlab.minkowski import boost_direction, sample_timelike_directions
 from oracles import (
     equality_residuals,
     field_grams,
     field_k_trace,
     field_m_trace,
+    gradient_squared_per_element,
     k_form,
     m_form,
     make_test_field_mean_curvature,
@@ -31,6 +28,7 @@ from oracles import (
     rayleigh_defect_matrix,
     recenter_to_gravity_origin,
     signed_gradient_trace_density,
+    signature_orthonormalize,
     tangential_sq,
     translated,
 )

@@ -1,11 +1,13 @@
 """Package layout: every exported name and every public method is used by
-the package itself.
+the package itself, and the light-cone modules stay numpy-only.
 
 A name in a module's `__all__`, or a public method or property of a
 package class, that nothing in `src/lorentzlab` reads is a helper only
 tests use; it belongs in `tests/oracles.py` or nowhere. Methods are
 matched by attribute name, so a read of any attribute with that name
-counts.
+counts. `minkowski` and `quadrature` (the section frame, the exact
+integrals and the estimators) import nothing from the FEM pipeline or
+scipy.
 """
 
 import ast
@@ -92,6 +94,28 @@ def unused_methods() -> list[str]:
                 if not used:
                     unused.append(f"{module}.{cls.name}.{method.name}")
     return unused
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """First component of every module a tree imports, relative to the
+    package for package modules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            if node.module in (None, "lorentzlab"):  # from . import fem
+                names.update(alias.name for alias in node.names)
+    return {name.removeprefix("lorentzlab.").split(".")[0] for name in names}
+
+
+def test_light_cone_modules_import_no_fem_pipeline_or_scipy():
+    trees = _trees()
+    for module in ("minkowski", "quadrature"):
+        forbidden = imported_modules(trees[module]) & {"fem", "bounds", "pipeline", "cli", "scipy"}
+        assert not forbidden, f"{module} imports {sorted(forbidden)}"
 
 
 def test_every_export_is_used_inside_the_package():

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ import lorentzlab.fem
 from lorentzlab.errors import EigenSolveError, NotSpacelikeError, UsageError
 from lorentzlab.fem import (
     TAU_EIG,
-    apply_discrete_laplacian,
     assemble_pencil,
-    gradient_squared_per_element,
     mesh_geometry,
     nested_dissection_order,
     solve_lambda1,
@@ -32,9 +31,11 @@ from lorentzlab.pipeline import RunConfig, _build_case, _build_mesh
 from lorentzlab.quadrature import beltrami_residual, mean_curvature_vertices
 
 from oracles import (
+    apply_discrete_laplacian,
     build_icosphere_mesh_loop,
     euler_characteristic,
     facet_incidence,
+    gradient_squared_per_element,
     lambda1_colamd,
     nested_dissection_order_recursive,
     stiffness_einsum,
@@ -109,27 +110,27 @@ def test_assembled_volume_circle_and_sphere():
     circle = build_circle_mesh(256)
     imm1 = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     pen1 = assemble_pencil(circle, imm1)
-    assert pen1.lumped.sum() == pytest.approx(2 * math.pi, rel=1e-3)
+    assert pen1.geometry.lumped.sum() == pytest.approx(2 * math.pi, rel=1e-3)
 
     circle2 = HyperplaneSphere(1, 2.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     pen2 = assemble_pencil(circle, circle2)
-    assert pen2.lumped.sum() == pytest.approx(4 * math.pi, rel=1e-3)
+    assert pen2.geometry.lumped.sum() == pytest.approx(4 * math.pi, rel=1e-3)
 
     # inscribed flat triangles undershoot the area by 1.19e-3 at level 4
     mesh = build_icosphere_mesh(4)
     pen = assemble_pencil(mesh, unit_sphere())
-    assert pen.lumped.sum() == pytest.approx(4 * math.pi, rel=1.5e-3)
+    assert pen.geometry.lumped.sum() == pytest.approx(4 * math.pi, rel=1.5e-3)
     pen5 = assemble_pencil(build_icosphere_mesh(5), unit_sphere())
-    assert pen5.lumped.sum() == pytest.approx(4 * math.pi, rel=1e-3)
+    assert pen5.geometry.lumped.sum() == pytest.approx(4 * math.pi, rel=1e-3)
     # lumped mass is the mass-matrix row sum
     row_sums = np.asarray(pen.mass.sum(axis=1)).ravel()
-    assert np.abs(row_sums - pen.lumped).max() < 1e-14
+    assert np.abs(row_sums - pen.geometry.lumped).max() < 1e-14
 
 
 def test_stiffness_kernel_is_constants():
     mesh = build_icosphere_mesh(4)
     pen = assemble_pencil(mesh, CounterexampleSphere(2))
-    ones = np.ones(pen.size)
+    ones = np.ones(pen.stiffness.shape[0])
     assert np.linalg.norm(pen.stiffness @ ones) <= 1e-10
 
 
@@ -196,7 +197,7 @@ def test_spectrum_invariants():
     rayleigh = float(f @ k_f) / float(f @ m_f)
     assert rayleigh == pytest.approx(spec.lambda1, rel=1e-10)
     assert np.linalg.norm(k_f - spec.lambda1 * m_f) <= 1e-8 * np.linalg.norm(f)
-    assert abs(float((pen.mass @ np.ones(pen.size)) @ f)) <= 1e-8
+    assert abs(float((pen.mass @ np.ones(pen.stiffness.shape[0])) @ f)) <= 1e-8
     assert float(f @ m_f) == pytest.approx(1.0, rel=1e-12)
     assert spec.lambda1 > 0
     # deterministic across repeat solves
@@ -261,8 +262,8 @@ def test_nested_dissection_matches_recursive_oracle(kind, size):
         pen = assemble_pencil(build_circle_mesh(size), unit_sphere(n=1))
     points = pen.geometry.mesh.vertices
     perm = nested_dissection_order(points, pen.stiffness)
-    assert perm.shape == (pen.size,)
-    assert np.array_equal(np.sort(perm), np.arange(pen.size))
+    assert perm.shape == (pen.stiffness.shape[0],)
+    assert np.array_equal(np.sort(perm), np.arange(pen.stiffness.shape[0]))
     assert np.array_equal(perm, nested_dissection_order(points, pen.stiffness))
     assert np.array_equal(perm, nested_dissection_order_recursive(points, pen.stiffness))
 
@@ -324,16 +325,16 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
     for case in CASES:
         imm, _ = _build_case(RunConfig(case=case, n=n))
         pen = assemble_pencil(_build_mesh(imm, level), imm)
-        if pen.size <= 20:
+        if pen.stiffness.shape[0] <= 20:
             continue
         # the shift outweighs float32 rounding (see solve_lambda1)
         K, M = pen.stiffness, pen.mass
         shift = lorentzlab.fem.FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum()
-        rows = abs(K) @ np.ones(pen.size)
-        assert shift > 2.0**-24 * (n + 2) * np.max(rows / pen.lumped + shift)
+        rows = abs(K) @ np.ones(pen.stiffness.shape[0])
+        assert shift > 2.0**-24 * (n + 2) * np.max(rows / pen.geometry.lumped + shift)
         solve_lambda1(pen)
         lu = factors.pop()
-        assert np.array_equal(lu.perm_r, np.arange(pen.size)), case
+        assert np.array_equal(lu.perm_r, np.arange(pen.stiffness.shape[0])), case
         assert lu.U.diagonal().min() > 0, case
     assert not factors
 
@@ -364,6 +365,22 @@ def test_unattainable_tolerance_raises_quickly():
     assert time.perf_counter() - start < 5.0
 
 
+def test_lobpcg_requests_stay_reachable_and_silent():
+    # LOBPCG warns when asked for less than float64 can reach; the request
+    # is floored there, so neither the default nor an unreachable tol warns
+    grid = [(2, level) for level in range(1, 6)] + [(1, level) for level in range(8)]
+    for n, level in grid:
+        for case in CASES:
+            imm, _ = _build_case(RunConfig(case=case, n=n))
+            pen = assemble_pencil(_build_mesh(imm, level), imm)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve_lambda1(pen)
+                with pytest.raises(EigenSolveError):
+                    solve_lambda1(pen, tol=1e-20)
+            assert not caught, (case, n, level, [str(w.message) for w in caught])
+
+
 def test_lambda1_convergence_through_level5():
     errors = []
     for level in (2, 3, 4, 5):
@@ -379,11 +396,11 @@ def test_discrete_minimum_principle_exact():
     pen = assemble_pencil(mesh, CounterexampleSphere(2))
     spec = solve_lambda1(pen)
     rng = np.random.default_rng(12)
-    ones = np.ones(pen.size)
+    ones = np.ones(pen.stiffness.shape[0])
     m_ones = pen.mass @ ones
     vol = float(m_ones @ ones)
     for _ in range(20):
-        f = rng.standard_normal(pen.size)
+        f = rng.standard_normal(pen.stiffness.shape[0])
         f -= (m_ones @ f) / vol  # mass-weighted mean zero
         energy = float(f @ (pen.stiffness @ f))
         mass = float(f @ (pen.mass @ f))
@@ -396,7 +413,7 @@ def test_discrete_minimum_principle_exact():
 def test_laplacian_constant_field_vanishes():
     mesh = build_icosphere_mesh(3)
     pen = assemble_pencil(mesh, unit_sphere())
-    out = apply_discrete_laplacian(pen, np.ones(pen.size))
+    out = apply_discrete_laplacian(pen, np.ones(pen.stiffness.shape[0]))
     assert np.abs(out).max() < 1e-10
 
 
@@ -404,7 +421,7 @@ def test_laplacian_coordinate_and_cosh_fields():
     # pointwise errors stagnate at the twelve irregular vertices, so the
     # refinement statement is in the mesh L2 norm
     def l2(pen, values):
-        return math.sqrt(float(pen.lumped @ values**2) / pen.lumped.sum())
+        return math.sqrt(float(pen.geometry.lumped @ values**2) / pen.geometry.lumped.sum())
 
     errors = []
     for level in (2, 3, 4):

@@ -15,14 +15,18 @@ from lorentzlab.minkowski import (
     lorentz_trace,
     euclid_trace,
     sample_timelike_directions,
+    metric_signs,
     section_integral_exact,
-    signature_orthonormalize,
     spacelike_complement_basis,
     sphere_integral_exact,
     sq_norm,
     unit_sphere_volume,
 )
-from oracles import sample_spherical_section
+from oracles import (
+    gram_schmidt_complement_basis,
+    sample_spherical_section,
+    signature_orthonormalize,
+)
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -115,6 +119,30 @@ def test_complement_basis_is_spacelike_orthonormal():
         gram = np.array([[inner(x, y) for y in b] for x in b])
         assert np.allclose(gram, np.eye(3), atol=1e-12)
         assert np.max(np.abs(inner(b, a))) < 1e-12
+
+
+@pytest.mark.parametrize("m", (3, 4, 5))
+def test_closed_form_frame_matches_gram_schmidt(m):
+    rng = np.random.default_rng(m)
+    J = np.diag(metric_signs(m))
+    axis = np.eye(m)[0]
+    # at the time axis both frames are the identity rows, bit for bit
+    assert np.array_equal(spacelike_complement_basis(axis), gram_schmidt_complement_basis(axis))
+    assert np.array_equal(spacelike_complement_basis(axis), np.eye(m)[1:])
+    for s in (0.0, 0.3, 1.0, 2.5, 5.0):
+        for _ in range(4):
+            g = rng.standard_normal(m - 1)
+            a = boost_direction(s, g / np.linalg.norm(g))
+            for d in (a, -a):
+                b = spacelike_complement_basis(d)
+                tol = 1e-15 * (1.0 + float(d @ d))
+                assert b.shape == (m - 1, m)
+                assert np.abs(b @ J @ b.T - np.eye(m - 1)).max() <= tol
+                assert np.abs(b @ J @ d).max() <= tol
+                # same span: the Gram-Schmidt rows are combinations of these
+                ref = gram_schmidt_complement_basis(d)
+                coeff = ref @ J @ b.T
+                assert np.abs(coeff @ b - ref).max() <= 1e-13 * (1.0 + float(d @ d))
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from lorentzlab.minkowski import (
 from lorentzlab.quadrature import (
     MC_BLOCK,
     IntegralResult,
+    beltrami_residual,
     mean_curvature_vertices,
     minkowski_projected_identities,
     minkowski_residual,
@@ -32,7 +33,13 @@ from lorentzlab.quadrature import (
     monte_carlo_sphere_integral,
     sphere_slice_integral,
 )
-from oracles import integrate_over_mesh, recenter_to_gravity_origin, sample_spherical_section
+from oracles import (
+    apply_discrete_laplacian,
+    gradient_squared_per_element,
+    integrate_over_mesh,
+    recenter_to_gravity_origin,
+    sample_spherical_section,
+)
 
 AXIS4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -231,12 +238,31 @@ def test_projected_identities_counterexample(boost):
         geom = pencil.geometry
         h = mean_curvature_vertices(recentered, pencil)
         a = boost_direction(boost, np.array([0.0, 0.6, 0.8]))
-        first, second = minkowski_projected_identities(geom, geom.positions, h, a)
+        first, second = minkowski_projected_identities(pencil, geom.positions, h, a)
         values.append(
             (abs(first.value) / geom.total_volume, abs(second.value) / geom.total_volume)
         )
     assert values[-1][0] <= 1e-3 and values[-1][1] <= 1e-3
     assert values[0][0] >= values[1][0] and values[0][1] >= values[1][1]
+
+
+def test_identities_read_the_stiffness_like_the_direct_references():
+    imm = CounterexampleSphere(2)
+    mesh = build_icosphere_mesh(3)
+    pencil = assemble_pencil(mesh, recenter_to_gravity_origin(imm, mesh))
+    geom = pencil.geometry
+    h = mean_curvature_vertices(imm, pencil)
+    # the Beltrami Laplacian is the lumped-mass Laplacian, bit for bit
+    lap = apply_discrete_laplacian(pencil, geom.positions)
+    diff_sq = ((lap - 2.0 * h) ** 2).sum(axis=1)
+    direct = float(np.sqrt(geom.lumped @ diff_sq / geom.total_volume))
+    assert beltrami_residual(pencil, h).value == direct
+    # the stiffness form of s = <psi, a> is the summed element gradient energy
+    a = boost_direction(0.8, np.array([0.0, 0.6, 0.8]))
+    _, second = minkowski_projected_identities(pencil, geom.positions, h, a)
+    s = inner(geom.positions, a)
+    per_element = float(geom.volumes @ gradient_squared_per_element(geom, s))
+    assert second.params["tangential"] == pytest.approx(per_element, rel=1e-12)
 
 
 def test_projected_identities_sphere_reduce_to_exact():
@@ -245,7 +271,7 @@ def test_projected_identities_sphere_reduce_to_exact():
     pencil = assemble_pencil(mesh, imm)
     geom = pencil.geometry
     first, second = minkowski_projected_identities(
-        geom, geom.positions, mean_curvature_vertices(imm, pencil), AXIS4
+        pencil, geom.positions, mean_curvature_vertices(imm, pencil), AXIS4
     )
     assert abs(first.value) < 1e-13
     assert abs(second.value) < 1e-13
@@ -256,8 +282,9 @@ def test_curvature_field_mean_tends_to_zero():
     norms = []
     for level in (2, 3, 4):
         mesh = build_icosphere_mesh(level)
-        geom = mesh_geometry(mesh, imm)
-        h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm, geometry=geom))
+        pencil = assemble_pencil(mesh, imm)
+        geom = pencil.geometry
+        h = mean_curvature_vertices(imm, pencil)
         norms.append(np.abs(geom.lumped @ h).max() / geom.total_volume)
     assert norms[0] > norms[1] > norms[2]
     assert norms[-1] <= 1e-3
@@ -266,8 +293,9 @@ def test_curvature_field_mean_tends_to_zero():
 def test_projected_curvature_energy_is_positive():
     for imm in closed_h_gallery():
         mesh = build_icosphere_mesh(3)
-        geom = mesh_geometry(mesh, imm)
-        h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm, geometry=geom))
+        pencil = assemble_pencil(mesh, imm)
+        geom = pencil.geometry
+        h = mean_curvature_vertices(imm, pencil)
         a = np.concatenate(([1.0], np.zeros(imm.m - 1)))
         h_a = h + inner(h, a)[:, None] * a
         density = inner(h_a, h_a)
