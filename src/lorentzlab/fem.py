@@ -92,8 +92,8 @@ def mesh_geometry(mesh: ParamMesh, imm) -> MeshGeometry:
     else:
         raise UsageError(f"unsupported intrinsic dimension {n}")
 
-    lumped = np.zeros(mesh.num_vertices)
-    np.add.at(lumped, simplices, (volumes / (n + 1))[:, None])
+    # bincount adds element by element, in the order np.add.at would
+    lumped = np.bincount(simplices.ravel(), np.repeat(volumes / (n + 1), n + 1), mesh.num_vertices)
     return MeshGeometry(
         mesh=mesh,
         positions=positions,
@@ -278,7 +278,13 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         m_ones = M @ ones
         diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
         shifted = K + (FACTOR_SHIFT * diag_ratio) * M
-        perm = nested_dissection_order(pencil.geometry.mesh.vertices, shifted)
+        mesh = pencil.geometry.mesh
+        if mesh.nd_order is None:
+            # mass is positive on every edge, so every pencil on the mesh
+            # has its pattern: the order belongs to the mesh
+            mesh.nd_order = nested_dissection_order(mesh.vertices, M)
+            mesh.nd_order.flags.writeable = False
+        perm = mesh.nd_order
         shifted = _permuted_csc32(shifted, perm)
         try:
             lu = splu(
@@ -301,7 +307,7 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
             out[perm] = lu.solve(np.asfortranarray(block[perm], dtype=np.float32))
             return out
 
-        start = pencil.geometry.mesh.vertices
+        start = mesh.vertices
         start = start - (m_ones.T @ start) / m_ones.sum()
         m_start = M @ start
         start_mass = np.einsum("ij,ij->j", start, m_start)

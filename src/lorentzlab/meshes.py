@@ -27,6 +27,8 @@ class ParamMesh:
     simplices: np.ndarray
     kind: str
     level: int | None = None
+    # nested-dissection order of the edge graph; the first solve fills it
+    nd_order: np.ndarray | None = None
 
     @property
     def n(self) -> int:

@@ -11,6 +11,7 @@ runs of the same configuration.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import numbers
@@ -29,7 +30,7 @@ from .immersions import (
     NullHyperplaneSphere,
     load_immersion_spec,
 )
-from .meshes import build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
+from .meshes import ParamMesh, build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
 from .minkowski import (
     SymBilinearForm,
     boost_direction,
@@ -163,12 +164,28 @@ def _build_case(config: RunConfig):
     return imm, CaseExpectation(*row, lambda1_reference=imm.n / radius**2)
 
 
-def _build_mesh(imm, level: int):
+def _build_mesh(imm, level: int) -> ParamMesh:
+    """The immersion's parameter mesh, read-only: a suite shares it."""
     if imm.n == 1:
-        return build_circle_mesh(circle_segments_for_level(level), level=level)
-    if imm.n == 2:
-        return build_icosphere_mesh(level)
-    raise UsageError("meshes are available for n = 1 and n = 2 only")
+        mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
+    elif imm.n == 2:
+        mesh = build_icosphere_mesh(level)
+    else:
+        raise UsageError("meshes are available for n = 1 and n = 2 only")
+    mesh.vertices.flags.writeable = False
+    mesh.simplices.flags.writeable = False
+    return mesh
+
+
+@functools.lru_cache(maxsize=None)
+def _section_average_mc(m: int, mc_samples: int, seed: int) -> tuple:
+    """(exact, estimate, stderr, z) of a run's section averaging check: not
+    a function of the immersion, so a suite computes it once per dimension."""
+    rng = np.random.default_rng(seed + 3)
+    q = SymBilinearForm.random(m, rng)
+    mc = monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
+    exact = section_integral_exact(q, _axis(m))
+    return exact, mc.value, mc.error, abs(mc.value - exact) / mc.error
 
 
 def _bound_dict(report: BoundReport, expected: bool | None) -> dict:
@@ -232,12 +249,17 @@ class RunReport:
         }
 
 
-def run_case(config: RunConfig) -> RunReport:
-    """Execute the full pipeline for one case; deterministic per config."""
+def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
+    """Execute the full pipeline for one case; deterministic per config.
+    Without a shared `mesh` the run builds its own."""
     stamps = {}
     t0 = time.perf_counter()
     imm, expect = _build_case(config)
-    mesh = _build_mesh(imm, config.level)
+    if mesh is None:
+        mesh = _build_mesh(imm, config.level)
+    elif (mesh.n, mesh.level) != (imm.n, config.level):
+        raise UsageError(f"mesh of n = {mesh.n}, level {mesh.level} does not fit "
+                         f"a case of n = {imm.n}, level {config.level}")
     stamps["setup"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -246,7 +268,6 @@ def run_case(config: RunConfig) -> RunReport:
 
     # the axis, then the sampled directions
     directions = sample_timelike_directions(imm.m, config.samples, seed=config.seed)
-    axis = directions[0]
 
     t2 = time.perf_counter()
     failures: list[str] = []
@@ -344,15 +365,11 @@ def run_case(config: RunConfig) -> RunReport:
         "reilly_rhs_mesh": imm.n * engine.curvature_sq_integral / vol,
     }
 
-    rng = np.random.default_rng(config.seed + 3)
-    q = SymBilinearForm.random(imm.m, rng)
-    mc = monte_carlo_section_integral(q, axis, config.mc_samples, seed=config.seed + 4)
-    exact = section_integral_exact(q, axis)
-    z_score = abs(mc.value - exact) / mc.error
+    exact, estimate, stderr, z_score = _section_average_mc(imm.m, config.mc_samples, config.seed)
     identities["section_average_mc"] = {
         "exact": exact,
-        "estimate": mc.value,
-        "stderr": mc.error,
+        "estimate": estimate,
+        "stderr": stderr,
         "z": z_score,
     }
     # wide deterministic alarm; a real defect lands far outside any gate
@@ -386,15 +403,19 @@ def run_case(config: RunConfig) -> RunReport:
 
 
 def run_suite(cases: list[str], levels: list[int], base: RunConfig):
-    """Per-case refinement sweep with a convergence table."""
+    """Per-case refinement sweep with a convergence table. Cases share each
+    level's mesh and its ND order; reports match standalone runs byte for byte."""
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
     reports = []
     table = []
+    meshes: dict[int, ParamMesh] = {}
     for case in cases:
         for level in levels:
             config = replace(base, case=case, level=level)
-            report = run_case(config)
+            if level not in meshes:
+                meshes[level] = _build_mesh(_build_case(config)[0], level)
+            report = run_case(config, meshes[level])
             reports.append(report)
             table.append(
                 {

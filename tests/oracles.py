@@ -700,6 +700,13 @@ def stiffness_einsum(mesh, geometry) -> sp.csr_matrix:
     return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
 
 
+def lumped_mass_add_at(mesh, geometry) -> np.ndarray:
+    """Lumped mass scattered element by element with np.add.at."""
+    lumped = np.zeros(mesh.num_vertices)
+    np.add.at(lumped, mesh.simplices, (geometry.volumes / (mesh.n + 1))[:, None])
+    return lumped
+
+
 def lambda1_colamd(pencil, seed: int = 0) -> float:
     """Smallest nonzero eigenvalue by shift-invert Lanczos on a COLAMD
     factor of the shifted pencil; the zero eigenvalue is computed and

@@ -37,6 +37,7 @@ from oracles import (
     facet_incidence,
     gradient_squared_per_element,
     lambda1_colamd,
+    lumped_mass_add_at,
     nested_dissection_order_recursive,
     stiffness_einsum,
 )
@@ -248,6 +249,15 @@ def test_element_stiffness_matches_einsum_oracle_bitwise(n, case, level):
     oracle = stiffness_einsum(mesh, pen.geometry)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(pen.stiffness, attr), getattr(oracle, attr))
+
+
+@pytest.mark.parametrize("level", (0, 3, 5))
+@pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
+def test_lumped_mass_matches_add_at_oracle_bitwise(n, case, level):
+    imm, _ = _build_case(RunConfig(case=case, n=n))
+    mesh = _build_mesh(imm, level)
+    geom = mesh_geometry(mesh, imm)
+    assert np.array_equal(geom.lumped, lumped_mass_add_at(mesh, geom))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from lorentzlab import fem, pipeline
 from lorentzlab.cli import main
 from lorentzlab.errors import UsageError
 from lorentzlab.pipeline import (
@@ -157,6 +160,70 @@ def test_run_suite_convergence_and_validation():
     assert summary["verdict"] == "pass"
     errs = [row["lambda1_rel_error"] for row in summary["rows"]]
     assert errs[0] > errs[1]
+
+
+SUITE_CASES = ["sphere-hyperplane", "counterexample", "cylinder-curve", "lightlike-hyperplane"]
+
+
+def test_suite_reports_match_standalone_runs():
+    base = RunConfig(case="sphere-hyperplane", samples=3, mc_samples=20_000)
+    standalone = []
+    for case in SUITE_CASES:
+        for level in (2, 3):
+            # a Monte Carlo check of its own, as in a fresh process
+            pipeline._section_average_mc.cache_clear()
+            standalone.append(report_to_json(run_case(replace(base, case=case, level=level))))
+    pipeline._section_average_mc.cache_clear()
+    reports, _ = run_suite(SUITE_CASES, [2, 3], base)
+    assert [report_to_json(r) for r in reports] == standalone
+
+
+def test_suite_shares_meshes_orders_and_monte_carlo_checks(monkeypatch):
+    calls = Counter()
+    bindings = [
+        (pipeline, "build_icosphere_mesh"),
+        (fem, "nested_dissection_order"),
+        (pipeline, "monte_carlo_section_integral"),
+    ]
+    for module, name in bindings:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    pipeline._section_average_mc.cache_clear()
+    run_suite(SUITE_CASES, [1, 2], RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000))
+    # once per level, and once per ambient dimension (4, and 5 for lightlike-hyperplane)
+    assert calls == {name: 2 for _, name in bindings}
+
+
+def test_suite_meshes_are_read_only(monkeypatch):
+    built = []
+    build = pipeline.build_icosphere_mesh
+
+    def recording(level):
+        built.append(build(level))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_icosphere_mesh", recording)
+    run_suite(["counterexample"], [1], RunConfig(case="counterexample", samples=2, mc_samples=5000))
+    (mesh,) = built
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        mesh.simplices[0, 0] = 0
+    with pytest.raises(ValueError):
+        mesh.nd_order[0] = 0
+
+
+def test_run_case_refuses_a_mesh_of_another_level_or_dimension():
+    config = RunConfig(case="counterexample", level=1, samples=2, mc_samples=5000)
+    with pytest.raises(UsageError, match="does not fit"):
+        run_case(config, pipeline.build_icosphere_mesh(2))
+    with pytest.raises(UsageError, match="does not fit"):
+        run_case(replace(config, n=1), pipeline.build_icosphere_mesh(1))
 
 
 def test_section_average_battery_passes():
