@@ -7,9 +7,10 @@ integrates products of P1 interpolants exactly; these two facts make the
 discrete minimum principle exact and are relied on by the bounds layer.
 
 Assembly is vectorized with a fixed reduction order, so matrices are
-reproducible bit for bit. The eigensolver iterates in float64 on a float32
-preconditioner factor; only its float64 residual gate accepts lambda1. It
-is single-threaded by contract; independent solves may run concurrently.
+reproducible bit for bit. The eigensolver iterates in float64 on a
+two-grid preconditioner whose coarse solve is a float32 factor; only its
+float64 residual gate accepts lambda1. It is single-threaded by contract;
+independent solves may run concurrently.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ TAU_EIG = 1e-8
 # parts of the nested-dissection ordering this small are not split further
 ND_LEAF = 64
 
-# the float32 preconditioner factors K + FACTOR_SHIFT tr(K)/tr(M) M;
-# solve_lambda1 derives the value from float32 rounding
+# the preconditioner works on K + FACTOR_SHIFT tr(K)/tr(M) M; solve_lambda1
+# derives the value from float32 rounding of its coarse factor
 FACTOR_SHIFT = 1e-6
+
+# damped-Jacobi sweeps before and after the coarse correction
+SWEEPS = 2
 
 __all__ = [
     "TAU_EIG",
@@ -43,6 +47,7 @@ __all__ = [
     "assemble_pencil",
     "Spectrum",
     "nested_dissection_order",
+    "prolongation",
     "solve_lambda1",
 ]
 
@@ -216,6 +221,20 @@ def _permuted_csc32(a: sp.csr_matrix, perm: np.ndarray) -> sp.csc_matrix:
     )
 
 
+def prolongation(mesh: ParamMesh) -> sp.csr_matrix:
+    """P1 interpolation from `mesh.coarse` to `mesh`: weight 1/2 at each of
+    a vertex's two parents, so a copy of a coarse vertex takes its value
+    and a midpoint the mean of its edge's ends. The identity on a mesh
+    without a coarse level."""
+    k = mesh.num_vertices
+    if mesh.coarse is None:
+        return sp.identity(k, format="csr")
+    rows = np.repeat(np.arange(k), 2)
+    return sp.csr_matrix(
+        (np.full(2 * k, 0.5), (rows, mesh.parents.ravel())), shape=(k, mesh.coarse.num_vertices)
+    )
+
+
 def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     """Smallest nonzero generalized eigenvalue of (K, Mass).
 
@@ -231,34 +250,53 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     lambda1. The request never goes below what float64 can reach:
     rounding K x leaves a residual of about eps tr(K)/tr(M) |x| against a
     gate denominator of about lambda |M x|, so the request is at least
-    ten times eps tr(K)/tr(M) / lambda in gate units, with lambda the
-    smallest start Rayleigh quotient. Below that floor LOBPCG would only
-    exhaust its iterations and warn; an unreachable `tol` is reported by
-    the gate alone. A pencil of at most 20 vertices is solved densely: its
-    deflated space is too small for the block to iterate in.
+    14 eps tr(K)/tr(M) / lambda in gate units, with lambda the smallest
+    start Rayleigh quotient. LOBPCG stops on residuals it updates by
+    recurrence and then reports explicit ones, which have come out at up
+    to 11.8 eps tr(K)/tr(M) / lambda (lightlike-hyperplane, level 2);
+    14 stays below the default request through level 7 at n = 1 and 2.
+    Below that floor LOBPCG would only exhaust its iterations and warn; an
+    unreachable `tol` is reported by the gate alone. A pencil of at most
+    20 vertices is solved densely: its deflated space is too small for the
+    block to iterate in.
 
-    The preconditioner is a float32 factor of A = K + s M, SPD and so
-    factored without pivoting in nested-dissection order; each iteration
-    solves its block of active residuals in one call, and `iterations`
-    counts the solved columns. The shift s keeps A positive definite
-    after rounding to float32 (unit roundoff u = 2^-24). Rounding moves
-    each entry by at most u |a_ij|, so it moves x'Ax by at most
-    u sum_i r_i x_i^2, with r_i = sum_j |a_ij| the Gershgorin row sums
-    (|x_i x_j| <= (x_i^2 + x_j^2) / 2). K is semidefinite and each element
-    mass matrix dominates its lumped one over n + 2, so M >= lumped/(n + 2)
-    and x'Ax >= s sum_i lumped_i x_i^2 / (n + 2). The row of s M sums to
-    s lumped_i, so A stays definite when, to first order in u,
+    The preconditioner is a symmetric two-grid cycle for A = K + s M
+    (Briggs, Henson & McCormick, A Multigrid Tutorial): SWEEPS
+    damped-Jacobi sweeps on the float64 A, the coarse correction
+    P A_c^-1 P', then SWEEPS sweeps again. P is `prolongation` from the
+    mesh one subdivision down, and A_c = P' A P is the Galerkin operator,
+    SPD and so factored in float32 without pivoting, in the coarse mesh's
+    nested-dissection order. Each iteration cycles its block of active
+    residuals at once, with one factor solve, and `iterations` counts the
+    cycled columns. The damping is omega = 4 / (3 rho), with rho =
+    max_i sum_j |a_ij| / a_ii: by Gershgorin rho bounds the spectrum of
+    D^-1 A, so omega rho < 2, each sweep contracts in the A norm and the
+    cycle is SPD for every pencil. On a mesh without a coarse level P = I
+    and there are no sweeps: the cycle is one solve with a float32 factor
+    of A.
 
-        s > u (n + 2) max_i (sum_j |K_ij|) / lumped_i.
+    The shift s keeps A_c positive definite after rounding to float32
+    (unit roundoff u = 2^-24). Rounding moves each entry by at most
+    u |c_jl|, so it moves x'A_c x by at most u sum_j r_j x_j^2, with
+    r_j = sum_l |c_jl| the Gershgorin row sums of A_c
+    (|x_j x_l| <= (x_j^2 + x_l^2) / 2). K is semidefinite and each
+    element mass matrix dominates its lumped one over n + 2, so
+    M >= diag(lumped) / (n + 2) and x'A_c x = (Px)'A(Px) >=
+    s sum_i lumped_i (Px)_i^2 / (n + 2). Keep only the vertices that copy
+    coarse vertex j, where (Px)_j = x_j; the midpoint terms dropped are
+    >= 0. So A_c stays definite when, to first order in u,
 
-    K rows sum to zero and lumped_i = (n + 2) M_ii / 2, so on a
-    quasi-uniform mesh the bound is about 4 u max_i K_ii / M_ii, near
-    2.4e-7 tr(K)/tr(M); the shipped meshes need at most 3.2e-7 tr(K)/tr(M).
+        s > u (n + 2) max_j r_j / lumped_j,
+
+    with lumped_j the fine lumped mass at the copy of j. With P = I this
+    is the fine bound: K rows sum to zero and lumped_i = (n + 2) M_ii / 2,
+    so on a quasi-uniform mesh it is about 4 u max_i K_ii / M_ii, near
+    2.4e-7 tr(K)/tr(M). A Galerkin row of the P1 stiffness has about the
+    diagonal of a fine one, so the coarse bound is of the same size: the
+    shipped meshes need at most 3.2e-7 tr(K)/tr(M), fine or coarse.
     s = FACTOR_SHIFT tr(K)/tr(M) = 1e-6 tr(K)/tr(M) leaves a factor of
     three. Below the bound factors fail: at 1e-8 tr(K)/tr(M) the n = 1,
-    level-1 cylinder-curve factor is exactly singular. Above it the
-    preconditioner weakens: at 1e-5 tr(K)/tr(M) the level-6 solves take
-    15 columns instead of 12.
+    level-1 cylinder-curve factor is exactly singular.
     """
     K = pencil.stiffness
     M = pencil.mass
@@ -279,32 +317,63 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
         shifted = K + (FACTOR_SHIFT * diag_ratio) * M
         mesh = pencil.geometry.mesh
-        if mesh.nd_order is None:
+        base = mesh if mesh.coarse is None else mesh.coarse
+        sweeps = 0 if mesh.coarse is None else SWEEPS
+        P = prolongation(mesh)
+        galerkin = P.T @ shifted @ P
+        if base.nd_order is None:
             # mass is positive on every edge, so every pencil on the mesh
-            # has its pattern: the order belongs to the mesh
-            mesh.nd_order = nested_dissection_order(mesh.vertices, M)
-            mesh.nd_order.flags.writeable = False
-        perm = mesh.nd_order
-        shifted = _permuted_csc32(shifted, perm)
+            # has the coarse edge graph as its pattern: the order belongs
+            # to the coarse mesh
+            base.nd_order = nested_dissection_order(base.vertices, galerkin)
+            base.nd_order.flags.writeable = False
+        perm = base.nd_order
+        galerkin = _permuted_csc32(galerkin.tocsr(), perm)
         try:
             lu = splu(
-                shifted,
+                galerkin,
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
         except RuntimeError as exc:  # pragma: no cover - singular pencil
             raise EigenSolveError(f"factorization failed: {exc}") from exc
-        del shifted
+        del galerkin
+        diagonal = shifted.diagonal()
+        rho = float(np.max(abs(shifted) @ np.ones(k) / diagonal))
+        damped = ((4.0 / (3.0 * rho)) / diagonal)[:, None]
+
+        # x = None stands for the zero start of the cycle
+        def correct(x, b, step):
+            """x + step(b - A x)."""
+            if x is None:
+                return step(b)
+            x += step(b - shifted @ x)
+            return x
+
+        def jacobi(r):
+            return damped * r
+
+        def coarse_solve(r):
+            r = P.T @ r
+            r[perm] = lu.solve(np.asfortranarray(r[perm], dtype=np.float32))
+            return P @ r
 
         # lobpcg takes a LinearOperator preconditioner in every supported
-        # scipy; it only ever applies it to (k, c) blocks
-        def shifted_inverse(block):
+        # scipy; it only ever applies it to (k, c) blocks, Fortran-ordered
+        def two_grid(block):
             nonlocal solves
-            block = block.reshape(k, -1)
-            solves += block.shape[1]
+            b = np.ascontiguousarray(block.reshape(k, -1))
+            solves += b.shape[1]
+            x = None
+            for _ in range(sweeps):
+                x = correct(x, b, jacobi)
+            x = correct(x, b, coarse_solve)
+            for _ in range(sweeps):
+                x = correct(x, b, jacobi)
+            # in the block's memory layout, which LOBPCG's products round by
             out = np.empty_like(block)
-            out[perm] = lu.solve(np.asfortranarray(block[perm], dtype=np.float32))
+            out[...] = x.reshape(block.shape)
             return out
 
         start = mesh.vertices
@@ -315,15 +384,13 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         # the gate's denominator for a mass-normalised vector: about lambda |M x|
         m_norm = np.linalg.norm(m_start, axis=0) / np.sqrt(start_mass)
         gate_scale = float(np.min(rayleigh * m_norm))
-        floor = 10.0 * np.finfo(float).eps * diag_ratio / float(np.min(rayleigh))
+        floor = 14.0 * np.finfo(float).eps * diag_ratio / float(np.min(rayleigh))
         try:
             ritz, vectors = lobpcg(
                 K,
                 start,
                 B=M,
-                M=LinearOperator(
-                    (k, k), matvec=shifted_inverse, matmat=shifted_inverse, dtype=float
-                ),
+                M=LinearOperator((k, k), matvec=two_grid, matmat=two_grid, dtype=float),
                 Y=ones,
                 tol=max(0.1 * tol, floor) * gate_scale,
                 largest=False,

@@ -27,8 +27,14 @@ class ParamMesh:
     simplices: np.ndarray
     kind: str
     level: int | None = None
-    # nested-dissection order of the edge graph; the first solve fills it
+    # nested-dissection order of the edge graph; the first solve that
+    # factors on this mesh (its own, or one on the finer mesh above) fills it
     nd_order: np.ndarray | None = None
+    # the mesh one subdivision down, and per vertex the two coarse vertices
+    # it interpolates: (j, j) for a copy of coarse vertex j, the edge ends
+    # for a midpoint
+    coarse: ParamMesh | None = None
+    parents: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -84,12 +90,16 @@ def build_icosphere_mesh(level: int) -> ParamMesh:
     """Icosahedron subdivided `level` times, vertices projected to the sphere.
 
     Vertex count is 10 * 4^level + 2; subdivision order is deterministic.
+    Above level 0 the mesh keeps the level below as `coarse`: the first
+    vertices copy it, and each midpoint records the ends of its edge in
+    `parents`.
     """
     if level < 0:
         raise UsageError("level must be nonnegative")
     vertices = _icosahedron_vertices().copy()
     faces = _ICO_FACES.copy()
-    for _ in range(level):
+    coarse = parents = None
+    for step in range(level):
         # edges in face order ab, bc, ca; each midpoint is numbered at the
         # first face that meets its edge
         edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
@@ -102,10 +112,14 @@ def build_icosphere_mesh(level: int) -> ParamMesh:
         mid = vertices[ends[:, 0]] + vertices[ends[:, 1]]
         # the same ddot per row as np.linalg.norm, so vertices are bit-stable
         mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+        if step == level - 1:
+            coarse = ParamMesh(vertices, faces, kind="sphere", level=step)
+            copies = np.arange(len(vertices))
+            parents = np.concatenate([np.stack([copies, copies], axis=1), ends])
         vertices = np.concatenate([vertices, mid])
         a, b, c = faces.T
         ab, bc, ca = number[inverse.reshape(-1, 3)].T
         faces = np.stack(
             [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
         ).reshape(-1, 3)
-    return ParamMesh(vertices, faces, kind="sphere", level=level)
+    return ParamMesh(vertices, faces, kind="sphere", level=level, coarse=coarse, parents=parents)

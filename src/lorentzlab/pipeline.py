@@ -165,15 +165,19 @@ def _build_case(config: RunConfig):
 
 
 def _build_mesh(imm, level: int) -> ParamMesh:
-    """The immersion's parameter mesh, read-only: a suite shares it."""
+    """The immersion's parameter mesh and its coarse level, read-only: a
+    suite shares them."""
     if imm.n == 1:
         mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
     elif imm.n == 2:
         mesh = build_icosphere_mesh(level)
     else:
         raise UsageError("meshes are available for n = 1 and n = 2 only")
-    mesh.vertices.flags.writeable = False
-    mesh.simplices.flags.writeable = False
+    arrays = [mesh.vertices, mesh.simplices]
+    if mesh.coarse is not None:
+        arrays += [mesh.parents, mesh.coarse.vertices, mesh.coarse.simplices]
+    for array in arrays:
+        array.flags.writeable = False
     return mesh
 
 
@@ -255,6 +259,8 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
     stamps = {}
     t0 = time.perf_counter()
     imm, expect = _build_case(config)
+    # a spec file sets its own n; the report echoes the n that was run
+    config = replace(config, n=imm.n)
     if mesh is None:
         mesh = _build_mesh(imm, config.level)
     elif (mesh.n, mesh.level) != (imm.n, config.level):

@@ -11,7 +11,8 @@ The nested-dissection ordering is rebuilt one part per recursive call,
 the element stiffness is summed by one einsum over the edge-difference
 matrix, and the first eigenvalue is recomputed by shift-invert Lanczos on
 SuperLU's own COLAMD factor, with the constant mode left in the spectrum
-instead of deflated.
+instead of deflated, and by LOBPCG preconditioned with a float64 factor of
+the whole fine pencil instead of the two-grid cycle.
 Pointwise chart data (tangential parts of a direction, per-element
 signed gradient traces) and the gravity-center recentering are the
 continuum references for the engine's discrete identities. Light-cone
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 
 from lorentzlab.bounds import H_CENTER_TOL
 from lorentzlab.errors import NotSpacelikeError, NumericalError, UsageError
@@ -727,6 +728,40 @@ def lambda1_colamd(pencil, seed: int = 0) -> float:
         return_eigenvectors=False,
     )
     return float(np.sort(ritz)[1])
+
+
+def lambda1_fine_factor(pencil) -> float:
+    """Smallest nonzero eigenvalue by block LOBPCG preconditioned with a
+    float64 SuperLU factor of the whole fine pencil K + s M, with
+    s = 1e-6 tr(K)/tr(M), in the recursive nested-dissection order;
+    started from the parameter coordinates with the constant vector as
+    its constraint."""
+    K, M = pencil.stiffness, pencil.mass
+    k = K.shape[0]
+    shift = 1e-6 * K.diagonal().sum() / M.diagonal().sum()
+    perm = nested_dissection_order_recursive(pencil.geometry.mesh.vertices, M)
+    shifted = (K + shift * M).tocsr()[perm][:, perm].tocsc()
+    lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def solve(block):
+        out = np.empty_like(block)
+        out[perm] = lu.solve(block[perm])
+        return out
+
+    ones = np.ones((k, 1))
+    start = pencil.geometry.mesh.vertices
+    start = start - ones @ (ones.T @ (M @ start)) / (ones.T @ (M @ ones))
+    ritz, _ = lobpcg(
+        K,
+        start,
+        B=M,
+        M=LinearOperator((k, k), matvec=solve, matmat=solve, dtype=float),
+        Y=ones,
+        tol=1e-8,
+        maxiter=40,
+        largest=False,
+    )
+    return float(np.min(ritz))
 
 
 def sample_spherical_section(a, rng_seed, count: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 import lorentzlab.fem
 from lorentzlab.errors import EigenSolveError, NotSpacelikeError, UsageError
@@ -13,6 +14,7 @@ from lorentzlab.fem import (
     assemble_pencil,
     mesh_geometry,
     nested_dissection_order,
+    prolongation,
     solve_lambda1,
 )
 from lorentzlab.immersions import (
@@ -37,6 +39,7 @@ from oracles import (
     facet_incidence,
     gradient_squared_per_element,
     lambda1_colamd,
+    lambda1_fine_factor,
     lumped_mass_add_at,
     nested_dissection_order_recursive,
     stiffness_einsum,
@@ -102,6 +105,63 @@ def test_icosphere_matches_loop_oracle_bit_for_bit():
         assert mesh.simplices.dtype == ref.simplices.dtype
         assert np.array_equal(mesh.vertices, ref.vertices)
         assert np.array_equal(mesh.simplices, ref.simplices)
+
+
+def test_icosphere_keeps_the_level_below_as_coarse():
+    assert build_icosphere_mesh(0).coarse is None
+    assert build_circle_mesh(64).coarse is None
+    for level in range(1, 7):
+        mesh, below = build_icosphere_mesh(level), build_icosphere_mesh(level - 1)
+        coarse = mesh.coarse
+        assert (coarse.kind, coarse.level) == (below.kind, below.level)
+        for name in ("vertices", "simplices"):
+            ours, theirs = getattr(coarse, name), getattr(below, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        # the fine mesh starts with a copy of the coarse vertices
+        assert np.array_equal(mesh.vertices[: coarse.num_vertices], coarse.vertices)
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+def test_prolongation_interpolates_from_the_coarse_level(level):
+    mesh = build_icosphere_mesh(level)
+    kc = mesh.coarse.num_vertices
+    P = prolongation(mesh)
+    assert P.shape == (mesh.num_vertices, kc)
+    assert np.array_equal(np.asarray(P.sum(axis=1)).ravel(), np.ones(mesh.num_vertices))
+    f = np.random.default_rng(level).standard_normal(kc)
+    fine = P @ f
+    assert np.array_equal(fine[:kc], f)
+    # a midpoint takes the mean of its edge's ends, which are coarse edges
+    ends = mesh.parents[kc:]
+    assert np.array_equal(fine[kc:], 0.5 * (f[ends[:, 0]] + f[ends[:, 1]]))
+    faces = mesh.coarse.simplices
+    edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+    assert np.array_equal(np.unique(edges, axis=0), np.unique(np.sort(ends, axis=1), axis=0))
+    assert len(ends) == len(edges) // 2
+
+
+def test_prolongation_without_a_coarse_level_is_the_identity():
+    for mesh in (build_circle_mesh(64), build_icosphere_mesh(0)):
+        P = prolongation(mesh)
+        assert (P != sp.identity(mesh.num_vertices)).nnz == 0
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+@pytest.mark.parametrize("case", CASES)
+def test_jacobi_damping_contracts_in_the_energy_norm(case, level):
+    # omega = 4 / (3 rho), rho the largest Gershgorin ratio of A = K + s M,
+    # keeps omega lambda_max(D^-1 A) < 2: each sweep contracts in the A norm
+    imm, _ = _build_case(RunConfig(case=case))
+    pen = assemble_pencil(build_icosphere_mesh(level), imm)
+    K, M = pen.stiffness, pen.mass
+    A = K + lorentzlab.fem.FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum() * M
+    rho = np.max(abs(A) @ np.ones(A.shape[0]) / A.diagonal())
+    omega = 4.0 / (3.0 * rho)
+    scale = sp.diags(1.0 / np.sqrt(A.diagonal()))
+    top = eigsh(scale @ A @ scale, k=1, which="LA", return_eigenvectors=False, tol=1e-6)[0]
+    assert 0.0 < omega * top < 2.0
+    assert omega * rho < 2.0
+    assert rho == pytest.approx(2.0, abs=1e-5)
 
 
 # --- assembly ----------------------------------------------------------------
@@ -303,8 +363,9 @@ def test_level5_factor_fill_below_colamd(monkeypatch):
 
     monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
     solve_lambda1(assemble_pencil(build_icosphere_mesh(5), CounterexampleSphere(2)))
-    # COLAMD gives 1,347,336 entries here
-    assert len(fills) == 1 and fills[0] < 1_100_000
+    # the factor is of the Galerkin operator on the level-4 mesh, where
+    # COLAMD gives 221,252 entries (1,347,336 on the level-5 pencil)
+    assert len(fills) == 1 and fills[0] < 200_000
 
 
 def test_preconditioner_is_one_float32_csc_factor(monkeypatch):
@@ -337,14 +398,18 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
         pen = assemble_pencil(_build_mesh(imm, level), imm)
         if pen.stiffness.shape[0] <= 20:
             continue
-        # the shift outweighs float32 rounding (see solve_lambda1)
+        # the shift outweighs float32 rounding of the coarse Galerkin
+        # operator, over the fine lumped mass at the coarse copies (see
+        # solve_lambda1); without a coarse level this is the fine bound
         K, M = pen.stiffness, pen.mass
         shift = lorentzlab.fem.FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum()
-        rows = abs(K) @ np.ones(pen.stiffness.shape[0])
-        assert shift > 2.0**-24 * (n + 2) * np.max(rows / pen.geometry.lumped + shift)
+        P = prolongation(pen.geometry.mesh)
+        coarse_size = P.shape[1]
+        rows = abs(P.T @ (K + shift * M) @ P) @ np.ones(coarse_size)
+        assert shift > 2.0**-24 * (n + 2) * np.max(rows / pen.geometry.lumped[:coarse_size])
         solve_lambda1(pen)
         lu = factors.pop()
-        assert np.array_equal(lu.perm_r, np.arange(pen.stiffness.shape[0])), case
+        assert np.array_equal(lu.perm_r, np.arange(coarse_size)), case
         assert lu.U.diagonal().min() > 0, case
     assert not factors
 
@@ -352,9 +417,11 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
 @pytest.mark.parametrize("level", (3, 4, 5))
 @pytest.mark.parametrize("case", CASES)
 def test_block_solves_take_12_or_15_columns(case, level):
+    # named for the fine-factor counts; the two-grid cycle takes 6 block
+    # iterations at level 3 and 5 above it, 3 columns each, on every case
     imm, _ = _build_case(RunConfig(case=case))
     spec = solve_lambda1(assemble_pencil(build_icosphere_mesh(level), imm))
-    assert spec.iterations in (12, 15)
+    assert spec.iterations == {3: 18, 4: 15, 5: 15}[level]
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -365,6 +432,12 @@ def test_lambda1_matches_colamd_oracle(case, level):
     spec = solve_lambda1(pen)
     assert spec.lambda1 == pytest.approx(lambda1_colamd(pen), rel=1e-10)
     assert spec.residual <= TAU_EIG
+
+
+def test_lambda1_level6_matches_fine_factor_oracle():
+    pen = assemble_pencil(build_icosphere_mesh(6), CounterexampleSphere(2))
+    spec = solve_lambda1(pen)
+    assert spec.lambda1 == pytest.approx(lambda1_fine_factor(pen), rel=1e-10)
 
 
 def test_unattainable_tolerance_raises_quickly():

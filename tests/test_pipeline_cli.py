@@ -131,6 +131,18 @@ def test_custom_spec_file_case(tmp_path):
     assert report.lambda1["rel_error"] < 1e-2
 
 
+def test_cli_spec_file_report_echoes_the_n_it_ran(tmp_path):
+    # the spec file's n wins over the run's default n = 2
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"gallery": "counterexample", "n": 1, "params": {}}), encoding="utf-8")
+    out = tmp_path / "r.json"
+    argv = ["run", "--case", "custom-spec-file", "--spec-file", str(spec), "--level", "2"]
+    assert main(argv + ["--samples", "2", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["config"]["n"] == 1
+    assert payload["bounds"][0]["meta"]["vertices"] == 64
+
+
 def test_case_run_computes_geometry_and_mean_curvature_once(monkeypatch):
     from lorentzlab import bounds, fem, quadrature
 
@@ -210,12 +222,13 @@ def test_suite_meshes_are_read_only(monkeypatch):
     monkeypatch.setattr(pipeline, "build_icosphere_mesh", recording)
     run_suite(["counterexample"], [1], RunConfig(case="counterexample", samples=2, mc_samples=5000))
     (mesh,) = built
-    with pytest.raises(ValueError):
-        mesh.vertices[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        mesh.simplices[0, 0] = 0
-    with pytest.raises(ValueError):
-        mesh.nd_order[0] = 0
+    coarse = mesh.coarse
+    # the solve's order is the coarse level's: the preconditioner factors there
+    assert mesh.nd_order is None
+    for array in (mesh.vertices, mesh.simplices, mesh.parents, coarse.vertices, coarse.simplices,
+                  coarse.nd_order):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_run_case_refuses_a_mesh_of_another_level_or_dimension():
