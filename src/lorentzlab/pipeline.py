@@ -10,11 +10,13 @@ runs of the same configuration.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import functools
 import io
 import json
 import numbers
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -31,13 +33,7 @@ from .immersions import (
     load_immersion_spec,
 )
 from .meshes import ParamMesh, build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
-from .minkowski import (
-    SymBilinearForm,
-    boost_direction,
-    sample_timelike_directions,
-    section_integral_exact,
-    sphere_integral_exact,
-)
+from .minkowski import SymBilinearForm, boost_direction, sample_timelike_directions
 from .quadrature import (
     beltrami_residual,
     minkowski_projected_identities,
@@ -188,7 +184,7 @@ def _section_average_mc(m: int, mc_samples: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed + 3)
     q = SymBilinearForm.random(m, rng)
     mc = monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
-    exact = section_integral_exact(q, _axis(m))
+    exact = mc.params["exact"]
     return exact, mc.value, mc.error, abs(mc.value - exact) / mc.error
 
 
@@ -438,23 +434,55 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     return reports, {"rows": table, "verdict": overall}
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def section_average_battery(m: int, samples: int, seed: int) -> dict:
     """Monte Carlo vs closed form for the averaging identities.
 
     Five seeded random forms against three directions (axis plus two
     boosts) on the light-cone section, plus the round-sphere analogue.
+    The forms are drawn first, in order; the 20 checks then run on a
+    thread per CPU. Each check draws from a generator of its own seed, so
+    the report does not depend on the worker count or the scheduling.
     """
     if m < 3:
         raise UsageError(f"ambient dimension must be at least 3, got {m}")
+    if samples < 2:
+        raise UsageError("need at least two Monte Carlo samples")
     rng = np.random.default_rng(seed)
     dirs = [
         _axis(m),
         boost_direction(0.5, _unit_spatial(m, 0)),
         boost_direction(1.0, _unit_spatial(m, 1)),
     ]
-    cases = []
+    section_forms = [SymBilinearForm.random(m, rng) for _ in range(5)]
+    sphere_forms = [SymBilinearForm.random(m, rng) for _ in range(5)]
+    # (lemma, form, direction, estimator, its arguments)
+    checks = [
+        ("section", i, j, monte_carlo_section_integral, (q, a, samples, seed + 100 + 3 * i + j))
+        for i, q in enumerate(section_forms)
+        for j, a in enumerate(dirs)
+    ] + [
+        ("sphere", i, None, monte_carlo_sphere_integral, (q, samples, seed + 200 + i))
+        for i, q in enumerate(sphere_forms)
+    ]
+    pool = concurrent.futures.ThreadPoolExecutor(_cpu_count(), thread_name_prefix="section-avg")
+    try:
+        futures = [pool.submit(estimator, *args) for *_, estimator, args in checks]
+        results = [future.result() for future in futures]
+    finally:
+        # after a failed check, the checks not yet started are dropped
+        pool.shutdown(cancel_futures=True)
 
-    def add(lemma, form, direction, exact, mc):
+    cases = []
+    for (lemma, form, direction, _, _), mc in zip(checks, results):
+        exact = mc.params["exact"]
         z = abs(mc.value - exact) / mc.error
         cases.append({
             "lemma": lemma,
@@ -466,16 +494,6 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
             "z": z,
             "pass": bool(z <= 4.0),
         })
-
-    for i in range(5):
-        q = SymBilinearForm.random(m, rng)
-        for j, a in enumerate(dirs):
-            mc = monte_carlo_section_integral(q, a, samples, seed=seed + 100 + 3 * i + j)
-            add("section", i, j, section_integral_exact(q, a), mc)
-    for i in range(5):
-        q = SymBilinearForm.random(m, rng)
-        mc = monte_carlo_sphere_integral(q, samples, seed=seed + 200 + i)
-        add("sphere", i, None, sphere_integral_exact(q), mc)
     ok = all(entry["pass"] for entry in cases)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -17,7 +17,9 @@ Pointwise chart data (tangential parts of a direction, per-element
 signed gradient traces) and the gravity-center recentering are the
 continuum references for the engine's discrete identities. Light-cone
 section samples are formed as points v = a + u, the direct way the Monte
-Carlo estimators' reduced quadratic must reproduce.
+Carlo estimators' reduced quadratic must reproduce, and the section
+averaging battery is rerun as one serial loop with the closed forms
+evaluated apart from the estimators.
 
 The pointwise geometry is rebuilt from first principles: stereographic
 charts, exact ambient derivatives of every gallery class
@@ -53,13 +55,22 @@ from lorentzlab.immersions import (
 )
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import (
+    SymBilinearForm,
+    boost_direction,
     inner,
     metric_signs,
     require_unit_timelike,
+    section_integral_exact,
     sq_norm,
     spacelike_complement_basis,
+    sphere_integral_exact,
 )
-from lorentzlab.quadrature import IntegralResult, mean_curvature_vertices
+from lorentzlab.quadrature import (
+    IntegralResult,
+    mean_curvature_vertices,
+    monte_carlo_section_integral,
+    monte_carlo_sphere_integral,
+)
 
 TAU_CENTER = 1e-8
 TAU_FRAME = 1e-8
@@ -780,3 +791,45 @@ def sample_spherical_section(a, rng_seed, count: int) -> np.ndarray:
     g = rng.standard_normal((count, a.shape[-1] - 1))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return a + g @ basis
+
+
+def section_average_battery_serial(m: int, samples: int, seed: int) -> dict:
+    """The section averaging battery's report, its checks run one after
+    another in report order on the calling thread."""
+    rng = np.random.default_rng(seed)
+    spatial = np.zeros((2, m - 1))
+    spatial[0, 0] = 1.0
+    spatial[1, :2] = (0.6, 0.8)
+    dirs = [np.eye(m)[0], boost_direction(0.5, spatial[0]), boost_direction(1.0, spatial[1])]
+    cases = []
+
+    def add(lemma, form, direction, exact, mc):
+        z = abs(mc.value - exact) / mc.error
+        cases.append({
+            "lemma": lemma,
+            "form": form,
+            "direction": direction,
+            "exact": float(exact),
+            "estimate": float(mc.value),
+            "stderr": float(mc.error),
+            "z": float(z),
+            "pass": bool(z <= 4.0),
+        })
+
+    for i in range(5):
+        q = SymBilinearForm.random(m, rng)
+        for j, a in enumerate(dirs):
+            mc = monte_carlo_section_integral(q, a, samples, seed=seed + 100 + 3 * i + j)
+            add("section", i, j, section_integral_exact(q, a), mc)
+    for i in range(5):
+        q = SymBilinearForm.random(m, rng)
+        mc = monte_carlo_sphere_integral(q, samples, seed=seed + 200 + i)
+        add("sphere", i, None, sphere_integral_exact(q), mc)
+    return {
+        "schema_version": "1",
+        "m": m,
+        "samples": samples,
+        "seed": seed,
+        "cases": cases,
+        "verdict": "pass" if all(entry["pass"] for entry in cases) else "fail",
+    }

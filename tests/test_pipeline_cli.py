@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -8,7 +11,7 @@ import pytest
 
 from lorentzlab import fem, pipeline
 from lorentzlab.cli import main
-from lorentzlab.errors import UsageError
+from lorentzlab.errors import NumericalError, UsageError
 from lorentzlab.pipeline import (
     RunConfig,
     report_to_csv,
@@ -17,6 +20,7 @@ from lorentzlab.pipeline import (
     run_suite,
     section_average_battery,
 )
+from oracles import section_average_battery_serial
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +247,34 @@ def test_section_average_battery_passes():
     result = section_average_battery(4, 100_000, seed=7)
     assert result["verdict"] == "pass"
     assert len(result["cases"]) == 20
+
+
+def _battery_threads(monkeypatch) -> set:
+    """Record the name of every thread that runs a battery check."""
+    names = set()
+    for name in ("monte_carlo_section_integral", "monte_carlo_sphere_integral"):
+        estimator = getattr(pipeline, name)
+
+        def recorded(*args, _estimator=estimator):
+            names.add(threading.current_thread().name)
+            return _estimator(*args)
+
+        monkeypatch.setattr(pipeline, name, recorded)
+    return names
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_section_average_battery_does_not_depend_on_worker_count(monkeypatch, seed):
+    names = _battery_threads(monkeypatch)
+    reports = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)),
+                            raising=False)
+        names.clear()
+        reports[cpus] = report_to_json(section_average_battery(4, 20_000, seed))
+        assert 1 <= len(names) <= cpus
+        assert all(name.startswith("section-avg") for name in names)
+    assert reports[1] == reports[4] == report_to_json(section_average_battery_serial(4, 20_000, seed))
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -506,7 +538,11 @@ def test_cli_section_avg_out_file_matches_stdout(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == printed
 
 
-def test_cli_section_avg_bad_input_exits_2(capsys):
+def test_cli_section_avg_bad_input_exits_2(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started for bad input")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     for args, message in (
         (["--m", "4", "--samples", "1"], "need at least two Monte Carlo samples"),
         (["--m", "4", "--samples", "0"], "need at least two Monte Carlo samples"),
@@ -516,6 +552,23 @@ def test_cli_section_avg_bad_input_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_cli_section_avg_numerical_failure_in_a_worker_exits_3(monkeypatch, capsys):
+    estimator = pipeline.monte_carlo_sphere_integral
+
+    def failing(q, samples, seed):
+        if seed == 7 + 202:  # the third sphere check
+            raise NumericalError("injected failure")
+        return estimator(q, samples, seed)
+
+    monkeypatch.setattr(pipeline, "monte_carlo_sphere_integral", failing)
+    before = set(threading.enumerate())
+    assert main(["section-avg", "--samples", "2000", "--seed", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: injected failure\n"
+    assert set(threading.enumerate()) <= before
 
 
 def test_cli_entrypoint_subprocess():

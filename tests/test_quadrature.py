@@ -395,6 +395,14 @@ def test_sphere_values_match_normalized_draws(sample_values, m):
         assert np.abs(sample_values[-1] - expected).max() <= tol
 
 
+@pytest.mark.parametrize("size", [2, 3, MC_BLOCK + 777, 400_000])
+def test_in_place_statistics_match_numpy_bitwise(size):
+    vals = np.random.default_rng(size).standard_normal(size) * 3.0 + 1.5
+    mean, std = quadrature._mean_and_std(vals.copy())
+    assert mean == vals.mean()
+    assert std == vals.std(ddof=1)
+
+
 def test_monte_carlo_input_checks():
     q = SymBilinearForm.random(4, np.random.default_rng(0))
     for samples in (1, 0):
