@@ -32,13 +32,13 @@ def main():
 
     u = np.zeros(imm.m - 1)
     u[0] = 1.0
+    boosts = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+    catalogue = engine.direction_catalogue([boost_direction(s, u) for s in boosts])
     print(f"{'boost s':>8s} {'rhs(sharp)':>12s} {'rhs(plain)':>12s} {'eq verdict':>14s}")
-    for s in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
-        a = boost_direction(s, u)
-        sharp = engine.projected_curvature_bound(a, sharp=True)
-        plain = engine.projected_curvature_bound(a)
-        verdict = engine.equality_diagnostic(a).verdict
-        print(f"{s:8.2f} {sharp.rhs:12.6f} {plain.rhs:12.6f} {verdict:>14s}")
+    for s, sharp, plain, verdict in zip(
+        boosts, catalogue.sharp.rhs, catalogue.plain.rhs, catalogue.equality.verdict
+    ):
+        print(f"{s:8.2f} {sharp:12.6f} {plain:12.6f} {verdict:>14s}")
 
     inf = engine.infimum_over_directions(args.samples, seed=args.seed)
     print(

@@ -54,7 +54,9 @@ TIE_RTOL = 1e-12
 
 __all__ = [
     "BoundReport",
+    "DirectionBound",
     "EqualityDiagnostic",
+    "DirectionCatalogue",
     "BoundEngine",
 ]
 
@@ -75,20 +77,48 @@ class BoundReport:
     meta: dict = field(default_factory=dict)
 
 
+def _holds(lhs, rhs, tol):
+    """lhs <= rhs up to tol relative to the larger side; elementwise on arrays."""
+    return rhs - lhs >= -tol * np.maximum(np.abs(lhs), np.abs(rhs))
+
+
+@dataclass
+class DirectionBound:
+    """lambda1 <= rhs at each row of a direction stack; the tolerance is
+    the engine's tol_disc."""
+
+    name: str
+    rhs: np.ndarray
+    slack: np.ndarray
+    holds: np.ndarray
+
+
 @dataclass
 class EqualityDiagnostic:
-    """Residual analysis of Delta psi_hat + lambda1 psi_hat = mu * a."""
+    """Residual analysis of Delta psi_hat + lambda1 psi_hat = mu * a at
+    each row of a direction stack; the fields are in report order."""
 
-    direction: tuple
-    verdict: str
-    residual_rel: float
-    residual_rel_canonical: float
-    causal_residual_sq: float
-    a_component_integral: float
-    tangential_ratio: float
-    radius_from_curvature: float
-    radius_from_lambda1: float
-    a_component: np.ndarray = field(repr=False, default=None)
+    verdict: np.ndarray
+    residual_rel: np.ndarray
+    residual_rel_canonical: np.ndarray
+    causal_residual_sq: np.ndarray
+    a_component_integral: np.ndarray
+    tangential_ratio: np.ndarray
+    radius_from_curvature: np.ndarray
+    radius_from_lambda1: np.ndarray
+
+
+@dataclass
+class DirectionCatalogue:
+    """The direction-dependent catalogue on a (k, m) stack of unit
+    timelike directions: row j of every column belongs to directions[j]."""
+
+    directions: np.ndarray
+    curvature_integral: np.ndarray  # int |H_a|^2
+    tangential: np.ndarray  # int |a^T|^2
+    sharp: DirectionBound
+    plain: DirectionBound
+    equality: EqualityDiagnostic
 
 
 class BoundEngine:
@@ -143,14 +173,13 @@ class BoundEngine:
         """The one BoundReport constructor; stamps the mesh size and level."""
         lhs = float(lhs)
         rhs = float(rhs)
-        slack = rhs - lhs
         return BoundReport(
             name=name,
             anchor=anchor,
             lhs=lhs,
             rhs=rhs,
-            slack=slack,
-            holds=slack >= -tol * max(abs(lhs), abs(rhs)),
+            slack=rhs - lhs,
+            holds=bool(_holds(lhs, rhs, tol)),
             tol=tol,
             direction=None if direction is None else tuple(float(x) for x in direction),
             meta={**meta, "vertices": self.mesh.num_vertices, "level": self.mesh.level},
@@ -176,13 +205,18 @@ class BoundEngine:
             m * float(self._form(m_gram, a)) + self._trace(m_gram),
         )
 
-    def f_direction(self, values, a) -> np.ndarray:
-        """Vertex values of <a, W>."""
-        return values @ (self.signs * a)
+    def tangential_energy(self, a):
+        """Integral of the squared tangential part of a (gradient of
+        <a, psi>), for one direction or a stack of them (rows)."""
+        return self._form(self.gram_k_pos, a)
 
-    def tangential_energy(self, a) -> float:
-        """Integral of the squared tangential part of a (gradient of <a, psi>)."""
-        return float(self._form(self.gram_k_pos, a))
+    def _projected_curvature(self, dirs):
+        """int |H_a|^2, int |a^T|^2 and the sharp right-hand side
+        n int |H_a|^2 / (Vol + int |a^T|^2 / n) at each row of a stack."""
+        n = self.imm.n
+        h_a_int = self.curvature_sq_integral + self._form(self.gram_m_h, dirs)
+        tangential = self.tangential_energy(dirs)
+        return h_a_int, tangential, n * h_a_int / (self.volume + tangential / n)
 
     # bounds ----------------------------------------------------------------------
 
@@ -261,7 +295,7 @@ class BoundEngine:
         m = self.imm.m
         s_m = float(self._form(self.gram_m_pos, a))
         psi_m = self._trace(self.gram_m_pos)
-        tangential = self.tangential_energy(a)
+        tangential = float(self.tangential_energy(a))
 
         first = self._report(
             "position-field",
@@ -283,34 +317,6 @@ class BoundEngine:
         )
         return first, second
 
-    def projected_curvature_sq_integral(self, a) -> float:
-        """Integral of the squared projection of H onto the hyperplane of a."""
-        return self.curvature_sq_integral + float(self._form(self.gram_m_h, a))
-
-    def projected_curvature_bound(self, a, sharp: bool = False) -> BoundReport:
-        """lambda1 <= n * int |H_a|^2 / Vol, the headline bound.
-
-        With sharp=True the denominator gains (1/n) int |a^T|^2, which can
-        only lower the right-hand side. Every ingredient is translation
-        invariant, so recentering is optional.
-        """
-        a = require_unit_timelike(a)
-        n = self.imm.n
-        h_a_int = self.projected_curvature_sq_integral(a)
-        tangential = self.tangential_energy(a)
-        denom = self.volume + (tangential / n if sharp else 0.0)
-        name = "projected-curvature-sharp" if sharp else "projected-curvature"
-        return self._report(
-            name,
-            name,
-            self.lambda1,
-            n * h_a_int / denom,
-            self.tol_disc,
-            direction=a,
-            curvature_integral=h_a_int,
-            tangential=tangential,
-        )
-
     def infimum_over_directions(self, count: int, seed: int) -> BoundReport:
         """Minimum of the sharp projected-curvature bound over boost-sampled
         unit timelike directions (the axis direction is sample zero).
@@ -320,9 +326,7 @@ class BoundEngine:
         whichever sample rounding favours.
         """
         dirs = sample_timelike_directions(self.imm.m, count, seed)
-        n = self.imm.n
-        h_a_int = self.curvature_sq_integral + self._form(self.gram_m_h, dirs)
-        rhs = n * h_a_int / (self.volume + self._form(self.gram_k_pos, dirs) / n)
+        _, _, rhs = self._projected_curvature(dirs)
         best = rhs.min()
         pick = int(np.flatnonzero(rhs <= best + TIE_RTOL * abs(best))[0])
         best_dir = dirs[pick]
@@ -419,56 +423,88 @@ class BoundEngine:
         level = self.mesh.level if self.mesh.level is not None else 4
         return TAU_EQ * 2.0 ** (4 - level)
 
-    def equality_diagnostic(self, a, tau_eq: float | None = None) -> EqualityDiagnostic:
-        """Measure how far Delta psi_hat + lambda1 psi_hat is from a multiple
-        of the direction a.
+    def direction_catalogue(self, dirs, tau_eq: float | None = None) -> DirectionCatalogue:
+        """The headline bound lambda1 <= n int |H_a|^2 / Vol, its sharp
+        form, and the equality diagnostic at each row a of a (k, m) stack
+        of unit timelike directions.
 
-        The residual after removing the pointwise a-component lies in the
-        hyperplane orthogonal to a, where the causal square is positive
-        definite; both the residual and the position field are measured in
-        the Euclidean norm of the frame adapted to a (this coincides with
-        the canonical Euclidean norm when a is the time axis, and keeps
-        verdicts boost equivariant). The canonical-frame number is
-        reported alongside. Verdicts: equality-case below tau_eq, strict
-        above STRICT_FACTOR times tau_eq, inconclusive between.
+        The sharp bound's denominator gains (1/n) int |a^T|^2, which can
+        only lower the right-hand side. Every ingredient of both bounds is
+        translation invariant, so recentering is optional.
+
+        The equality diagnostic measures how far Delta psi_hat + lambda1
+        psi_hat is from a multiple of a. The residual after removing the
+        pointwise a-component lies in the hyperplane orthogonal to a,
+        where the causal square is positive definite; both the residual
+        and the position field are measured in the Euclidean norm of the
+        frame adapted to a (this coincides with the canonical Euclidean
+        norm when a is the time axis, and keeps verdicts boost
+        equivariant). The canonical-frame number is reported alongside.
+        Verdicts: equality-case below tau_eq, strict above STRICT_FACTOR
+        times tau_eq, inconclusive between.
+
+        Each b'Gb form is one einsum over the stack, which rounds like the
+        one-direction einsum. The canonical residual's a' G b and a'a and
+        the a-component integral are matrix products that a stacked
+        product would round differently, so they take one row at a time.
         """
-        a = require_unit_timelike(a)
+        dirs = require_unit_timelike(dirs)
         if tau_eq is None:
             tau_eq = self.equality_tolerance()
-        vol = self.volume
-        b = self.signs * a
-        mu = -self.f_direction(self._resid, a)
+        n, vol, lam = self.imm.n, self.volume, self.lambda1
+        h_a_int, tangential, sharp_rhs = self._projected_curvature(dirs)
+        plain_rhs = n * h_a_int / vol
+
         # lumped integrals of rho = resid - mu a = resid + c a, c = <resid, a>:
         # <rho, rho> = <resid, resid> + c^2 and |rho|^2 = |resid|^2 + 2 c resid.a + c^2 |a|^2
         g_r, g_p = self._lumped_resid, self._lumped_pos
-        c_sq = float(self._form(g_r, a))
-        rho_l2 = math.sqrt(max(self._trace(g_r) + c_sq, 0.0) / vol)
-        psi_l2 = math.sqrt((self._trace(g_p) + 2.0 * float(self._form(g_p, a))) / vol)
-        residual_rel = rho_l2 / max(psi_l2, 1e-300)
+        c_sq = self._form(g_r, dirs)
+        # np.where(x < floor, floor, x) is Python's max(x, floor)
+        rho_sq = self._trace(g_r) + c_sq
+        rho_l2 = np.sqrt(np.where(rho_sq < 0.0, 0.0, rho_sq) / vol)
+        psi_l2 = np.sqrt((self._trace(g_p) + 2.0 * self._form(g_p, dirs)) / vol)
+        residual_rel = rho_l2 / np.where(psi_l2 < 1e-300, 1e-300, psi_l2)
 
-        rho_canon_sq = float(np.trace(g_r)) + 2.0 * float(a @ g_r @ b) + float(a @ a) * c_sq
-        rho_l2_canon = math.sqrt(max(rho_canon_sq, 0.0) / vol)
+        rows = []
+        for a in dirs:
+            b = self.signs * a
+            rows.append((float(a @ g_r @ b), float(a @ a), float(self._resid_integral @ b)))
+        a_g_b, a_sq, resid_b = np.array(rows).reshape(-1, 3).T
+        rho_canon_sq = float(np.trace(g_r)) + 2.0 * a_g_b + a_sq * c_sq
+        rho_l2_canon = np.sqrt(np.where(rho_canon_sq < 0.0, 0.0, rho_canon_sq) / vol)
         psi_l2_canon = math.sqrt(float(np.trace(g_p)) / vol)
-        residual_rel_canonical = rho_l2_canon / max(psi_l2_canon, 1e-300)
-        causal_sq = self._trace(g_r) / vol
 
-        if residual_rel <= tau_eq:
-            verdict = "equality-case"
-        elif residual_rel >= STRICT_FACTOR * tau_eq:
-            verdict = "strict"
-        else:
-            verdict = "inconclusive"
-
-        h_a_mean = self.projected_curvature_sq_integral(a) / vol
-        return EqualityDiagnostic(
-            direction=tuple(float(x) for x in a),
+        h_a_mean = h_a_int / vol
+        k = len(dirs)
+        equality = EqualityDiagnostic(
+            verdict=np.select(
+                [residual_rel <= tau_eq, residual_rel >= STRICT_FACTOR * tau_eq],
+                ["equality-case", "strict"],
+                "inconclusive",
+            ),
             residual_rel=residual_rel,
-            residual_rel_canonical=residual_rel_canonical,
-            causal_residual_sq=causal_sq,
-            a_component_integral=-float(self._resid_integral @ b),
-            tangential_ratio=self.tangential_energy(a) / vol,
-            radius_from_curvature=1.0 / math.sqrt(max(h_a_mean, 1e-300)),
-            radius_from_lambda1=math.sqrt(self.imm.n / self.lambda1),
-            verdict=verdict,
-            a_component=mu,
+            residual_rel_canonical=rho_l2_canon / max(psi_l2_canon, 1e-300),
+            causal_residual_sq=np.full(k, self._trace(g_r) / vol),
+            a_component_integral=-resid_b,
+            tangential_ratio=tangential / vol,
+            radius_from_curvature=1.0 / np.sqrt(np.where(h_a_mean < 1e-300, 1e-300, h_a_mean)),
+            radius_from_lambda1=np.full(k, math.sqrt(n / lam)),
+        )
+        return DirectionCatalogue(
+            directions=dirs,
+            curvature_integral=h_a_int,
+            tangential=tangential,
+            sharp=DirectionBound(
+                "projected-curvature-sharp",
+                sharp_rhs,
+                sharp_rhs - lam,
+                _holds(lam, sharp_rhs, self.tol_disc),
+            ),
+            plain=DirectionBound(
+                "projected-curvature",
+                plain_rhs,
+                plain_rhs - lam,
+                _holds(lam, plain_rhs, self.tol_disc),
+            ),
+            equality=equality,
         )

@@ -126,19 +126,36 @@ class FEMPencil:
 
 
 def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
-    """Assemble P1 stiffness and consistent mass under the chord metric."""
+    """Assemble P1 stiffness and consistent mass under the chord metric.
+
+    Both matrices come from one COO pattern, and the conversion to CSR
+    sorts and sums a pattern the same way whatever its values, so the mass
+    shares the stiffness's `indices` and `indptr` arrays. Nothing may sort
+    or prune either matrix in place.
+    """
     geom = mesh_geometry(mesh, imm)
     n = mesh.n
     k = mesh.num_vertices
+    # the index type scipy would convert to, so coo_matrix keeps these arrays
+    simplices = mesh.simplices.astype(np.int32)
+    rows = np.repeat(simplices, n + 1, axis=1).ravel()
+    cols = np.tile(simplices, (1, n + 1)).ravel()
+    del simplices
+
     diff = _difference_matrix(n)
     k_loc = diff.T @ ((geom.gram_inv * geom.volumes[:, None, None]) @ diff)
+    stiffness = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
+    del k_loc
     m_loc = (np.ones((n + 1, n + 1)) + np.eye(n + 1)) / ((n + 1) * (n + 2))
     m_loc = geom.volumes[:, None, None] * m_loc
-
-    rows = np.repeat(mesh.simplices, n + 1, axis=1).ravel()
-    cols = np.tile(mesh.simplices, (1, n + 1)).ravel()
-    stiffness = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
     mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
+    del m_loc, rows, cols
+    # tocsr compacts its result while its full-size arrays still live, so
+    # the results sit above the heap space those arrays and the COO arrays
+    # freed; copies made now fill that space, and the heap can shrink
+    stiffness.data, mass.data = stiffness.data.copy(), mass.data.copy()
+    stiffness.indices, stiffness.indptr = stiffness.indices.copy(), stiffness.indptr.copy()
+    mass.indices, mass.indptr = stiffness.indices, stiffness.indptr
     return FEMPencil(stiffness=stiffness, mass=mass, geometry=geom)
 
 
@@ -315,7 +332,11 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         ones = np.ones((k, 1))
         m_ones = M @ ones
         diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
-        shifted = K + (FACTOR_SHIFT * diag_ratio) * M
+        # K and M share one pattern, so K + s M is a sum of data arrays;
+        # the sparse sum would build its own pattern
+        shifted = sp.csr_matrix(
+            (K.data + (FACTOR_SHIFT * diag_ratio) * M.data, K.indices, K.indptr), shape=K.shape
+        )
         mesh = pencil.geometry.mesh
         base = mesh if mesh.coarse is None else mesh.coarse
         sweeps = 0 if mesh.coarse is None else SWEEPS
@@ -340,7 +361,9 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
             raise EigenSolveError(f"factorization failed: {exc}") from exc
         del galerkin
         diagonal = shifted.diagonal()
-        rho = float(np.max(abs(shifted) @ np.ones(k) / diagonal))
+        magnitude = sp.csr_matrix((np.abs(shifted.data), K.indices, K.indptr), shape=K.shape)
+        rho = float(np.max(magnitude @ np.ones(k) / diagonal))
+        del magnitude
         damped = ((4.0 / (3.0 * rho)) / diagonal)[:, None]
 
         # x = None stands for the zero start of the cycle

@@ -88,15 +88,21 @@ def causal_classify(v) -> CausalClass:
     return CausalClass.TIMELIKE if q < 0 else CausalClass.SPACELIKE
 
 
-def is_unit_timelike(a) -> bool:
+def is_unit_timelike(a):
+    """Whether a is a unit timelike vector; for a stack of them (rows),
+    one flag per row."""
     a = np.asarray(a, dtype=float)
-    return a.shape[-1] >= 3 and abs(float(sq_norm(a)) + 1.0) <= TAU_UNIT
+    return a.shape[-1] >= 3 and np.abs(sq_norm(a) + 1.0) <= TAU_UNIT
 
 
 def require_unit_timelike(a) -> np.ndarray:
+    """a as a float array, checked unit timelike; a stack of directions
+    (rows) is checked at once, and the error names the first bad row."""
     a = np.asarray(a, dtype=float)
-    if not is_unit_timelike(a):
-        raise DomainError(f"expected a unit timelike vector, got <a,a> = {float(sq_norm(a))}")
+    ok = is_unit_timelike(a)
+    if not np.all(ok):
+        bad = a if a.ndim == 1 else a[np.argmin(ok)]
+        raise DomainError(f"expected a unit timelike vector, got <a,a> = {float(sq_norm(bad))}")
     return a
 
 
@@ -196,37 +202,50 @@ def boost_direction(s: float, u) -> np.ndarray:
     return np.concatenate(([math.cosh(s)], math.sinh(s) * u))
 
 
-def sample_timelike_directions(m: int, count: int, seed: int) -> np.ndarray:
-    """The time axis, then `count` boost-sampled unit timelike directions;
-    prefix-stable in count.
+def _boost_draws(m: int, count: int, seed: int):
+    """`count` boosts (u, cosh s, sinh s): per sample, a unit spatial u
+    from m - 1 standard normals, then a rapidity s uniform in [0, S_MAX).
 
-    Draws interleave per sample so the first k rows agree for any larger
-    count with the same seed.
+    The draws keep that interleaved order, so the samples are
+    prefix-stable in count. Only the draws run one sample at a time; each
+    row of u is divided by the square root of its own dot product, as
+    np.linalg.norm does, and cosh and sinh are math's, so every value has
+    the bits of the one-sample formulas (a stacked dot or numpy's vector
+    cosh rounds differently).
     """
+    rng = np.random.default_rng(seed)
+    g = np.empty((count, m - 1))
+    s = np.empty(count)
+    normal, uniform = rng.standard_normal, rng.random
+    for j, row in enumerate(g):
+        normal(out=row)
+        s[j] = uniform()
+    # uniform(0, S_MAX) draws the same double and returns 0.0 + S_MAX * it
+    s = (S_MAX * s).tolist()
+    u = g / np.sqrt([row.dot(row) for row in g]).reshape(-1, 1)
+    return u, np.array([math.cosh(x) for x in s]), np.array([math.sinh(x) for x in s])
+
+
+def sample_timelike_directions(m: int, count: int, seed: int) -> np.ndarray:
+    """The time axis, then `count` boost-sampled unit timelike directions
+    (cosh s, sinh s u); prefix-stable in count."""
     if m < 3:
         raise UsageError("need ambient dimension >= 3")
-    rng = np.random.default_rng(seed)
-    axis = np.zeros(m)
-    axis[0] = 1.0
-    rows = [axis]
-    for _ in range(count):
-        g = rng.standard_normal(m - 1)
-        u = g / np.linalg.norm(g)
-        s = rng.uniform(0.0, S_MAX)
-        rows.append(boost_direction(s, u))
-    return np.array(rows)
+    u, cosh, sinh = _boost_draws(m, count, seed)
+    rows = np.zeros((count + 1, m))
+    rows[0, 0] = 1.0
+    rows[1:, 0] = cosh
+    rows[1:, 1:] = sinh[:, None] * u
+    return rows
 
 
 def sample_causal_directions(m: int, count: int, seed: int) -> np.ndarray:
-    """Mixed timelike and lightlike causal directions for search loops."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for k in range(count):
-        g = rng.standard_normal(m - 1)
-        u = g / np.linalg.norm(g)
-        s = rng.uniform(0.0, S_MAX)
-        if k % 2 == 0:
-            rows.append(boost_direction(s, u))
-        else:
-            rows.append(np.concatenate(([1.0], u)))  # lightlike
-    return np.array(rows)
+    """Mixed timelike and lightlike causal directions for search loops:
+    even samples are boosts (cosh s, sinh s u), odd ones the lightlike
+    (1, u) of the same draws."""
+    u, cosh, sinh = _boost_draws(m, count, seed)
+    rows = np.ones((count, m))
+    rows[:, 1:] = u
+    rows[::2, 0] = cosh[::2]
+    rows[::2, 1:] *= sinh[::2, None]
+    return rows

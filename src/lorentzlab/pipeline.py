@@ -189,6 +189,8 @@ def _section_average_mc(m: int, mc_samples: int, seed: int) -> tuple:
 
 
 def _bound_dict(report: BoundReport, expected: bool | None) -> dict:
+    """A report's bound entry, JSON-ready: `BoundEngine._report` gives the
+    fields Python scalars, and the meta goes through _jsonable."""
     as_expected = None if expected is None else (report.holds == expected)
     return {
         "name": report.name,
@@ -287,15 +289,17 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
         else:
             failures.append(message)
 
-    def add(report: BoundReport, expected: bool | None = True, tag: str = ""):
-        entry = _bound_dict(report, expected)
+    def add_entry(entry: dict, tag: str) -> None:
         bounds.append(entry)
         if entry["as_expected"] is False:
             gate(
-                f"{report.name}{tag}: holds={report.holds}, expected {expected}",
-                report.tol >= engine.tol_disc,
+                f"{entry['name']}{tag}: holds={entry['holds']}, expected {entry['expected_holds']}",
+                entry["tol"] >= engine.tol_disc,
                 " (unresolved at this refinement)",
             )
+
+    def add(report: BoundReport, expected: bool | None = True, tag: str = ""):
+        add_entry(_bound_dict(report, expected), tag)
 
     add(engine.reilly(), expect.reilly_holds)
 
@@ -308,18 +312,49 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
         for report in engine.test_field_bounds(a):
             add(report, tag=f" dir{j}")
 
+    # the projected-curvature bounds and equality diagnostics of every
+    # direction come as columns; their entries are built JSON-ready
+    catalogue = engine.direction_catalogue(directions, tau_eq=config.tol_eq)
+    lam, tol = float(engine.lambda1), engine.tol_disc
+    stamp = {"vertices": mesh.num_vertices, "level": mesh.level}
+    curvature, tangential = catalogue.curvature_integral.tolist(), catalogue.tangential.tolist()
+    columns = [
+        (bound.name, bound.rhs.tolist(), bound.slack.tolist(), bound.holds.tolist())
+        for bound in (catalogue.sharp, catalogue.plain)
+    ]
+    _, sharp_rhs, sharp_slack, _ = columns[0]
+    diag = catalogue.equality
+    diag_columns = [(f.name, getattr(diag, f.name).tolist()) for f in fields(diag)]
     equality_entries = []
     sharp_equality_found = False
-    for j, a in enumerate(directions):
-        sharp = engine.projected_curvature_bound(a, sharp=True)
-        add(sharp, tag=f" dir{j}")
-        add(engine.projected_curvature_bound(a), tag=f" dir{j}")
-        diag = engine.equality_diagnostic(a, tau_eq=config.tol_eq)
-        rel_slack = sharp.slack / max(abs(sharp.lhs), abs(sharp.rhs))
-        if rel_slack <= TAU_DISC and diag.verdict == "equality-case":
+    for j, direction in enumerate(catalogue.directions.tolist()):
+        for name, rhs, slack, holds in columns:
+            add_entry(
+                {
+                    "name": name,
+                    "anchor": name,
+                    "lhs": lam,
+                    "rhs": rhs[j],
+                    "slack": slack[j],
+                    "holds": holds[j],
+                    "tol": tol,
+                    "status": "ok",
+                    "direction": direction,
+                    "expected_holds": True,
+                    "as_expected": holds[j],
+                    "meta": {
+                        "curvature_integral": curvature[j],
+                        "tangential": tangential[j],
+                        **stamp,
+                    },
+                },
+                f" dir{j}",
+            )
+        entry = {"direction": direction}
+        entry.update((name, column[j]) for name, column in diag_columns)
+        rel_slack = sharp_slack[j] / max(abs(lam), abs(sharp_rhs[j]))
+        if rel_slack <= TAU_DISC and entry["verdict"] == "equality-case":
             sharp_equality_found = True
-        # every diagnostic field except the per-vertex a-component
-        entry = {f.name: getattr(diag, f.name) for f in fields(diag) if f.name != "a_component"}
         entry["projection_bound_rel_slack"] = rel_slack
         equality_entries.append(entry)
 
@@ -394,9 +429,9 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
         config=_jsonable(asdict(config)),
         lambda1=_jsonable(lambda_block),
         volume=vol,
-        bounds=_jsonable(bounds),
+        bounds=bounds,
         identities=_jsonable(identities),
-        equality=_jsonable(equality_entries),
+        equality=equality_entries,
         verdict="pass" if not failures else "fail",
         failures=failures,
         warnings=warnings,

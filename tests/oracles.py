@@ -5,7 +5,12 @@ per engine. The helpers here recompute the same numbers the direct way,
 one sparse stiffness or mass product per vertex field, and build test
 fields from a mesh and an immersion without an engine; `field_grams`
 turns any vertex field into the Gram pair the engine's master inequality
-reads. The icosphere is rebuilt one midpoint at a time, the way the
+reads. The projected-curvature bounds and the equality diagnostic are
+evaluated one direction at a time, with the formulas the batched
+catalogue must reproduce bit for bit, and the direction samplers are
+rerun one sample at a time. The consistent mass is converted to CSR on
+its own, apart from the stiffness whose pattern the assembly shares.
+The icosphere is rebuilt one midpoint at a time, the way the
 array build must number it.
 The nested-dissection ordering is rebuilt one part per recursive call,
 the element stiffness is summed by one einsum over the edge-difference
@@ -44,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 
-from lorentzlab.bounds import H_CENTER_TOL
+from lorentzlab.bounds import H_CENTER_TOL, STRICT_FACTOR
 from lorentzlab.errors import NotSpacelikeError, NumericalError, UsageError
 from lorentzlab.fem import ND_LEAF, _difference_matrix, assemble_pencil, mesh_geometry
 from lorentzlab.immersions import (
@@ -55,6 +60,7 @@ from lorentzlab.immersions import (
 )
 from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import (
+    S_MAX,
     SymBilinearForm,
     boost_direction,
     inner,
@@ -65,6 +71,7 @@ from lorentzlab.minkowski import (
     spacelike_complement_basis,
     sphere_integral_exact,
 )
+from lorentzlab.pipeline import _bound_dict
 from lorentzlab.quadrature import (
     IntegralResult,
     mean_curvature_vertices,
@@ -625,12 +632,18 @@ def make_test_field_projected(mesh, imm, a, geometry=None) -> TestField:
     )
 
 
+def f_direction(engine, values, a) -> np.ndarray:
+    """Vertex values of <a, W>."""
+    return values @ (engine.signs * a)
+
+
 def equality_residuals(engine, a) -> dict:
-    """Equality-diagnostic norms evaluated vertex by vertex."""
+    """Equality-diagnostic norms evaluated vertex by vertex; `a_component`
+    is the pointwise mu of Delta psi_hat + lambda1 psi_hat = mu a."""
     lumped, vol = engine.geometry.lumped, engine.volume
     psi = engine.positions_hat
     resid = apply_discrete_laplacian(engine.pencil, psi) + engine.lambda1 * psi
-    mu = -engine.f_direction(resid, a)
+    mu = -f_direction(engine, resid, a)
     rho = resid - mu[:, None] * a
     s_hat = inner(psi, a)
     rho_l2 = np.sqrt(max(float(lumped @ inner(rho, rho)), 0.0) / vol)
@@ -644,6 +657,113 @@ def equality_residuals(engine, a) -> dict:
         "a_component_integral": float(lumped @ mu),
         "a_component": mu,
     }
+
+
+def projected_curvature_bound(engine, a, sharp: bool = False):
+    """lambda1 <= n int |H_a|^2 / Vol (sharp: the denominator gains
+    (1/n) int |a^T|^2) at one direction, as a BoundReport."""
+    a = require_unit_timelike(a)
+    n = engine.imm.n
+    h_a_int = engine.curvature_sq_integral + float(engine._form(engine.gram_m_h, a))
+    tangential = float(engine._form(engine.gram_k_pos, a))
+    denom = engine.volume + (tangential / n if sharp else 0.0)
+    name = "projected-curvature-sharp" if sharp else "projected-curvature"
+    return engine._report(
+        name,
+        name,
+        engine.lambda1,
+        n * h_a_int / denom,
+        engine.tol_disc,
+        direction=a,
+        curvature_integral=h_a_int,
+        tangential=tangential,
+    )
+
+
+def equality_diagnostic(engine, a, tau_eq=None) -> dict:
+    """The equality report entry of one direction, without the projection
+    bound's slack: the Gram-pair formulas one direction at a time, with
+    Python scalars."""
+    a = require_unit_timelike(a)
+    if tau_eq is None:
+        tau_eq = engine.equality_tolerance()
+    vol = engine.volume
+    b = engine.signs * a
+    g_r, g_p = engine._lumped_resid, engine._lumped_pos
+    c_sq = float(engine._form(g_r, a))
+    rho_l2 = math.sqrt(max(engine._trace(g_r) + c_sq, 0.0) / vol)
+    psi_l2 = math.sqrt((engine._trace(g_p) + 2.0 * float(engine._form(g_p, a))) / vol)
+    residual_rel = rho_l2 / max(psi_l2, 1e-300)
+
+    rho_canon_sq = float(np.trace(g_r)) + 2.0 * float(a @ g_r @ b) + float(a @ a) * c_sq
+    rho_l2_canon = math.sqrt(max(rho_canon_sq, 0.0) / vol)
+    psi_l2_canon = math.sqrt(float(np.trace(g_p)) / vol)
+    if residual_rel <= tau_eq:
+        verdict = "equality-case"
+    elif residual_rel >= STRICT_FACTOR * tau_eq:
+        verdict = "strict"
+    else:
+        verdict = "inconclusive"
+    h_a_int = engine.curvature_sq_integral + float(engine._form(engine.gram_m_h, a))
+    return {
+        "direction": [float(x) for x in a],
+        "verdict": verdict,
+        "residual_rel": residual_rel,
+        "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300),
+        "causal_residual_sq": engine._trace(g_r) / vol,
+        "a_component_integral": -float(engine._resid_integral @ b),
+        "tangential_ratio": float(engine._form(engine.gram_k_pos, a)) / vol,
+        "radius_from_curvature": 1.0 / math.sqrt(max(h_a_int / vol, 1e-300)),
+        "radius_from_lambda1": math.sqrt(engine.imm.n / engine.lambda1),
+    }
+
+
+def projected_catalogue_loop(engine, directions, tau_eq=None):
+    """A case run's projected-curvature bound entries (sharp, then plain,
+    per direction), its equality entries, and the messages its gate
+    records for them, one direction at a time."""
+    bounds, equality, messages = [], [], []
+    for j, a in enumerate(directions):
+        sharp = projected_curvature_bound(engine, a, sharp=True)
+        for report in (sharp, projected_curvature_bound(engine, a)):
+            bounds.append(_bound_dict(report, True))
+            if not report.holds:
+                messages.append(f"{report.name} dir{j}: holds=False, expected True")
+        entry = equality_diagnostic(engine, a, tau_eq)
+        entry["projection_bound_rel_slack"] = sharp.slack / max(abs(sharp.lhs), abs(sharp.rhs))
+        equality.append(entry)
+    return bounds, equality, messages
+
+
+def sample_timelike_directions_loop(m: int, count: int, seed: int) -> np.ndarray:
+    """The time axis, then `count` boost samples drawn and built one at a
+    time."""
+    rng = np.random.default_rng(seed)
+    axis = np.zeros(m)
+    axis[0] = 1.0
+    rows = [axis]
+    for _ in range(count):
+        g = rng.standard_normal(m - 1)
+        u = g / np.linalg.norm(g)
+        s = rng.uniform(0.0, S_MAX)
+        rows.append(boost_direction(s, u))
+    return np.array(rows)
+
+
+def sample_causal_directions_loop(m: int, count: int, seed: int) -> np.ndarray:
+    """Alternating boost and lightlike samples, drawn and built one at a
+    time; the empty sample is a (0,) array."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(count):
+        g = rng.standard_normal(m - 1)
+        u = g / np.linalg.norm(g)
+        s = rng.uniform(0.0, S_MAX)
+        if k % 2 == 0:
+            rows.append(boost_direction(s, u))
+        else:
+            rows.append(np.concatenate(([1.0], u)))  # lightlike
+    return np.array(rows)
 
 
 def build_icosphere_mesh_loop(level: int) -> ParamMesh:
@@ -710,6 +830,18 @@ def stiffness_einsum(mesh, geometry) -> sp.csr_matrix:
     cols = np.tile(mesh.simplices, (1, n + 1)).ravel()
     k = mesh.num_vertices
     return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
+
+
+def mass_coo(mesh, geometry) -> sp.csr_matrix:
+    """Consistent P1 mass from its element matrices, scattered with the
+    mesh's own index arrays and converted to CSR on its own."""
+    n = mesh.n
+    m_loc = (np.ones((n + 1, n + 1)) + np.eye(n + 1)) / ((n + 1) * (n + 2))
+    m_loc = geometry.volumes[:, None, None] * m_loc
+    rows = np.repeat(mesh.simplices, n + 1, axis=1).ravel()
+    cols = np.tile(mesh.simplices, (1, n + 1)).ravel()
+    k = mesh.num_vertices
+    return sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
 
 
 def lumped_mass_add_at(mesh, geometry) -> np.ndarray:

@@ -238,17 +238,20 @@ def _spatial_unit(m):
 
 def test_criterion_6_equality_case(engines):
     eng = engines["sphere-hyperplane"]
-    report = eng.projected_curvature_bound(AXIS4)
-    rel_slack = abs(report.slack) / max(abs(report.lhs), abs(report.rhs))
+    catalogue = eng.direction_catalogue([AXIS4])
+    report = catalogue.plain
+    rel_slack = abs(report.slack[0]) / max(abs(eng.lambda1), abs(report.rhs[0]))
     assert rel_slack <= 1e-2
-    diag = eng.equality_diagnostic(AXIS4)
-    assert diag.verdict == "equality-case"
-    assert abs(diag.radius_from_curvature - diag.radius_from_lambda1) <= 1e-2
-    assert diag.radius_from_lambda1 == pytest.approx(1.0, rel=1e-2)
+    verdict = catalogue.equality.verdict[0]
+    radius_h = catalogue.equality.radius_from_curvature[0]
+    radius_lam = catalogue.equality.radius_from_lambda1[0]
+    assert verdict == "equality-case"
+    assert abs(radius_h - radius_lam) <= 1e-2
+    assert radius_lam == pytest.approx(1.0, rel=1e-2)
     conclude(
         6,
-        f"plain projected bound slack rel {rel_slack:.2e}, verdict {diag.verdict}, "
-        f"radius {diag.radius_from_curvature:.4f} vs sqrt(n/lambda1)={diag.radius_from_lambda1:.4f}",
+        f"plain projected bound slack rel {rel_slack:.2e}, verdict {verdict}, "
+        f"radius {radius_h:.4f} vs sqrt(n/lambda1)={radius_lam:.4f}",
     )
 
 
@@ -258,17 +261,15 @@ def test_criterion_7_strictness(engines, counter_engine_l5):
     directions = sample_timelike_directions(4, 10, seed=7)[1:]
     min_slack = math.inf
     worst_shift = 0.0
-    for a in directions:
-        for sharp in (True, False):
-            r4 = eng4.projected_curvature_bound(a, sharp=sharp)
-            r5 = eng5.projected_curvature_bound(a, sharp=sharp)
-            assert r4.slack > 0.0
-            shift = abs(r5.slack / r4.slack - 1.0)
-            assert shift <= 0.2, f"slack unstable: {r4.slack:.4f} -> {r5.slack:.4f}"
-            min_slack = min(min_slack, r4.slack)
+    c4, c5 = eng4.direction_catalogue(directions), eng5.direction_catalogue(directions)
+    for j in range(len(directions)):
+        for r4, r5 in ((c4.sharp, c5.sharp), (c4.plain, c5.plain)):
+            assert r4.slack[j] > 0.0
+            shift = abs(r5.slack[j] / r4.slack[j] - 1.0)
+            assert shift <= 0.2, f"slack unstable: {r4.slack[j]:.4f} -> {r5.slack[j]:.4f}"
+            min_slack = min(min_slack, r4.slack[j])
             worst_shift = max(worst_shift, shift)
-        diag = eng4.equality_diagnostic(a)
-        assert diag.verdict == "strict"
+        assert c4.equality.verdict[j] == "strict"
     conclude(
         7,
         f"10 directions: min slack {min_slack:.4f} > 0, refinement shift <= {worst_shift:.1%}, "
@@ -331,10 +332,10 @@ def test_criterion_9_property_suite(engines):
     eng_moved = BoundEngine(mesh, moved)
     a = boost_direction(0.7, np.array([0.0, 0.6, 0.8]))
     worst = 0.0
-    for sharp in (False, True):
-        r1 = eng.projected_curvature_bound(a, sharp=sharp)
-        r2 = eng_moved.projected_curvature_bound(a, sharp=sharp)
-        worst = max(worst, abs(r2.rhs - r1.rhs) / abs(r1.rhs), abs(r2.lhs - r1.lhs) / abs(r1.lhs))
+    c1, c2 = eng.direction_catalogue([a]), eng_moved.direction_catalogue([a])
+    for r1, r2 in ((c1.plain, c2.plain), (c1.sharp, c2.sharp)):
+        lhs1, lhs2 = eng.lambda1, eng_moved.lambda1
+        worst = max(worst, abs(r2.rhs[0] - r1.rhs[0]) / abs(r1.rhs[0]), abs(lhs2 - lhs1) / abs(lhs1))
     assert worst <= 1e-10
 
     # derivative cross-checks for every gallery immersion

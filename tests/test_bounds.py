@@ -15,6 +15,7 @@ from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh, circle_se
 from lorentzlab.minkowski import boost_direction, sample_timelike_directions
 from oracles import (
     equality_residuals,
+    f_direction,
     field_grams,
     field_k_trace,
     field_m_trace,
@@ -24,6 +25,7 @@ from oracles import (
     make_test_field_mean_curvature,
     make_test_field_position,
     make_test_field_projected,
+    projected_curvature_bound,
     projected_position,
     rayleigh_defect_matrix,
     recenter_to_gravity_origin,
@@ -107,8 +109,9 @@ def test_gram_forms_match_sparse_oracle(case_engines):
                 k_form(eng, f_psi) - lam * m_form(eng, f_psi),
                 _magnitude(K, g_psi) + lam * _magnitude(M, g_psi),
             )
+            catalogue = eng.direction_catalogue([a])
             close(
-                eng.projected_curvature_sq_integral(a),
+                catalogue.curvature_integral[0],
                 field_m_trace(eng, h) + m_form(eng, f_h),
                 _magnitude(M, h) + _magnitude(M, g_h),
             )
@@ -130,19 +133,18 @@ def test_gram_forms_match_sparse_oracle(case_engines):
             close(report.rhs, m * k_form(eng, w @ b) + field_k_trace(eng, w),
                   (m + 1) * _magnitude(K, g_w))
 
-            diag = eng.equality_diagnostic(a)
+            diag = catalogue.equality
             expected = equality_residuals(eng, a)
             for key in ("residual_rel", "residual_rel_canonical", "causal_residual_sq"):
-                assert getattr(diag, key) == pytest.approx(expected[key], rel=1e-12, abs=1e-300), key
-            assert np.array_equal(diag.a_component, expected["a_component"])
+                assert getattr(diag, key)[0] == pytest.approx(expected[key], rel=1e-12, abs=1e-300), key
             mu_scale = float(eng.geometry.lumped @ np.abs(expected["a_component"]))
-            close(diag.a_component_integral, expected["a_component_integral"], mu_scale)
+            close(diag.a_component_integral[0], expected["a_component_integral"], mu_scale)
 
 
 def test_sampled_searches_match_direction_loop(case_engines):
     for eng in case_engines:
         dirs = sample_timelike_directions(eng.imm.m, 12, seed=3)
-        loop = [eng.projected_curvature_bound(a, sharp=True).rhs for a in dirs]
+        loop = [projected_curvature_bound(eng, a, sharp=True).rhs for a in dirs]
         report = eng.infimum_over_directions(12, seed=3)
         assert report.rhs == pytest.approx(min(loop), rel=1e-12)
         search = eng.causal_defect_search(16, seed=5)
@@ -210,7 +212,7 @@ def test_gradient_trace_of_projected_position(counter_engine):
     a = boost_direction(0.5, np.array([0.6, 0.8, 0.0]))
     field = projected_position(eng.positions_hat, a)
     density = signed_gradient_trace_density(eng.mesh, eng.imm, field, geometry=eng.geometry)
-    s = eng.f_direction(eng.positions_hat, a)
+    s = f_direction(eng, eng.positions_hat, a)
     grad_sq = gradient_squared_per_element(eng.geometry, s)
     assert np.abs(density - (2.0 + grad_sq)).max() < 1e-10
 
@@ -360,25 +362,24 @@ def test_position_field_bounds_sphere_reduce_to_classical(sphere_engine):
 
 
 def test_projection_bounds_sphere_equality(sphere_engine):
-    sharp = sphere_engine.projected_curvature_bound(AXIS4, sharp=True)
-    plain = sphere_engine.projected_curvature_bound(AXIS4)
-    for report in (sharp, plain):
-        assert report.holds
-        assert abs(report.slack) / 2.0 <= 1e-2
+    catalogue = sphere_engine.direction_catalogue([AXIS4])
+    for report in (catalogue.sharp, catalogue.plain):
+        assert report.holds[0]
+        assert abs(report.slack[0]) / 2.0 <= 1e-2
     # boosted directions keep the equality (exactly 2 in the continuum)
     boosted = boost_direction(0.8, np.array([0.0, 1.0, 0.0]))
-    sharp_b = sphere_engine.projected_curvature_bound(boosted, sharp=True)
-    assert abs(sharp_b.rhs - 2.0) <= 2e-2
+    sharp_b = sphere_engine.direction_catalogue([boosted]).sharp
+    assert abs(sharp_b.rhs[0] - 2.0) <= 2e-2
 
 
 def test_projection_bounds_counterexample_strict(counter_engine):
-    for a in sample_timelike_directions(4, 10, seed=7)[1:]:
-        sharp = counter_engine.projected_curvature_bound(a, sharp=True)
-        plain = counter_engine.projected_curvature_bound(a)
-        assert sharp.holds and sharp.slack > 0
-        assert plain.holds and plain.slack > 0
+    catalogue = counter_engine.direction_catalogue(sample_timelike_directions(4, 10, seed=7)[1:])
+    sharp, plain = catalogue.sharp, catalogue.plain
+    for j in range(10):
+        assert sharp.holds[j] and sharp.slack[j] > 0
+        assert plain.holds[j] and plain.slack[j] > 0
         # the tangential correction can only lower the bound
-        assert sharp.rhs <= plain.rhs
+        assert sharp.rhs[j] <= plain.rhs[j]
 
 
 def test_projection_bound_translation_invariance():
@@ -388,11 +389,10 @@ def test_projection_bound_translation_invariance():
     a = boost_direction(0.6, np.array([1.0, 0.0, 0.0]))
     eng = BoundEngine(mesh, imm)
     eng_moved = BoundEngine(mesh, moved)
-    for sharp in (False, True):
-        r1 = eng.projected_curvature_bound(a, sharp=sharp)
-        r2 = eng_moved.projected_curvature_bound(a, sharp=sharp)
-        assert r2.rhs == pytest.approx(r1.rhs, rel=1e-10)
-        assert r2.lhs == pytest.approx(r1.lhs, rel=1e-10)
+    c1, c2 = eng.direction_catalogue([a]), eng_moved.direction_catalogue([a])
+    for r1, r2 in ((c1.plain, c2.plain), (c1.sharp, c2.sharp)):
+        assert r2.rhs[0] == pytest.approx(r1.rhs[0], rel=1e-10)
+    assert eng_moved.lambda1 == pytest.approx(eng.lambda1, rel=1e-10)
 
 
 def test_infimum_over_directions(counter_engine, sphere_engine):
@@ -405,7 +405,7 @@ def test_infimum_over_directions(counter_engine, sphere_engine):
     # for the round sphere the direction landscape is exactly flat at the
     # eigenvalue, so the sampled minimum sits at the axis value
     sphere_report = sphere_engine.infimum_over_directions(50, seed=11)
-    axis_value = sphere_engine.projected_curvature_bound(AXIS4, sharp=True).rhs
+    axis_value = sphere_engine.direction_catalogue([AXIS4]).sharp.rhs[0]
     assert sphere_report.rhs == pytest.approx(axis_value, rel=2e-2)
     assert sphere_report.rhs == pytest.approx(2.0, rel=2e-2)
 
@@ -478,6 +478,13 @@ def test_certificate_counterexample_precondition_fails(counter_engine):
     assert not search["found"]
 
 
+def test_direction_catalogue_rejects_a_non_unit_row(counter_engine):
+    dirs = sample_timelike_directions(4, 3, seed=5)
+    dirs[2] *= 2.0
+    with pytest.raises(DomainError, match="got <a,a> = -4.0"):
+        counter_engine.direction_catalogue(dirs)
+
+
 def test_certificate_rejects_spacelike_direction(counter_engine):
     with pytest.raises(DomainError):
         counter_engine.reilly_causal_certificate(np.array([0.0, 1.0, 0.0, 0.0]))
@@ -487,28 +494,28 @@ def test_certificate_rejects_spacelike_direction(counter_engine):
 
 
 def test_equality_diagnostic_sphere(sphere_engine):
-    diag = sphere_engine.equality_diagnostic(AXIS4)
-    assert diag.verdict == "equality-case"
-    assert diag.tangential_ratio <= 1e-12
-    assert diag.radius_from_curvature == pytest.approx(diag.radius_from_lambda1, rel=1e-2)
-    assert abs(diag.a_component_integral) <= 1e-10
+    diag = sphere_engine.direction_catalogue([AXIS4]).equality
+    assert diag.verdict[0] == "equality-case"
+    assert diag.tangential_ratio[0] <= 1e-12
+    assert diag.radius_from_curvature[0] == pytest.approx(diag.radius_from_lambda1[0], rel=1e-2)
+    assert abs(diag.a_component_integral[0]) <= 1e-10
     # equality persists at boosted directions
-    for a in sample_timelike_directions(4, 5, seed=13)[1:]:
-        assert sphere_engine.equality_diagnostic(a).verdict == "equality-case"
+    boosted = sphere_engine.direction_catalogue(sample_timelike_directions(4, 5, seed=13)[1:])
+    assert all(verdict == "equality-case" for verdict in boosted.equality.verdict)
 
 
 def test_equality_diagnostic_counterexample_strict(counter_engine):
-    for a in sample_timelike_directions(4, 10, seed=7):
-        diag = counter_engine.equality_diagnostic(a)
-        assert diag.verdict == "strict"
-        assert abs(diag.a_component_integral) <= 1e-10
+    diag = counter_engine.direction_catalogue(sample_timelike_directions(4, 10, seed=7)).equality
+    for j in range(11):
+        assert diag.verdict[j] == "strict"
+        assert abs(diag.a_component_integral[j]) <= 1e-10
 
 
 def test_equality_diagnostic_null_graph_strict(null_engine):
-    diag = null_engine.equality_diagnostic(np.concatenate(([1.0], np.zeros(4))))
-    assert diag.verdict == "strict"
+    diag = null_engine.direction_catalogue([np.concatenate(([1.0], np.zeros(4)))]).equality
+    assert diag.verdict[0] == "strict"
     # the residual is nearly null, so its causal square is tiny
-    assert abs(diag.causal_residual_sq) <= 1e-2
+    assert abs(diag.causal_residual_sq[0]) <= 1e-2
 
 
 def test_equality_tolerance_tracks_level():
@@ -517,4 +524,4 @@ def test_equality_tolerance_tracks_level():
     assert eng3.equality_tolerance() == pytest.approx(2 * BoundEngine(
         build_icosphere_mesh(4), unit_sphere()
     ).equality_tolerance())
-    assert eng3.equality_diagnostic(AXIS4).verdict == "equality-case"
+    assert eng3.direction_catalogue([AXIS4]).equality.verdict[0] == "equality-case"

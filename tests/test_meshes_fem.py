@@ -41,6 +41,7 @@ from oracles import (
     lambda1_colamd,
     lambda1_fine_factor,
     lumped_mass_add_at,
+    mass_coo,
     nested_dissection_order_recursive,
     stiffness_einsum,
 )
@@ -309,6 +310,24 @@ def test_element_stiffness_matches_einsum_oracle_bitwise(n, case, level):
     oracle = stiffness_einsum(mesh, pen.geometry)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(pen.stiffness, attr), getattr(oracle, attr))
+
+
+@pytest.mark.parametrize("level", (0, 3, 5))
+@pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
+def test_mass_shares_the_stiffness_pattern_bitwise(n, case, level):
+    imm, _ = _build_case(RunConfig(case=case, n=n))
+    mesh = _build_mesh(imm, level)
+    pen = assemble_pencil(mesh, imm)
+    assert pen.mass.indices is pen.stiffness.indices
+    assert pen.mass.indptr is pen.stiffness.indptr
+    oracles = {"stiffness": stiffness_einsum(mesh, pen.geometry), "mass": mass_coo(mesh, pen.geometry)}
+    # the solve sums and scales on the shared arrays; it may not sort or
+    # prune them in place
+    if level == 3:
+        solve_lambda1(pen)
+    for name, oracle in oracles.items():
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(getattr(pen, name), attr), getattr(oracle, attr)), (name, attr)
 
 
 @pytest.mark.parametrize("level", (0, 3, 5))

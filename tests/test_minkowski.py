@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentzlab.errors import UsageError
+from lorentzlab.errors import DomainError, UsageError
 from lorentzlab.minkowski import (
     CausalClass,
     SymBilinearForm,
@@ -14,6 +14,8 @@ from lorentzlab.minkowski import (
     inner,
     lorentz_trace,
     euclid_trace,
+    require_unit_timelike,
+    sample_causal_directions,
     sample_timelike_directions,
     metric_signs,
     section_integral_exact,
@@ -24,7 +26,9 @@ from lorentzlab.minkowski import (
 )
 from oracles import (
     gram_schmidt_complement_basis,
+    sample_causal_directions_loop,
     sample_spherical_section,
+    sample_timelike_directions_loop,
     signature_orthonormalize,
 )
 
@@ -205,3 +209,31 @@ def test_boost_directions_are_unit_timelike_and_prefix_stable():
     short = sample_timelike_directions(4, 10, seed=2)
     assert np.array_equal(long[: len(short)], short)
     assert np.abs(sq_norm(long) + 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", (3, 4, 5))
+@pytest.mark.parametrize("count", (0, 1, 128))
+@pytest.mark.parametrize("seed", (2, 7))
+def test_direction_samplers_match_one_sample_loops_bitwise(m, count, seed):
+    timelike = sample_timelike_directions(m, count, seed)
+    assert timelike.shape == (count + 1, m)
+    assert timelike.tobytes() == sample_timelike_directions_loop(m, count, seed).tobytes()
+    causal = sample_causal_directions(m, count, seed)
+    # the loop's empty sample is a (0,) array; the bytes still agree
+    assert causal.shape == (count, m)
+    assert causal.tobytes() == sample_causal_directions_loop(m, count, seed).tobytes()
+
+
+def test_unit_timelike_check_names_the_first_bad_row():
+    good = sample_timelike_directions(4, 3, seed=5)
+    assert np.array_equal(require_unit_timelike(good), good)
+    bad_rows = [np.array([0.0, 1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0, 0.0])]
+    stack = np.vstack([good[:2], bad_rows, good[2:]])
+    with pytest.raises(DomainError) as single:
+        require_unit_timelike(bad_rows[0])
+    with pytest.raises(DomainError) as stacked:
+        require_unit_timelike(stack)
+    assert str(stacked.value) == str(single.value) == "expected a unit timelike vector, got <a,a> = 1.0"
+    # too few components: every row is bad, and the first is named
+    with pytest.raises(DomainError, match="got <a,a> = 4.0"):
+        require_unit_timelike(np.array([[0.0, 2.0], [1.0, 0.0]]))

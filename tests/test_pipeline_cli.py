@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from lorentzlab import fem, pipeline
+from lorentzlab.bounds import BoundEngine
 from lorentzlab.cli import main
 from lorentzlab.errors import NumericalError, UsageError
 from lorentzlab.pipeline import (
@@ -20,7 +21,11 @@ from lorentzlab.pipeline import (
     run_suite,
     section_average_battery,
 )
-from oracles import section_average_battery_serial
+from oracles import (
+    projected_catalogue_loop,
+    sample_timelike_directions_loop,
+    section_average_battery_serial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +170,47 @@ def test_case_run_computes_geometry_and_mean_curvature_once(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     run_case(RunConfig(case="counterexample", level=2, samples=2, mc_samples=5000))
     assert calls == {"mesh_geometry": 1, "mean_curvature_vertices": 1}
+
+
+def test_direction_catalogue_entries_match_direction_loop_bitwise(monkeypatch):
+    engines = []
+
+    class RecordingEngine(BoundEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(pipeline, "BoundEngine", RecordingEngine)
+    verdicts = set()
+    coarse_messages = 0
+    for case in ("sphere-hyperplane", "counterexample", "cylinder-curve", "lightlike-hyperplane"):
+        for level in (0, 2, 3, 4):
+            # 0.1 puts the sphere below the equality tolerance, the
+            # counterexample between it and the strict threshold, and
+            # part of the lightlike-hyperplane residuals above that
+            for tol_eq in (None, 0.1):
+                config = RunConfig(case=case, level=level, samples=40, mc_samples=5000, tol_eq=tol_eq)
+                report = run_case(config)
+                engine = engines.pop()
+                directions = sample_timelike_directions_loop(engine.imm.m, 40, seed=config.seed)
+                bounds, equality, messages = projected_catalogue_loop(engine, directions, tol_eq)
+                projected = [b for b in report.bounds if b["name"].startswith("projected-curvature")]
+                assert projected == bounds
+                assert report.equality == equality
+                # key order and the repr of every float, -0.0 included
+                assert json.dumps(projected) == json.dumps(bounds)
+                assert json.dumps(report.equality) == json.dumps(equality)
+                # below level 3 a missed projected bound only warns
+                coarse = level < 3
+                gated = report.warnings if coarse else report.failures
+                note = " (unresolved at this refinement)" if coarse else ""
+                assert [g for g in gated if g.startswith("projected-curvature")] == [
+                    message + note for message in messages
+                ]
+                coarse_messages += len(messages) if coarse else 0
+                verdicts.update(e["verdict"] for e in equality)
+    assert verdicts == {"equality-case", "inconclusive", "strict"}
+    assert coarse_messages > 0
 
 
 def test_run_suite_convergence_and_validation():
