@@ -16,7 +16,8 @@ with b = J a each bound is then b'Gb plus a signed trace, and a batch of
 sampled directions is one einsum. A test field enters the master
 inequality through its Gram pair alone: H and psi_hat read the stored
 pairs, and the projected position psi_hat T, T = I + (J a) a', reads
-T'GT.
+T'GT. Every bound family is a BoundTable: its columns over a stack of
+rows, one row per direction, or one row for a bound without a direction.
 
 Vector-equation residuals are measured in an auxiliary Euclidean norm on
 canonical components; the causal square can vanish on nonzero lightlike
@@ -26,7 +27,7 @@ residuals, so it is reported separately where it matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,28 +54,11 @@ H_CENTER_TOL = 1e-2
 TIE_RTOL = 1e-12
 
 __all__ = [
-    "BoundReport",
-    "DirectionBound",
+    "BoundTable",
     "EqualityDiagnostic",
     "DirectionCatalogue",
     "BoundEngine",
 ]
-
-
-@dataclass
-class BoundReport:
-    """One inequality evaluation. For lambda1 <= RHS bounds, lhs is lambda1."""
-
-    name: str
-    anchor: str
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-    tol: float
-    direction: tuple | None = None
-    status: str = "ok"
-    meta: dict = field(default_factory=dict)
 
 
 def _holds(lhs, rhs, tol):
@@ -83,14 +67,29 @@ def _holds(lhs, rhs, tol):
 
 
 @dataclass
-class DirectionBound:
-    """lambda1 <= rhs at each row of a direction stack; the tolerance is
-    the engine's tol_disc."""
+class BoundTable:
+    """One bound family over a stack of rows: row j of every column is one
+    report entry, lhs <= rhs up to tol. A row has the direction
+    directions[j], or none when directions is None (then there is one
+    row). lhs, rhs and the meta values broadcast over the rows, so a value
+    every row shares may be a scalar."""
 
     name: str
-    rhs: np.ndarray
-    slack: np.ndarray
-    holds: np.ndarray
+    anchor: str
+    lhs: np.ndarray | float
+    rhs: np.ndarray | float
+    tol: float
+    directions: np.ndarray | None
+    meta: dict
+    status: str = "ok"
+
+    @property
+    def slack(self):
+        return self.rhs - self.lhs
+
+    @property
+    def holds(self):
+        return _holds(self.lhs, self.rhs, self.tol)
 
 
 @dataclass
@@ -111,13 +110,10 @@ class EqualityDiagnostic:
 @dataclass
 class DirectionCatalogue:
     """The direction-dependent catalogue on a (k, m) stack of unit
-    timelike directions: row j of every column belongs to directions[j]."""
+    timelike directions: row j of every column belongs to direction j."""
 
-    directions: np.ndarray
-    curvature_integral: np.ndarray  # int |H_a|^2
-    tangential: np.ndarray  # int |a^T|^2
-    sharp: DirectionBound
-    plain: DirectionBound
+    sharp: BoundTable
+    plain: BoundTable
     equality: EqualityDiagnostic
 
 
@@ -169,22 +165,6 @@ class BoundEngine:
         self._lumped_resid = self._resid.T @ (lumped[:, None] * self._resid)
         self._lumped_pos = psi.T @ (lumped[:, None] * psi)
 
-    def _report(self, name, anchor, lhs, rhs, tol, direction=None, **meta) -> BoundReport:
-        """The one BoundReport constructor; stamps the mesh size and level."""
-        lhs = float(lhs)
-        rhs = float(rhs)
-        return BoundReport(
-            name=name,
-            anchor=anchor,
-            lhs=lhs,
-            rhs=rhs,
-            slack=rhs - lhs,
-            holds=bool(_holds(lhs, rhs, tol)),
-            tol=tol,
-            direction=None if direction is None else tuple(float(x) for x in direction),
-            meta={**meta, "vertices": self.mesh.num_vertices, "level": self.mesh.level},
-        )
-
     # quadratic forms in b = J a ----------------------------------------------------
 
     def _trace(self, gram) -> float:
@@ -196,13 +176,13 @@ class BoundEngine:
         b = np.asarray(a, dtype=float) * self.signs
         return np.einsum("...i,ij,...j->...", b, gram, b)
 
-    def _master_sides(self, k_gram, m_gram, a):
+    def _master_sides(self, k_gram, m_gram, dirs):
         """Gradient and lambda1 sides of the master inequality,
         m <a, W>^2 + <W, W> integrated, without the factor lambda1."""
         m = self.imm.m
         return (
-            m * float(self._form(k_gram, a)) + self._trace(k_gram),
-            m * float(self._form(m_gram, a)) + self._trace(m_gram),
+            m * self._form(k_gram, dirs) + self._trace(k_gram),
+            m * self._form(m_gram, dirs) + self._trace(m_gram),
         )
 
     def tangential_energy(self, a):
@@ -219,43 +199,55 @@ class BoundEngine:
         return h_a_int, tangential, n * h_a_int / (self.volume + tangential / n)
 
     # bounds ----------------------------------------------------------------------
+    # Each family is a BoundTable over its rows. The b'Gb forms are one
+    # einsum over a direction stack, which rounds like the one-direction
+    # einsum; matrix products would not, so T'GT is built one row at a time.
 
-    def test_field_bound(self, provenance, k_gram, m_gram, a, centered=True) -> BoundReport:
+    def test_field_bound(self, provenance, k_gram, m_gram, dirs, centered=True) -> BoundTable:
         """Master inequality for the test field W with Gram pair
-        (W'KW, W'MW): the gradient side dominates the lambda1 side for any
-        centered test field and any unit timelike direction."""
-        a = require_unit_timelike(a)
-        rhs, weight = self._master_sides(k_gram, m_gram, a)
-        if weight <= 1e-14 * max(1.0, float(np.abs(m_gram).max())):
+        (W'KW, W'MW) at each row of a direction stack: the gradient side
+        dominates the lambda1 side for any centered test field and any
+        unit timelike direction."""
+        dirs = require_unit_timelike(dirs)
+        rhs, weight = self._master_sides(k_gram, m_gram, dirs)
+        return self._test_field(provenance, dirs, rhs, weight, np.abs(m_gram).max(), centered)
+
+    def _test_field(self, provenance, dirs, rhs, weight, m_scale, centered=True) -> BoundTable:
+        """The test field's table from its two sides; m_scale, the largest
+        |W'MW| entry, scales the check that the field does not vanish."""
+        if np.any(weight <= 1e-14 * np.maximum(1.0, m_scale)):
             raise DomainError("test field vanishes identically")
-        return self._report(
+        return BoundTable(
             f"test-field[{provenance}]",
             "test-field",
             self.lambda1 * weight,
             rhs,
             TAU_BOUND,
-            direction=a,
-            provenance=provenance,
-            centered=centered,
+            dirs,
+            {"provenance": provenance, "centered": centered},
         )
 
-    def test_field_bounds(self, a):
+    def test_field_bounds(self, dirs):
         """Master inequality for H, psi_hat and the projected position
         psi_hat + <psi_hat, a> a = psi_hat T, T = I + (J a) a', whose Gram
-        matrices are T'GT."""
-        a = require_unit_timelike(a)
-        t = np.eye(self.imm.m) + np.outer(self.signs * a, a)
+        matrices are T'GT, at each row of a direction stack."""
+        dirs = require_unit_timelike(dirs)
+        projected = []
+        for a in dirs:
+            t = np.eye(self.imm.m) + np.outer(self.signs * a, a)
+            m_gram = t.T @ self.gram_m_pos @ t
+            sides = self._master_sides(t.T @ self.gram_k_pos @ t, m_gram, a)
+            projected.append((*sides, np.abs(m_gram).max()))
+        rhs, weight, m_scale = np.array(projected).reshape(-1, 3).T
         return (
             self.test_field_bound(
-                "mean-curvature", self.gram_k_h, self.gram_m_h, a, self._h_centered
+                "mean-curvature", self.gram_k_h, self.gram_m_h, dirs, self._h_centered
             ),
-            self.test_field_bound("position", self.gram_k_pos, self.gram_m_pos, a),
-            self.test_field_bound(
-                "projected-position", t.T @ self.gram_k_pos @ t, t.T @ self.gram_m_pos @ t, a
-            ),
+            self.test_field_bound("position", self.gram_k_pos, self.gram_m_pos, dirs),
+            self._test_field("projected-position", dirs, rhs, weight, m_scale),
         )
 
-    def reilly(self) -> BoundReport:
+    def reilly(self) -> BoundTable:
         """Classical bound lambda1 <= n * mean of the causal curvature square.
 
         Valid through spacelike or lightlike hyperplanes; fails in general,
@@ -263,61 +255,61 @@ class BoundEngine:
         """
         h_sq_int = self.curvature_sq_integral
         rhs = self.imm.n * h_sq_int / self.volume
-        return self._report(
-            "reilly", "reilly", self.lambda1, rhs, self.tol_disc, curvature_integral=h_sq_int
+        return BoundTable(
+            "reilly", "reilly", self.lambda1, rhs, self.tol_disc, None,
+            {"curvature_integral": h_sq_int},
         )
 
-    def mean_curvature_field_bound(self, a) -> BoundReport:
-        a = require_unit_timelike(a)
-        num, denom = self._master_sides(self.gram_k_h, self.gram_m_h, a)
-        if denom <= 0:
+    def mean_curvature_field_bound(self, dirs) -> BoundTable:
+        dirs = require_unit_timelike(dirs)
+        num, denom = self._master_sides(self.gram_k_h, self.gram_m_h, dirs)
+        if np.any(denom <= 0):
             raise DomainError("mean curvature field has vanishing weight")
-        return self._report(
+        return BoundTable(
             "mean-curvature-field",
             "mean-curvature-field",
             self.lambda1,
             num / denom,
             self.tol_disc,
-            direction=a,
-            numerator=num,
-            denominator=denom,
+            dirs,
+            {"numerator": num, "denominator": denom},
         )
 
-    def position_field_bounds(self, a):
+    def position_field_bounds(self, dirs):
         """Bounds from the centered position field and its projection.
 
         Both right-hand sides use the exact elementwise identities for the
         signed gradient trace (n for the position field, n plus the
         squared tangential part for the projected one).
         """
-        a = require_unit_timelike(a)
-        n = self.imm.n
-        m = self.imm.m
-        s_m = float(self._form(self.gram_m_pos, a))
+        dirs = require_unit_timelike(dirs)
+        n, m, lam = self.imm.n, self.imm.m, self.lambda1
+        s_m = self._form(self.gram_m_pos, dirs)
         psi_m = self._trace(self.gram_m_pos)
-        tangential = float(self.tangential_energy(a))
-
-        first = self._report(
-            "position-field",
-            "position-field",
-            self.lambda1 * (m * s_m + psi_m),
-            n * self.volume + m * tangential,
-            TAU_BOUND,
-            direction=a,
-            tangential=tangential,
+        tangential = self.tangential_energy(dirs)
+        meta = {"tangential": tangential}
+        return (
+            BoundTable(
+                "position-field",
+                "position-field",
+                lam * (m * s_m + psi_m),
+                n * self.volume + m * tangential,
+                TAU_BOUND,
+                dirs,
+                meta,
+            ),
+            BoundTable(
+                "projected-position-field",
+                "projected-position-field",
+                lam * (psi_m + s_m),
+                n * self.volume + tangential,
+                TAU_BOUND,
+                dirs,
+                meta,
+            ),
         )
-        second = self._report(
-            "projected-position-field",
-            "projected-position-field",
-            self.lambda1 * (psi_m + s_m),
-            n * self.volume + tangential,
-            TAU_BOUND,
-            direction=a,
-            tangential=tangential,
-        )
-        return first, second
 
-    def infimum_over_directions(self, count: int, seed: int) -> BoundReport:
+    def infimum_over_directions(self, count: int, seed: int) -> BoundTable:
         """Minimum of the sharp projected-curvature bound over boost-sampled
         unit timelike directions (the axis direction is sample zero).
 
@@ -329,17 +321,14 @@ class BoundEngine:
         _, _, rhs = self._projected_curvature(dirs)
         best = rhs.min()
         pick = int(np.flatnonzero(rhs <= best + TIE_RTOL * abs(best))[0])
-        best_dir = dirs[pick]
-        return self._report(
+        return BoundTable(
             "direction-infimum",
             "direction-infimum",
             self.lambda1,
             rhs[pick],
             self.tol_disc,
-            direction=best_dir,
-            samples=len(dirs),
-            seed=seed,
-            boost=float(np.arccosh(max(best_dir[0], 1.0))),
+            dirs[pick : pick + 1],
+            {"samples": len(dirs), "seed": seed, "boost": np.arccosh(max(dirs[pick, 0], 1.0))},
         )
 
     # defect form and causal certificate ------------------------------------------
@@ -350,13 +339,13 @@ class BoundEngine:
         bv = np.asarray(v, dtype=float) * self.signs
         return float(bv @ self._defect @ bv)
 
-    def reilly_causal_certificate(self, ell) -> BoundReport:
+    def reilly_causal_certificate(self, ell) -> BoundTable:
         """Classical bound certified by a causal direction annihilating the
         defect form; carries equality sub-checks in its metadata.
 
         If the defect Q(ell, ell) is not numerically zero the certificate
-        does not apply and the report is returned with status
-        "precondition-failed" instead of a verdict.
+        does not apply and the row has status "precondition-failed"
+        instead of a verdict.
         """
         ell = np.asarray(ell, dtype=float)
         cls = causal_classify(ell)
@@ -365,7 +354,6 @@ class BoundEngine:
         q = self.rayleigh_defect(ell)
         scale = self._defect_scale * float(ell @ ell)
         precondition_ok = abs(q) <= TAU_ELLE * scale
-        base = self.reilly()
         n = self.imm.n
 
         # the causal square drops twice the time component from the
@@ -388,13 +376,12 @@ class BoundEngine:
             and abs(causal_sq) / self._defect_scale / self.lambda1 <= TAU_EQ,
         }
         return replace(
-            base,
+            self.reilly(),
             name="reilly-causal-certificate",
             anchor="reilly-causal-certificate",
-            direction=tuple(float(x) for x in ell),
+            directions=ell[None],
+            meta=meta,
             status="ok" if precondition_ok else "precondition-failed",
-            # keep the mesh stamp _report gave the classical bound
-            meta=meta | {key: base.meta[key] for key in ("vertices", "level")},
         )
 
     def causal_defect_search(self, count: int, seed: int) -> dict:
@@ -443,10 +430,8 @@ class BoundEngine:
         Verdicts: equality-case below tau_eq, strict above STRICT_FACTOR
         times tau_eq, inconclusive between.
 
-        Each b'Gb form is one einsum over the stack, which rounds like the
-        one-direction einsum. The canonical residual's a' G b and a'a and
-        the a-component integral are matrix products that a stacked
-        product would round differently, so they take one row at a time.
+        The canonical residual's a' G b and a'a and the a-component
+        integral are matrix products, so they take one row at a time.
         """
         dirs = require_unit_timelike(dirs)
         if tau_eq is None:
@@ -490,21 +475,10 @@ class BoundEngine:
             radius_from_curvature=1.0 / np.sqrt(np.where(h_a_mean < 1e-300, 1e-300, h_a_mean)),
             radius_from_lambda1=np.full(k, math.sqrt(n / lam)),
         )
+        meta = {"curvature_integral": h_a_int, "tangential": tangential}
+        sharp, plain = "projected-curvature-sharp", "projected-curvature"
         return DirectionCatalogue(
-            directions=dirs,
-            curvature_integral=h_a_int,
-            tangential=tangential,
-            sharp=DirectionBound(
-                "projected-curvature-sharp",
-                sharp_rhs,
-                sharp_rhs - lam,
-                _holds(lam, sharp_rhs, self.tol_disc),
-            ),
-            plain=DirectionBound(
-                "projected-curvature",
-                plain_rhs,
-                plain_rhs - lam,
-                _holds(lam, plain_rhs, self.tol_disc),
-            ),
+            sharp=BoundTable(sharp, sharp, lam, sharp_rhs, self.tol_disc, dirs, meta),
+            plain=BoundTable(plain, plain, lam, plain_rhs, self.tol_disc, dirs, meta),
             equality=equality,
         )

@@ -79,6 +79,8 @@ def _config_from_args(args) -> RunConfig:
                 loaded = json.load(fh)
             except ValueError as exc:
                 raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         known = {f.name for f in fields(RunConfig)}
         unknown = set(loaded) - known
         if unknown:

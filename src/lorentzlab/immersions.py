@@ -79,12 +79,13 @@ class HyperplaneSphere(Immersion):
 
     def __init__(self, n: int, radius: float, center, axis):
         center = np.array(center, dtype=float)
+        # the dimensions first: the axis check presumes m >= 3
+        super().__init__(n, center.size)
         axis = require_unit_timelike(axis)
         if axis.shape != center.shape:
             raise UsageError("center and axis dimensions differ")
         if radius <= 0:
             raise DomainError("radius must be positive")
-        super().__init__(n, center.shape[0])
         self.radius = float(radius)
         self.center = center
         self.axis = axis

@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import math
 import numbers
 import os
 import time
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bounds import BoundEngine, BoundReport, TAU_DISC
+from .bounds import BoundEngine, TAU_DISC
 from .errors import UsageError
 from .immersions import (
     CounterexampleSphere,
@@ -98,6 +99,8 @@ class RunConfig:
                 isinstance(value, bool) and kind != "bool"
             ):
                 raise UsageError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite, got {value!r}")
         if self.level < 0:
             raise UsageError("level must be nonnegative")
         if self.samples < 1:
@@ -188,26 +191,6 @@ def _section_average_mc(m: int, mc_samples: int, seed: int) -> tuple:
     return exact, mc.value, mc.error, abs(mc.value - exact) / mc.error
 
 
-def _bound_dict(report: BoundReport, expected: bool | None) -> dict:
-    """A report's bound entry, JSON-ready: `BoundEngine._report` gives the
-    fields Python scalars, and the meta goes through _jsonable."""
-    as_expected = None if expected is None else (report.holds == expected)
-    return {
-        "name": report.name,
-        "anchor": report.anchor,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "holds": report.holds,
-        "tol": report.tol,
-        "status": report.status,
-        "direction": list(report.direction) if report.direction is not None else None,
-        "expected_holds": expected,
-        "as_expected": as_expected,
-        "meta": _jsonable(report.meta),
-    }
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -289,82 +272,80 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
         else:
             failures.append(message)
 
-    def add_entry(entry: dict, tag: str) -> None:
-        bounds.append(entry)
-        if entry["as_expected"] is False:
-            gate(
-                f"{entry['name']}{tag}: holds={entry['holds']}, expected {entry['expected_holds']}",
-                entry["tol"] >= engine.tol_disc,
-                " (unresolved at this refinement)",
-            )
-
-    def add(report: BoundReport, expected: bool | None = True, tag: str = ""):
-        add_entry(_bound_dict(report, expected), tag)
-
-    add(engine.reilly(), expect.reilly_holds)
-
-    for j, a in enumerate(directions[:3]):
-        add(engine.mean_curvature_field_bound(a), tag=f" dir{j}")
-        for report in engine.position_field_bounds(a):
-            add(report, tag=f" dir{j}")
-
-    for j, a in enumerate(directions[:4]):
-        for report in engine.test_field_bounds(a):
-            add(report, tag=f" dir{j}")
-
-    # the projected-curvature bounds and equality diagnostics of every
-    # direction come as columns; their entries are built JSON-ready
-    catalogue = engine.direction_catalogue(directions, tau_eq=config.tol_eq)
-    lam, tol = float(engine.lambda1), engine.tol_disc
     stamp = {"vertices": mesh.num_vertices, "level": mesh.level}
-    curvature, tangential = catalogue.curvature_integral.tolist(), catalogue.tangential.tolist()
-    columns = [
-        (bound.name, bound.rhs.tolist(), bound.slack.tolist(), bound.holds.tolist())
-        for bound in (catalogue.sharp, catalogue.plain)
-    ]
-    _, sharp_rhs, sharp_slack, _ = columns[0]
-    diag = catalogue.equality
-    diag_columns = [(f.name, getattr(diag, f.name).tolist()) for f in fields(diag)]
-    equality_entries = []
-    sharp_equality_found = False
-    for j, direction in enumerate(catalogue.directions.tolist()):
-        for name, rhs, slack, holds in columns:
-            add_entry(
-                {
-                    "name": name,
-                    "anchor": name,
-                    "lhs": lam,
+
+    def add_entries(tables, expected: bool | None = True, tag: str = " dir{}") -> None:
+        """Append the bound entries of tables with one row count, row by row
+        and table by table within a row, and gate each missed expectation;
+        `tag` is formatted with the row number."""
+        rows = 1 if tables[0].directions is None else len(tables[0].directions)
+
+        def column(values) -> list:
+            return np.broadcast_to(values, (rows,)).tolist()
+
+        columns = [
+            (
+                table,
+                *map(column, (table.lhs, table.rhs, table.slack, table.holds)),
+                [None] * rows if table.directions is None else table.directions.tolist(),
+                {key: column(values) for key, values in table.meta.items()},
+            )
+            for table in tables
+        ]
+        for j in range(rows):
+            for table, lhs, rhs, slack, holds, dirs, meta in columns:
+                entry = {
+                    "name": table.name,
+                    "anchor": table.anchor,
+                    "lhs": lhs[j],
                     "rhs": rhs[j],
                     "slack": slack[j],
                     "holds": holds[j],
-                    "tol": tol,
-                    "status": "ok",
-                    "direction": direction,
-                    "expected_holds": True,
-                    "as_expected": holds[j],
-                    "meta": {
-                        "curvature_integral": curvature[j],
-                        "tangential": tangential[j],
-                        **stamp,
-                    },
-                },
-                f" dir{j}",
-            )
+                    "tol": table.tol,
+                    "status": table.status,
+                    "direction": dirs[j],
+                    "expected_holds": expected,
+                    "as_expected": None if expected is None else holds[j] == expected,
+                    "meta": {key: values[j] for key, values in meta.items()} | stamp,
+                }
+                bounds.append(entry)
+                if entry["as_expected"] is False:
+                    gate(
+                        f"{table.name}{tag.format(j)}: holds={holds[j]}, expected {expected}",
+                        table.tol >= engine.tol_disc,
+                        " (unresolved at this refinement)",
+                    )
+
+    add_entries([engine.reilly()], expect.reilly_holds, tag="")
+    add_entries([engine.mean_curvature_field_bound(directions[:3]),
+                 *engine.position_field_bounds(directions[:3])])
+    add_entries(engine.test_field_bounds(directions[:4]))
+    catalogue = engine.direction_catalogue(directions, tau_eq=config.tol_eq)
+    add_entries([catalogue.sharp, catalogue.plain])
+    infimum = engine.infimum_over_directions(max(config.samples, 20), seed=config.seed + 1)
+    add_entries([infimum], tag="")
+
+    # the equality entries, with the sharp bound's relative slack
+    lam = float(engine.lambda1)
+    sharp_rhs, sharp_slack = catalogue.sharp.rhs.tolist(), catalogue.sharp.slack.tolist()
+    diag = catalogue.equality
+    diag_columns = [(f.name, getattr(diag, f.name).tolist()) for f in fields(diag)]
+    equality_entries = []
+    for j, direction in enumerate(directions.tolist()):
         entry = {"direction": direction}
         entry.update((name, column[j]) for name, column in diag_columns)
-        rel_slack = sharp_slack[j] / max(abs(lam), abs(sharp_rhs[j]))
-        if rel_slack <= TAU_DISC and entry["verdict"] == "equality-case":
-            sharp_equality_found = True
-        entry["projection_bound_rel_slack"] = rel_slack
+        entry["projection_bound_rel_slack"] = sharp_slack[j] / max(abs(lam), abs(sharp_rhs[j]))
         equality_entries.append(entry)
-
-    add(engine.infimum_over_directions(max(config.samples, 20), seed=config.seed + 1))
+    sharp_equality_found = any(
+        e["projection_bound_rel_slack"] <= TAU_DISC and e["verdict"] == "equality-case"
+        for e in equality_entries
+    )
 
     certificate_search = None
     if expect.certificate is not None:
-        report = engine.reilly_causal_certificate(expect.certificate)
-        add(report, tag=" certificate")
-        if not report.meta.get("equality"):
+        certificate = engine.reilly_causal_certificate(expect.certificate)
+        add_entries([certificate], tag=" certificate")
+        if not certificate.meta["equality"]:
             gate("certificate equality sub-checks failed", True)
     else:
         certificate_search = engine.causal_defect_search(

@@ -11,7 +11,6 @@ Monte Carlo runs are deterministic per seed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,41 +53,31 @@ class IntegralResult:
 
 @functools.lru_cache(maxsize=None)
 def _slice_rule(n: int, count: int):
-    """Gauss-Jacobi nodes (ascending) and weights for (1-t^2)^{(n-2)/2} on [-1, 1].
-
-    Closed-form Gauss-Chebyshev for n = 1, Gauss-Legendre for n = 2, and
-    otherwise Golub-Welsch: the nodes are the eigenvalues of the Jacobi
-    matrix of the symmetric Jacobi weight, the weights are the squared
-    first eigenvector components times the weight's total mass. Rules are
-    computed once per (n, count) and returned read-only.
+    """Gauss-Jacobi nodes (ascending) and weights for (1-t^2)^{(n-2)/2} on
+    [-1, 1]: closed-form Gauss-Chebyshev for n = 1, Gauss-Legendre for
+    n = 2. Rules are computed once per (n, count) and returned read-only.
     """
     if n == 1:
         x = -np.cos((2 * np.arange(1, count + 1) - 1) * (np.pi / (2 * count)))
         w = np.full(count, np.pi / count)
-    elif n == 2:
-        x, w = np.polynomial.legendre.leggauss(count)
     else:
-        a = (n - 2) / 2.0
-        k = np.arange(1, count)
-        off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
-        x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        mass = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
-        w = mass * vectors[0] ** 2
+        x, w = np.polynomial.legendre.leggauss(count)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
 def sphere_slice_integral(n: int, phi) -> IntegralResult:
-    """Integral over the unit n-sphere of a function of the height t.
+    """Integral over the unit n-sphere, n = 1 or 2 (the dimensions that
+    have meshes), of a function of the height t.
 
     Uses the slice reduction Vol(S^{n-1}) * int phi(t) (1-t^2)^{(n-2)/2} dt
     with a `SLICE_NODES`-point Gauss-Jacobi rule; exact to machine
     precision for polynomial phi up to the rule degree. The error estimate
     compares against a rule with half the nodes.
     """
-    if n < 1:
-        raise UsageError("sphere dimension must be at least 1")
+    if n not in (1, 2):
+        raise UsageError(f"slice integrals are available for n = 1 and n = 2 only, got n = {n}")
     ring = unit_sphere_volume(n - 1)
 
     def run(count):

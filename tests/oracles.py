@@ -5,10 +5,10 @@ per engine. The helpers here recompute the same numbers the direct way,
 one sparse stiffness or mass product per vertex field, and build test
 fields from a mesh and an immersion without an engine; `field_grams`
 turns any vertex field into the Gram pair the engine's master inequality
-reads. The projected-curvature bounds and the equality diagnostic are
-evaluated one direction at a time, with the formulas the batched
-catalogue must reproduce bit for bit, and the direction samplers are
-rerun one sample at a time. The consistent mass is converted to CSR on
+reads. Every bound family and the equality diagnostic are evaluated one
+direction and one report entry at a time, with the formulas the bound
+tables must reproduce bit for bit, and the direction samplers are rerun
+one sample at a time. The consistent mass is converted to CSR on
 its own, apart from the stiffness whose pattern the assembly shares.
 The icosphere is rebuilt one midpoint at a time, the way the
 array build must number it.
@@ -43,14 +43,22 @@ references for the stiffness reads of the identities.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 
-from lorentzlab.bounds import H_CENTER_TOL, STRICT_FACTOR
-from lorentzlab.errors import NotSpacelikeError, NumericalError, UsageError
+from lorentzlab.bounds import (
+    H_CENTER_TOL,
+    STRICT_FACTOR,
+    TAU_BOUND,
+    TAU_DISC,
+    TAU_ELLE,
+    TAU_EQ,
+    TIE_RTOL,
+)
+from lorentzlab.errors import DomainError, NotSpacelikeError, NumericalError, UsageError
 from lorentzlab.fem import ND_LEAF, _difference_matrix, assemble_pencil, mesh_geometry
 from lorentzlab.immersions import (
     CylinderSphere,
@@ -71,7 +79,7 @@ from lorentzlab.minkowski import (
     spacelike_complement_basis,
     sphere_integral_exact,
 )
-from lorentzlab.pipeline import _bound_dict
+from lorentzlab.pipeline import _build_case, _jsonable, _section_average_mc
 from lorentzlab.quadrature import (
     IntegralResult,
     mean_curvature_vertices,
@@ -659,16 +667,171 @@ def equality_residuals(engine, a) -> dict:
     }
 
 
-def projected_curvature_bound(engine, a, sharp: bool = False):
+@dataclass
+class BoundReport:
+    """One inequality evaluation at one direction. For lambda1 <= RHS
+    bounds, lhs is lambda1."""
+
+    name: str
+    anchor: str
+    lhs: float
+    rhs: float
+    slack: float
+    holds: bool
+    tol: float
+    direction: tuple | None = None
+    status: str = "ok"
+    meta: dict = field(default_factory=dict)
+
+
+def bound_report(engine, name, anchor, lhs, rhs, tol, direction=None, **meta) -> BoundReport:
+    """A BoundReport with Python scalars, stamped with the mesh size and level."""
+    lhs = float(lhs)
+    rhs = float(rhs)
+    return BoundReport(
+        name=name,
+        anchor=anchor,
+        lhs=lhs,
+        rhs=rhs,
+        slack=rhs - lhs,
+        holds=bool(rhs - lhs >= -tol * max(abs(lhs), abs(rhs))),
+        tol=tol,
+        direction=None if direction is None else tuple(float(x) for x in direction),
+        meta={**meta, "vertices": engine.mesh.num_vertices, "level": engine.mesh.level},
+    )
+
+
+def bound_dict(report: BoundReport, expected) -> dict:
+    """A report's bound entry, JSON-ready."""
+    as_expected = None if expected is None else (report.holds == expected)
+    return {
+        "name": report.name,
+        "anchor": report.anchor,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "slack": report.slack,
+        "holds": report.holds,
+        "tol": report.tol,
+        "status": report.status,
+        "direction": list(report.direction) if report.direction is not None else None,
+        "expected_holds": expected,
+        "as_expected": as_expected,
+        "meta": _jsonable(report.meta),
+    }
+
+
+def _master_sides(engine, k_gram, m_gram, a):
+    """Gradient and lambda1 sides of the master inequality at one direction."""
+    m = engine.imm.m
+    return (
+        m * float(engine._form(k_gram, a)) + engine._trace(k_gram),
+        m * float(engine._form(m_gram, a)) + engine._trace(m_gram),
+    )
+
+
+def master_inequality_bound(engine, provenance, k_gram, m_gram, a, centered=True) -> BoundReport:
+    a = require_unit_timelike(a)
+    rhs, weight = _master_sides(engine, k_gram, m_gram, a)
+    if weight <= 1e-14 * max(1.0, float(np.abs(m_gram).max())):
+        raise DomainError("test field vanishes identically")
+    return bound_report(
+        engine,
+        f"test-field[{provenance}]",
+        "test-field",
+        engine.lambda1 * weight,
+        rhs,
+        TAU_BOUND,
+        direction=a,
+        provenance=provenance,
+        centered=centered,
+    )
+
+
+def master_inequality_bounds(engine, a):
+    """H, psi_hat and the projected position psi_hat T at one direction."""
+    a = require_unit_timelike(a)
+    t = np.eye(engine.imm.m) + np.outer(engine.signs * a, a)
+    return (
+        master_inequality_bound(
+            engine, "mean-curvature", engine.gram_k_h, engine.gram_m_h, a, engine._h_centered
+        ),
+        master_inequality_bound(engine, "position", engine.gram_k_pos, engine.gram_m_pos, a),
+        master_inequality_bound(
+            engine,
+            "projected-position",
+            t.T @ engine.gram_k_pos @ t,
+            t.T @ engine.gram_m_pos @ t,
+            a,
+        ),
+    )
+
+
+def reilly(engine) -> BoundReport:
+    h_sq_int = engine.curvature_sq_integral
+    rhs = engine.imm.n * h_sq_int / engine.volume
+    return bound_report(
+        engine, "reilly", "reilly", engine.lambda1, rhs, engine.tol_disc, curvature_integral=h_sq_int
+    )
+
+
+def mean_curvature_field_bound(engine, a) -> BoundReport:
+    a = require_unit_timelike(a)
+    num, denom = _master_sides(engine, engine.gram_k_h, engine.gram_m_h, a)
+    if denom <= 0:
+        raise DomainError("mean curvature field has vanishing weight")
+    return bound_report(
+        engine,
+        "mean-curvature-field",
+        "mean-curvature-field",
+        engine.lambda1,
+        num / denom,
+        engine.tol_disc,
+        direction=a,
+        numerator=num,
+        denominator=denom,
+    )
+
+
+def position_field_bounds(engine, a):
+    a = require_unit_timelike(a)
+    n, m = engine.imm.n, engine.imm.m
+    s_m = float(engine._form(engine.gram_m_pos, a))
+    psi_m = engine._trace(engine.gram_m_pos)
+    tangential = float(engine._form(engine.gram_k_pos, a))
+    first = bound_report(
+        engine,
+        "position-field",
+        "position-field",
+        engine.lambda1 * (m * s_m + psi_m),
+        n * engine.volume + m * tangential,
+        TAU_BOUND,
+        direction=a,
+        tangential=tangential,
+    )
+    second = bound_report(
+        engine,
+        "projected-position-field",
+        "projected-position-field",
+        engine.lambda1 * (psi_m + s_m),
+        n * engine.volume + tangential,
+        TAU_BOUND,
+        direction=a,
+        tangential=tangential,
+    )
+    return first, second
+
+
+def projected_curvature_bound(engine, a, sharp: bool = False) -> BoundReport:
     """lambda1 <= n int |H_a|^2 / Vol (sharp: the denominator gains
-    (1/n) int |a^T|^2) at one direction, as a BoundReport."""
+    (1/n) int |a^T|^2) at one direction."""
     a = require_unit_timelike(a)
     n = engine.imm.n
     h_a_int = engine.curvature_sq_integral + float(engine._form(engine.gram_m_h, a))
     tangential = float(engine._form(engine.gram_k_pos, a))
     denom = engine.volume + (tangential / n if sharp else 0.0)
     name = "projected-curvature-sharp" if sharp else "projected-curvature"
-    return engine._report(
+    return bound_report(
+        engine,
         name,
         name,
         engine.lambda1,
@@ -677,6 +840,62 @@ def projected_curvature_bound(engine, a, sharp: bool = False):
         direction=a,
         curvature_integral=h_a_int,
         tangential=tangential,
+    )
+
+
+def infimum_over_directions(engine, count: int, seed: int) -> BoundReport:
+    """The sampled infimum, one sample at a time: the first sample within
+    TIE_RTOL of the minimum sharp right-hand side."""
+    dirs = sample_timelike_directions_loop(engine.imm.m, count, seed)
+    rhs = [projected_curvature_bound(engine, a, sharp=True).rhs for a in dirs]
+    best = min(rhs)
+    pick = next(j for j, value in enumerate(rhs) if value <= best + TIE_RTOL * abs(best))
+    best_dir = dirs[pick]
+    return bound_report(
+        engine,
+        "direction-infimum",
+        "direction-infimum",
+        engine.lambda1,
+        rhs[pick],
+        engine.tol_disc,
+        direction=best_dir,
+        samples=len(dirs),
+        seed=seed,
+        boost=float(np.arccosh(max(best_dir[0], 1.0))),
+    )
+
+
+def reilly_causal_certificate(engine, ell) -> BoundReport:
+    """The classical bound at a causal direction, with the equality
+    sub-checks of the defect form and the residual Gram."""
+    ell = np.asarray(ell, dtype=float)
+    q = engine.rayleigh_defect(ell)
+    scale = engine._defect_scale * float(ell @ ell)
+    precondition_ok = abs(q) <= TAU_ELLE * scale
+    base = reilly(engine)
+    g_r = engine._gram_m_resid
+    euclid_sq = float(np.trace(g_r))
+    causal_sq = euclid_sq - 2.0 * float(g_r[0, 0])
+    volume_ratio = engine.lambda1 * engine._trace(engine.gram_m_pos) / (engine.imm.n * engine.volume)
+    meta = {
+        "defect": q,
+        "defect_rel": q / scale,
+        "precondition_ok": precondition_ok,
+        "causal_residual_sq": causal_sq / engine._defect_scale / engine.lambda1,
+        "euclid_residual_sq": euclid_sq / engine._defect_scale / engine.lambda1,
+        "volume_identity_ratio": volume_ratio,
+        "equality": precondition_ok
+        and abs(volume_ratio - 1.0) <= engine.tol_disc
+        and abs(causal_sq) / max(euclid_sq, 1e-300) <= 1.0
+        and abs(causal_sq) / engine._defect_scale / engine.lambda1 <= TAU_EQ,
+    }
+    return replace(
+        base,
+        name="reilly-causal-certificate",
+        anchor="reilly-causal-certificate",
+        direction=tuple(float(x) for x in ell),
+        status="ok" if precondition_ok else "precondition-failed",
+        meta=meta | {key: base.meta[key] for key in ("vertices", "level")},
     )
 
 
@@ -718,21 +937,58 @@ def equality_diagnostic(engine, a, tau_eq=None) -> dict:
     }
 
 
-def projected_catalogue_loop(engine, directions, tau_eq=None):
-    """A case run's projected-curvature bound entries (sharp, then plain,
-    per direction), its equality entries, and the messages its gate
-    records for them, one direction at a time."""
-    bounds, equality, messages = [], [], []
+def bound_catalogue_loop(engine, config):
+    """A case run's bound entries, equality entries and gate records
+    (message, discretization-sensitive?, note), in report order, one
+    direction and one entry at a time."""
+    _, expect = _build_case(config)
+    directions = sample_timelike_directions_loop(engine.imm.m, config.samples, config.seed)
+    bounds, equality, gated = [], [], []
+
+    def add(report, expected=True, tag=""):
+        bounds.append(bound_dict(report, expected))
+        if expected is not None and report.holds != expected:
+            message = f"{report.name}{tag}: holds={report.holds}, expected {expected}"
+            gated.append((message, report.tol >= engine.tol_disc, " (unresolved at this refinement)"))
+
+    add(reilly(engine), expect.reilly_holds)
+    for j, a in enumerate(directions[:3]):
+        add(mean_curvature_field_bound(engine, a), tag=f" dir{j}")
+        for report in position_field_bounds(engine, a):
+            add(report, tag=f" dir{j}")
+    for j, a in enumerate(directions[:4]):
+        for report in master_inequality_bounds(engine, a):
+            add(report, tag=f" dir{j}")
     for j, a in enumerate(directions):
         sharp = projected_curvature_bound(engine, a, sharp=True)
-        for report in (sharp, projected_curvature_bound(engine, a)):
-            bounds.append(_bound_dict(report, True))
-            if not report.holds:
-                messages.append(f"{report.name} dir{j}: holds=False, expected True")
-        entry = equality_diagnostic(engine, a, tau_eq)
+        add(sharp, tag=f" dir{j}")
+        add(projected_curvature_bound(engine, a), tag=f" dir{j}")
+        entry = equality_diagnostic(engine, a, config.tol_eq)
         entry["projection_bound_rel_slack"] = sharp.slack / max(abs(sharp.lhs), abs(sharp.rhs))
         equality.append(entry)
-    return bounds, equality, messages
+    add(infimum_over_directions(engine, max(config.samples, 20), config.seed + 1))
+
+    if expect.certificate is not None:
+        certificate = reilly_causal_certificate(engine, expect.certificate)
+        add(certificate, tag=" certificate")
+        if not certificate.meta["equality"]:
+            gated.append(("certificate equality sub-checks failed", True, ""))
+    else:
+        search = engine.causal_defect_search(max(4 * config.samples, 40), config.seed + 2)
+        if expect.reilly_holds is False and search["found"]:
+            message = "found a causal defect direction on a case violating the classical bound"
+            gated.append((message, False, ""))
+    found = [
+        e["verdict"] == "equality-case" and e["projection_bound_rel_slack"] <= TAU_DISC
+        for e in equality
+    ]
+    if expect.equality_direction is True and not any(found):
+        gated.append(("expected an equality direction, none detected", True, ""))
+    if expect.equality_direction is False and any(e["verdict"] == "equality-case" for e in equality):
+        gated.append(("detected an equality direction where none should exist", True, ""))
+    if _section_average_mc(engine.imm.m, config.mc_samples, config.seed)[3] > 4.0:
+        gated.append(("section averaging Monte Carlo check missed 4 standard errors", False, ""))
+    return bounds, equality, gated
 
 
 def sample_timelike_directions_loop(m: int, count: int, seed: int) -> np.ndarray:

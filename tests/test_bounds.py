@@ -111,26 +111,26 @@ def test_gram_forms_match_sparse_oracle(case_engines):
             )
             catalogue = eng.direction_catalogue([a])
             close(
-                catalogue.curvature_integral[0],
+                catalogue.sharp.meta["curvature_integral"][0],
                 field_m_trace(eng, h) + m_form(eng, f_h),
                 _magnitude(M, h) + _magnitude(M, g_h),
             )
-            mc = eng.mean_curvature_field_bound(a).meta
-            close(mc["numerator"], m * k_form(eng, f_h) + field_k_trace(eng, h),
+            mc = eng.mean_curvature_field_bound([a]).meta
+            close(mc["numerator"][0], m * k_form(eng, f_h) + field_k_trace(eng, h),
                   m * _magnitude(K, g_h) + _magnitude(K, h))
-            close(mc["denominator"], m * m_form(eng, f_h) + field_m_trace(eng, h),
+            close(mc["denominator"][0], m * m_form(eng, f_h) + field_m_trace(eng, h),
                   m * _magnitude(M, g_h) + _magnitude(M, h))
-            first, _ = eng.position_field_bounds(a)
-            close(first.lhs, lam * (m * m_form(eng, f_psi) + field_m_trace(eng, psi)),
+            first, _ = eng.position_field_bounds([a])
+            close(first.lhs[0], lam * (m * m_form(eng, f_psi) + field_m_trace(eng, psi)),
                   lam * (m * _magnitude(M, g_psi) + _magnitude(M, psi)))
-            close(first.meta["tangential"], k_form(eng, f_psi), _magnitude(K, g_psi))
+            close(first.meta["tangential"][0], k_form(eng, f_psi), _magnitude(K, g_psi))
 
             w = projected_position(psi, a)
-            report = eng.test_field_bounds(a)[2]
+            report = eng.test_field_bounds([a])[2]
             g_w = np.abs(psi) @ (1.0 + np.abs(np.outer(b, a)))  # magnitude of psi_hat T
-            close(report.lhs, lam * (m * m_form(eng, w @ b) + field_m_trace(eng, w)),
+            close(report.lhs[0], lam * (m * m_form(eng, w @ b) + field_m_trace(eng, w)),
                   lam * (m + 1) * _magnitude(M, g_w))
-            close(report.rhs, m * k_form(eng, w @ b) + field_k_trace(eng, w),
+            close(report.rhs[0], m * k_form(eng, w @ b) + field_k_trace(eng, w),
                   (m + 1) * _magnitude(K, g_w))
 
             diag = catalogue.equality
@@ -266,27 +266,25 @@ def test_gradient_trace_basis_independence(counter_engine):
 def test_master_inequality_all_cases_and_fields():
     for eng in engines_for_cases(level=3):
         h_field = make_test_field_mean_curvature(eng.mesh, eng.imm, pencil=eng.pencil)
-        for a in sample_timelike_directions(eng.imm.m, 3, seed=21):
-            reports = eng.test_field_bounds(a)
-            assert [r.meta["provenance"] for r in reports] == [
-                "mean-curvature", "position", "projected-position"
-            ]
-            assert [r.meta["centered"] for r in reports] == [h_field.centered, True, True]
-            for report in reports:
-                assert report.holds, (type(eng.imm).__name__, report.meta["provenance"])
+        reports = eng.test_field_bounds(sample_timelike_directions(eng.imm.m, 3, seed=21))
+        assert [r.meta["provenance"] for r in reports] == [
+            "mean-curvature", "position", "projected-position"
+        ]
+        assert [r.meta["centered"] for r in reports] == [h_field.centered, True, True]
+        for report in reports:
+            assert report.holds.all(), (type(eng.imm).__name__, report.meta["provenance"])
 
 
 def test_master_inequality_holds_at_level5():
     eng = BoundEngine(build_icosphere_mesh(5), CounterexampleSphere(2))
-    for a in sample_timelike_directions(4, 2, seed=31):
-        for report in eng.test_field_bounds(a):
-            assert report.holds
+    for report in eng.test_field_bounds(sample_timelike_directions(4, 2, seed=31)):
+        assert report.holds.all()
 
 
 def test_master_inequality_equality_case_slack(sphere_engine):
-    report = sphere_engine.test_field_bounds(AXIS4)[0]
-    assert report.holds
-    assert report.slack / max(abs(report.lhs), abs(report.rhs)) <= 1e-2
+    report = sphere_engine.test_field_bounds([AXIS4])[0]
+    assert report.holds[0]
+    assert report.slack[0] / max(abs(report.lhs[0]), abs(report.rhs[0])) <= 1e-2
 
 
 def test_master_inequality_reduces_to_minimum_principle(counter_engine):
@@ -295,20 +293,20 @@ def test_master_inequality_reduces_to_minimum_principle(counter_engine):
     f = rng.standard_normal(eng.mesh.num_vertices)
     m_ones = eng.pencil.mass @ np.ones(eng.mesh.num_vertices)
     f -= (m_ones @ f) / eng.volume
-    report = eng.test_field_bound("custom", *field_grams(eng, np.outer(f, AXIS4)), AXIS4)
+    report = eng.test_field_bound("custom", *field_grams(eng, np.outer(f, AXIS4)), [AXIS4])
     m = eng.imm.m
     # both sides carry the factor m - 1 relative to the minimum principle
-    assert report.lhs == pytest.approx(
+    assert report.lhs[0] == pytest.approx(
         eng.lambda1 * (m - 1) * m_form(eng, f), rel=1e-12
     )
-    assert report.rhs == pytest.approx((m - 1) * k_form(eng, f), rel=1e-12)
-    assert report.holds
+    assert report.rhs[0] == pytest.approx((m - 1) * k_form(eng, f), rel=1e-12)
+    assert report.holds[0]
 
 
 def test_vanishing_test_field_is_rejected(counter_engine):
     zero = np.zeros((counter_engine.mesh.num_vertices, 4))
     with pytest.raises(DomainError):
-        counter_engine.test_field_bound("custom", *field_grams(counter_engine, zero), AXIS4)
+        counter_engine.test_field_bound("custom", *field_grams(counter_engine, zero), [AXIS4])
 
 
 # --- named bounds ---------------------------------------------------------------------
@@ -337,28 +335,27 @@ def test_reilly_cylinder_violated():
 
 
 def test_mean_curvature_field_bound(sphere_engine, counter_engine):
-    eq = sphere_engine.mean_curvature_field_bound(AXIS4)
-    assert eq.holds and abs(eq.slack) / 2.0 <= 1e-2
-    strict = counter_engine.mean_curvature_field_bound(AXIS4)
-    assert strict.holds and strict.slack > 0
+    eq = sphere_engine.mean_curvature_field_bound([AXIS4])
+    assert eq.holds[0] and abs(eq.slack[0]) / 2.0 <= 1e-2
+    strict = counter_engine.mean_curvature_field_bound([AXIS4])
+    assert strict.holds[0] and strict.slack[0] > 0
 
 
 def test_position_field_bounds_hold_exactly():
     for eng in engines_for_cases(level=3):
-        for a in sample_timelike_directions(eng.imm.m, 3, seed=5):
-            first, second = eng.position_field_bounds(a)
-            assert first.holds and second.holds
-            scale = max(abs(first.lhs), abs(first.rhs))
-            assert first.slack >= -TAU_BOUND * scale
+        first, second = eng.position_field_bounds(sample_timelike_directions(eng.imm.m, 3, seed=5))
+        assert first.holds.all() and second.holds.all()
+        scale = np.maximum(abs(first.lhs), abs(first.rhs))
+        assert (first.slack >= -TAU_BOUND * scale).all()
 
 
 def test_position_field_bounds_sphere_reduce_to_classical(sphere_engine):
-    first, second = sphere_engine.position_field_bounds(AXIS4)
+    first, second = sphere_engine.position_field_bounds([AXIS4])
     # orthogonal hyperplane: tangential term vanishes, both collapse
-    assert first.meta["tangential"] <= 1e-20
-    assert first.lhs == pytest.approx(second.lhs, rel=1e-12)
-    assert first.rhs == pytest.approx(second.rhs, rel=1e-12)
-    assert first.rhs == pytest.approx(2.0 * sphere_engine.volume, rel=1e-12)
+    assert first.meta["tangential"][0] <= 1e-20
+    assert first.lhs[0] == pytest.approx(second.lhs[0], rel=1e-12)
+    assert first.rhs[0] == pytest.approx(second.rhs[0], rel=1e-12)
+    assert first.rhs[0] == pytest.approx(2.0 * sphere_engine.volume, rel=1e-12)
 
 
 def test_projection_bounds_sphere_equality(sphere_engine):
@@ -414,7 +411,7 @@ def test_infimum_reports_axis_on_flat_landscape():
     # every sample ties to rounding on the round sphere; the axis is reported
     eng = BoundEngine(build_icosphere_mesh(3), unit_sphere())
     report = eng.infimum_over_directions(20, seed=8)
-    assert report.direction == (1.0, 0.0, 0.0, 0.0)
+    assert report.directions.tolist() == [[1.0, 0.0, 0.0, 0.0]]
     assert report.meta["boost"] == 0.0
 
 

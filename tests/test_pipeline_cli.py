@@ -22,8 +22,7 @@ from lorentzlab.pipeline import (
     section_average_battery,
 )
 from oracles import (
-    projected_catalogue_loop,
-    sample_timelike_directions_loop,
+    bound_catalogue_loop,
     section_average_battery_serial,
 )
 
@@ -172,7 +171,7 @@ def test_case_run_computes_geometry_and_mean_curvature_once(monkeypatch):
     assert calls == {"mesh_geometry": 1, "mean_curvature_vertices": 1}
 
 
-def test_direction_catalogue_entries_match_direction_loop_bitwise(monkeypatch):
+def test_bound_tables_match_one_direction_oracles_bitwise(monkeypatch):
     engines = []
 
     class RecordingEngine(BoundEngine):
@@ -181,35 +180,42 @@ def test_direction_catalogue_entries_match_direction_loop_bitwise(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(pipeline, "BoundEngine", RecordingEngine)
-    verdicts = set()
-    coarse_messages = 0
-    for case in ("sphere-hyperplane", "counterexample", "cylinder-curve", "lightlike-hyperplane"):
-        for level in (0, 2, 3, 4):
-            # 0.1 puts the sphere below the equality tolerance, the
-            # counterexample between it and the strict threshold, and
-            # part of the lightlike-hyperplane residuals above that
-            for tol_eq in (None, 0.1):
-                config = RunConfig(case=case, level=level, samples=40, mc_samples=5000, tol_eq=tol_eq)
-                report = run_case(config)
-                engine = engines.pop()
-                directions = sample_timelike_directions_loop(engine.imm.m, 40, seed=config.seed)
-                bounds, equality, messages = projected_catalogue_loop(engine, directions, tol_eq)
-                projected = [b for b in report.bounds if b["name"].startswith("projected-curvature")]
-                assert projected == bounds
-                assert report.equality == equality
-                # key order and the repr of every float, -0.0 included
-                assert json.dumps(projected) == json.dumps(bounds)
-                assert json.dumps(report.equality) == json.dumps(equality)
-                # below level 3 a missed projected bound only warns
-                coarse = level < 3
-                gated = report.warnings if coarse else report.failures
-                note = " (unresolved at this refinement)" if coarse else ""
-                assert [g for g in gated if g.startswith("projected-curvature")] == [
-                    message + note for message in messages
-                ]
-                coarse_messages += len(messages) if coarse else 0
-                verdicts.update(e["verdict"] for e in equality)
+    verdicts, paths = set(), set()
+    coarse_messages = fine_messages = 0
+    runs = [
+        {"case": case, "n": n, "level": level, "tol_eq": tol_eq}
+        for case in ("sphere-hyperplane", "counterexample", "cylinder-curve", "lightlike-hyperplane")
+        for n, levels in ((2, (0, 2, 3, 4)), (1, (3,)))
+        for level in levels
+        # 0.1 puts the sphere below the equality tolerance, the
+        # counterexample between it and the strict threshold, and
+        # part of the lightlike-hyperplane residuals above that
+        for tol_eq in (None, 0.1)
+    ] + [
+        # gates that fail on a fine mesh
+        {"case": "sphere-hyperplane", "level": 3, "tol_eq": 1e-9, "tol_disc": 1e-9},
+        {"case": "counterexample", "level": 3, "tol_eq": 10.0},
+    ]
+    for overrides in runs:
+        config = RunConfig(samples=40, mc_samples=5000, **overrides)
+        report = run_case(config)
+        bounds, equality, gated = bound_catalogue_loop(engines.pop(), config)
+        assert report.bounds == bounds
+        assert report.equality == equality
+        # key order and the repr of every float, -0.0 included
+        assert json.dumps(report.bounds) == json.dumps(bounds)
+        assert json.dumps(report.equality) == json.dumps(equality)
+        # below level 3 a discretization-sensitive check only warns
+        coarse = config.level < 3
+        assert report.failures == [msg for msg, sensitive, _ in gated if not (sensitive and coarse)]
+        assert report.warnings == [msg + note for msg, sensitive, note in gated if sensitive and coarse]
+        coarse_messages += len(report.warnings)
+        fine_messages += len(report.failures)
+        verdicts.update(e["verdict"] for e in equality)
+        paths.add("certificate" if bounds[-1]["name"] == "reilly-causal-certificate" else "search")
     assert verdicts == {"equality-case", "inconclusive", "strict"}
+    assert paths == {"certificate", "search"}
+    assert fine_messages > 0
     assert coarse_messages > 0
 
 
@@ -429,6 +435,23 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert main(["suite", "--levels", "x,y"]) == 2
     assert main(["suite", "--cases", " ", "--levels", "2"]) == 2
     capsys.readouterr()
+    # every float field must be finite
+    for case, flag, value in (
+        ("sphere-hyperplane", "--tol-eq", "nan"),
+        ("sphere-hyperplane", "--tol-disc", "nan"),
+        ("sphere-hyperplane", "--radius", "nan"),
+        ("sphere-hyperplane", "--radius", "inf"),
+        ("cylinder-curve", "--scale", "nan"),
+        ("sphere-hyperplane", "--tol-eq", "inf"),
+        ("lightlike-hyperplane", "--amplitude", "nan"),
+    ):
+        assert main(["run", "--case", case, "--level", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag[2:].replace('-', '_')} must be finite, got {float(value)!r}\n"
+    # the dimension is checked before the axis, which needs m = n + 2 >= 3
+    assert main(["run", "--case", "sphere-hyperplane", "--n", "0", "--level", "2"]) == 2
+    assert capsys.readouterr().err == "error: intrinsic dimension must be at least 1\n"
 
 
 def test_cli_malformed_spec_file_exits_2(tmp_path, capsys):
@@ -443,6 +466,11 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     config.write_text('{"level": 2,', encoding="utf-8")
     assert main(["run", "--case", "sphere-hyperplane", "--config", str(config)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    # valid JSON that is not an object
+    for content in ("null", "5", '["case"]', '"level"'):
+        config.write_text(content, encoding="utf-8")
+        assert main(["run", "--case", "sphere-hyperplane", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: config file {config} must hold a JSON object\n"
 
 
 def test_cli_config_value_of_wrong_type_exits_2(tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_nonnegative_density_gives_nonnegative_integral():
 
 
 @pytest.mark.parametrize("count", [32, 64])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2])
 def test_slice_rule_matches_scipy_gauss_jacobi(n, count):
     x, w = quadrature._slice_rule(n, count)
     x_ref, w_ref = roots_jacobi(count, (n - 2) / 2.0, (n - 2) / 2.0)
@@ -133,7 +133,7 @@ def test_slice_rule_matches_scipy_gauss_jacobi(n, count):
     assert np.abs(w - w_ref).max() <= 2e-13 * w_ref.max()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
 def test_slice_rule_is_cached_read_only(n):
     x, w = quadrature._slice_rule(n, 64)
     x_fresh, w_fresh = quadrature._slice_rule.__wrapped__(n, 64)
@@ -146,12 +146,15 @@ def test_slice_rule_is_cached_read_only(n):
 def test_slice_total_volume():
     assert sphere_slice_integral(2, lambda t: np.ones_like(t)).value == pytest.approx(4 * math.pi)
     assert sphere_slice_integral(1, lambda t: np.ones_like(t)).value == pytest.approx(2 * math.pi)
-    assert sphere_slice_integral(3, lambda t: np.ones_like(t)).value == pytest.approx(
-        unit_sphere_volume(3)
-    )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 3, 4])
+def test_slice_refuses_dimensions_without_a_mesh(n):
+    with pytest.raises(UsageError, match="n = 1 and n = 2 only"):
+        sphere_slice_integral(n, lambda t: np.ones_like(t))
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_slice_first_moment_identity(n):
     out = sphere_slice_integral(n, lambda t: 1.0 - t * t)
     assert out.value == pytest.approx(n / (n + 1) * unit_sphere_volume(n), rel=1e-13)
