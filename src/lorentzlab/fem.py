@@ -15,7 +15,6 @@ independent solves may run concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,10 +160,9 @@ def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
 
 @dataclass
 class Spectrum:
-    """Smallest nonzero eigenpair with solver diagnostics."""
+    """Smallest nonzero eigenvalue with solver diagnostics."""
 
     lambda1: float
-    eigenfunction: np.ndarray
     iterations: int
     residual: float
     near_degenerate: bool
@@ -433,17 +431,11 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
             f"no convergence after {solves} solves (residual {residual:.3e})"
         )
 
-    x = x / math.sqrt(max(float(x @ mx), 1e-300))
-    # deterministic sign: largest-magnitude entry positive
-    pivot = int(np.argmax(np.abs(x)))
-    if x[pivot] < 0:
-        x = -x
     near_degenerate = bool(abs(float(ritz[1]) - lam) <= 10.0 * tol * max(lam, 1.0))
     if lam <= 0:
         raise EigenSolveError(f"nonpositive eigenvalue {lam}")
     return Spectrum(
         lambda1=lam,
-        eigenfunction=x,
         iterations=solves,
         residual=residual,
         near_degenerate=near_degenerate,

@@ -1,9 +1,9 @@
 """Parametric spacelike immersions of round spheres into flat Lorentzian R^m.
 
 Parameter points are unit vectors in R^{n+1}. An immersion gives the
-pipeline its position and its closed-form mean curvature vector, plus the
-squared mean curvature as a function of the height (first parameter
-coordinate) for the slice integrals.
+pipeline its position and its closed-form mean curvature vector. For every
+gallery immersion <H, H> depends on the height (first parameter
+coordinate) only, which the slice integrals rely on.
 
 Immersions are immutable and shareable; every evaluation is pure, so batch
 work may be partitioned across workers freely.
@@ -12,6 +12,8 @@ work may be partitioned across workers freely.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +39,8 @@ class Immersion:
     """Base class: spacelike immersion of the unit n-sphere into R^m.
 
     Subclasses implement the ambient map `_value` on a neighborhood of the
-    sphere (shape (..., m)), the closed-form mean curvature vector
-    `_mean_curvature` and its causal square as a function of the height,
-    `mean_curvature_sq_of_height`.
+    sphere (shape (..., m)) and the closed-form mean curvature vector
+    `_mean_curvature`, whose causal square must depend on the height only.
     """
 
     def __init__(self, n: int, m: int):
@@ -68,10 +69,6 @@ class Immersion:
         """Closed-form mean curvature vector; broadcasts over leading axes of p."""
         return self._mean_curvature(np.asarray(p, dtype=float))
 
-    def mean_curvature_sq_of_height(self, t):
-        """<H, H> at parameter points of height t; <H, H> depends on t only."""
-        raise NotImplementedError
-
 
 class HyperplaneSphere(Immersion):
     """Round n-sphere of radius r inside the spacelike affine hyperplane
@@ -88,7 +85,6 @@ class HyperplaneSphere(Immersion):
             raise DomainError("radius must be positive")
         self.radius = float(radius)
         self.center = center
-        self.axis = axis
         # first n+1 orthonormal spacelike directions of axis-perp
         self.frame = spacelike_complement_basis(axis)[: n + 1]
 
@@ -97,9 +93,6 @@ class HyperplaneSphere(Immersion):
 
     def _mean_curvature(self, x):
         return -(x @ self.frame) / self.radius
-
-    def mean_curvature_sq_of_height(self, t):
-        return np.full(np.shape(t), 1.0 / self.radius**2)
 
 
 class PlaneCurve:
@@ -113,10 +106,6 @@ class PlaneCurve:
 
     def d2(self, t):
         raise NotImplementedError
-
-    def accel_sq(self, t):
-        """Causal square of the acceleration; <= 0 for unit-speed curves."""
-        return inner(self.d2(t), self.d2(t))
 
 
 @dataclass(frozen=True)
@@ -207,10 +196,6 @@ class CylinderSphere(Immersion):
         ) / self.n
         return np.concatenate([top, -y], axis=-1)
 
-    def mean_curvature_sq_of_height(self, t):
-        t = np.asarray(t, dtype=float)
-        return 1.0 + (1.0 - t * t) ** 2 / self.n**2 * self.curve.accel_sq(t)
-
 
 class CounterexampleSphere(CylinderSphere):
     """Isometric copy of the round n-sphere riding the unit hyperbola.
@@ -255,47 +240,56 @@ class NullHyperplaneSphere(Immersion):
         g = (-2.0 * (self.n + 1) / self.n) * self._height(x)[..., None]
         return np.concatenate([g, -x, g], axis=-1)
 
-    def mean_curvature_sq_of_height(self, t):
-        return np.ones(np.shape(t))
-
 
 def immersion_from_spec(spec: dict) -> Immersion:
     """Build a gallery immersion from a declarative description.
 
     Expected keys: "gallery" (one of round-sphere, counterexample,
     cylinder-curve, lightlike-hyperplane), "n", and gallery-specific
-    "params". A field of the wrong type raises UsageError.
+    "params". "n" and "m" must be integers and every other number finite;
+    a field of the wrong type or value raises UsageError naming its key.
     """
     try:
         name = spec["gallery"]
     except (KeyError, TypeError):
         raise UsageError("immersion spec needs a 'gallery' key") from None
     try:
-        return _gallery_item(name, int(spec.get("n", 2)), dict(spec.get("params", {})))
+        return _gallery_item(name, _spec_int(spec, "n", 2), dict(spec.get("params", {})))
     except LorentzLabError:
         raise
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value in immersion spec: {exc}") from None
 
 
+def _spec_int(source: dict, key: str, default: int) -> int:
+    value = source.get(key, default)
+    # bool is an int subclass, so JSON true is refused apart
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _spec_float(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _gallery_item(name: str, n: int, params: dict) -> Immersion:
     if name == "round-sphere":
-        radius = float(params.get("radius", 1.0))
-        m = int(params.get("m", n + 2))
-        center = np.asarray(params.get("center", np.zeros(m)), dtype=float)
-        axis = params.get("axis")
-        if axis is None:
-            axis = np.zeros(m)
-            axis[0] = 1.0
-        return HyperplaneSphere(n, radius, center, np.asarray(axis, dtype=float))
+        radius = _spec_float("radius", params.get("radius", 1.0))
+        m = _spec_int(params, "m", n + 2)
+        center = [_spec_float("center", x) for x in params.get("center", [0.0] * m)]
+        axis = [_spec_float("axis", x) for x in params.get("axis", [1.0] + [0.0] * (m - 1))]
+        return HyperplaneSphere(n, radius, center, axis)
     if name == "counterexample":
         return CounterexampleSphere(n)
     if name == "cylinder-curve":
         if params.get("curve", "hyperbola") == "line":
             return CylinderSphere(n, LineCurve())
-        return CylinderSphere(n, HyperbolicArc(float(params.get("scale", 2.0))))
+        return CylinderSphere(n, HyperbolicArc(_spec_float("scale", params.get("scale", 2.0))))
     if name == "lightlike-hyperplane":
-        return NullHyperplaneSphere(n, float(params.get("amplitude", 0.5)))
+        return NullHyperplaneSphere(n, _spec_float("amplitude", params.get("amplitude", 0.5)))
     raise UsageError(f"unknown gallery item {name!r}")
 
 

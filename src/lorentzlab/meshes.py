@@ -25,7 +25,6 @@ __all__ = [
 class ParamMesh:
     vertices: np.ndarray
     simplices: np.ndarray
-    kind: str
     level: int | None = None
     # nested-dissection order of the edge graph; the first solve that
     # factors on this mesh (its own, or one on the finer mesh above) fills it
@@ -57,7 +56,7 @@ def build_circle_mesh(segments: int, level: int | None = None) -> ParamMesh:
     vertices = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     idx = np.arange(segments)
     simplices = np.stack([idx, (idx + 1) % segments], axis=1)
-    return ParamMesh(vertices, simplices, kind="circle", level=level)
+    return ParamMesh(vertices, simplices, level=level)
 
 
 _ICO_COORDS = None
@@ -113,7 +112,7 @@ def build_icosphere_mesh(level: int) -> ParamMesh:
         # the same ddot per row as np.linalg.norm, so vertices are bit-stable
         mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
         if step == level - 1:
-            coarse = ParamMesh(vertices, faces, kind="sphere", level=step)
+            coarse = ParamMesh(vertices, faces, level=step)
             copies = np.arange(len(vertices))
             parents = np.concatenate([np.stack([copies, copies], axis=1), ends])
         vertices = np.concatenate([vertices, mid])
@@ -122,4 +121,4 @@ def build_icosphere_mesh(level: int) -> ParamMesh:
         faces = np.stack(
             [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
         ).reshape(-1, 3)
-    return ParamMesh(vertices, faces, kind="sphere", level=level, coarse=coarse, parents=parents)
+    return ParamMesh(vertices, faces, level=level, coarse=coarse, parents=parents)

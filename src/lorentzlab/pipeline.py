@@ -34,8 +34,9 @@ from .immersions import (
     load_immersion_spec,
 )
 from .meshes import ParamMesh, build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
-from .minkowski import SymBilinearForm, boost_direction, sample_timelike_directions
+from .minkowski import SymBilinearForm, boost_direction, sample_timelike_directions, sq_norm
 from .quadrature import (
+    MonteCarloCheck,
     beltrami_residual,
     minkowski_projected_identities,
     minkowski_residual,
@@ -181,14 +182,12 @@ def _build_mesh(imm, level: int) -> ParamMesh:
 
 
 @functools.lru_cache(maxsize=None)
-def _section_average_mc(m: int, mc_samples: int, seed: int) -> tuple:
-    """(exact, estimate, stderr, z) of a run's section averaging check: not
-    a function of the immersion, so a suite computes it once per dimension."""
+def _section_average_mc(m: int, mc_samples: int, seed: int) -> MonteCarloCheck:
+    """A run's section averaging check: not a function of the immersion, so
+    a suite computes it once per dimension."""
     rng = np.random.default_rng(seed + 3)
     q = SymBilinearForm.random(m, rng)
-    mc = monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
-    exact = mc.params["exact"]
-    return exact, mc.value, mc.error, abs(mc.value - exact) / mc.error
+    return monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
 
 
 def _jsonable(obj):
@@ -373,25 +372,21 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
         minkowski_projected_identities(engine.pencil, psi_hat, h, a) for a in directions[:2]
     ]
     identities = {
-        "minkowski_residual_rel": abs(minkowski_residual(geom, h).value) / vol,
-        "minkowski_projected_rel": [abs(first.value) / vol for first, _ in projected],
-        "position_curvature_rel": [abs(second.value) / vol for _, second in projected],
-        "beltrami_l2": beltrami_residual(engine.pencil, h).value,
+        "minkowski_residual_rel": abs(minkowski_residual(geom, h)) / vol,
+        "minkowski_projected_rel": [abs(first) / vol for first, _ in projected],
+        "position_curvature_rel": [abs(second) / vol for _, second in projected],
+        "beltrami_l2": beltrami_residual(engine.pencil, h),
+        # <H, H> of every gallery immersion depends on the height only
         "reilly_rhs_slice": imm.n
-        * sphere_slice_integral(imm.n, imm.mean_curvature_sq_of_height).value
-        / sphere_slice_integral(imm.n, lambda t: np.ones_like(t)).value,
+        * sphere_slice_integral(imm.n, lambda p: sq_norm(imm.mean_curvature(p)))
+        / sphere_slice_integral(imm.n, lambda p: np.ones(len(p))),
         "reilly_rhs_mesh": imm.n * engine.curvature_sq_integral / vol,
     }
 
-    exact, estimate, stderr, z_score = _section_average_mc(imm.m, config.mc_samples, config.seed)
-    identities["section_average_mc"] = {
-        "exact": exact,
-        "estimate": estimate,
-        "stderr": stderr,
-        "z": z_score,
-    }
+    check = _section_average_mc(imm.m, config.mc_samples, config.seed)
+    identities["section_average_mc"] = check._asdict()
     # wide deterministic alarm; a real defect lands far outside any gate
-    if z_score > 4.0:
+    if check.z > 4.0:
         gate("section averaging Monte Carlo check missed 4 standard errors", False)
     stamps["identities"] = time.perf_counter() - t3
 
@@ -496,20 +491,11 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
         # after a failed check, the checks not yet started are dropped
         pool.shutdown(cancel_futures=True)
 
-    cases = []
-    for (lemma, form, direction, _, _), mc in zip(checks, results):
-        exact = mc.params["exact"]
-        z = abs(mc.value - exact) / mc.error
-        cases.append({
-            "lemma": lemma,
-            "form": form,
-            "direction": direction,
-            "exact": exact,
-            "estimate": mc.value,
-            "stderr": mc.error,
-            "z": z,
-            "pass": bool(z <= 4.0),
-        })
+    cases = [
+        {"lemma": lemma, "form": form, "direction": direction, **check._asdict(),
+         "pass": bool(check.z <= 4.0)}
+        for (lemma, form, direction, _, _), check in zip(checks, results)
+    ]
     ok = all(entry["pass"] for entry in cases)
     return {
         "schema_version": SCHEMA_VERSION,

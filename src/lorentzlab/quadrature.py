@@ -4,14 +4,14 @@ spheres, and Monte Carlo integration over light-cone sections.
 Mesh integrals use the lumped-mass vertex rule of the P1 assembly and read
 its stiffness matrix for gradient energies and the Laplacian, so the
 module needs numpy only. Slice integrals use Gauss-Jacobi rules sized to
-be effectively exact for every shipped integrand. All routines are pure;
-Monte Carlo runs are deterministic per seed.
+be effectively exact for every shipped integrand. All routines are pure
+and return plain numbers; Monte Carlo runs are deterministic per seed.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ SLICE_NODES = 64
 MC_BLOCK = 8192
 
 __all__ = [
-    "IntegralResult",
+    "MonteCarloCheck",
     "sphere_slice_integral",
     "mean_curvature_vertices",
     "minkowski_residual",
@@ -43,58 +43,53 @@ __all__ = [
 ]
 
 
-@dataclass
-class IntegralResult:
-    value: float | np.ndarray
-    error: float = 0.0
-    method: str = "mesh"
-    params: dict = field(default_factory=dict)
+class MonteCarloCheck(NamedTuple):
+    """A Monte Carlo estimate against its closed form, in report order:
+    z is |estimate - exact| in standard errors."""
+
+    exact: float
+    estimate: float
+    stderr: float
+    z: float
 
 
 @functools.lru_cache(maxsize=None)
-def _slice_rule(n: int, count: int):
-    """Gauss-Jacobi nodes (ascending) and weights for (1-t^2)^{(n-2)/2} on
-    [-1, 1]: closed-form Gauss-Chebyshev for n = 1, Gauss-Legendre for
-    n = 2. Rules are computed once per (n, count) and returned read-only.
+def _slice_rule(n: int):
+    """`SLICE_NODES` Gauss-Jacobi nodes (ascending) and weights for
+    (1-t^2)^{(n-2)/2} on [-1, 1]: closed-form Gauss-Chebyshev for n = 1,
+    Gauss-Legendre for n = 2. Rules are computed once per n and returned
+    read-only.
     """
     if n == 1:
-        x = -np.cos((2 * np.arange(1, count + 1) - 1) * (np.pi / (2 * count)))
-        w = np.full(count, np.pi / count)
+        x = -np.cos((2 * np.arange(1, SLICE_NODES + 1) - 1) * (np.pi / (2 * SLICE_NODES)))
+        w = np.full(SLICE_NODES, np.pi / SLICE_NODES)
     else:
-        x, w = np.polynomial.legendre.leggauss(count)
+        x, w = np.polynomial.legendre.leggauss(SLICE_NODES)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def sphere_slice_integral(n: int, phi) -> IntegralResult:
+def sphere_slice_integral(n: int, phi) -> float:
     """Integral over the unit n-sphere, n = 1 or 2 (the dimensions that
-    have meshes), of a function of the height t.
+    have meshes), of a function phi of the height t.
 
-    Uses the slice reduction Vol(S^{n-1}) * int phi(t) (1-t^2)^{(n-2)/2} dt
-    with a `SLICE_NODES`-point Gauss-Jacobi rule; exact to machine
-    precision for polynomial phi up to the rule degree. The error estimate
-    compares against a rule with half the nodes.
+    phi is evaluated at the parameter points (t, sqrt(1-t^2), 0, ...), one
+    per node, and must depend on the height only. Uses the slice reduction
+    Vol(S^{n-1}) * int phi(t) (1-t^2)^{(n-2)/2} dt with a `SLICE_NODES`-point
+    Gauss-Jacobi rule; exact to machine precision for polynomial phi up to
+    the rule degree.
     """
     if n not in (1, 2):
         raise UsageError(f"slice integrals are available for n = 1 and n = 2 only, got n = {n}")
-    ring = unit_sphere_volume(n - 1)
-
-    def run(count):
-        x, w = _slice_rule(n, count)
-        vals = np.asarray(phi(x), dtype=float)
-        if not np.isfinite(vals).all():
-            raise NumericalError("slice integrand produced non-finite values")
-        return ring * float(w @ vals)
-
-    value = run(SLICE_NODES)
-    coarse = run(SLICE_NODES // 2)
-    return IntegralResult(
-        value=value,
-        error=abs(value - coarse),
-        method="slice",
-        params={"nodes": SLICE_NODES, "n": n},
-    )
+    x, w = _slice_rule(n)
+    points = np.zeros((x.size, n + 1))
+    points[:, 0] = x
+    points[:, 1] = np.sqrt(1.0 - x * x)
+    vals = np.asarray(phi(points), dtype=float)
+    if not np.isfinite(vals).all():
+        raise NumericalError("slice integrand produced non-finite values")
+    return unit_sphere_volume(n - 1) * float(w @ vals)
 
 
 def mean_curvature_vertices(imm, pencil) -> np.ndarray:
@@ -102,17 +97,17 @@ def mean_curvature_vertices(imm, pencil) -> np.ndarray:
     return imm.mean_curvature(pencil.geometry.mesh.vertices)
 
 
-def minkowski_residual(geometry, h) -> IntegralResult:
+def minkowski_residual(geometry, h) -> float:
     """Residual of the volume identity: integral of 1 + <psi, H>.
 
     Vanishes on compact submanifolds; the discrete value measures
     quadrature plus discretization error.
     """
     density = 1.0 + inner(geometry.positions, h)
-    return IntegralResult(value=float(geometry.lumped @ density), params={"identity": "minkowski"})
+    return float(geometry.lumped @ density)
 
 
-def minkowski_projected_identities(pencil, psi_hat, h, a):
+def minkowski_projected_identities(pencil, psi_hat, h, a) -> tuple[float, float]:
     """Residuals of the two projected-field integral identities.
 
     First: integral of 1 + <psi_a, H_a> - <psi,a><H,a>. Second: integral
@@ -131,20 +126,13 @@ def minkowski_projected_identities(pencil, psi_hat, h, a):
     h_a = h + ha[:, None] * a
     cross = inner(pos_a, h_a)
 
-    first = IntegralResult(
-        value=float(geometry.lumped @ (1.0 + cross - s * ha)),
-        params={"identity": "minkowski-projected"},
-    )
+    first = float(geometry.lumped @ (1.0 + cross - s * ha))
     tangential = float(s @ (pencil.stiffness @ s))
     cross_int = float(geometry.lumped @ cross)
-    second = IntegralResult(
-        value=cross_int + geometry.total_volume + tangential / geometry.mesh.n,
-        params={"identity": "position-curvature-projected", "tangential": tangential},
-    )
-    return first, second
+    return first, cross_int + geometry.total_volume + tangential / geometry.mesh.n
 
 
-def beltrami_residual(pencil, h) -> IntegralResult:
+def beltrami_residual(pencil, h) -> float:
     """L2 norm (componentwise Euclidean) of Delta_h psi - n H over the mesh.
 
     Delta_h is the lumped-mass Laplacian -K/lumped, signed so eigenfields
@@ -155,8 +143,7 @@ def beltrami_residual(pencil, h) -> IntegralResult:
     lap = -(pencil.stiffness @ geom.positions) / geom.lumped[:, None]
     target = geom.mesh.n * h
     diff_sq = ((lap - target) ** 2).sum(axis=1)
-    value = float(np.sqrt(geom.lumped @ diff_sq / geom.total_volume))
-    return IntegralResult(value=value, params={"identity": "beltrami"})
+    return float(np.sqrt(geom.lumped @ diff_sq / geom.total_volume))
 
 
 def _blocked_values(samples: int, values_of_block) -> np.ndarray:
@@ -188,26 +175,25 @@ def _mean_and_std(vals: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(vals.sum() / (n - 1)))
 
 
-def _monte_carlo_result(vals: np.ndarray, vol: float, seed: int, exact: float) -> IntegralResult:
-    """Sphere volume times the sample mean, with its standard error; `vals`
-    is consumed."""
+def _monte_carlo_check(vals: np.ndarray, vol: float, exact: float) -> MonteCarloCheck:
+    """Sphere volume times the sample mean, with its standard error, against
+    `exact`; `vals` is consumed."""
     samples = vals.size
     mean, std = _mean_and_std(vals)
-    return IntegralResult(
-        value=vol * mean,
-        error=vol * std / np.sqrt(samples),
-        method="monte-carlo",
-        params={"samples": samples, "seed": seed, "exact": exact},
-    )
+    estimate = vol * mean
+    stderr = vol * std / np.sqrt(samples)
+    # samples of a constant integrand do not spread: z is then inf, or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return MonteCarloCheck(exact, estimate, stderr, abs(estimate - exact) / stderr)
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, y)
 
 
-def monte_carlo_section_integral(Q, a, samples: int, seed: int) -> IntegralResult:
+def monte_carlo_section_integral(Q, a, samples: int, seed: int) -> MonteCarloCheck:
     """Monte Carlo estimate of the integral of Q(v,v) over the light-cone
-    section relative to a, with its standard error.
+    section relative to a, with its standard error, against the closed form.
 
     The samples are v = a + (g/|g|) B for standard normal rows g and the
     orthonormal frame B of a-perp, so Q(v,v) is the quadratic
@@ -238,12 +224,13 @@ def monte_carlo_section_integral(Q, a, samples: int, seed: int) -> IntegralResul
         return vals
 
     vals = _blocked_values(samples, block)
-    return _monte_carlo_result(vals, unit_sphere_volume(Q.m - 2), seed, exact)
+    return _monte_carlo_check(vals, unit_sphere_volume(Q.m - 2), exact)
 
 
-def monte_carlo_sphere_integral(Q, samples: int, seed: int) -> IntegralResult:
+def monte_carlo_sphere_integral(Q, samples: int, seed: int) -> MonteCarloCheck:
     """Euclidean analogue: integral of Q(v,v) over the round unit sphere,
-    sampled as Q(g,g)/|g|^2 for standard normal rows g."""
+    sampled as Q(g,g)/|g|^2 for standard normal rows g, against the closed
+    form."""
     if not isinstance(Q, SymBilinearForm):
         Q = SymBilinearForm(np.asarray(Q, dtype=float))
     rng = np.random.default_rng(seed)
@@ -255,4 +242,4 @@ def monte_carlo_sphere_integral(Q, samples: int, seed: int) -> IntegralResult:
         return vals
 
     vals = _blocked_values(samples, block)
-    return _monte_carlo_result(vals, unit_sphere_volume(Q.m - 1), seed, sphere_integral_exact(Q))
+    return _monte_carlo_check(vals, unit_sphere_volume(Q.m - 1), sphere_integral_exact(Q))

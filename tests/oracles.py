@@ -81,7 +81,6 @@ from lorentzlab.minkowski import (
 )
 from lorentzlab.pipeline import _build_case, _jsonable, _section_average_mc
 from lorentzlab.quadrature import (
-    IntegralResult,
     mean_curvature_vertices,
     monte_carlo_section_integral,
     monte_carlo_sphere_integral,
@@ -469,7 +468,7 @@ def euler_characteristic(mesh: ParamMesh) -> int:
     return mesh.num_vertices - len(edges) + len(mesh.simplices)
 
 
-def integrate_over_mesh(mesh, imm, density, geometry=None) -> IntegralResult:
+def integrate_over_mesh(mesh, imm, density, geometry=None):
     """Sum of element volume times element-average density.
 
     Accepts per-vertex or per-element data; vertex data is averaged onto
@@ -485,12 +484,7 @@ def integrate_over_mesh(mesh, imm, density, geometry=None) -> IntegralResult:
         raise UsageError(
             f"density length {density.shape[0]} matches neither vertices nor elements"
         )
-    return IntegralResult(
-        value=float(value) if value.ndim == 0 else value,
-        error=0.0,
-        method="mesh",
-        params={"vertices": mesh.num_vertices, "elements": len(mesh.simplices)},
-    )
+    return float(value) if value.ndim == 0 else value
 
 
 def batched_chart_jacobians(imm: Immersion, pts) -> np.ndarray:
@@ -986,7 +980,7 @@ def bound_catalogue_loop(engine, config):
         gated.append(("expected an equality direction, none detected", True, ""))
     if expect.equality_direction is False and any(e["verdict"] == "equality-case" for e in equality):
         gated.append(("detected an equality direction where none should exist", True, ""))
-    if _section_average_mc(engine.imm.m, config.mc_samples, config.seed)[3] > 4.0:
+    if _section_average_mc(engine.imm.m, config.mc_samples, config.seed).z > 4.0:
         gated.append(("section averaging Monte Carlo check missed 4 standard errors", False, ""))
     return bounds, equality, gated
 
@@ -1046,7 +1040,7 @@ def build_icosphere_mesh_loop(level: int) -> ParamMesh:
             ca = midpoint(c, a)
             new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
         faces = np.array(new_faces)
-    return ParamMesh(np.array(vertices), faces, kind="sphere", level=level)
+    return ParamMesh(np.array(vertices), faces, level=level)
 
 
 def nested_dissection_order_recursive(points, pattern) -> np.ndarray:
@@ -1192,14 +1186,14 @@ def section_average_battery_serial(m: int, samples: int, seed: int) -> dict:
     cases = []
 
     def add(lemma, form, direction, exact, mc):
-        z = abs(mc.value - exact) / mc.error
+        z = abs(mc.estimate - exact) / mc.stderr
         cases.append({
             "lemma": lemma,
             "form": form,
             "direction": direction,
             "exact": float(exact),
-            "estimate": float(mc.value),
-            "stderr": float(mc.error),
+            "estimate": float(mc.estimate),
+            "stderr": float(mc.stderr),
             "z": float(z),
             "pass": bool(z <= 4.0),
         })

@@ -26,6 +26,7 @@ from lorentzlab.minkowski import (
     sample_timelike_directions,
     section_integral_exact,
     sphere_integral_exact,
+    sq_norm,
 )
 from lorentzlab.quadrature import (
     mean_curvature_vertices,
@@ -111,8 +112,8 @@ def test_criterion_2_counterexample_n2(engines):
     imm = CounterexampleSphere(2)
     slice_rhs = (
         2.0
-        * sphere_slice_integral(2, imm.mean_curvature_sq_of_height).value
-        / sphere_slice_integral(2, lambda t: np.ones_like(t)).value
+        * sphere_slice_integral(2, lambda p: sq_norm(imm.mean_curvature(p)))
+        / sphere_slice_integral(2, lambda p: np.ones(len(p)))
     )
     assert abs(slice_rhs - target) <= 1e-6
 
@@ -136,8 +137,8 @@ def test_criterion_3_counterexample_n1(engines):
     # slice value for the circle: mean curvature square averages to 5/8
     imm = CounterexampleSphere(1)
     slice_rhs = (
-        sphere_slice_integral(1, imm.mean_curvature_sq_of_height).value
-        / sphere_slice_integral(1, lambda t: np.ones_like(t)).value
+        sphere_slice_integral(1, lambda p: sq_norm(imm.mean_curvature(p)))
+        / sphere_slice_integral(1, lambda p: np.ones(len(p)))
     )
     assert slice_rhs == pytest.approx(5.0 / 8.0, abs=1e-9)
     conclude(3, f"rhs={report.rhs:.6f} < 1 = lambda1, violation detected (slice 5/8)")
@@ -171,8 +172,8 @@ def test_criterion_4_averaging_lemmas():
             exact = section_integral_exact(q, a)
             mc = monte_carlo_section_integral(q, a, 1_000_000, seed=5000 + k)
             k += 1
-            z = abs(mc.value - exact) / mc.error
-            rel = abs(mc.value - exact) / abs(exact)
+            z = abs(mc.estimate - exact) / mc.stderr
+            rel = abs(mc.estimate - exact) / abs(exact)
             assert z <= 3.0, f"section form z={z:.2f}"
             assert rel <= 5e-3, f"section form rel={rel:.2e}"
             worst_z = max(worst_z, z)
@@ -182,8 +183,8 @@ def test_criterion_4_averaging_lemmas():
     for k, q in enumerate(euclid_forms):
         exact = sphere_integral_exact(q)
         mc = monte_carlo_sphere_integral(q, 1_000_000, seed=6000 + k)
-        z = abs(mc.value - exact) / mc.error
-        rel = abs(mc.value - exact) / abs(exact)
+        z = abs(mc.estimate - exact) / mc.stderr
+        rel = abs(mc.estimate - exact) / abs(exact)
         assert z <= 3.0, f"euclid form z={z:.2f}"
         assert rel <= 5e-3, f"euclid form rel={rel:.2e}"
         worst_z = max(worst_z, z)
@@ -203,7 +204,7 @@ def test_criterion_5_volume_identities():
             pencil = assemble_pencil(mesh, imm)
             geom = pencil.geometry
             h = mean_curvature_vertices(imm, pencil)
-            res = abs(minkowski_residual(geom, h).value) / geom.total_volume
+            res = abs(minkowski_residual(geom, h)) / geom.total_volume
             residuals.append(res)
         assert residuals[-1] <= 1e-3, f"{name}: residual {residuals[-1]:.2e}"
         worst = max(worst, residuals[-1])
@@ -221,11 +222,9 @@ def test_criterion_5_volume_identities():
         a = np.concatenate(([1.0], np.zeros(imm.m - 1)))
         for direction in (a, boost_direction(0.5, _spatial_unit(imm.m))):
             first, second = minkowski_projected_identities(pencil, geom.positions, h, direction)
-            assert abs(first.value) / geom.total_volume <= 1e-3, name
-            assert abs(second.value) / geom.total_volume <= 1e-3, name
-            worst = max(
-                worst, abs(first.value) / geom.total_volume, abs(second.value) / geom.total_volume
-            )
+            assert abs(first) / geom.total_volume <= 1e-3, name
+            assert abs(second) / geom.total_volume <= 1e-3, name
+            worst = max(worst, abs(first) / geom.total_volume, abs(second) / geom.total_volume)
     conclude(5, f"volume identities within 1e-3*Vol on all gallery cases (worst {worst:.2e})")
 
 

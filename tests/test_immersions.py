@@ -38,6 +38,14 @@ def random_sphere_points(n, count, seed):
     return p / np.linalg.norm(p, axis=1, keepdims=True)
 
 
+def slice_points(n, t):
+    """The parameter points (t, sqrt(1-t^2), 0, ...) the slice integrals read."""
+    p = np.zeros((t.size, n + 1))
+    p[:, 0] = t
+    p[:, 1] = np.sqrt(1.0 - t * t)
+    return p
+
+
 def gallery():
     return [
         HyperplaneSphere(2, 1.0, np.zeros(4), AXIS4),
@@ -118,9 +126,9 @@ def test_counterexample_metric_is_round():
 def test_cylinder_acceleration_is_causal():
     curve = HyperbolicArc(2.0)
     t = np.linspace(-1, 1, 41)
-    assert (curve.accel_sq(t) <= 0).all()
+    assert (inner(curve.d2(t), curve.d2(t)) <= 0).all()
     imm = CylinderSphere(2, curve)
-    assert (imm.mean_curvature_sq_of_height(t) <= 1.0 + 1e-12).all()
+    assert (sq_norm(imm.mean_curvature(slice_points(2, t))) <= 1.0 + 1e-12).all()
 
 
 def test_cylinder_over_line_is_unit_sphere_in_hyperplane():
@@ -262,12 +270,30 @@ def test_translated_preserves_derivatives_and_curvature():
     assert np.array_equal(moved.mean_curvature(p), imm.mean_curvature(p))
 
 
-@pytest.mark.parametrize("imm", gallery(), ids=lambda im: type(im).__name__ + str(im.n))
+# beyond the gallery: both signs and a short cylinder scale, the line, a
+# sphere in higher codimension, and n = 1
+HEIGHT_ONLY_EXTRAS = [
+    CylinderSphere(2, HyperbolicArc(-1.0)),
+    CylinderSphere(2, HyperbolicArc(0.7)),
+    CylinderSphere(1, HyperbolicArc(-1.0)),
+    CylinderSphere(1, HyperbolicArc(0.7)),
+    CylinderSphere(1, LineCurve()),
+    HyperplaneSphere(2, 1.5, np.zeros(5), np.eye(5)[0]),
+    HyperplaneSphere(1, 1.5, np.zeros(5), np.eye(5)[0]),
+    NullHyperplaneSphere(1, 2.0),
+]
+
+
+@pytest.mark.parametrize(
+    "imm", gallery() + HEIGHT_ONLY_EXTRAS, ids=lambda im: type(im).__name__ + str(im.n)
+)
 def test_height_profile_matches_mean_curvature(imm):
-    # the slice integrals read the profile, every bound reads H
+    # the slice integrals read <H, H> at one point per height, so it must
+    # take the same value at every point of that height
     pts = random_sphere_points(imm.n, 200, seed=12)
-    profile = imm.mean_curvature_sq_of_height(pts[:, 0])
-    assert np.abs(profile - sq_norm(imm.mean_curvature(pts))).max() <= 1e-12
+    at_points = sq_norm(imm.mean_curvature(pts))
+    on_slice = sq_norm(imm.mean_curvature(slice_points(imm.n, pts[:, 0])))
+    assert np.abs(at_points - on_slice).max() <= 1e-12
 
 
 def test_dimension_guards():

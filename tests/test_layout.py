@@ -1,13 +1,17 @@
 """Package layout: every exported name and every public method is used by
-the package itself, and the light-cone modules stay numpy-only.
+the package itself, every stored value is read, and the light-cone
+modules stay numpy-only.
 
 A name in a module's `__all__`, or a public method or property of a
 package class, that nothing in `src/lorentzlab` reads is a helper only
 tests use; it belongs in `tests/oracles.py` or nowhere. Methods are
 matched by attribute name, so a read of any attribute with that name
-counts. `minkowski` and `quadrature` (the section frame, the exact
-integrals and the estimators) import nothing from the FEM pipeline or
-scipy.
+counts. Likewise a field of a package dataclass or NamedTuple, or a
+`self.<attr>` a package class stores, must be read as an attribute of
+that name somewhere in the package: a value computed and never read is
+work and code for nothing. `minkowski` and `quadrature` (the section
+frame, the exact integrals and the estimators) import nothing from the
+FEM pipeline or scipy.
 """
 
 import ast
@@ -96,6 +100,71 @@ def unused_methods() -> list[str]:
     return unused
 
 
+# records the report writes field by field, through `dataclasses.fields`
+# or `_asdict`, so that a field is read without its name being written
+REPORTED_FIELD_BY_FIELD = {"bounds.EqualityDiagnostic", "quadrature.MonteCarloCheck"}
+
+
+def _attribute_reads(trees: dict[str, ast.Module]) -> set[str]:
+    """Every attribute name loaded anywhere in the trees; a bare name of the
+    same spelling (a local variable, say) is not a read of a field."""
+    return {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _dotted(node: ast.expr) -> str:
+    """The last name of `name`, `module.name` or a call of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple."""
+    return any(_dotted(d) == "dataclass" for d in cls.decorator_list) or any(
+        _dotted(base) == "NamedTuple" for base in cls.bases
+    )
+
+
+def _classes(trees: dict[str, ast.Module]):
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                yield module, cls
+
+
+def unread_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """Fields of dataclasses and NamedTuples nothing in the trees reads."""
+    reads = _attribute_reads(trees)
+    return [
+        f"{module}.{cls.name}.{stmt.target.id}"
+        for module, cls in _classes(trees)
+        if _is_record(cls) and f"{module}.{cls.name}" not in REPORTED_FIELD_BY_FIELD
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads
+    ]
+
+
+def unread_attributes(trees: dict[str, ast.Module]) -> list[str]:
+    """`self.<attr>` values a class stores that nothing in the trees reads."""
+    reads = _attribute_reads(trees)
+    unread = []
+    for module, cls in _classes(trees):
+        stored = {
+            node.attr
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and _dotted(node.value) == "self"
+        }
+        unread += [f"{module}.{cls.name}.{attr}" for attr in sorted(stored - reads)]
+    return unread
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """First component of every module a tree imports, relative to the
     package for package modules."""
@@ -124,3 +193,44 @@ def test_every_export_is_used_inside_the_package():
 
 def test_every_public_method_is_used_inside_the_package():
     assert unused_methods() == []
+
+
+def test_every_stored_field_and_attribute_is_read_inside_the_package():
+    trees = _trees()
+    assert unread_fields(trees) == []
+    assert unread_attributes(trees) == []
+
+
+SAMPLE = """
+from dataclasses import dataclass
+from typing import NamedTuple
+
+
+@dataclass(frozen=True)
+class Record:
+    used: int
+    unused: int
+
+
+class Pair(NamedTuple):
+    left: float
+    right: float
+
+
+class Holder:
+    def __init__(self, kind):
+        self.kind = kind
+        self.size = 1
+
+
+def read(record, pair, holder):
+    kind = record.used + pair.left
+    return holder.size, kind
+"""
+
+
+def test_stored_value_guards_flag_what_is_never_read():
+    # a local variable named like a field does not count as reading it
+    trees = {"sample": ast.parse(SAMPLE)}
+    assert unread_fields(trees) == ["sample.Record.unused", "sample.Pair.right"]
+    assert unread_attributes(trees) == ["sample.Holder.kind"]

@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,26 @@ def test_custom_spec_file_case(tmp_path):
     assert report.lambda1["reference"] == 2.0 / 1.25**2
     assert report.lambda1["rel_error"] == abs(report.lambda1["value"] - 1.28) / 1.28
     assert report.lambda1["rel_error"] < 1e-2
+
+
+@pytest.mark.parametrize(
+    "case, params, closed_form",
+    [
+        ("sphere-hyperplane", {"radius": 1.5}, lambda n: Fraction(n) / Fraction(1.5) ** 2),
+        ("counterexample", {}, {1: Fraction(5, 8), 2: Fraction(26, 15)}.get),
+        ("cylinder-curve", {"scale": 2.0}, {1: Fraction(29, 32), 2: Fraction(29, 15)}.get),
+        ("lightlike-hyperplane", {}, Fraction),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_reilly_slice_matches_the_closed_form(case, params, closed_form, n):
+    # n times the mean of <H, H>: 1/r^2 on a sphere of radius r, 1 on the
+    # null hyperplane, and 1 - (1-t^2)^2 / (n c)^2 on a cylinder of scale c,
+    # whose mean is 3/8 on the circle and 8/15 on the 2-sphere
+    config = RunConfig(case=case, n=n, level=0, samples=1, mc_samples=1000, **params)
+    value = run_case(config).identities["reilly_rhs_slice"]
+    exact = float(closed_form(n))
+    assert abs(value - exact) <= 1e-15 * exact
 
 
 def test_cli_spec_file_report_echoes_the_n_it_ran(tmp_path):
@@ -507,6 +528,38 @@ def test_cli_non_numeric_spec_field_exits_2(tmp_path, capsys):
     spec.write_text(json.dumps({"gallery": "round-sphere", "n": "two"}), encoding="utf-8")
     assert main(["run", "--case", "custom-spec-file", "--spec-file", str(spec)]) == 2
     assert "bad value in immersion spec" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"gallery": "counterexample", "n": 1.9}, "n"),
+        ({"gallery": "counterexample", "n": 2.0}, "n"),
+        ({"gallery": "counterexample", "n": True}, "n"),
+        ({"gallery": "round-sphere", "n": 2, "params": {"m": 4.7}}, "m"),
+        ({"gallery": "round-sphere", "params": {"radius": NAN}}, "radius"),
+        ({"gallery": "round-sphere", "params": {"radius": INF}}, "radius"),
+        ({"gallery": "round-sphere", "params": {"center": [0.0, NAN, 0.0, 0.0]}}, "center"),
+        ({"gallery": "round-sphere", "params": {"center": [0.0, 0.0, -INF, 0.0]}}, "center"),
+        ({"gallery": "round-sphere", "params": {"axis": [NAN, 0.0, 0.0, 0.0]}}, "axis"),
+        ({"gallery": "cylinder-curve", "params": {"scale": INF}}, "scale"),
+        ({"gallery": "cylinder-curve", "params": {"scale": NAN}}, "scale"),
+        ({"gallery": "lightlike-hyperplane", "params": {"amplitude": NAN}}, "amplitude"),
+        ({"gallery": "lightlike-hyperplane", "params": {"amplitude": False}}, "amplitude"),
+    ],
+)
+def test_cli_spec_field_that_is_not_a_finite_number_or_an_integer_exits_2(
+    tmp_path, capsys, spec, key
+):
+    # json writes NaN and Infinity, which json reads back as floats
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["run", "--case", "custom-spec-file", "--spec-file", str(path), "--level", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad value in immersion spec: {key!r} must be"), err
 
 
 def test_cli_out_directory_exits_2(tmp_path, capsys):

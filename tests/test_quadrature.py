@@ -20,11 +20,12 @@ from lorentzlab.minkowski import (
     boost_direction,
     inner,
     section_integral_exact,
+    sphere_integral_exact,
     unit_sphere_volume,
 )
 from lorentzlab.quadrature import (
     MC_BLOCK,
-    IntegralResult,
+    SLICE_NODES,
     beltrami_residual,
     mean_curvature_vertices,
     minkowski_projected_identities,
@@ -68,6 +69,14 @@ def slice_oracle(n, phi, panels=200_000):
     return unit_sphere_volume(n - 1) * float(np.mean(phi(t) * weight)) * 2.0
 
 
+def of_height(phi):
+    """The slice integrand that reads phi of the height of each point."""
+    return lambda p: phi(p[:, 0])
+
+
+ONE = of_height(np.ones_like)
+
+
 # --- mesh integrals -------------------------------------------------------------
 
 
@@ -75,13 +84,12 @@ def test_mesh_integral_of_one_is_volume():
     mesh = build_icosphere_mesh(4)
     imm = unit_sphere()
     out = integrate_over_mesh(mesh, imm, np.ones(mesh.num_vertices))
-    assert out.value == pytest.approx(4 * math.pi, rel=1.5e-3)
-    assert out.method == "mesh" and out.error >= 0.0
+    assert out == pytest.approx(4 * math.pi, rel=1.5e-3)
 
     circle = build_circle_mesh(256)
     two = HyperplaneSphere(1, 2.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     out = integrate_over_mesh(circle, two, np.ones(256))
-    assert out.value == pytest.approx(4 * math.pi, rel=1e-3)
+    assert out == pytest.approx(4 * math.pi, rel=1e-3)
 
 
 def test_mesh_integral_of_height_squared():
@@ -90,8 +98,8 @@ def test_mesh_integral_of_height_squared():
     imm = unit_sphere()
     t2 = mesh.vertices[:, 0] ** 2
     out = integrate_over_mesh(mesh, imm, t2)
-    vol = integrate_over_mesh(mesh, imm, np.ones(mesh.num_vertices)).value
-    assert out.value == pytest.approx(vol / 3.0, rel=1e-3)
+    vol = integrate_over_mesh(mesh, imm, np.ones(mesh.num_vertices))
+    assert out == pytest.approx(vol / 3.0, rel=1e-3)
 
 
 def test_mesh_integral_accepts_element_data_and_rejects_garbage():
@@ -100,7 +108,7 @@ def test_mesh_integral_accepts_element_data_and_rejects_garbage():
     geom = mesh_geometry(mesh, imm)
     per_element = integrate_over_mesh(mesh, imm, np.ones(len(mesh.simplices)), geometry=geom)
     per_vertex = integrate_over_mesh(mesh, imm, np.ones(mesh.num_vertices), geometry=geom)
-    assert per_element.value == pytest.approx(per_vertex.value, rel=1e-12)
+    assert per_element == pytest.approx(per_vertex, rel=1e-12)
     with pytest.raises(UsageError):
         integrate_over_mesh(mesh, imm, np.ones(7), geometry=geom)
 
@@ -110,7 +118,7 @@ def test_mesh_integral_vector_density():
     imm = CounterexampleSphere(2)
     h = mean_curvature_vertices(imm, assemble_pencil(mesh, imm))
     out = integrate_over_mesh(mesh, imm, h)
-    assert out.value.shape == (4,)
+    assert out.shape == (4,)
 
 
 def test_nonnegative_density_gives_nonnegative_integral():
@@ -118,16 +126,16 @@ def test_nonnegative_density_gives_nonnegative_integral():
     imm = CounterexampleSphere(2)
     rng = np.random.default_rng(0)
     density = rng.random(mesh.num_vertices)
-    assert integrate_over_mesh(mesh, imm, density).value >= 0.0
+    assert integrate_over_mesh(mesh, imm, density) >= 0.0
 
 
 # --- slice integrals -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("count", [32, 64])
+@pytest.mark.parametrize("count", [SLICE_NODES])
 @pytest.mark.parametrize("n", [1, 2])
 def test_slice_rule_matches_scipy_gauss_jacobi(n, count):
-    x, w = quadrature._slice_rule(n, count)
+    x, w = quadrature._slice_rule(n)
     x_ref, w_ref = roots_jacobi(count, (n - 2) / 2.0, (n - 2) / 2.0)
     assert np.abs(x - x_ref).max() <= 2e-15
     assert np.abs(w - w_ref).max() <= 2e-13 * w_ref.max()
@@ -135,29 +143,29 @@ def test_slice_rule_matches_scipy_gauss_jacobi(n, count):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_slice_rule_is_cached_read_only(n):
-    x, w = quadrature._slice_rule(n, 64)
-    x_fresh, w_fresh = quadrature._slice_rule.__wrapped__(n, 64)
-    again = quadrature._slice_rule(n, 64)
+    x, w = quadrature._slice_rule(n)
+    x_fresh, w_fresh = quadrature._slice_rule.__wrapped__(n)
+    again = quadrature._slice_rule(n)
     for cached, repeat, fresh in ((x, again[0], x_fresh), (w, again[1], w_fresh)):
         assert np.array_equal(repeat, cached) and np.array_equal(fresh, cached)
         assert not cached.flags.writeable and not repeat.flags.writeable
 
 
 def test_slice_total_volume():
-    assert sphere_slice_integral(2, lambda t: np.ones_like(t)).value == pytest.approx(4 * math.pi)
-    assert sphere_slice_integral(1, lambda t: np.ones_like(t)).value == pytest.approx(2 * math.pi)
+    assert sphere_slice_integral(2, ONE) == pytest.approx(4 * math.pi)
+    assert sphere_slice_integral(1, ONE) == pytest.approx(2 * math.pi)
 
 
 @pytest.mark.parametrize("n", [0, 3, 4])
 def test_slice_refuses_dimensions_without_a_mesh(n):
     with pytest.raises(UsageError, match="n = 1 and n = 2 only"):
-        sphere_slice_integral(n, lambda t: np.ones_like(t))
+        sphere_slice_integral(n, ONE)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_slice_first_moment_identity(n):
-    out = sphere_slice_integral(n, lambda t: 1.0 - t * t)
-    assert out.value == pytest.approx(n / (n + 1) * unit_sphere_volume(n), rel=1e-13)
+    out = sphere_slice_integral(n, of_height(lambda t: 1.0 - t * t))
+    assert out == pytest.approx(n / (n + 1) * unit_sphere_volume(n), rel=1e-13)
 
 
 def test_slice_quartic_moment_oracle():
@@ -166,18 +174,17 @@ def test_slice_quartic_moment_oracle():
     phi = lambda t: (1.0 - t * t) ** 2
     oracle = slice_oracle(2, phi)
     assert oracle == pytest.approx(8.0 / 15.0 * 4 * math.pi, rel=1e-9)
-    out = sphere_slice_integral(2, phi)
-    assert out.value == pytest.approx(8.0 / 15.0 * 4 * math.pi, rel=1e-14)
-    assert out.error <= 1e-12
+    out = sphere_slice_integral(2, of_height(phi))
+    assert out == pytest.approx(8.0 / 15.0 * 4 * math.pi, rel=1e-14)
 
 
 def test_slice_matches_oracle_on_transcendental_integrand():
     phi = lambda t: np.cosh(t)
-    assert sphere_slice_integral(2, phi).value == pytest.approx(
+    assert sphere_slice_integral(2, of_height(phi)) == pytest.approx(
         slice_oracle(2, phi), rel=1e-8
     )
     # mean of cosh over the 2-sphere is sinh(1)
-    assert sphere_slice_integral(2, phi).value / (4 * math.pi) == pytest.approx(
+    assert sphere_slice_integral(2, of_height(phi)) / (4 * math.pi) == pytest.approx(
         math.sinh(1.0), rel=1e-13
     )
 
@@ -185,7 +192,7 @@ def test_slice_matches_oracle_on_transcendental_integrand():
 def test_slice_rejects_non_finite():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
-            sphere_slice_integral(2, lambda t: 1.0 / (t - t))
+            sphere_slice_integral(2, of_height(lambda t: 1.0 / (t - t)))
 
 
 def test_slice_vs_mesh_agreement():
@@ -201,7 +208,7 @@ def test_slice_vs_mesh_agreement():
         lambda x: np.exp(-x),
     ):
         on_mesh = float(geom.lumped @ phi(t))
-        exact = sphere_slice_integral(2, phi).value
+        exact = sphere_slice_integral(2, of_height(phi))
         assert on_mesh == pytest.approx(exact, rel=4e-3)
 
 
@@ -211,7 +218,7 @@ def test_slice_vs_mesh_agreement():
 def test_minkowski_residual_sphere_is_exact():
     pencil = assemble_pencil(build_icosphere_mesh(3), unit_sphere())
     out = minkowski_residual(pencil.geometry, mean_curvature_vertices(unit_sphere(), pencil))
-    assert abs(out.value) < 1e-14
+    assert abs(out) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -225,7 +232,7 @@ def test_minkowski_residual_decreases_and_is_small(imm):
         pencil = assemble_pencil(mesh, imm)
         geom = pencil.geometry
         out = minkowski_residual(geom, mean_curvature_vertices(imm, pencil))
-        values.append(abs(out.value) / geom.total_volume)
+        values.append(abs(out) / geom.total_volume)
     assert values[0] > values[1] > values[2]
     assert values[-1] <= 1e-3
 
@@ -242,9 +249,7 @@ def test_projected_identities_counterexample(boost):
         h = mean_curvature_vertices(recentered, pencil)
         a = boost_direction(boost, np.array([0.0, 0.6, 0.8]))
         first, second = minkowski_projected_identities(pencil, geom.positions, h, a)
-        values.append(
-            (abs(first.value) / geom.total_volume, abs(second.value) / geom.total_volume)
-        )
+        values.append((abs(first) / geom.total_volume, abs(second) / geom.total_volume))
     assert values[-1][0] <= 1e-3 and values[-1][1] <= 1e-3
     assert values[0][0] >= values[1][0] and values[0][1] >= values[1][1]
 
@@ -259,13 +264,18 @@ def test_identities_read_the_stiffness_like_the_direct_references():
     lap = apply_discrete_laplacian(pencil, geom.positions)
     diff_sq = ((lap - 2.0 * h) ** 2).sum(axis=1)
     direct = float(np.sqrt(geom.lumped @ diff_sq / geom.total_volume))
-    assert beltrami_residual(pencil, h).value == direct
-    # the stiffness form of s = <psi, a> is the summed element gradient energy
+    assert beltrami_residual(pencil, h) == direct
+    # the second identity's tangential term, the stiffness form of
+    # s = <psi, a>, is the summed element gradient energy
     a = boost_direction(0.8, np.array([0.0, 0.6, 0.8]))
     _, second = minkowski_projected_identities(pencil, geom.positions, h, a)
     s = inner(geom.positions, a)
+    pos_a = geom.positions + s[:, None] * a
+    h_a = h + inner(h, a)[:, None] * a
+    cross_int = float(geom.lumped @ inner(pos_a, h_a))
     per_element = float(geom.volumes @ gradient_squared_per_element(geom, s))
-    assert second.params["tangential"] == pytest.approx(per_element, rel=1e-12)
+    expected = cross_int + geom.total_volume + per_element / 2.0
+    assert second == pytest.approx(expected, abs=1e-12 * geom.total_volume)
 
 
 def test_projected_identities_sphere_reduce_to_exact():
@@ -276,8 +286,8 @@ def test_projected_identities_sphere_reduce_to_exact():
     first, second = minkowski_projected_identities(
         pencil, geom.positions, mean_curvature_vertices(imm, pencil), AXIS4
     )
-    assert abs(first.value) < 1e-13
-    assert abs(second.value) < 1e-13
+    assert abs(first) < 1e-13
+    assert abs(second) < 1e-13
 
 
 def test_curvature_field_mean_tends_to_zero():
@@ -312,14 +322,14 @@ def test_projected_curvature_energy_is_positive():
 def test_monte_carlo_eta_form_is_zero():
     eta = SymBilinearForm(np.diag([-1.0, 1.0, 1.0, 1.0]))
     out = monte_carlo_section_integral(eta, AXIS4, 50_000, seed=1)
-    assert abs(out.value) <= 1e-10
-    assert out.error <= 1e-10
+    assert abs(out.estimate) <= 1e-10
+    assert out.stderr <= 1e-10
 
 
 def test_monte_carlo_matches_exact_for_time_form():
     q = SymBilinearForm(np.diag([1.0, 0.0, 0.0, 0.0]))
     out = monte_carlo_section_integral(q, AXIS4, 50_000, seed=2)
-    assert out.value == pytest.approx(4 * math.pi, abs=1e-10)
+    assert out.estimate == pytest.approx(4 * math.pi, abs=1e-10)
 
 
 def test_monte_carlo_random_forms_within_three_stderr():
@@ -328,7 +338,9 @@ def test_monte_carlo_random_forms_within_three_stderr():
         q = SymBilinearForm.random(4, rng)
         a = boost_direction(0.3 * k, np.array([0.0, 1.0, 0.0]))
         out = monte_carlo_section_integral(q, a, 200_000, seed=50 + k)
-        assert abs(out.value - section_integral_exact(q, a)) <= 3.0 * out.error
+        assert out.exact == section_integral_exact(q, a)
+        assert abs(out.estimate - out.exact) <= 3.0 * out.stderr
+        assert out.z == abs(out.estimate - out.exact) / out.stderr
 
 
 def test_monte_carlo_error_scaling():
@@ -338,7 +350,7 @@ def test_monte_carlo_error_scaling():
     errs = []
     for size in sizes:
         runs = [
-            abs(monte_carlo_section_integral(q, AXIS4, size, seed=s).value - exact)
+            abs(monte_carlo_section_integral(q, AXIS4, size, seed=s).estimate - exact)
             for s in range(8)
         ]
         errs.append(np.mean(runs))
@@ -350,21 +362,22 @@ def test_monte_carlo_sphere_analogue():
     rng = np.random.default_rng(10)
     q = SymBilinearForm.random(4, rng)
     out = monte_carlo_sphere_integral(q, 200_000, seed=3)
-    assert abs(out.value - out.params["exact"]) <= 3.0 * out.error
+    assert out.exact == sphere_integral_exact(q)
+    assert abs(out.estimate - out.exact) <= 3.0 * out.stderr
 
 
 @pytest.fixture
 def sample_values(monkeypatch):
     """The per-sample values of each Monte Carlo estimate, in call order,
-    captured on their way into the result."""
+    captured on their way into the check."""
     seen = []
-    build = quadrature._monte_carlo_result
+    build = quadrature._monte_carlo_check
 
     def record(vals, *args):
         seen.append(vals.copy())
         return build(vals, *args)
 
-    monkeypatch.setattr(quadrature, "_monte_carlo_result", record)
+    monkeypatch.setattr(quadrature, "_monte_carlo_check", record)
     return seen
 
 
@@ -378,12 +391,11 @@ def test_section_values_match_sampled_points(sample_values, m, boost):
     q = SymBilinearForm.random(m, np.random.default_rng(m))
     tol = 1e-12 * np.linalg.norm(q.matrix, 2) * (1.0 + a @ a)
     for count in (2 * MC_BLOCK, MC_BLOCK + 777):
-        out = monte_carlo_section_integral(q, a, count, seed=31)
+        monte_carlo_section_integral(q, a, count, seed=31)
         v = sample_spherical_section(a, np.random.default_rng(31), count)
         expected = q(v, v)
         assert sample_values[-1].shape == (count,)
         assert np.abs(sample_values[-1] - expected).max() <= tol
-        assert out.params["samples"] == count
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -416,7 +428,3 @@ def test_monte_carlo_input_checks():
     with pytest.raises(UsageError, match="dimensions differ"):
         monte_carlo_section_integral(q, AXIS4[:3], 100, seed=0)
 
-
-def test_integral_result_fields():
-    out = IntegralResult(value=1.0, error=0.1, method="mesh")
-    assert out.error >= 0.0 and out.params == {}
