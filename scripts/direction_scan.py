@@ -26,8 +26,7 @@ def main():
     args = parser.parse_args()
 
     imm, _ = _build_case(RunConfig(case=args.case, n=args.n, level=args.level))
-    mesh = _build_mesh(imm, args.level)
-    engine = BoundEngine(mesh, imm)
+    engine = BoundEngine(_build_mesh(imm.n, args.level), imm)
     print(f"case={args.case} level={args.level} lambda1={engine.lambda1:.8f}")
 
     u = np.zeros(imm.m - 1)
@@ -36,7 +35,7 @@ def main():
     catalogue = engine.direction_catalogue([boost_direction(s, u) for s in boosts])
     print(f"{'boost s':>8s} {'rhs(sharp)':>12s} {'rhs(plain)':>12s} {'eq verdict':>14s}")
     for s, sharp, plain, verdict in zip(
-        boosts, catalogue.sharp.rhs, catalogue.plain.rhs, catalogue.equality.verdict
+        boosts, catalogue.sharp.rhs, catalogue.plain.rhs, catalogue.equality["verdict"]
     ):
         print(f"{s:8.2f} {sharp:12.6f} {plain:12.6f} {verdict:>14s}")
 

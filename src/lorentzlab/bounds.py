@@ -55,7 +55,6 @@ TIE_RTOL = 1e-12
 
 __all__ = [
     "BoundTable",
-    "EqualityDiagnostic",
     "DirectionCatalogue",
     "BoundEngine",
 ]
@@ -93,28 +92,14 @@ class BoundTable:
 
 
 @dataclass
-class EqualityDiagnostic:
-    """Residual analysis of Delta psi_hat + lambda1 psi_hat = mu * a at
-    each row of a direction stack; the fields are in report order."""
-
-    verdict: np.ndarray
-    residual_rel: np.ndarray
-    residual_rel_canonical: np.ndarray
-    causal_residual_sq: np.ndarray
-    a_component_integral: np.ndarray
-    tangential_ratio: np.ndarray
-    radius_from_curvature: np.ndarray
-    radius_from_lambda1: np.ndarray
-
-
-@dataclass
 class DirectionCatalogue:
     """The direction-dependent catalogue on a (k, m) stack of unit
-    timelike directions: row j of every column belongs to direction j."""
+    timelike directions: row j of every column belongs to direction j.
+    `equality` holds the equality diagnostic's columns in report order."""
 
     sharp: BoundTable
     plain: BoundTable
-    equality: EqualityDiagnostic
+    equality: dict
 
 
 class BoundEngine:
@@ -392,7 +377,7 @@ class BoundEngine:
         )
         pick = int(np.argmin(rel))
         return {
-            "direction": tuple(float(x) for x in dirs[pick]),
+            "direction": dirs[pick].tolist(),
             "defect_rel": float(rel[pick]),
             "found": bool(rel[pick] <= TAU_ELLE),
             "samples": count,
@@ -428,7 +413,8 @@ class BoundEngine:
         norm when a is the time axis, and keeps verdicts boost
         equivariant). The canonical-frame number is reported alongside.
         Verdicts: equality-case below tau_eq, strict above STRICT_FACTOR
-        times tau_eq, inconclusive between.
+        times tau_eq, inconclusive between. The last column is the sharp
+        bound's slack relative to its larger side.
 
         The canonical residual's a' G b and a'a and the a-component
         integral are matrix products, so they take one row at a time.
@@ -461,24 +447,24 @@ class BoundEngine:
 
         h_a_mean = h_a_int / vol
         k = len(dirs)
-        equality = EqualityDiagnostic(
-            verdict=np.select(
+        meta = {"curvature_integral": h_a_int, "tangential": tangential}
+        name = "projected-curvature-sharp"
+        sharp = BoundTable(name, name, lam, sharp_rhs, self.tol_disc, dirs, meta)
+        name = "projected-curvature"
+        plain = BoundTable(name, name, lam, plain_rhs, self.tol_disc, dirs, meta)
+        equality = {
+            "verdict": np.select(
                 [residual_rel <= tau_eq, residual_rel >= STRICT_FACTOR * tau_eq],
                 ["equality-case", "strict"],
                 "inconclusive",
             ),
-            residual_rel=residual_rel,
-            residual_rel_canonical=rho_l2_canon / max(psi_l2_canon, 1e-300),
-            causal_residual_sq=np.full(k, self._trace(g_r) / vol),
-            a_component_integral=-resid_b,
-            tangential_ratio=tangential / vol,
-            radius_from_curvature=1.0 / np.sqrt(np.where(h_a_mean < 1e-300, 1e-300, h_a_mean)),
-            radius_from_lambda1=np.full(k, math.sqrt(n / lam)),
-        )
-        meta = {"curvature_integral": h_a_int, "tangential": tangential}
-        sharp, plain = "projected-curvature-sharp", "projected-curvature"
-        return DirectionCatalogue(
-            sharp=BoundTable(sharp, sharp, lam, sharp_rhs, self.tol_disc, dirs, meta),
-            plain=BoundTable(plain, plain, lam, plain_rhs, self.tol_disc, dirs, meta),
-            equality=equality,
-        )
+            "residual_rel": residual_rel,
+            "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300),
+            "causal_residual_sq": np.full(k, self._trace(g_r) / vol),
+            "a_component_integral": -resid_b,
+            "tangential_ratio": tangential / vol,
+            "radius_from_curvature": 1.0 / np.sqrt(np.where(h_a_mean < 1e-300, 1e-300, h_a_mean)),
+            "radius_from_lambda1": np.full(k, math.sqrt(n / lam)),
+            "projection_bound_rel_slack": sharp.slack / np.maximum(abs(lam), np.abs(sharp.rhs)),
+        }
+        return DirectionCatalogue(sharp, plain, equality)

@@ -247,22 +247,25 @@ def immersion_from_spec(spec: dict) -> Immersion:
     Expected keys: "gallery" (one of round-sphere, counterexample,
     cylinder-curve, lightlike-hyperplane), "n", and gallery-specific
     "params". "n" and "m" must be integers and every other number finite;
-    a field of the wrong type or value raises UsageError naming its key.
+    a field of the wrong type or value, or a key the gallery item does not
+    read, raises UsageError naming its key.
     """
     try:
         name = spec["gallery"]
     except (KeyError, TypeError):
         raise UsageError("immersion spec needs a 'gallery' key") from None
+    unknown = set(spec) - {"gallery", "n", "params"}
+    if unknown:
+        raise UsageError(f"unknown immersion spec keys: {sorted(unknown)}")
     try:
-        return _gallery_item(name, _spec_int(spec, "n", 2), dict(spec.get("params", {})))
+        return _gallery_item(name, _spec_int("n", spec.get("n", 2)), dict(spec.get("params", {})))
     except LorentzLabError:
         raise
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value in immersion spec: {exc}") from None
 
 
-def _spec_int(source: dict, key: str, default: int) -> int:
-    value = source.get(key, default)
+def _spec_int(key: str, value) -> int:
     # bool is an int subclass, so JSON true is refused apart
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
@@ -276,21 +279,32 @@ def _spec_float(key: str, value) -> float:
 
 
 def _gallery_item(name: str, n: int, params: dict) -> Immersion:
+    """The gallery item `name`; it takes its keys out of `params`, and any
+    key left over is refused."""
     if name == "round-sphere":
-        radius = _spec_float("radius", params.get("radius", 1.0))
-        m = _spec_int(params, "m", n + 2)
-        center = [_spec_float("center", x) for x in params.get("center", [0.0] * m)]
-        axis = [_spec_float("axis", x) for x in params.get("axis", [1.0] + [0.0] * (m - 1))]
-        return HyperplaneSphere(n, radius, center, axis)
-    if name == "counterexample":
-        return CounterexampleSphere(n)
-    if name == "cylinder-curve":
-        if params.get("curve", "hyperbola") == "line":
-            return CylinderSphere(n, LineCurve())
-        return CylinderSphere(n, HyperbolicArc(_spec_float("scale", params.get("scale", 2.0))))
-    if name == "lightlike-hyperplane":
-        return NullHyperplaneSphere(n, _spec_float("amplitude", params.get("amplitude", 0.5)))
-    raise UsageError(f"unknown gallery item {name!r}")
+        radius = _spec_float("radius", params.pop("radius", 1.0))
+        m = _spec_int("m", params.pop("m", n + 2))
+        center = [_spec_float("center", x) for x in params.pop("center", [0.0] * m)]
+        axis = [_spec_float("axis", x) for x in params.pop("axis", [1.0] + [0.0] * (m - 1))]
+        imm = HyperplaneSphere(n, radius, center, axis)
+    elif name == "counterexample":
+        imm = CounterexampleSphere(n)
+    elif name == "cylinder-curve":
+        curve = params.pop("curve", "hyperbola")
+        if curve == "line":
+            imm = CylinderSphere(n, LineCurve())
+        elif curve == "hyperbola":
+            scale = _spec_float("scale", params.pop("scale", 2.0))
+            imm = CylinderSphere(n, HyperbolicArc(scale))
+        else:
+            raise UsageError(f"unknown curve {curve!r}; choose hyperbola or line")
+    elif name == "lightlike-hyperplane":
+        imm = NullHyperplaneSphere(n, _spec_float("amplitude", params.pop("amplitude", 0.5)))
+    else:
+        raise UsageError(f"unknown gallery item {name!r}")
+    if params:
+        raise UsageError(f"unknown or unused {name} params: {sorted(params)}")
+    return imm
 
 
 def load_immersion_spec(path) -> Immersion:

@@ -164,12 +164,13 @@ def _build_case(config: RunConfig):
     return imm, CaseExpectation(*row, lambda1_reference=imm.n / radius**2)
 
 
-def _build_mesh(imm, level: int) -> ParamMesh:
-    """The immersion's parameter mesh and its coarse level, read-only: a
-    suite shares them."""
-    if imm.n == 1:
+@functools.lru_cache(maxsize=None)
+def _build_mesh(n: int, level: int) -> ParamMesh:
+    """The parameter mesh of dimension n at a level, with its coarse level:
+    built once per (n, level) and read-only, so the runs of a process share it."""
+    if n == 1:
         mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
-    elif imm.n == 2:
+    elif n == 2:
         mesh = build_icosphere_mesh(level)
     else:
         raise UsageError("meshes are available for n = 1 and n = 2 only")
@@ -181,6 +182,18 @@ def _build_mesh(imm, level: int) -> ParamMesh:
     return mesh
 
 
+def _spec_echo(imm) -> dict:
+    """The config a spec-file immersion was built with: n, and the radius,
+    scale or amplitude where its gallery item takes one."""
+    if isinstance(imm, HyperplaneSphere):
+        return {"n": imm.n, "radius": imm.radius}
+    if isinstance(imm, NullHyperplaneSphere):
+        return {"n": imm.n, "amplitude": imm.amplitude}
+    if type(imm) is CylinderSphere and isinstance(imm.curve, HyperbolicArc):
+        return {"n": imm.n, "scale": imm.curve.scale}
+    return {"n": imm.n}
+
+
 @functools.lru_cache(maxsize=None)
 def _section_average_mc(m: int, mc_samples: int, seed: int) -> MonteCarloCheck:
     """A run's section averaging check: not a function of the immersion, so
@@ -188,20 +201,6 @@ def _section_average_mc(m: int, mc_samples: int, seed: int) -> MonteCarloCheck:
     rng = np.random.default_rng(seed + 3)
     q = SymBilinearForm.random(m, rng)
     return monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 @dataclass
@@ -233,19 +232,15 @@ class RunReport:
         }
 
 
-def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
-    """Execute the full pipeline for one case; deterministic per config.
-    Without a shared `mesh` the run builds its own."""
+def run_case(config: RunConfig) -> RunReport:
+    """Execute the full pipeline for one case; deterministic per config."""
     stamps = {}
     t0 = time.perf_counter()
     imm, expect = _build_case(config)
-    # a spec file sets its own n; the report echoes the n that was run
-    config = replace(config, n=imm.n)
-    if mesh is None:
-        mesh = _build_mesh(imm, config.level)
-    elif (mesh.n, mesh.level) != (imm.n, config.level):
-        raise UsageError(f"mesh of n = {mesh.n}, level {mesh.level} does not fit "
-                         f"a case of n = {imm.n}, level {config.level}")
+    if config.case == "custom-spec-file":
+        # the report echoes what the spec file set
+        config = replace(config, **_spec_echo(imm))
+    mesh = _build_mesh(imm.n, config.level)
     stamps["setup"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -324,17 +319,11 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
     infimum = engine.infimum_over_directions(max(config.samples, 20), seed=config.seed + 1)
     add_entries([infimum], tag="")
 
-    # the equality entries, with the sharp bound's relative slack
-    lam = float(engine.lambda1)
-    sharp_rhs, sharp_slack = catalogue.sharp.rhs.tolist(), catalogue.sharp.slack.tolist()
-    diag = catalogue.equality
-    diag_columns = [(f.name, getattr(diag, f.name).tolist()) for f in fields(diag)]
-    equality_entries = []
-    for j, direction in enumerate(directions.tolist()):
-        entry = {"direction": direction}
-        entry.update((name, column[j]) for name, column in diag_columns)
-        entry["projection_bound_rel_slack"] = sharp_slack[j] / max(abs(lam), abs(sharp_rhs[j]))
-        equality_entries.append(entry)
+    # the equality entries: the rows of the diagnostic's columns
+    columns = {"direction": directions, **catalogue.equality}
+    equality_entries = [
+        dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))
+    ]
     sharp_equality_found = any(
         e["projection_bound_rel_slack"] <= TAU_DISC and e["verdict"] == "equality-case"
         for e in equality_entries
@@ -402,33 +391,30 @@ def run_case(config: RunConfig, mesh: ParamMesh | None = None) -> RunReport:
         "near_degenerate": engine.spectrum.near_degenerate,
     }
     return RunReport(
-        config=_jsonable(asdict(config)),
-        lambda1=_jsonable(lambda_block),
+        config=asdict(config),
+        lambda1=lambda_block,
         volume=vol,
         bounds=bounds,
-        identities=_jsonable(identities),
+        identities=identities,
         equality=equality_entries,
         verdict="pass" if not failures else "fail",
         failures=failures,
         warnings=warnings,
-        timings=_jsonable(stamps) if config.include_timings else None,
+        timings=stamps if config.include_timings else None,
     )
 
 
 def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     """Per-case refinement sweep with a convergence table. Cases share each
-    level's mesh and its ND order; reports match standalone runs byte for byte."""
+    level's memoized mesh and its ND order; reports match standalone runs
+    byte for byte."""
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
     reports = []
     table = []
-    meshes: dict[int, ParamMesh] = {}
     for case in cases:
         for level in levels:
-            config = replace(base, case=case, level=level)
-            if level not in meshes:
-                meshes[level] = _build_mesh(_build_case(config)[0], level)
-            report = run_case(config, meshes[level])
+            report = run_case(replace(base, case=case, level=level))
             reports.append(report)
             table.append(
                 {
@@ -502,7 +488,7 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
         "m": m,
         "samples": samples,
         "seed": seed,
-        "cases": _jsonable(cases),
+        "cases": cases,
         "verdict": "pass" if ok else "fail",
     }
 
@@ -522,48 +508,21 @@ def report_to_json(report: RunReport | dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# the CSV columns: the run's case and level, then bound entry keys
+_CSV_COLUMNS = ("case", "level", "name", "anchor", "lhs", "rhs", "slack", "holds", "tol",
+                "status", "expected_holds", "as_expected", "direction")
+
+
 def report_to_csv(report: RunReport) -> str:
-    """Flatten the bound reports only."""
+    """Flatten the bound reports only: floats are written as their repr,
+    None as an empty field and a direction as its space-separated entries."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "case",
-            "level",
-            "name",
-            "anchor",
-            "lhs",
-            "rhs",
-            "slack",
-            "holds",
-            "tol",
-            "status",
-            "expected_holds",
-            "as_expected",
-            "direction",
-        ]
-    )
-    case = report.config["case"]
-    level = report.config["level"]
+    writer = csv.DictWriter(buf, _CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    run = {"case": report.config["case"], "level": report.config["level"]}
     for b in report.bounds:
-        direction = "" if b["direction"] is None else " ".join(repr(x) for x in b["direction"])
-        writer.writerow(
-            [
-                case,
-                level,
-                b["name"],
-                b["anchor"],
-                repr(b["lhs"]),
-                repr(b["rhs"]),
-                repr(b["slack"]),
-                b["holds"],
-                repr(b["tol"]),
-                b["status"],
-                b["expected_holds"],
-                b["as_expected"],
-                direction,
-            ]
-        )
+        direction = "" if b["direction"] is None else " ".join(map(repr, b["direction"]))
+        writer.writerow(b | run | {"direction": direction})
     return buf.getvalue()
 
 

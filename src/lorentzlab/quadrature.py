@@ -184,7 +184,8 @@ def _monte_carlo_check(vals: np.ndarray, vol: float, exact: float) -> MonteCarlo
     stderr = vol * std / np.sqrt(samples)
     # samples of a constant integrand do not spread: z is then inf, or nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        return MonteCarloCheck(exact, estimate, stderr, abs(estimate - exact) / stderr)
+        z = abs(estimate - exact) / stderr
+    return MonteCarloCheck(exact, estimate, float(stderr), float(z))
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

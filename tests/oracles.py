@@ -79,7 +79,7 @@ from lorentzlab.minkowski import (
     spacelike_complement_basis,
     sphere_integral_exact,
 )
-from lorentzlab.pipeline import _build_case, _jsonable, _section_average_mc
+from lorentzlab.pipeline import _build_case, _section_average_mc
 from lorentzlab.quadrature import (
     mean_curvature_vertices,
     monte_carlo_section_integral,
@@ -710,7 +710,11 @@ def bound_dict(report: BoundReport, expected) -> dict:
         "direction": list(report.direction) if report.direction is not None else None,
         "expected_holds": expected,
         "as_expected": as_expected,
-        "meta": _jsonable(report.meta),
+        # the formulas' numpy scalars as Python scalars
+        "meta": {
+            key: value.item() if isinstance(value, np.generic) else value
+            for key, value in report.meta.items()
+        },
     }
 
 

@@ -241,9 +241,9 @@ def test_criterion_6_equality_case(engines):
     report = catalogue.plain
     rel_slack = abs(report.slack[0]) / max(abs(eng.lambda1), abs(report.rhs[0]))
     assert rel_slack <= 1e-2
-    verdict = catalogue.equality.verdict[0]
-    radius_h = catalogue.equality.radius_from_curvature[0]
-    radius_lam = catalogue.equality.radius_from_lambda1[0]
+    verdict = catalogue.equality["verdict"][0]
+    radius_h = catalogue.equality["radius_from_curvature"][0]
+    radius_lam = catalogue.equality["radius_from_lambda1"][0]
     assert verdict == "equality-case"
     assert abs(radius_h - radius_lam) <= 1e-2
     assert radius_lam == pytest.approx(1.0, rel=1e-2)
@@ -268,7 +268,7 @@ def test_criterion_7_strictness(engines, counter_engine_l5):
             assert shift <= 0.2, f"slack unstable: {r4.slack[j]:.4f} -> {r5.slack[j]:.4f}"
             min_slack = min(min_slack, r4.slack[j])
             worst_shift = max(worst_shift, shift)
-        assert c4.equality.verdict[j] == "strict"
+        assert c4.equality["verdict"][j] == "strict"
     conclude(
         7,
         f"10 directions: min slack {min_slack:.4f} > 0, refinement shift <= {worst_shift:.1%}, "

@@ -136,9 +136,9 @@ def test_gram_forms_match_sparse_oracle(case_engines):
             diag = catalogue.equality
             expected = equality_residuals(eng, a)
             for key in ("residual_rel", "residual_rel_canonical", "causal_residual_sq"):
-                assert getattr(diag, key)[0] == pytest.approx(expected[key], rel=1e-12, abs=1e-300), key
+                assert diag[key][0] == pytest.approx(expected[key], rel=1e-12, abs=1e-300), key
             mu_scale = float(eng.geometry.lumped @ np.abs(expected["a_component"]))
-            close(diag.a_component_integral[0], expected["a_component_integral"], mu_scale)
+            close(diag["a_component_integral"][0], expected["a_component_integral"], mu_scale)
 
 
 def test_sampled_searches_match_direction_loop(case_engines):
@@ -492,27 +492,27 @@ def test_certificate_rejects_spacelike_direction(counter_engine):
 
 def test_equality_diagnostic_sphere(sphere_engine):
     diag = sphere_engine.direction_catalogue([AXIS4]).equality
-    assert diag.verdict[0] == "equality-case"
-    assert diag.tangential_ratio[0] <= 1e-12
-    assert diag.radius_from_curvature[0] == pytest.approx(diag.radius_from_lambda1[0], rel=1e-2)
-    assert abs(diag.a_component_integral[0]) <= 1e-10
+    assert diag["verdict"][0] == "equality-case"
+    assert diag["tangential_ratio"][0] <= 1e-12
+    assert diag["radius_from_curvature"][0] == pytest.approx(diag["radius_from_lambda1"][0], rel=1e-2)
+    assert abs(diag["a_component_integral"][0]) <= 1e-10
     # equality persists at boosted directions
     boosted = sphere_engine.direction_catalogue(sample_timelike_directions(4, 5, seed=13)[1:])
-    assert all(verdict == "equality-case" for verdict in boosted.equality.verdict)
+    assert all(verdict == "equality-case" for verdict in boosted.equality["verdict"])
 
 
 def test_equality_diagnostic_counterexample_strict(counter_engine):
     diag = counter_engine.direction_catalogue(sample_timelike_directions(4, 10, seed=7)).equality
     for j in range(11):
-        assert diag.verdict[j] == "strict"
-        assert abs(diag.a_component_integral[j]) <= 1e-10
+        assert diag["verdict"][j] == "strict"
+        assert abs(diag["a_component_integral"][j]) <= 1e-10
 
 
 def test_equality_diagnostic_null_graph_strict(null_engine):
     diag = null_engine.direction_catalogue([np.concatenate(([1.0], np.zeros(4)))]).equality
-    assert diag.verdict[0] == "strict"
+    assert diag["verdict"][0] == "strict"
     # the residual is nearly null, so its causal square is tiny
-    assert abs(diag.causal_residual_sq[0]) <= 1e-2
+    assert abs(diag["causal_residual_sq"][0]) <= 1e-2
 
 
 def test_equality_tolerance_tracks_level():
@@ -521,4 +521,4 @@ def test_equality_tolerance_tracks_level():
     assert eng3.equality_tolerance() == pytest.approx(2 * BoundEngine(
         build_icosphere_mesh(4), unit_sphere()
     ).equality_tolerance())
-    assert eng3.direction_catalogue([AXIS4]).equality.verdict[0] == "equality-case"
+    assert eng3.direction_catalogue([AXIS4]).equality["verdict"][0] == "equality-case"

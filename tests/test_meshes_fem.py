@@ -295,7 +295,7 @@ def test_iterations_count_factor_solves(monkeypatch):
 @pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
 def test_element_stiffness_matches_einsum_oracle_bitwise(n, case, level):
     imm, _ = _build_case(RunConfig(case=case, n=n))
-    mesh = _build_mesh(imm, level)
+    mesh = _build_mesh(imm.n, level)
     pen = assemble_pencil(mesh, imm)
     oracle = stiffness_einsum(mesh, pen.geometry)
     for attr in ("indptr", "indices", "data"):
@@ -306,7 +306,7 @@ def test_element_stiffness_matches_einsum_oracle_bitwise(n, case, level):
 @pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
 def test_mass_shares_the_stiffness_pattern_bitwise(n, case, level):
     imm, _ = _build_case(RunConfig(case=case, n=n))
-    mesh = _build_mesh(imm, level)
+    mesh = _build_mesh(imm.n, level)
     pen = assemble_pencil(mesh, imm)
     assert pen.mass.indices is pen.stiffness.indices
     assert pen.mass.indptr is pen.stiffness.indptr
@@ -324,7 +324,7 @@ def test_mass_shares_the_stiffness_pattern_bitwise(n, case, level):
 @pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
 def test_lumped_mass_matches_add_at_oracle_bitwise(n, case, level):
     imm, _ = _build_case(RunConfig(case=case, n=n))
-    mesh = _build_mesh(imm, level)
+    mesh = _build_mesh(imm.n, level)
     geom = mesh_geometry(mesh, imm)
     assert np.array_equal(geom.lumped, lumped_mass_add_at(mesh, geom))
 
@@ -404,7 +404,7 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
     monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
     for case in CASES:
         imm, _ = _build_case(RunConfig(case=case, n=n))
-        pen = assemble_pencil(_build_mesh(imm, level), imm)
+        pen = assemble_pencil(_build_mesh(imm.n, level), imm)
         if pen.stiffness.shape[0] <= 20:
             continue
         # the shift outweighs float32 rounding of the coarse Galerkin
@@ -464,7 +464,7 @@ def test_lobpcg_requests_stay_reachable_and_silent():
     for n, level in grid:
         for case in CASES:
             imm, _ = _build_case(RunConfig(case=case, n=n))
-            pen = assemble_pencil(_build_mesh(imm, level), imm)
+            pen = assemble_pencil(_build_mesh(imm.n, level), imm)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 solve_lambda1(pen)

@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from lorentzlab import fem, pipeline
+from lorentzlab import cli, fem, pipeline
 from lorentzlab.bounds import BoundEngine
 from lorentzlab.cli import main
 from lorentzlab.errors import NumericalError, UsageError
 from lorentzlab.pipeline import (
     RunConfig,
+    RunReport,
     report_to_csv,
     report_to_json,
     run_case,
@@ -172,6 +173,29 @@ def test_cli_spec_file_report_echoes_the_n_it_ran(tmp_path):
     assert payload["bounds"][0]["meta"]["vertices"] == 64
 
 
+@pytest.mark.parametrize(
+    "spec, echo",
+    [
+        ({"gallery": "round-sphere", "n": 2, "params": {"radius": 1.5}}, {"n": 2, "radius": 1.5}),
+        ({"gallery": "cylinder-curve", "n": 1, "params": {"scale": -3.0}}, {"n": 1, "scale": -3.0}),
+        ({"gallery": "lightlike-hyperplane", "n": 1, "params": {"amplitude": 0.25}},
+         {"n": 1, "amplitude": 0.25}),
+        # gallery items without the parameter leave its default
+        ({"gallery": "counterexample", "n": 1}, {"n": 1}),
+        ({"gallery": "cylinder-curve", "n": 1, "params": {"curve": "line"}}, {"n": 1}),
+    ],
+    ids=["round-sphere", "hyperbola", "lightlike-hyperplane", "counterexample", "line"],
+)
+def test_spec_file_report_echoes_its_parameters(tmp_path, spec, echo):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    config = RunConfig(case="custom-spec-file", spec_file=str(path), level=0, samples=1,
+                       mc_samples=1000)
+    report = run_case(config)
+    expected = {"n": 2, "radius": 1.0, "scale": 2.0, "amplitude": 0.5} | echo
+    assert {key: report.config[key] for key in expected} == expected
+
+
 def test_case_run_computes_geometry_and_mean_curvature_once(monkeypatch):
     from lorentzlab import bounds, fem, quadrature
 
@@ -282,6 +306,7 @@ def test_suite_shares_meshes_orders_and_monte_carlo_checks(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    pipeline._build_mesh.cache_clear()
     pipeline._section_average_mc.cache_clear()
     run_suite(SUITE_CASES, [1, 2], RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000))
     # once per level, and once per ambient dimension (4, and 5 for lightlike-hyperplane)
@@ -297,6 +322,7 @@ def test_suite_meshes_are_read_only(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(pipeline, "build_icosphere_mesh", recording)
+    pipeline._build_mesh.cache_clear()
     run_suite(["counterexample"], [1], RunConfig(case="counterexample", samples=2, mc_samples=5000))
     (mesh,) = built
     coarse = mesh.coarse
@@ -306,14 +332,6 @@ def test_suite_meshes_are_read_only(monkeypatch):
                   coarse.nd_order):
         with pytest.raises(ValueError):
             array[0] = 0
-
-
-def test_run_case_refuses_a_mesh_of_another_level_or_dimension():
-    config = RunConfig(case="counterexample", level=1, samples=2, mc_samples=5000)
-    with pytest.raises(UsageError, match="does not fit"):
-        run_case(config, pipeline.build_icosphere_mesh(2))
-    with pytest.raises(UsageError, match="does not fit"):
-        run_case(replace(config, n=1), pipeline.build_icosphere_mesh(1))
 
 
 def test_section_average_battery_passes():
@@ -562,6 +580,29 @@ def test_cli_spec_field_that_is_not_a_finite_number_or_an_integer_exits_2(
     assert err.startswith(f"error: bad value in immersion spec: {key!r} must be"), err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"gallery": "round-sphere", "n": 2, "params": {"raduis": 2.0}},
+         "unknown or unused round-sphere params: ['raduis']"),
+        ({"gallery": "round-sphere", "n": 2, "radius": 2.0}, "unknown immersion spec keys: ['radius']"),
+        ({"gallery": "counterexample", "params": {"scale": 2.0}},
+         "unknown or unused counterexample params: ['scale']"),
+        ({"gallery": "cylinder-curve", "params": {"curve": "circle"}},
+         "unknown curve 'circle'; choose hyperbola or line"),
+        # a line has no scale
+        ({"gallery": "cylinder-curve", "params": {"curve": "line", "scale": 2.0}},
+         "unknown or unused cylinder-curve params: ['scale']"),
+    ],
+    ids=["params", "top-level", "counterexample", "curve", "line-scale"],
+)
+def test_cli_unknown_spec_key_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["run", "--case", "custom-spec-file", "--spec-file", str(path), "--level", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_out_directory_exits_2(tmp_path, capsys):
     args = ["run", "--case", "sphere-hyperplane", "--level", "2", "--samples", "2"]
     assert main(args + ["--mc-samples", "5000", "--out", str(tmp_path)]) == 2
@@ -729,3 +770,42 @@ def test_cli_never_loads_scipy_special(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _types(value):
+    """The value's structure with every leaf replaced by its type."""
+    if isinstance(value, dict):
+        return {key: _types(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [_types(item) for item in value]
+    return type(value)
+
+
+SMALL = ["--samples", "2", "--mc-samples", "5000"]
+
+
+@pytest.mark.parametrize(
+    "argv, shows",
+    [
+        (["run", "--case", "sphere-hyperplane", "--level", "2", "--timings", *SMALL],
+         lambda payload: payload["bounds"][-1]["name"] == "reilly-causal-certificate"),
+        (["run", "--case", "counterexample", "--level", "2", *SMALL],
+         lambda payload: "causal_defect_search" in payload["identities"]),
+        (["suite", "--levels", "1", "--cases", "counterexample,lightlike-hyperplane", *SMALL],
+         lambda payload: len(payload["reports"]) == 2),
+        (["section-avg", "--samples", "2000"], lambda payload: len(payload["cases"]) == 20),
+    ],
+    ids=["certificate", "defect-search", "suite", "section-avg"],
+)
+def test_written_reports_are_json_native(monkeypatch, tmp_path, argv, shows):
+    # every value is a JSON type where it is made: a tuple or a numpy
+    # scalar would read back as a value of another type
+    written = []
+    monkeypatch.setattr(cli, "write_report", lambda report, path, fmt="json": written.append(report))
+    main(argv + ["--out", str(tmp_path / "report.json")])
+    (report,) = written
+    payload = report.to_dict() if isinstance(report, RunReport) else report
+    assert shows(payload)
+    loaded = json.loads(report_to_json(payload))
+    assert loaded == payload
+    assert _types(loaded) == _types(payload)
