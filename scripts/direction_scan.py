@@ -25,7 +25,7 @@ def main():
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    imm, _ = _build_case(RunConfig(case=args.case, n=args.n, level=args.level))
+    imm, _, _ = _build_case(RunConfig(case=args.case, n=args.n, level=args.level))
     engine = BoundEngine(_build_mesh(imm.n, args.level), imm)
     print(f"case={args.case} level={args.level} lambda1={engine.lambda1:.8f}")
 

@@ -75,9 +75,13 @@ def snapshot(outdir: str) -> None:
             with open(os.path.join(rundir, "spec.json"), "w", encoding="utf-8") as fh:
                 json.dump(SPECS[name], fh)
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.chdir(rundir), contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = main(argv)
+        prev = os.getcwd()
+        os.chdir(rundir)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(prev)
         for filename, text in (("stdout.txt", stdout.getvalue()),
                                ("stderr.txt", stderr.getvalue()),
                                ("exit_code.txt", f"{code}\n")):

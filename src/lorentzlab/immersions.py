@@ -241,8 +241,10 @@ class NullHyperplaneSphere(Immersion):
         return np.concatenate([g, -x, g], axis=-1)
 
 
-def immersion_from_spec(spec: dict) -> Immersion:
-    """Build a gallery immersion from a declarative description.
+def immersion_from_spec(spec: dict) -> tuple[Immersion, dict]:
+    """Build a gallery immersion from a declarative description, and return
+    it with the run config the description sets: n, and the radius, scale
+    or amplitude where its gallery item takes one.
 
     Expected keys: "gallery" (one of round-sphere, counterexample,
     cylinder-curve, lightlike-hyperplane), "n", and gallery-specific
@@ -258,7 +260,9 @@ def immersion_from_spec(spec: dict) -> Immersion:
     if unknown:
         raise UsageError(f"unknown immersion spec keys: {sorted(unknown)}")
     try:
-        return _gallery_item(name, _spec_int("n", spec.get("n", 2)), dict(spec.get("params", {})))
+        n = _spec_int("n", spec.get("n", 2))
+        imm, taken = _gallery_item(name, n, dict(spec.get("params", {})))
+        return imm, {"n": n, **taken}
     except LorentzLabError:
         raise
     except (TypeError, ValueError) as exc:
@@ -278,15 +282,17 @@ def _spec_float(key: str, value) -> float:
     return float(value)
 
 
-def _gallery_item(name: str, n: int, params: dict) -> Immersion:
-    """The gallery item `name`; it takes its keys out of `params`, and any
-    key left over is refused."""
+def _gallery_item(name: str, n: int, params: dict) -> tuple[Immersion, dict]:
+    """The gallery item `name`, and the radius, scale or amplitude it took,
+    if it takes one; it takes its keys out of `params`, and any key left
+    over is refused."""
+    taken = {}
     if name == "round-sphere":
-        radius = _spec_float("radius", params.pop("radius", 1.0))
+        taken["radius"] = _spec_float("radius", params.pop("radius", 1.0))
         m = _spec_int("m", params.pop("m", n + 2))
         center = [_spec_float("center", x) for x in params.pop("center", [0.0] * m)]
         axis = [_spec_float("axis", x) for x in params.pop("axis", [1.0] + [0.0] * (m - 1))]
-        imm = HyperplaneSphere(n, radius, center, axis)
+        imm = HyperplaneSphere(n, taken["radius"], center, axis)
     elif name == "counterexample":
         imm = CounterexampleSphere(n)
     elif name == "cylinder-curve":
@@ -294,20 +300,21 @@ def _gallery_item(name: str, n: int, params: dict) -> Immersion:
         if curve == "line":
             imm = CylinderSphere(n, LineCurve())
         elif curve == "hyperbola":
-            scale = _spec_float("scale", params.pop("scale", 2.0))
-            imm = CylinderSphere(n, HyperbolicArc(scale))
+            taken["scale"] = _spec_float("scale", params.pop("scale", 2.0))
+            imm = CylinderSphere(n, HyperbolicArc(taken["scale"]))
         else:
             raise UsageError(f"unknown curve {curve!r}; choose hyperbola or line")
     elif name == "lightlike-hyperplane":
-        imm = NullHyperplaneSphere(n, _spec_float("amplitude", params.pop("amplitude", 0.5)))
+        taken["amplitude"] = _spec_float("amplitude", params.pop("amplitude", 0.5))
+        imm = NullHyperplaneSphere(n, taken["amplitude"])
     else:
         raise UsageError(f"unknown gallery item {name!r}")
     if params:
         raise UsageError(f"unknown or unused {name} params: {sorted(params)}")
-    return imm
+    return imm, taken
 
 
-def load_immersion_spec(path) -> Immersion:
+def load_immersion_spec(path) -> tuple[Immersion, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)

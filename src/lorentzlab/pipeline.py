@@ -133,7 +133,8 @@ class CaseExpectation:
 
 
 def _build_case(config: RunConfig):
-    """Immersion plus the expectation row of a named case."""
+    """Immersion, expectation row and the config as run of a named case:
+    a spec file sets n and the radius, scale or amplitude it was built with."""
     n = config.n
     if config.case == "sphere-hyperplane":
         m = n + 2
@@ -152,7 +153,9 @@ def _build_case(config: RunConfig):
     elif config.case == "custom-spec-file":
         if not config.spec_file:
             raise UsageError("custom-spec-file case needs --spec-file")
-        imm = load_immersion_spec(config.spec_file)
+        imm, spec_config = load_immersion_spec(config.spec_file)
+        # the report echoes what the spec file set
+        config = replace(config, **spec_config)
         row = (None, None, None)
     else:
         raise UsageError(
@@ -161,7 +164,7 @@ def _build_case(config: RunConfig):
     # every gallery immersion is isometric to a round sphere, of radius r for
     # a hyperplane sphere and 1 otherwise; its first eigenvalue is n / r^2
     radius = imm.radius if isinstance(imm, HyperplaneSphere) else 1.0
-    return imm, CaseExpectation(*row, lambda1_reference=imm.n / radius**2)
+    return imm, CaseExpectation(*row, lambda1_reference=imm.n / radius**2), config
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,18 +183,6 @@ def _build_mesh(n: int, level: int) -> ParamMesh:
     for array in arrays:
         array.flags.writeable = False
     return mesh
-
-
-def _spec_echo(imm) -> dict:
-    """The config a spec-file immersion was built with: n, and the radius,
-    scale or amplitude where its gallery item takes one."""
-    if isinstance(imm, HyperplaneSphere):
-        return {"n": imm.n, "radius": imm.radius}
-    if isinstance(imm, NullHyperplaneSphere):
-        return {"n": imm.n, "amplitude": imm.amplitude}
-    if type(imm) is CylinderSphere and isinstance(imm.curve, HyperbolicArc):
-        return {"n": imm.n, "scale": imm.curve.scale}
-    return {"n": imm.n}
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,10 +227,7 @@ def run_case(config: RunConfig) -> RunReport:
     """Execute the full pipeline for one case; deterministic per config."""
     stamps = {}
     t0 = time.perf_counter()
-    imm, expect = _build_case(config)
-    if config.case == "custom-spec-file":
-        # the report echoes what the spec file set
-        config = replace(config, **_spec_echo(imm))
+    imm, expect, config = _build_case(config)
     mesh = _build_mesh(imm.n, config.level)
     stamps["setup"] = time.perf_counter() - t0
 

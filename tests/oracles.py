@@ -939,7 +939,7 @@ def bound_catalogue_loop(engine, config):
     """A case run's bound entries, equality entries and gate records
     (message, discretization-sensitive?, note), in report order, one
     direction and one entry at a time."""
-    _, expect = _build_case(config)
+    _, expect, _ = _build_case(config)
     directions = sample_timelike_directions_loop(engine.imm.m, config.samples, config.seed)
     bounds, equality, gated = [], [], []
 

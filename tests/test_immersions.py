@@ -304,14 +304,18 @@ def test_dimension_guards():
 
 
 def test_immersion_from_spec():
-    imm = immersion_from_spec({"gallery": "counterexample", "n": 1})
+    imm, config = immersion_from_spec({"gallery": "counterexample", "n": 1})
     assert isinstance(imm, CounterexampleSphere) and imm.m == 3
-    imm = immersion_from_spec(
+    assert config == {"n": 1}
+    imm, config = immersion_from_spec(
         {"gallery": "round-sphere", "n": 2, "params": {"radius": 2.0, "m": 5}}
     )
     assert isinstance(imm, HyperplaneSphere) and imm.m == 5
-    imm = immersion_from_spec({"gallery": "cylinder-curve", "n": 2, "params": {"curve": "line"}})
-    assert isinstance(imm, CylinderSphere)
+    assert config == {"n": 2, "radius": 2.0}
+    imm, config = immersion_from_spec(
+        {"gallery": "cylinder-curve", "n": 2, "params": {"curve": "line"}}
+    )
+    assert isinstance(imm, CylinderSphere) and config == {"n": 2}
     with pytest.raises(UsageError):
         immersion_from_spec({"gallery": "nope"})
     with pytest.raises(UsageError):

@@ -152,7 +152,7 @@ def test_prolongation_without_a_coarse_level_is_the_identity():
 def test_jacobi_damping_contracts_in_the_energy_norm(case, level):
     # omega = 4 / (3 rho), rho the largest Gershgorin ratio of A = K + s M,
     # keeps omega lambda_max(D^-1 A) < 2: each sweep contracts in the A norm
-    imm, _ = _build_case(RunConfig(case=case))
+    imm, _, _ = _build_case(RunConfig(case=case))
     pen = assemble_pencil(build_icosphere_mesh(level), imm)
     K, M = pen.stiffness, pen.mass
     A = K + lorentzlab.fem.FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum() * M
@@ -294,7 +294,7 @@ def test_iterations_count_factor_solves(monkeypatch):
 @pytest.mark.parametrize("level", range(5))
 @pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
 def test_element_stiffness_matches_einsum_oracle_bitwise(n, case, level):
-    imm, _ = _build_case(RunConfig(case=case, n=n))
+    imm, _, _ = _build_case(RunConfig(case=case, n=n))
     mesh = _build_mesh(imm.n, level)
     pen = assemble_pencil(mesh, imm)
     oracle = stiffness_einsum(mesh, pen.geometry)
@@ -305,7 +305,7 @@ def test_element_stiffness_matches_einsum_oracle_bitwise(n, case, level):
 @pytest.mark.parametrize("level", (0, 3, 5))
 @pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
 def test_mass_shares_the_stiffness_pattern_bitwise(n, case, level):
-    imm, _ = _build_case(RunConfig(case=case, n=n))
+    imm, _, _ = _build_case(RunConfig(case=case, n=n))
     mesh = _build_mesh(imm.n, level)
     pen = assemble_pencil(mesh, imm)
     assert pen.mass.indices is pen.stiffness.indices
@@ -323,7 +323,7 @@ def test_mass_shares_the_stiffness_pattern_bitwise(n, case, level):
 @pytest.mark.parametrize("level", (0, 3, 5))
 @pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
 def test_lumped_mass_matches_add_at_oracle_bitwise(n, case, level):
-    imm, _ = _build_case(RunConfig(case=case, n=n))
+    imm, _, _ = _build_case(RunConfig(case=case, n=n))
     mesh = _build_mesh(imm.n, level)
     geom = mesh_geometry(mesh, imm)
     assert np.array_equal(geom.lumped, lumped_mass_add_at(mesh, geom))
@@ -403,7 +403,7 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
 
     monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
     for case in CASES:
-        imm, _ = _build_case(RunConfig(case=case, n=n))
+        imm, _, _ = _build_case(RunConfig(case=case, n=n))
         pen = assemble_pencil(_build_mesh(imm.n, level), imm)
         if pen.stiffness.shape[0] <= 20:
             continue
@@ -428,7 +428,7 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
 def test_block_solves_take_12_or_15_columns(case, level):
     # named for the fine-factor counts; the two-grid cycle takes 6 block
     # iterations at level 3 and 5 above it, 3 columns each, on every case
-    imm, _ = _build_case(RunConfig(case=case))
+    imm, _, _ = _build_case(RunConfig(case=case))
     spec = solve_lambda1(assemble_pencil(build_icosphere_mesh(level), imm))
     assert spec.iterations == {3: 18, 4: 15, 5: 15}[level]
 
@@ -436,7 +436,7 @@ def test_block_solves_take_12_or_15_columns(case, level):
 @pytest.mark.parametrize("level", range(6))
 @pytest.mark.parametrize("case", CASES)
 def test_lambda1_matches_colamd_oracle(case, level):
-    imm, _ = _build_case(RunConfig(case=case))
+    imm, _, _ = _build_case(RunConfig(case=case))
     pen = assemble_pencil(build_icosphere_mesh(level), imm)
     spec = solve_lambda1(pen)
     assert spec.lambda1 == pytest.approx(lambda1_colamd(pen), rel=1e-10)
@@ -463,7 +463,7 @@ def test_lobpcg_requests_stay_reachable_and_silent():
     grid = [(2, level) for level in range(1, 6)] + [(1, level) for level in range(8)]
     for n, level in grid:
         for case in CASES:
-            imm, _ = _build_case(RunConfig(case=case, n=n))
+            imm, _, _ = _build_case(RunConfig(case=case, n=n))
             pen = assemble_pencil(_build_mesh(imm.n, level), imm)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

@@ -102,6 +102,8 @@ def test_every_bound_carries_anchor_and_schema_fields(sphere_report):
 
 def test_report_json_deterministic():
     config = RunConfig(case="counterexample", level=2, samples=3, mc_samples=5000)
+    # a fresh mesh first, then the memoized one with its ND order filled
+    pipeline._build_mesh.cache_clear()
     first = report_to_json(run_case(config))
     second = report_to_json(run_case(config))
     assert first == second
@@ -283,9 +285,12 @@ def test_suite_reports_match_standalone_runs():
     standalone = []
     for case in SUITE_CASES:
         for level in (2, 3):
-            # a Monte Carlo check of its own, as in a fresh process
+            # a mesh and a Monte Carlo check of its own, as in a fresh process
+            pipeline._build_mesh.cache_clear()
             pipeline._section_average_mc.cache_clear()
             standalone.append(report_to_json(run_case(replace(base, case=case, level=level))))
+    # the suite starts as a fresh process too, then shares across its runs
+    pipeline._build_mesh.cache_clear()
     pipeline._section_average_mc.cache_clear()
     reports, _ = run_suite(SUITE_CASES, [2, 3], base)
     assert [report_to_json(r) for r in reports] == standalone
