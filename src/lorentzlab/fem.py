@@ -28,9 +28,6 @@ from .minkowski import metric_signs
 
 TAU_EIG = 1e-8
 
-# parts of the nested-dissection ordering this small are not split further
-ND_LEAF = 64
-
 # the preconditioner works on K + FACTOR_SHIFT tr(K)/tr(M) M; solve_lambda1
 # derives the value from float32 rounding of its coarse factor
 FACTOR_SHIFT = 1e-6
@@ -45,7 +42,6 @@ __all__ = [
     "FEMPencil",
     "assemble_pencil",
     "Spectrum",
-    "nested_dissection_order",
     "prolongation",
     "solve_lambda1",
 ]
@@ -57,13 +53,15 @@ class MeshGeometry:
 
     mesh: ParamMesh
     positions: np.ndarray  # (k, m)
-    gram_inv: np.ndarray  # (E, n, n), inverse Lorentz Gram of the edge chords
     volumes: np.ndarray  # (E,)
     lumped: np.ndarray  # (k,)
     total_volume: float
 
 
-def mesh_geometry(mesh: ParamMesh, imm) -> MeshGeometry:
+def mesh_geometry(mesh: ParamMesh, imm, *, with_inverse_gram: bool = False):
+    """The immersed mesh's geometry. With `with_inverse_gram`, the pair of
+    it and the (E, n, n) inverse Lorentz Gram of each element's edge
+    chords, which only assembly reads."""
     positions = imm.eval(mesh.vertices)
     simplices = mesh.simplices
     n = mesh.n
@@ -98,14 +96,14 @@ def mesh_geometry(mesh: ParamMesh, imm) -> MeshGeometry:
 
     # bincount adds element by element, in the order np.add.at would
     lumped = np.bincount(simplices.ravel(), np.repeat(volumes / (n + 1), n + 1), mesh.num_vertices)
-    return MeshGeometry(
+    geometry = MeshGeometry(
         mesh=mesh,
         positions=positions,
-        gram_inv=gram_inv,
         volumes=volumes,
         lumped=lumped,
         total_volume=float(volumes.sum()),
     )
+    return (geometry, gram_inv) if with_inverse_gram else geometry
 
 
 def _difference_matrix(n: int) -> np.ndarray:
@@ -132,7 +130,7 @@ def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
     shares the stiffness's `indices` and `indptr` arrays. Nothing may sort
     or prune either matrix in place.
     """
-    geom = mesh_geometry(mesh, imm)
+    geom, gram_inv = mesh_geometry(mesh, imm, with_inverse_gram=True)
     n = mesh.n
     k = mesh.num_vertices
     # the index type scipy would convert to, so coo_matrix keeps these arrays
@@ -142,7 +140,8 @@ def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
     del simplices
 
     diff = _difference_matrix(n)
-    k_loc = diff.T @ ((geom.gram_inv * geom.volumes[:, None, None]) @ diff)
+    k_loc = diff.T @ ((gram_inv * geom.volumes[:, None, None]) @ diff)
+    del gram_inv
     stiffness = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
     del k_loc
     m_loc = (np.ones((n + 1, n + 1)) + np.eye(n + 1)) / ((n + 1) * (n + 2))
@@ -166,57 +165,6 @@ class Spectrum:
     iterations: int
     residual: float
     near_degenerate: bool
-
-
-def nested_dissection_order(points: np.ndarray, pattern) -> np.ndarray:
-    """Geometric nested-dissection ordering of mesh vertices (George 1973).
-
-    Recursive coordinate bisection: every part is split at the median of
-    its widest coordinate, and the left-side vertices with a neighbour on
-    the right in the sparsity `pattern` form its separator. The order is
-    left, right, separator, recursively (post-order); parts of at most
-    `ND_LEAF` vertices stay whole. All parts of one depth are split at
-    once with array operations, and each vertex carries its path as
-    base-3 digits (0 left, 1 right, 2 separator), so one sort of the paths
-    gives the order. Ties keep vertex order, so the result is deterministic.
-    """
-    k, d = points.shape
-    upper = sp.triu(pattern, 1, format="coo")
-    rows, cols = upper.row.astype(np.int64), upper.col.astype(np.int64)
-    # rank along each axis: an exact, tie-free sort key
-    rank = np.empty((d, k), dtype=np.int64)
-    for axis in range(d):
-        rank[axis, np.argsort(points[:, axis], kind="stable")] = np.arange(k)
-    part = np.zeros(k, dtype=np.int64)  # part to split; -1 once placed
-    path = np.zeros(k, dtype=np.int64)
-    live = np.arange(k)  # vertices still to place, grouped by part
-    while True:
-        live = live[part[live] >= 0]
-        live = live[np.bincount(part[live])[part[live]] > ND_LEAF]
-        if live.size == 0:
-            break
-        p = part[live]
-        first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
-        counts = np.diff(np.r_[first, live.size])
-        group = np.repeat(np.arange(first.size), counts)
-        pts = points[live]
-        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
-        widest = np.argmax(extent, axis=1)
-        live = live[np.argsort(group * k + rank[widest[group], live])]
-        right = np.zeros(k, dtype=bool)
-        right[live] = np.arange(live.size) - first[group] >= (counts // 2)[group]
-        child = np.full(k, -1, dtype=np.int64)
-        child[live] = 2 * group + right[live]
-        ci, cj = child[rows], child[cols]
-        cross = (ci >= 0) & ((ci ^ 1) == cj)
-        separator = np.zeros(k, dtype=bool)
-        separator[np.where(right[rows[cross]], cols[cross], rows[cross])] = True
-        path = 3 * path + right + 2 * separator
-        child[separator] = -1
-        part = child
-        inside = (ci >= 0) & (ci == cj)
-        rows, cols = rows[inside], cols[inside]
-    return np.argsort(path, kind="stable")
 
 
 def _permuted_csc32(a: sp.csr_matrix, perm: np.ndarray) -> sp.csc_matrix:
@@ -339,15 +287,11 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         base = mesh if mesh.coarse is None else mesh.coarse
         sweeps = 0 if mesh.coarse is None else SWEEPS
         P = prolongation(mesh)
-        galerkin = P.T @ shifted @ P
-        if base.nd_order is None:
-            # mass is positive on every edge, so every pencil on the mesh
-            # has the coarse edge graph as its pattern: the order belongs
-            # to the coarse mesh
-            base.nd_order = nested_dissection_order(base.vertices, galerkin)
-            base.nd_order.flags.writeable = False
+        # mass is positive on every edge, so every pencil on the mesh has
+        # the edge graph of `base` as its Galerkin pattern: the order built
+        # with that mesh fits it
         perm = base.nd_order
-        galerkin = _permuted_csc32(galerkin.tocsr(), perm)
+        galerkin = _permuted_csc32((P.T @ shifted @ P).tocsr(), perm)
         try:
             lu = splu(
                 galerkin,

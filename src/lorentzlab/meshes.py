@@ -1,20 +1,26 @@
 """Simplicial meshes of the parameter manifold (circle and sphere).
 
 Vertices are stored chart-free as unit vectors; simplices are index
-tuples (segments for n=1, triangles for n=2).
+tuples (segments for n=1, triangles for n=2). A mesh is complete when it
+is built: nothing writes to it afterwards, so solves on it may run
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
 
+# parts of the nested-dissection ordering this small are not split further
+ND_LEAF = 64
+
 __all__ = [
     "ParamMesh",
+    "nested_dissection_order",
     "build_circle_mesh",
     "build_icosphere_mesh",
     "circle_segments_for_level",
@@ -26,14 +32,22 @@ class ParamMesh:
     vertices: np.ndarray
     simplices: np.ndarray
     level: int | None = None
-    # nested-dissection order of the edge graph; the first solve that
-    # factors on this mesh (its own, or one on the finer mesh above) fills it
-    nd_order: np.ndarray | None = None
     # the mesh one subdivision down, and per vertex the two coarse vertices
     # it interpolates: (j, j) for a copy of coarse vertex j, the edge ends
     # for a midpoint
     coarse: ParamMesh | None = None
     parents: np.ndarray | None = None
+    # read-only nested-dissection order of the edge graph, on a mesh without
+    # a coarse level: the level a solve's preconditioner factors on
+    nd_order: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.coarse is None:
+            # the vertex pairs that share a simplex
+            i, j = np.triu_indices(self.simplices.shape[1], 1)
+            edges = np.stack([self.simplices[:, i], self.simplices[:, j]], axis=-1)
+            self.nd_order = nested_dissection_order(self.vertices, edges.reshape(-1, 2))
+            self.nd_order.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -42,6 +56,58 @@ class ParamMesh:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
+
+
+def nested_dissection_order(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Geometric nested-dissection ordering of mesh vertices (George 1973).
+
+    Recursive coordinate bisection: every part is split at the median of
+    its widest coordinate, and the left-side vertices joined to the right
+    by one of the (e, 2) vertex pairs `edges` form its separator. The order
+    is left, right, separator, recursively (post-order); parts of at most
+    `ND_LEAF` vertices stay whole. All parts of one depth are split at
+    once with array operations, and each vertex carries its path as
+    base-3 digits (0 left, 1 right, 2 separator), so one sort of the paths
+    gives the order. Only the set of joined pairs matters: a pair may come
+    in either orientation, more than once or as a loop. Ties keep vertex
+    order, so the result is deterministic.
+    """
+    k, d = points.shape
+    rows, cols = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    # rank along each axis: an exact, tie-free sort key
+    rank = np.empty((d, k), dtype=np.int64)
+    for axis in range(d):
+        rank[axis, np.argsort(points[:, axis], kind="stable")] = np.arange(k)
+    part = np.zeros(k, dtype=np.int64)  # part to split; -1 once placed
+    path = np.zeros(k, dtype=np.int64)
+    live = np.arange(k)  # vertices still to place, grouped by part
+    while True:
+        live = live[part[live] >= 0]
+        live = live[np.bincount(part[live])[part[live]] > ND_LEAF]
+        if live.size == 0:
+            break
+        p = part[live]
+        first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        counts = np.diff(np.r_[first, live.size])
+        group = np.repeat(np.arange(first.size), counts)
+        pts = points[live]
+        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
+        widest = np.argmax(extent, axis=1)
+        live = live[np.argsort(group * k + rank[widest[group], live])]
+        right = np.zeros(k, dtype=bool)
+        right[live] = np.arange(live.size) - first[group] >= (counts // 2)[group]
+        child = np.full(k, -1, dtype=np.int64)
+        child[live] = 2 * group + right[live]
+        ci, cj = child[rows], child[cols]
+        cross = (ci >= 0) & ((ci ^ 1) == cj)
+        separator = np.zeros(k, dtype=bool)
+        separator[np.where(right[rows[cross]], cols[cross], rows[cross])] = True
+        path = 3 * path + right + 2 * separator
+        child[separator] = -1
+        part = child
+        inside = (ci >= 0) & (ci == cj)
+        rows, cols = rows[inside], cols[inside]
+    return np.argsort(path, kind="stable")
 
 
 def circle_segments_for_level(level: int) -> int:

@@ -393,28 +393,67 @@ def run_case(config: RunConfig) -> RunReport:
 
 
 def run_suite(cases: list[str], levels: list[int], base: RunConfig):
-    """Per-case refinement sweep with a convergence table. Cases share each
-    level's memoized mesh and its ND order; reports match standalone runs
-    byte for byte."""
+    """Per-case refinement sweep with a convergence table.
+
+    The shared work runs first, on the calling thread: every case is
+    built, with each (n, level) mesh and its ND order and each memoized
+    Monte Carlo check, so no run writes shared state. The finest level's
+    runs then run in order on the calling thread while one helper thread
+    runs the coarser runs in order; on one CPU every run runs on the
+    calling thread. A failing lane stops at its failure, and the failure
+    of the lowest-numbered run is raised once the helper has finished, as
+    a serial loop would raise it. Reports match standalone runs byte for
+    byte whatever the CPU count.
+    """
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
-    reports = []
-    table = []
+    configs = [replace(base, case=case, level=level) for case in cases for level in levels]
     for case in cases:
+        imm, _, config = _build_case(replace(base, case=case))
+        _section_average_mc(imm.m, config.mc_samples, config.seed)
         for level in levels:
-            report = run_case(replace(base, case=case, level=level))
-            reports.append(report)
-            table.append(
-                {
-                    "case": case,
-                    "level": level,
-                    "lambda1": report.lambda1["value"],
-                    "lambda1_rel_error": report.lambda1["rel_error"],
-                    "minkowski_residual_rel": report.identities["minkowski_residual_rel"],
-                    "beltrami_l2": report.identities["beltrami_l2"],
-                    "verdict": report.verdict,
-                }
-            )
+            _build_mesh(imm.n, level)
+    finest = max(levels)
+    fine = [i for i, config in enumerate(configs) if config.level == finest]
+    coarse = [i for i, config in enumerate(configs) if config.level != finest]
+    reports: list = [None] * len(configs)
+    errors: dict[int, Exception] = {}
+
+    def run_lane(lane) -> None:
+        """Run the configs of a lane of run numbers in order, up to its
+        first failure."""
+        for i in lane:
+            try:
+                reports[i] = run_case(configs[i])
+            except Exception as exc:  # raised on the calling thread below
+                errors[i] = exc
+                return
+
+    if coarse and _cpu_count() > 1:
+        pool = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="suite")
+        try:
+            helper = pool.submit(run_lane, coarse)
+            run_lane(fine)
+            helper.result()
+        finally:
+            pool.shutdown()
+    else:
+        run_lane(range(len(configs)))
+    if errors:
+        raise errors[min(errors)]
+
+    table = [
+        {
+            "case": config.case,
+            "level": config.level,
+            "lambda1": report.lambda1["value"],
+            "lambda1_rel_error": report.lambda1["rel_error"],
+            "minkowski_residual_rel": report.identities["minkowski_residual_rel"],
+            "beltrami_l2": report.identities["beltrami_l2"],
+            "verdict": report.verdict,
+        }
+        for config, report in zip(configs, reports)
+    ]
     overall = "pass" if all(r.verdict == "pass" for r in reports) else "fail"
     return reports, {"rows": table, "verdict": overall}
 

@@ -59,14 +59,14 @@ from lorentzlab.bounds import (
     TIE_RTOL,
 )
 from lorentzlab.errors import DomainError, NotSpacelikeError, NumericalError, UsageError
-from lorentzlab.fem import ND_LEAF, _difference_matrix, assemble_pencil, mesh_geometry
+from lorentzlab.fem import _difference_matrix, assemble_pencil, mesh_geometry
 from lorentzlab.immersions import (
     CylinderSphere,
     HyperplaneSphere,
     Immersion,
     NullHyperplaneSphere,
 )
-from lorentzlab.meshes import _ICO_FACES, ParamMesh, _icosahedron_vertices
+from lorentzlab.meshes import _ICO_FACES, ND_LEAF, ParamMesh, _icosahedron_vertices
 from lorentzlab.minkowski import (
     S_MAX,
     SymBilinearForm,
@@ -79,6 +79,7 @@ from lorentzlab.minkowski import (
     spacelike_complement_basis,
     sphere_integral_exact,
 )
+from lorentzlab import pipeline
 from lorentzlab.pipeline import _build_case, _section_average_mc
 from lorentzlab.quadrature import (
     mean_curvature_vertices,
@@ -147,6 +148,19 @@ def apply_discrete_laplacian(pencil, values) -> np.ndarray:
     return out if values.ndim == 2 else out[:, 0]
 
 
+def chord_gram_inverse(geometry) -> np.ndarray:
+    """(E, n, n) inverse Lorentz Gram of each element's edge chords: 1 / g
+    for n = 1, the adjugate over the determinant for n = 2."""
+    positions, simplices = geometry.positions, geometry.mesh.simplices
+    chords = positions[simplices[:, 1:]] - positions[simplices[:, :1]]
+    gram = np.einsum("eam,m,ebm->eab", chords, metric_signs(positions.shape[1]), chords)
+    if gram.shape[1] == 1:
+        return 1.0 / gram
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    adjugate = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0], gram[:, 0, 0]], axis=1)
+    return adjugate.reshape(-1, 2, 2) / det[:, None, None]
+
+
 def gradient_squared_per_element(geometry, values) -> np.ndarray:
     """Squared P1 gradient under the element metric; exact for affine data."""
     mesh = geometry.mesh
@@ -154,7 +168,7 @@ def gradient_squared_per_element(geometry, values) -> np.ndarray:
     if values.shape[0] != mesh.num_vertices:
         raise UsageError("value count does not match vertex count")
     du = values[mesh.simplices[:, 1:]] - values[mesh.simplices[:, :1]]
-    return np.einsum("ea,eab,eb->e", du, geometry.gram_inv, du)
+    return np.einsum("ea,eab,eb->e", du, chord_gram_inverse(geometry), du)
 
 
 # exact ambient derivatives of the gallery maps on a neighbourhood of the
@@ -538,7 +552,7 @@ def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:
     simplices = mesh.simplices
     dw = values[simplices[:, 1:]] - values[simplices[:, :1]]  # (E, n, m)
     signs = metric_signs(imm.m)
-    return np.einsum("eam,m,ebm,eba->e", dw, signs, dw, geom.gram_inv)
+    return np.einsum("eam,m,ebm,eba->e", dw, signs, dw, chord_gram_inverse(geom))
 
 
 @dataclass
@@ -1047,6 +1061,12 @@ def build_icosphere_mesh_loop(level: int) -> ParamMesh:
     return ParamMesh(np.array(vertices), faces, level=level)
 
 
+def pattern_edges(pattern) -> np.ndarray:
+    """The (e, 2) row and column pairs a sparse matrix stores."""
+    coo = sp.coo_matrix(pattern)
+    return np.stack([coo.row, coo.col], axis=1)
+
+
 def nested_dissection_order_recursive(points, pattern) -> np.ndarray:
     """Nested-dissection order built one part per call: split at the median
     of the widest coordinate (ties by vertex number), take the left
@@ -1078,7 +1098,7 @@ def stiffness_einsum(mesh, geometry) -> sp.csr_matrix:
     n = mesh.n
     diff = _difference_matrix(n)
     k_loc = np.einsum(
-        "ak,eab,bl->ekl", diff, geometry.gram_inv * geometry.volumes[:, None, None], diff
+        "ak,eab,bl->ekl", diff, chord_gram_inverse(geometry) * geometry.volumes[:, None, None], diff
     )
     rows = np.repeat(mesh.simplices, n + 1, axis=1).ravel()
     cols = np.tile(mesh.simplices, (1, n + 1)).ravel()
@@ -1219,3 +1239,30 @@ def section_average_battery_serial(m: int, samples: int, seed: int) -> dict:
         "cases": cases,
         "verdict": "pass" if all(entry["pass"] for entry in cases) else "fail",
     }
+
+
+def run_suite_serial(cases, levels, base):
+    """The suite's reports and summary from its runs one after another on
+    the calling thread, in report order; a failing run's error propagates
+    as it is raised. `pipeline.run_case` is looked up at each run."""
+    if not cases or not levels:
+        raise UsageError("suite needs nonempty case and level lists")
+    reports = []
+    table = []
+    for case in cases:
+        for level in levels:
+            report = pipeline.run_case(replace(base, case=case, level=level))
+            reports.append(report)
+            table.append(
+                {
+                    "case": case,
+                    "level": level,
+                    "lambda1": report.lambda1["value"],
+                    "lambda1_rel_error": report.lambda1["rel_error"],
+                    "minkowski_residual_rel": report.identities["minkowski_residual_rel"],
+                    "beltrami_l2": report.identities["beltrami_l2"],
+                    "verdict": report.verdict,
+                }
+            )
+    overall = "pass" if all(r.verdict == "pass" for r in reports) else "fail"
+    return reports, {"rows": table, "verdict": overall}

@@ -13,7 +13,6 @@ from lorentzlab.fem import (
     TAU_EIG,
     assemble_pencil,
     mesh_geometry,
-    nested_dissection_order,
     prolongation,
     solve_lambda1,
 )
@@ -28,6 +27,7 @@ from lorentzlab.meshes import (
     build_circle_mesh,
     build_icosphere_mesh,
     circle_segments_for_level,
+    nested_dissection_order,
 )
 from lorentzlab.pipeline import RunConfig, _build_case, _build_mesh
 from lorentzlab.quadrature import beltrami_residual, mean_curvature_vertices
@@ -43,6 +43,7 @@ from oracles import (
     lumped_mass_add_at,
     mass_coo,
     nested_dissection_order_recursive,
+    pattern_edges,
     stiffness_einsum,
 )
 
@@ -340,11 +341,40 @@ def test_nested_dissection_matches_recursive_oracle(kind, size):
     else:
         pen = assemble_pencil(build_circle_mesh(size), unit_sphere(n=1))
     points = pen.geometry.mesh.vertices
-    perm = nested_dissection_order(points, pen.stiffness)
+    perm = nested_dissection_order(points, pattern_edges(pen.stiffness))
     assert perm.shape == (pen.stiffness.shape[0],)
     assert np.array_equal(np.sort(perm), np.arange(pen.stiffness.shape[0]))
-    assert np.array_equal(perm, nested_dissection_order(points, pen.stiffness))
+    assert np.array_equal(perm, nested_dissection_order(points, pattern_edges(pen.stiffness)))
     assert np.array_equal(perm, nested_dissection_order_recursive(points, pen.stiffness))
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("case", CASES)
+def test_order_built_with_the_mesh_is_the_galerkin_pattern_order(case, n, level):
+    # the solve factors the Galerkin operator of K + s M on the coarse
+    # level (the mesh itself without one); its pattern gives the order the
+    # mesh stores
+    imm, _, _ = _build_case(RunConfig(case=case, n=n))
+    mesh = _build_mesh(n, level)
+    pen = assemble_pencil(mesh, imm)
+    shift = 1e-6 * pen.stiffness.diagonal().sum() / pen.mass.diagonal().sum()
+    P = prolongation(mesh)
+    galerkin = P.T @ (pen.stiffness + shift * pen.mass) @ P
+    base = mesh if mesh.coarse is None else mesh.coarse
+    order = nested_dissection_order(base.vertices, pattern_edges(galerkin))
+    assert np.array_equal(base.nd_order, order)
+    assert mesh.coarse is None or mesh.nd_order is None
+
+
+def test_order_ignores_pair_orientation_repeats_and_loops():
+    mesh = build_icosphere_mesh(3)
+    edges = pattern_edges(assemble_pencil(mesh, unit_sphere()).stiffness)
+    upper = edges[edges[:, 0] < edges[:, 1]]
+    loops = np.stack([np.arange(mesh.num_vertices)] * 2, axis=1)
+    perm = nested_dissection_order(mesh.vertices, upper)
+    repeated = np.concatenate([upper[:, ::-1], upper, loops])
+    assert np.array_equal(perm, nested_dissection_order(mesh.vertices, repeated))
 
 
 def test_nested_dissection_separates_the_halves():
@@ -352,7 +382,7 @@ def test_nested_dissection_separates_the_halves():
     # separator, listed last; no stiffness edge joins the 510 remaining
     # left vertices (listed first) to the 512 right ones
     pen = assemble_pencil(build_circle_mesh(1024), unit_sphere(n=1))
-    perm = nested_dissection_order(pen.geometry.mesh.vertices, pen.stiffness)
+    perm = nested_dissection_order(pen.geometry.mesh.vertices, pattern_edges(pen.stiffness))
     position = np.empty_like(perm)
     position[perm] = np.arange(perm.size)
     edges = pen.stiffness.tocoo()

@@ -8,9 +8,10 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lorentzlab import cli, fem, pipeline
+from lorentzlab import cli, meshes, pipeline
 from lorentzlab.bounds import BoundEngine
 from lorentzlab.cli import main
 from lorentzlab.errors import NumericalError, UsageError
@@ -25,6 +26,7 @@ from lorentzlab.pipeline import (
 )
 from oracles import (
     bound_catalogue_loop,
+    run_suite_serial,
     section_average_battery_serial,
 )
 
@@ -300,7 +302,7 @@ def test_suite_shares_meshes_orders_and_monte_carlo_checks(monkeypatch):
     calls = Counter()
     bindings = [
         (pipeline, "build_icosphere_mesh"),
-        (fem, "nested_dissection_order"),
+        (meshes, "nested_dissection_order"),
         (pipeline, "monte_carlo_section_integral"),
     ]
     for module, name in bindings:
@@ -311,11 +313,21 @@ def test_suite_shares_meshes_orders_and_monte_carlo_checks(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    at_runs = []
+    run = pipeline.run_case
+
+    def recorded(config):
+        at_runs.append(Counter(calls))
+        return run(config)
+
+    monkeypatch.setattr(pipeline, "run_case", recorded)
     pipeline._build_mesh.cache_clear()
     pipeline._section_average_mc.cache_clear()
     run_suite(SUITE_CASES, [1, 2], RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000))
     # once per level, and once per ambient dimension (4, and 5 for lightlike-hyperplane)
     assert calls == {name: 2 for _, name in bindings}
+    # all of it before the first run, so no two runs can compute one value
+    assert at_runs == [calls] * 8
 
 
 def test_suite_meshes_are_read_only(monkeypatch):
@@ -324,19 +336,129 @@ def test_suite_meshes_are_read_only(monkeypatch):
 
     def recording(level):
         built.append(build(level))
+        # the order is complete when the mesh is: no solve fills it
+        assert built[-1].coarse.nd_order is not None
         return built[-1]
 
     monkeypatch.setattr(pipeline, "build_icosphere_mesh", recording)
     pipeline._build_mesh.cache_clear()
+    mesh = pipeline._build_mesh(2, 1)
+    order = mesh.coarse.nd_order.copy()
     run_suite(["counterexample"], [1], RunConfig(case="counterexample", samples=2, mc_samples=5000))
-    (mesh,) = built
+    assert len(built) == 1 and built[0] is mesh
     coarse = mesh.coarse
-    # the solve's order is the coarse level's: the preconditioner factors there
-    assert mesh.nd_order is None
+    # the solve reads the coarse level's order: the preconditioner factors there
+    assert np.array_equal(coarse.nd_order, order)
     for array in (mesh.vertices, mesh.simplices, mesh.parents, coarse.vertices, coarse.simplices,
                   coarse.nd_order):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def _patch_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)), raising=False)
+
+
+def _suite_threads(monkeypatch) -> list:
+    """Record (level, thread, live threads) for every run of a suite."""
+    runs = []
+    run = pipeline.run_case
+
+    def recorded(config):
+        runs.append((config.level, threading.current_thread(), threading.active_count()))
+        return run(config)
+
+    monkeypatch.setattr(pipeline, "run_case", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_suite_reports_do_not_depend_on_cpu_count(monkeypatch, cpus):
+    base = RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000)
+    levels = [1, 3, 2]
+    standalone = []
+    for case in SUITE_CASES:
+        for level in levels:
+            pipeline._build_mesh.cache_clear()
+            pipeline._section_average_mc.cache_clear()
+            standalone.append(report_to_json(run_case(replace(base, case=case, level=level))))
+    serial_reports, serial_summary = run_suite_serial(SUITE_CASES, levels, base)
+    assert [report_to_json(r) for r in serial_reports] == standalone
+    _patch_cpus(monkeypatch, cpus)
+    pipeline._build_mesh.cache_clear()
+    pipeline._section_average_mc.cache_clear()
+    reports, summary = run_suite(SUITE_CASES, levels, base)
+    assert [report_to_json(r) for r in reports] == standalone
+    assert summary == serial_summary
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_suite_runs_its_finest_level_on_the_calling_thread(monkeypatch, cpus):
+    _patch_cpus(monkeypatch, cpus)
+    runs = _suite_threads(monkeypatch)
+    before = threading.active_count()
+    base = RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000)
+    run_suite(SUITE_CASES, [2, 0, 1], base)
+    main = threading.current_thread()
+    assert len(runs) == 12
+    assert all(thread is main for level, thread, _ in runs if level == 2)
+    helpers = {thread for _, thread, _ in runs if thread is not main}
+    assert len(helpers) == (0 if cpus == 1 else 1)
+    assert all(live <= before + len(helpers) for _, _, live in runs)
+    assert all(thread.name.startswith("suite") for thread in helpers)
+    assert threading.active_count() == before
+    # one level: nothing to run beside it
+    runs.clear()
+    run_suite(SUITE_CASES, [1], base)
+    assert {thread for _, thread, _ in runs} == {main}
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [
+        # (case, level) of the failing runs; the first in report order is raised
+        [("counterexample", 1), ("cylinder-curve", 0)],  # the calling thread's lane first
+        [("counterexample", 0), ("cylinder-curve", 1)],  # the helper's lane first
+        [("sphere-hyperplane", 0), ("sphere-hyperplane", 1), ("lightlike-hyperplane", 0)],
+    ],
+    ids=["finest-lane-first", "coarse-lane-first", "both-lanes-early"],
+)
+def test_cli_suite_numerical_failure_in_a_lane_exits_3(monkeypatch, capsys, failing):
+    _patch_cpus(monkeypatch, 2)
+    run = pipeline.run_case
+
+    def failing_run(config):
+        if (config.case, config.level) in failing:
+            raise NumericalError(f"injected failure at {config.case} level {config.level}")
+        return run(config)
+
+    monkeypatch.setattr(pipeline, "run_case", failing_run)
+    argv = ["suite", "--levels", "0,1", "--cases", "all", "--samples", "2", "--mc-samples", "1000"]
+    monkeypatch.setattr(cli, "run_suite", run_suite_serial)
+    assert main(argv) == 3
+    serial = capsys.readouterr()
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    before = set(threading.enumerate())
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    case, level = failing[0]
+    assert captured.out == serial.out == ""
+    expected = f"numerical failure: injected failure at {case} level {level}\n"
+    assert captured.err == serial.err == expected
+    assert set(threading.enumerate()) <= before
+
+
+def test_cli_suite_unknown_case_exits_2_before_any_run(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run or a helper thread was started for bad input")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(pipeline, "run_case", refuse)
+    for cases in ("nosuch", "counterexample,nosuch"):
+        assert main(["suite", "--levels", "1,2", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown case 'nosuch'")
 
 
 def test_section_average_battery_passes():
