@@ -66,8 +66,16 @@ def mesh_geometry(mesh: ParamMesh, imm, *, with_inverse_gram: bool = False):
     simplices = mesh.simplices
     n = mesh.n
     chords = positions[simplices[:, 1:]] - positions[simplices[:, :1]]
+    # the Lorentz Gram entry by entry, each summed from zero over the
+    # coordinates in order: the sums the einsum "eam,m,ebm->eab" forms, bit
+    # for bit, as scaling by a sign (+-1) is exact and products commute;
+    # only (E,) temporaries, where scaling all chords at once would copy them
     signs = metric_signs(imm.m)
-    gram = np.einsum("eam,m,ebm->eab", chords, signs, chords)
+    gram = np.zeros((len(chords), n, n))
+    for a, b in zip(*np.triu_indices(n)):
+        for i in range(imm.m):
+            gram[:, a, b] += signs[i] * chords[:, a, i] * chords[:, b, i]
+        gram[:, b, a] = gram[:, a, b]
 
     if n == 1:
         g = gram[:, 0, 0]

@@ -11,6 +11,7 @@ runs of the same configuration.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import io
@@ -18,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -36,7 +38,6 @@ from .immersions import (
 from .meshes import ParamMesh, build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
 from .minkowski import SymBilinearForm, boost_direction, sample_timelike_directions, sq_norm
 from .quadrature import (
-    MonteCarloCheck,
     beltrami_residual,
     minkowski_projected_identities,
     minkowski_residual,
@@ -185,13 +186,59 @@ def _build_mesh(n: int, level: int) -> ParamMesh:
     return mesh
 
 
-@functools.lru_cache(maxsize=None)
-def _section_average_mc(m: int, mc_samples: int, seed: int) -> MonteCarloCheck:
-    """A run's section averaging check: not a function of the immersion, so
-    a suite computes it once per dimension."""
-    rng = np.random.default_rng(seed + 3)
-    q = SymBilinearForm.random(m, rng)
-    return monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
+_section_checks: dict[tuple[int, int, int], concurrent.futures.Future] = {}
+_section_checks_lock = threading.Lock()
+
+
+def _section_average_mc(
+    m: int, mc_samples: int, seed: int, pool: concurrent.futures.Executor | None = None
+) -> concurrent.futures.Future:
+    """The future of a run's section averaging check.
+
+    The check is not a function of the immersion or the mesh, so a process
+    computes it once per (m, mc_samples, seed), even when threads ask for
+    it at once. The first request computes it inline, or submits it to
+    `pool` when one is given, and every request shares its future. The
+    check draws from generators seeded by `seed` alone, so its value does
+    not depend on the thread that computes it. A failed check is not kept.
+    """
+    key = (m, mc_samples, seed)
+    with _section_checks_lock:
+        if key in _section_checks:
+            return _section_checks[key]
+        future = _section_checks[key] = concurrent.futures.Future()
+    if pool is None:
+        _compute_section_check(future, key)
+    else:
+        pool.submit(_compute_section_check, future, key)
+    return future
+
+
+# tests clear this memo as they clear `_build_mesh`'s
+_section_average_mc.cache_clear = _section_checks.clear
+
+
+def _compute_section_check(future: concurrent.futures.Future, key: tuple[int, int, int]) -> None:
+    """Compute the check of `key` into `future`. A failure leaves the memo
+    and is raised here too, so an inline request raises it at once."""
+    m, mc_samples, seed = key
+    try:
+        rng = np.random.default_rng(seed + 3)
+        q = SymBilinearForm.random(m, rng)
+        future.set_result(monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4))
+    except BaseException as exc:
+        with _section_checks_lock:
+            _section_checks.pop(key, None)
+        future.set_exception(exc)
+        raise
+
+
+def _helper_pool(name: str):
+    """A one-thread pool to run work beside the calling thread, as a context
+    manager that joins its thread on exit; on one CPU a context of None."""
+    if _cpu_count() == 1:
+        return contextlib.nullcontext()
+    return concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix=name)
 
 
 @dataclass
@@ -224,13 +271,30 @@ class RunReport:
 
 
 def run_case(config: RunConfig) -> RunReport:
-    """Execute the full pipeline for one case; deterministic per config."""
+    """Execute the full pipeline for one case; deterministic per config.
+
+    The case and the mesh are built first, so bad input is refused before
+    any thread starts. On more than one CPU the run's Monte Carlo check then
+    starts on a helper thread, unless a suite or an earlier run of the
+    process has started it already, and the calling thread assembles,
+    solves and evaluates the bounds meanwhile; the identities wait for the
+    check. The helper is joined before the run returns or raises. On one
+    CPU the check runs inline with the identities and no thread starts.
+    """
     stamps = {}
     t0 = time.perf_counter()
     imm, expect, config = _build_case(config)
     mesh = _build_mesh(imm.n, config.level)
     stamps["setup"] = time.perf_counter() - t0
+    with _helper_pool("run") as pool:
+        if pool is not None:
+            _section_average_mc(imm.m, config.mc_samples, config.seed, pool)
+        return _evaluate_case(config, imm, expect, mesh, stamps)
 
+
+def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamMesh,
+                   stamps: dict) -> RunReport:
+    """The report of a built case on its mesh; `stamps` holds the set-up time."""
     t1 = time.perf_counter()
     engine = BoundEngine(mesh, imm, tol_disc=config.tol_disc or TAU_DISC)
     stamps["assemble_solve"] = time.perf_counter() - t1
@@ -360,7 +424,7 @@ def run_case(config: RunConfig) -> RunReport:
         "reilly_rhs_mesh": imm.n * engine.curvature_sq_integral / vol,
     }
 
-    check = _section_average_mc(imm.m, config.mc_samples, config.seed)
+    check = _section_average_mc(imm.m, config.mc_samples, config.seed).result()
     identities["section_average_mc"] = check._asdict()
     # wide deterministic alarm; a real defect lands far outside any gate
     if check.z > 4.0:
@@ -395,11 +459,14 @@ def run_case(config: RunConfig) -> RunReport:
 def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     """Per-case refinement sweep with a convergence table.
 
-    The shared work runs first, on the calling thread: every case is
-    built, with each (n, level) mesh and its ND order and each memoized
-    Monte Carlo check, so no run writes shared state. The finest level's
-    runs then run in order on the calling thread while one helper thread
-    runs the coarser runs in order; on one CPU every run runs on the
+    Every case is built first, then each (n, level) mesh with its ND
+    order, on the calling thread, so bad input is refused before any
+    thread starts and no run writes a shared mesh. The memoized Monte
+    Carlo check of each ambient dimension is then requested: on one
+    helper thread, first in its queue, or inline on one CPU. The finest
+    level's runs run in order on the calling thread while the helper runs
+    the coarser runs in order, after the checks; every run reads its check
+    when it reaches its identities. On one CPU every run runs on the
     calling thread. A failing lane stops at its failure, and the failure
     of the lowest-numbered run is raised once the helper has finished, as
     a serial loop would raise it. Reports match standalone runs byte for
@@ -408,9 +475,8 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
     configs = [replace(base, case=case, level=level) for case in cases for level in levels]
-    for case in cases:
-        imm, _, config = _build_case(replace(base, case=case))
-        _section_average_mc(imm.m, config.mc_samples, config.seed)
+    built = [_build_case(replace(base, case=case)) for case in cases]
+    for imm, _, _ in built:
         for level in levels:
             _build_mesh(imm.n, level)
     finest = max(levels)
@@ -429,16 +495,15 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
                 errors[i] = exc
                 return
 
-    if coarse and _cpu_count() > 1:
-        pool = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="suite")
-        try:
+    with _helper_pool("suite") as pool:
+        for imm, _, config in built:
+            _section_average_mc(imm.m, config.mc_samples, config.seed, pool)
+        if pool is not None and coarse:
             helper = pool.submit(run_lane, coarse)
             run_lane(fine)
             helper.result()
-        finally:
-            pool.shutdown()
-    else:
-        run_lane(range(len(configs)))
+        else:
+            run_lane(range(len(configs)))
     if errors:
         raise errors[min(errors)]
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lorentzlab import cli, meshes, pipeline
+from lorentzlab import bounds, cli, meshes, pipeline
 from lorentzlab.bounds import BoundEngine
 from lorentzlab.cli import main
 from lorentzlab.errors import NumericalError, UsageError
@@ -28,6 +28,7 @@ from oracles import (
     bound_catalogue_loop,
     run_suite_serial,
     section_average_battery_serial,
+    section_check,
 )
 
 
@@ -313,21 +314,35 @@ def test_suite_shares_meshes_orders_and_monte_carlo_checks(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    requested = set()
+    request = pipeline._section_average_mc
+
+    def requesting(m, mc_samples, seed, pool=None):
+        requested.add((m, mc_samples, seed))
+        return request(m, mc_samples, seed, pool)
+
+    monkeypatch.setattr(pipeline, "_section_average_mc", requesting)
     at_runs = []
     run = pipeline.run_case
 
     def recorded(config):
-        at_runs.append(Counter(calls))
+        at_runs.append((Counter(calls), set(requested)))
         return run(config)
 
     monkeypatch.setattr(pipeline, "run_case", recorded)
     pipeline._build_mesh.cache_clear()
-    pipeline._section_average_mc.cache_clear()
+    request.cache_clear()
     run_suite(SUITE_CASES, [1, 2], RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000))
     # once per level, and once per ambient dimension (4, and 5 for lightlike-hyperplane)
     assert calls == {name: 2 for _, name in bindings}
-    # all of it before the first run, so no two runs can compute one value
-    assert at_runs == [calls] * 8
+    # the meshes and orders are built before the first run, so no two runs
+    # can compute one; the checks are requested before it and may still be
+    # running on the suite's helper, whose future every run shares
+    checks = {(4, 5000, 7), (5, 5000, 7)}
+    assert [
+        (counts["build_icosphere_mesh"], counts["nested_dissection_order"], keys)
+        for counts, keys in at_runs
+    ] == [(2, 2, checks)] * 8
 
 
 def test_suite_meshes_are_read_only(monkeypatch):
@@ -459,6 +474,184 @@ def test_cli_suite_unknown_case_exits_2_before_any_run(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: unknown case 'nosuch'")
+
+
+def _check_threads(monkeypatch) -> list:
+    """Record the name of the thread that computes every run's Monte Carlo
+    section check."""
+    names = []
+    estimator = pipeline.monte_carlo_section_integral
+
+    def recorded(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return estimator(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", recorded)
+    return names
+
+
+@pytest.mark.parametrize("case", ["counterexample", "lightlike-hyperplane"])
+def test_run_reports_do_not_depend_on_cpu_count(monkeypatch, case):
+    config = RunConfig(case=case, level=2, samples=3, mc_samples=20_000)
+    names = _check_threads(monkeypatch)
+    reports = {}
+    for cpus in (1, 2, 4):
+        _patch_cpus(monkeypatch, cpus)
+        names.clear()
+        pipeline._section_average_mc.cache_clear()
+        before = set(threading.enumerate())
+        reports[cpus] = run_case(config)
+        assert set(threading.enumerate()) <= before
+        # inline on one CPU, as a serial run computes it; else on the run's helper
+        assert len(names) == 1
+        assert names[0].startswith("run") == (cpus > 1)
+    assert report_to_json(reports[1]) == report_to_json(reports[2]) == report_to_json(reports[4])
+    m = 5 if case == "lightlike-hyperplane" else 4
+    oracle = section_check(m, config.mc_samples, config.seed)
+    assert reports[1].identities["section_average_mc"] == oracle._asdict()
+    # a check the process has already started is reused: no thread, no sample
+    names.clear()
+    assert report_to_json(run_case(config)) == report_to_json(reports[1])
+    assert names == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_run_numerical_failure_in_the_solve_exits_3_and_joins_the_helper(monkeypatch, capsys,
+                                                                             cpus):
+    def failing(pencil):
+        raise NumericalError("injected solve failure")
+
+    monkeypatch.setattr(bounds, "solve_lambda1", failing)
+    names = _check_threads(monkeypatch)
+    _patch_cpus(monkeypatch, cpus)
+    pipeline._section_average_mc.cache_clear()
+    before = set(threading.enumerate())
+    assert main(["run", "--case", "counterexample", "--level", "1", "--mc-samples", "5000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: injected solve failure\n"
+    assert set(threading.enumerate()) <= before
+    # the helper had started the check; on one CPU the run never reached it
+    assert names == (["run_0"] if cpus > 1 else [])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--case", "counterexample", "--n", "3"], "meshes are available for n = 1"),
+        (["run", "--case", "nosuch"], "unknown case 'nosuch'"),
+        (["run", "--case", "custom-spec-file", "--spec-file", "{spec}"], "is not valid JSON"),
+        # a suite has no --spec-file: its spec-file case is refused
+        (["suite", "--levels", "1,2", "--cases", "counterexample,custom-spec-file"],
+         "custom-spec-file case needs --spec-file"),
+    ],
+    ids=["run-n3", "run-unknown-case", "run-bad-spec", "suite-spec-file-case"],
+)
+def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a helper thread was started for bad input")
+
+    spec = tmp_path / "spec.json"
+    spec.write_text("{not json")
+    _patch_cpus(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", refuse)
+    pipeline._section_average_mc.cache_clear()
+    before = set(threading.enumerate())
+    assert main([arg.format(spec=spec) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+def test_concurrent_requests_for_one_check_compute_it_once(monkeypatch, pooled):
+    estimator = pipeline.monte_carlo_section_integral
+    names = []
+    computing, requested = threading.Event(), threading.Event()
+
+    def held(*args, **kwargs):
+        # the first request computes, and holds until the second has asked
+        names.append(threading.current_thread().name)
+        computing.set()
+        assert requested.wait(timeout=60)
+        return estimator(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", held)
+    pipeline._section_average_mc.cache_clear()
+    key = (4, 5000, 11)
+    with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="first") as pool:
+        if pooled:
+            first = pipeline._section_average_mc(*key, pool)
+        else:
+            first = pool.submit(lambda: pipeline._section_average_mc(*key).result())
+        assert computing.wait(timeout=60)
+        second = pipeline._section_average_mc(*key, pool if pooled else None)
+        assert not second.done()
+        requested.set()
+        assert first.result(timeout=60) is second.result(timeout=60)
+    assert names == ["first_0"]
+    assert second.result() == section_check(*key)
+
+
+def test_racing_requests_compute_each_check_once(monkeypatch):
+    # more threads than CPUs, switching as often as the interpreter allows:
+    # a request that lost a check-then-set race would compute a key twice
+    estimator = pipeline.monte_carlo_section_integral
+    computed = Counter()
+
+    def counted(q, a, samples, seed):
+        computed[q.m, samples, seed] += 1
+        return estimator(q, a, samples, seed=seed)
+
+    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", counted)
+    keys = [(m, 50, seed) for m in (3, 4, 5, 6) for seed in range(50)]
+    workers = 8
+    start = threading.Barrier(workers)
+    futures = [None] * workers
+
+    def request(k):
+        start.wait(timeout=60)
+        futures[k] = [pipeline._section_average_mc(*key) for key in keys]
+
+    pipeline._section_average_mc.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert computed == {(m, samples, seed + 4): 1 for m, samples, seed in keys}
+    # every thread got the one future of each key
+    for requests in futures:
+        assert all(a is b for a, b in zip(requests, futures[0], strict=True))
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+def test_a_failed_check_is_not_kept(monkeypatch, pooled):
+    estimator = pipeline.monte_carlo_section_integral
+    failures = [NumericalError("injected check failure")]
+
+    def failing_once(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return estimator(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", failing_once)
+    pipeline._section_average_mc.cache_clear()
+    with pytest.raises(NumericalError, match="injected check failure"):
+        if pooled:
+            with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                pipeline._section_average_mc(4, 5000, 11, pool).result(timeout=60)
+        else:
+            pipeline._section_average_mc(4, 5000, 11)
+    assert pipeline._section_average_mc(4, 5000, 11).result() == section_check(4, 5000, 11)
 
 
 def test_section_average_battery_passes():
