@@ -5,17 +5,22 @@ Each command line runs through `lorentzlab.cli.main` in this process, in
 its own subdirectory of OUTDIR, which is also its working directory, so
 the relative `--out` path a report echoes is the same in every checkout.
 The subdirectory receives `stdout.txt`, `stderr.txt`, `exit_code.txt` and
-the run's `--out` file, if it writes one. Timings stay off, so two
-checkouts that should agree give directories that `diff -r` finds equal:
+the run's `--out` file, if it writes one. OUTDIR also receives
+`environment.txt`: the Python, numpy and scipy versions and
+`OPENBLAS_NUM_THREADS`, which the report bytes depend on, so a `diff -r`
+names such a mismatch apart from a report change. Timings stay off, so
+two checkouts that should agree give directories that `diff -r` finds
+equal when both run with one BLAS thread:
 
-    PYTHONPATH=<checkout A>/src python scripts/snapshot_outputs.py a
-    PYTHONPATH=<checkout B>/src python scripts/snapshot_outputs.py b
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout A>/src python scripts/snapshot_outputs.py a
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout B>/src python scripts/snapshot_outputs.py b
     diff -r a b
 
 The runs cover the benchmark's four command lines, every shipped case at
 levels 0, 3 and 4 with n = 1 and 2, an equality threshold override, CSV
-output, a good and a bad spec file and the section battery at three
-seeds. The run directory names say which run is which.
+output to a file and to stdout, a negative seed (a usage error), a good
+and a bad spec file and the section battery at three seeds. The run
+directory names say which run is which.
 
 Usage: python scripts/snapshot_outputs.py OUTDIR
 """
@@ -24,7 +29,11 @@ import contextlib
 import io
 import json
 import os
+import platform
 import sys
+
+import numpy
+import scipy
 
 from lorentzlab.cli import main
 
@@ -58,6 +67,9 @@ def command_lines() -> dict:
                           "--tol-eq", "1e-9", "--out", "report.json"]
     runs["run-csv"] = ["run", "--case", "counterexample", "--level", "3",
                        "--format", "csv", "--out", "report.csv"]
+    runs["run-csv-stdout"] = ["run", "--case", "counterexample", "--level", "3",
+                              "--format", "csv"]
+    runs["run-negative-seed"] = ["run", "--case", "counterexample", "--seed", "-1"]
     for name in SPECS:
         runs[name] = ["run", "--case", "custom-spec-file", "--spec-file", "spec.json",
                       "--level", "3", "--out", "report.json"]
@@ -67,7 +79,18 @@ def command_lines() -> dict:
     return runs
 
 
+def environment() -> str:
+    """The versions and the BLAS thread setting the report bytes depend on."""
+    return (f"python {platform.python_version()}\n"
+            f"numpy {numpy.__version__}\n"
+            f"scipy {scipy.__version__}\n"
+            f"OPENBLAS_NUM_THREADS {os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}\n")
+
+
 def snapshot(outdir: str) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "environment.txt"), "w", encoding="utf-8") as fh:
+        fh.write(environment())
     for name, argv in command_lines().items():
         rundir = os.path.join(outdir, name)
         os.makedirs(rundir)

@@ -19,6 +19,7 @@ from .pipeline import (
     CASE_NAMES,
     SCHEMA_VERSION,
     RunConfig,
+    report_to_csv,
     report_to_json,
     run_case,
     run_suite,
@@ -99,10 +100,9 @@ def _cmd_run(args) -> int:
     report = run_case(config)
     if config.out:
         write_report(report, config.out, config.fmt)
-    if config.fmt == "json" and not config.out:
-        sys.stdout.write(report_to_json(report))
-    else:
         print(f"case={config.case} level={config.level} verdict={report.verdict}")
+    else:
+        sys.stdout.write(report_to_json(report) if config.fmt == "json" else report_to_csv(report))
     for failure in report.failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     for warning in report.warnings:

@@ -9,8 +9,11 @@ discrete minimum principle exact and are relied on by the bounds layer.
 Assembly is vectorized with a fixed reduction order, so matrices are
 reproducible bit for bit. The eigensolver iterates in float64 on a
 two-grid preconditioner whose coarse solve is a float32 factor; only its
-float64 residual gate accepts lambda1. It is single-threaded by contract;
-independent solves may run concurrently.
+float64 residual gate accepts lambda1. It starts no thread of its own,
+but its dense products run in the BLAS, whose sums depend on the BLAS
+thread count: lambda1 is fixed bit for bit only for a fixed count (the
+level-6 counterexample gives 2.0001532405046913 at two OpenBLAS threads
+and 2.000153240504676 at one). Independent solves may run concurrently.
 """
 
 from __future__ import annotations

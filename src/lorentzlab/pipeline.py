@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 import os
-import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -107,6 +106,8 @@ class RunConfig:
             raise UsageError("level must be nonnegative")
         if self.samples < 1:
             raise UsageError("need at least one direction sample")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.mc_samples < 2:
             raise UsageError("need at least two Monte Carlo samples")
         if self.fmt not in ("json", "csv"):
@@ -186,51 +187,22 @@ def _build_mesh(n: int, level: int) -> ParamMesh:
     return mesh
 
 
-_section_checks: dict[tuple[int, int, int], concurrent.futures.Future] = {}
-_section_checks_lock = threading.Lock()
+def _section_check(m: int, mc_samples: int, seed: int):
+    """A run's section averaging check. It is not a function of the
+    immersion or the mesh, and it draws from generators seeded by `seed`
+    alone, so its value does not depend on the thread that computes it."""
+    rng = np.random.default_rng(seed + 3)
+    q = SymBilinearForm.random(m, rng)
+    return monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
 
 
-def _section_average_mc(
-    m: int, mc_samples: int, seed: int, pool: concurrent.futures.Executor | None = None
-) -> concurrent.futures.Future:
-    """The future of a run's section averaging check.
-
-    The check is not a function of the immersion or the mesh, so a process
-    computes it once per (m, mc_samples, seed), even when threads ask for
-    it at once. The first request computes it inline, or submits it to
-    `pool` when one is given, and every request shares its future. The
-    check draws from generators seeded by `seed` alone, so its value does
-    not depend on the thread that computes it. A failed check is not kept.
-    """
-    key = (m, mc_samples, seed)
-    with _section_checks_lock:
-        if key in _section_checks:
-            return _section_checks[key]
-        future = _section_checks[key] = concurrent.futures.Future()
+def _start_check(pool, m: int, mc_samples: int, seed: int):
+    """The check of (m, mc_samples, seed) as a zero-argument call: the
+    result of its future once it is submitted to `pool`, or with no pool
+    the check itself, computed on the first call and kept for later ones."""
     if pool is None:
-        _compute_section_check(future, key)
-    else:
-        pool.submit(_compute_section_check, future, key)
-    return future
-
-
-# tests clear this memo as they clear `_build_mesh`'s
-_section_average_mc.cache_clear = _section_checks.clear
-
-
-def _compute_section_check(future: concurrent.futures.Future, key: tuple[int, int, int]) -> None:
-    """Compute the check of `key` into `future`. A failure leaves the memo
-    and is raised here too, so an inline request raises it at once."""
-    m, mc_samples, seed = key
-    try:
-        rng = np.random.default_rng(seed + 3)
-        q = SymBilinearForm.random(m, rng)
-        future.set_result(monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4))
-    except BaseException as exc:
-        with _section_checks_lock:
-            _section_checks.pop(key, None)
-        future.set_exception(exc)
-        raise
+        return functools.cache(functools.partial(_section_check, m, mc_samples, seed))
+    return pool.submit(_section_check, m, mc_samples, seed).result
 
 
 def _helper_pool(name: str):
@@ -275,26 +247,25 @@ def run_case(config: RunConfig) -> RunReport:
 
     The case and the mesh are built first, so bad input is refused before
     any thread starts. On more than one CPU the run's Monte Carlo check then
-    starts on a helper thread, unless a suite or an earlier run of the
-    process has started it already, and the calling thread assembles,
-    solves and evaluates the bounds meanwhile; the identities wait for the
-    check. The helper is joined before the run returns or raises. On one
-    CPU the check runs inline with the identities and no thread starts.
+    starts on a helper thread, and the calling thread assembles, solves and
+    evaluates the bounds meanwhile; the identities wait for the check. The
+    helper is joined before the run returns or raises. On one CPU the check
+    runs inline with the identities and no thread starts.
     """
-    stamps = {}
     t0 = time.perf_counter()
     imm, expect, config = _build_case(config)
     mesh = _build_mesh(imm.n, config.level)
-    stamps["setup"] = time.perf_counter() - t0
+    stamps = {"setup": time.perf_counter() - t0}
     with _helper_pool("run") as pool:
-        if pool is not None:
-            _section_average_mc(imm.m, config.mc_samples, config.seed, pool)
-        return _evaluate_case(config, imm, expect, mesh, stamps)
+        check = _start_check(pool, imm.m, config.mc_samples, config.seed)
+        return _evaluate_case(config, imm, expect, mesh, check, stamps)
 
 
 def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamMesh,
-                   stamps: dict) -> RunReport:
-    """The report of a built case on its mesh; `stamps` holds the set-up time."""
+                   check, stamps: dict) -> RunReport:
+    """The report of a built case on its mesh: the one per-run path of a
+    run and of a suite. `check` returns the run's Monte Carlo check and
+    `stamps` holds the set-up time."""
     t1 = time.perf_counter()
     engine = BoundEngine(mesh, imm, tol_disc=config.tol_disc or TAU_DISC)
     stamps["assemble_solve"] = time.perf_counter() - t1
@@ -424,10 +395,10 @@ def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamM
         "reilly_rhs_mesh": imm.n * engine.curvature_sq_integral / vol,
     }
 
-    check = _section_average_mc(imm.m, config.mc_samples, config.seed).result()
-    identities["section_average_mc"] = check._asdict()
+    mc = check()
+    identities["section_average_mc"] = mc._asdict()
     # wide deterministic alarm; a real defect lands far outside any gate
-    if check.z > 4.0:
+    if mc.z > 4.0:
         gate("section averaging Monte Carlo check missed 4 standard errors", False)
     stamps["identities"] = time.perf_counter() - t3
 
@@ -459,13 +430,13 @@ def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamM
 def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     """Per-case refinement sweep with a convergence table.
 
-    Every case is built first, then each (n, level) mesh with its ND
-    order, on the calling thread, so bad input is refused before any
-    thread starts and no run writes a shared mesh. The memoized Monte
-    Carlo check of each ambient dimension is then requested: on one
-    helper thread, first in its queue, or inline on one CPU. The finest
-    level's runs run in order on the calling thread while the helper runs
-    the coarser runs in order, after the checks; every run reads its check
+    Every case is built once, then each (n, level) mesh with its ND order,
+    on the calling thread, so bad input is refused before any thread
+    starts and no run writes a shared mesh. The Monte Carlo check of each
+    ambient dimension is then started: on one helper thread, first in its
+    queue, or inline at a run's identities on one CPU. The finest level's
+    runs run in order on the calling thread while the helper runs the
+    coarser runs in order, after the checks; every run reads its check
     when it reaches its identities. On one CPU every run runs on the
     calling thread. A failing lane stops at its failure, and the failure
     of the lowest-numbered run is raised once the helper has finished, as
@@ -474,36 +445,43 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     """
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
-    configs = [replace(base, case=case, level=level) for case in cases for level in levels]
     built = [_build_case(replace(base, case=case)) for case in cases]
-    for imm, _, _ in built:
-        for level in levels:
-            _build_mesh(imm.n, level)
+    runs = [(imm, expect, replace(config, level=level))
+            for imm, expect, config in built for level in levels]
+    for imm, _, config in runs:
+        _build_mesh(imm.n, config.level)
     finest = max(levels)
-    fine = [i for i, config in enumerate(configs) if config.level == finest]
-    coarse = [i for i, config in enumerate(configs) if config.level != finest]
-    reports: list = [None] * len(configs)
+    fine = [i for i, (*_, config) in enumerate(runs) if config.level == finest]
+    coarse = [i for i, (*_, config) in enumerate(runs) if config.level != finest]
+    reports: list = [None] * len(runs)
     errors: dict[int, Exception] = {}
 
     def run_lane(lane) -> None:
-        """Run the configs of a lane of run numbers in order, up to its
+        """Evaluate the runs of a lane of run numbers in order, up to its
         first failure."""
         for i in lane:
+            imm, expect, config = runs[i]
+            t0 = time.perf_counter()
+            mesh = _build_mesh(imm.n, config.level)
+            stamps = {"setup": time.perf_counter() - t0}
             try:
-                reports[i] = run_case(configs[i])
+                reports[i] = _evaluate_case(config, imm, expect, mesh, checks[imm.m], stamps)
             except Exception as exc:  # raised on the calling thread below
                 errors[i] = exc
                 return
 
     with _helper_pool("suite") as pool:
+        # one check per ambient dimension, a function of m, mc_samples and seed
+        checks = {}
         for imm, _, config in built:
-            _section_average_mc(imm.m, config.mc_samples, config.seed, pool)
+            if imm.m not in checks:
+                checks[imm.m] = _start_check(pool, imm.m, config.mc_samples, config.seed)
         if pool is not None and coarse:
             helper = pool.submit(run_lane, coarse)
             run_lane(fine)
             helper.result()
         else:
-            run_lane(range(len(configs)))
+            run_lane(range(len(runs)))
     if errors:
         raise errors[min(errors)]
 
@@ -517,7 +495,7 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
             "beltrami_l2": report.identities["beltrami_l2"],
             "verdict": report.verdict,
         }
-        for config, report in zip(configs, reports)
+        for (*_, config), report in zip(runs, reports)
     ]
     overall = "pass" if all(r.verdict == "pass" for r in reports) else "fail"
     return reports, {"rows": table, "verdict": overall}
@@ -544,6 +522,8 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
         raise UsageError(f"ambient dimension must be at least 3, got {m}")
     if samples < 2:
         raise UsageError("need at least two Monte Carlo samples")
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     dirs = [
         _axis(m),

@@ -288,13 +288,11 @@ def test_suite_reports_match_standalone_runs():
     standalone = []
     for case in SUITE_CASES:
         for level in (2, 3):
-            # a mesh and a Monte Carlo check of its own, as in a fresh process
+            # a mesh of its own, as in a fresh process
             pipeline._build_mesh.cache_clear()
-            pipeline._section_average_mc.cache_clear()
             standalone.append(report_to_json(run_case(replace(base, case=case, level=level))))
     # the suite starts as a fresh process too, then shares across its runs
     pipeline._build_mesh.cache_clear()
-    pipeline._section_average_mc.cache_clear()
     reports, _ = run_suite(SUITE_CASES, [2, 3], base)
     assert [report_to_json(r) for r in reports] == standalone
 
@@ -315,29 +313,38 @@ def test_suite_shares_meshes_orders_and_monte_carlo_checks(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     requested = set()
-    request = pipeline._section_average_mc
+    start = pipeline._start_check
 
-    def requesting(m, mc_samples, seed, pool=None):
+    def requesting(pool, m, mc_samples, seed):
         requested.add((m, mc_samples, seed))
-        return request(m, mc_samples, seed, pool)
+        return start(pool, m, mc_samples, seed)
 
-    monkeypatch.setattr(pipeline, "_section_average_mc", requesting)
+    monkeypatch.setattr(pipeline, "_start_check", requesting)
     at_runs = []
-    run = pipeline.run_case
+    evaluate = pipeline._evaluate_case
 
-    def recorded(config):
+    def recorded(*args):
         at_runs.append((Counter(calls), set(requested)))
-        return run(config)
+        return evaluate(*args)
 
-    monkeypatch.setattr(pipeline, "run_case", recorded)
+    monkeypatch.setattr(pipeline, "_evaluate_case", recorded)
+    built = []
+    build = pipeline._build_case
+
+    def building(config):
+        built.append(config.case)
+        return build(config)
+
+    monkeypatch.setattr(pipeline, "_build_case", building)
     pipeline._build_mesh.cache_clear()
-    request.cache_clear()
     run_suite(SUITE_CASES, [1, 2], RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000))
+    # each case is built once, not once per run
+    assert built == SUITE_CASES
     # once per level, and once per ambient dimension (4, and 5 for lightlike-hyperplane)
     assert calls == {name: 2 for _, name in bindings}
     # the meshes and orders are built before the first run, so no two runs
-    # can compute one; the checks are requested before it and may still be
-    # running on the suite's helper, whose future every run shares
+    # can compute one; the checks are started before it and may still be
+    # running on the suite's helper, whose future every run of an m shares
     checks = {(4, 5000, 7), (5, 5000, 7)}
     assert [
         (counts["build_icosphere_mesh"], counts["nested_dissection_order"], keys)
@@ -377,13 +384,13 @@ def _patch_cpus(monkeypatch, cpus: int) -> None:
 def _suite_threads(monkeypatch) -> list:
     """Record (level, thread, live threads) for every run of a suite."""
     runs = []
-    run = pipeline.run_case
+    evaluate = pipeline._evaluate_case
 
-    def recorded(config):
+    def recorded(config, *args):
         runs.append((config.level, threading.current_thread(), threading.active_count()))
-        return run(config)
+        return evaluate(config, *args)
 
-    monkeypatch.setattr(pipeline, "run_case", recorded)
+    monkeypatch.setattr(pipeline, "_evaluate_case", recorded)
     return runs
 
 
@@ -395,13 +402,11 @@ def test_suite_reports_do_not_depend_on_cpu_count(monkeypatch, cpus):
     for case in SUITE_CASES:
         for level in levels:
             pipeline._build_mesh.cache_clear()
-            pipeline._section_average_mc.cache_clear()
             standalone.append(report_to_json(run_case(replace(base, case=case, level=level))))
     serial_reports, serial_summary = run_suite_serial(SUITE_CASES, levels, base)
     assert [report_to_json(r) for r in serial_reports] == standalone
     _patch_cpus(monkeypatch, cpus)
     pipeline._build_mesh.cache_clear()
-    pipeline._section_average_mc.cache_clear()
     reports, summary = run_suite(SUITE_CASES, levels, base)
     assert [report_to_json(r) for r in reports] == standalone
     assert summary == serial_summary
@@ -440,14 +445,15 @@ def test_suite_runs_its_finest_level_on_the_calling_thread(monkeypatch, cpus):
 )
 def test_cli_suite_numerical_failure_in_a_lane_exits_3(monkeypatch, capsys, failing):
     _patch_cpus(monkeypatch, 2)
-    run = pipeline.run_case
+    evaluate = pipeline._evaluate_case
 
-    def failing_run(config):
+    def failing_run(config, *args):
         if (config.case, config.level) in failing:
             raise NumericalError(f"injected failure at {config.case} level {config.level}")
-        return run(config)
+        return evaluate(config, *args)
 
-    monkeypatch.setattr(pipeline, "run_case", failing_run)
+    # the serial oracle's `run_case` evaluates through it too
+    monkeypatch.setattr(pipeline, "_evaluate_case", failing_run)
     argv = ["suite", "--levels", "0,1", "--cases", "all", "--samples", "2", "--mc-samples", "1000"]
     monkeypatch.setattr(cli, "run_suite", run_suite_serial)
     assert main(argv) == 3
@@ -468,7 +474,7 @@ def test_cli_suite_unknown_case_exits_2_before_any_run(monkeypatch, capsys):
         raise AssertionError("a run or a helper thread was started for bad input")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(pipeline, "run_case", refuse)
+    monkeypatch.setattr(pipeline, "_evaluate_case", refuse)
     for cases in ("nosuch", "counterexample,nosuch"):
         assert main(["suite", "--levels", "1,2", "--cases", cases]) == 2
         captured = capsys.readouterr()
@@ -498,7 +504,6 @@ def test_run_reports_do_not_depend_on_cpu_count(monkeypatch, case):
     for cpus in (1, 2, 4):
         _patch_cpus(monkeypatch, cpus)
         names.clear()
-        pipeline._section_average_mc.cache_clear()
         before = set(threading.enumerate())
         reports[cpus] = run_case(config)
         assert set(threading.enumerate()) <= before
@@ -509,10 +514,10 @@ def test_run_reports_do_not_depend_on_cpu_count(monkeypatch, case):
     m = 5 if case == "lightlike-hyperplane" else 4
     oracle = section_check(m, config.mc_samples, config.seed)
     assert reports[1].identities["section_average_mc"] == oracle._asdict()
-    # a check the process has already started is reused: no thread, no sample
+    # a rerun draws its check again and writes the same bytes
     names.clear()
     assert report_to_json(run_case(config)) == report_to_json(reports[1])
-    assert names == []
+    assert len(names) == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -524,7 +529,6 @@ def test_cli_run_numerical_failure_in_the_solve_exits_3_and_joins_the_helper(mon
     monkeypatch.setattr(bounds, "solve_lambda1", failing)
     names = _check_threads(monkeypatch)
     _patch_cpus(monkeypatch, cpus)
-    pipeline._section_average_mc.cache_clear()
     before = set(threading.enumerate())
     assert main(["run", "--case", "counterexample", "--level", "1", "--mc-samples", "5000"]) == 3
     captured = capsys.readouterr()
@@ -544,8 +548,11 @@ def test_cli_run_numerical_failure_in_the_solve_exits_3_and_joins_the_helper(mon
         # a suite has no --spec-file: its spec-file case is refused
         (["suite", "--levels", "1,2", "--cases", "counterexample,custom-spec-file"],
          "custom-spec-file case needs --spec-file"),
+        (["run", "--case", "counterexample", "--seed", "-1"], "seed must be nonnegative"),
+        (["suite", "--levels", "1,2", "--seed", "-3"], "seed must be nonnegative"),
     ],
-    ids=["run-n3", "run-unknown-case", "run-bad-spec", "suite-spec-file-case"],
+    ids=["run-n3", "run-unknown-case", "run-bad-spec", "suite-spec-file-case", "run-negative-seed",
+         "suite-negative-seed"],
 )
 def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, argv, message):
     def refuse(*args, **kwargs):
@@ -556,7 +563,6 @@ def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, 
     _patch_cpus(monkeypatch, 2)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(pipeline, "monte_carlo_section_integral", refuse)
-    pipeline._section_average_mc.cache_clear()
     before = set(threading.enumerate())
     assert main([arg.format(spec=spec) for arg in argv]) == 2
     captured = capsys.readouterr()
@@ -565,93 +571,24 @@ def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, 
     assert set(threading.enumerate()) <= before
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
-def test_concurrent_requests_for_one_check_compute_it_once(monkeypatch, pooled):
-    estimator = pipeline.monte_carlo_section_integral
-    names = []
-    computing, requested = threading.Event(), threading.Event()
-
-    def held(*args, **kwargs):
-        # the first request computes, and holds until the second has asked
-        names.append(threading.current_thread().name)
-        computing.set()
-        assert requested.wait(timeout=60)
-        return estimator(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", held)
-    pipeline._section_average_mc.cache_clear()
-    key = (4, 5000, 11)
-    with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="first") as pool:
-        if pooled:
-            first = pipeline._section_average_mc(*key, pool)
-        else:
-            first = pool.submit(lambda: pipeline._section_average_mc(*key).result())
-        assert computing.wait(timeout=60)
-        second = pipeline._section_average_mc(*key, pool if pooled else None)
-        assert not second.done()
-        requested.set()
-        assert first.result(timeout=60) is second.result(timeout=60)
-    assert names == ["first_0"]
-    assert second.result() == section_check(*key)
-
-
-def test_racing_requests_compute_each_check_once(monkeypatch):
-    # more threads than CPUs, switching as often as the interpreter allows:
-    # a request that lost a check-then-set race would compute a key twice
-    estimator = pipeline.monte_carlo_section_integral
-    computed = Counter()
-
-    def counted(q, a, samples, seed):
-        computed[q.m, samples, seed] += 1
-        return estimator(q, a, samples, seed=seed)
-
-    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", counted)
-    keys = [(m, 50, seed) for m in (3, 4, 5, 6) for seed in range(50)]
-    workers = 8
-    start = threading.Barrier(workers)
-    futures = [None] * workers
-
-    def request(k):
-        start.wait(timeout=60)
-        futures[k] = [pipeline._section_average_mc(*key) for key in keys]
-
-    pipeline._section_average_mc.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=request, args=(k,)) for k in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert computed == {(m, samples, seed + 4): 1 for m, samples, seed in keys}
-    # every thread got the one future of each key
-    for requests in futures:
-        assert all(a is b for a, b in zip(requests, futures[0], strict=True))
-
-
-@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
-def test_a_failed_check_is_not_kept(monkeypatch, pooled):
-    estimator = pipeline.monte_carlo_section_integral
-    failures = [NumericalError("injected check failure")]
-
-    def failing_once(*args, **kwargs):
-        if failures:
-            raise failures.pop()
-        return estimator(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", failing_once)
-    pipeline._section_average_mc.cache_clear()
-    with pytest.raises(NumericalError, match="injected check failure"):
-        if pooled:
-            with concurrent.futures.ThreadPoolExecutor(1) as pool:
-                pipeline._section_average_mc(4, 5000, 11, pool).result(timeout=60)
-        else:
-            pipeline._section_average_mc(4, 5000, 11)
-    assert pipeline._section_average_mc(4, 5000, 11).result() == section_check(4, 5000, 11)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_check_outlives_its_suite(monkeypatch, cpus):
+    # two suites in one process share no check: each draws its own, once
+    # per ambient dimension (4 for counterexample, 5 for lightlike-hyperplane),
+    # on its helper, or inline on one CPU
+    _patch_cpus(monkeypatch, cpus)
+    names = _check_threads(monkeypatch)
+    base = RunConfig(case="counterexample", samples=2, mc_samples=5000)
+    cases = ["counterexample", "lightlike-hyperplane"]
+    suites = []
+    for _ in range(2):
+        names.clear()
+        before = set(threading.enumerate())
+        reports, _ = run_suite(cases, [1, 2], base)
+        assert set(threading.enumerate()) <= before
+        assert names == (["suite_0"] * 2 if cpus > 1 else ["MainThread"] * 2)
+        suites.append([report_to_json(r) for r in reports])
+    assert suites[0] == suites[1]
 
 
 def test_section_average_battery_passes():
@@ -748,27 +685,17 @@ def test_cli_out_file_matches_stdout(tmp_path, capsys):
     assert out.read_bytes() == printed.replace('"out": null', echoed, 1).encode("utf-8")
 
 
-def test_cli_csv_format(tmp_path):
+def test_cli_csv_format(tmp_path, capsys):
     out = tmp_path / "report.csv"
-    code = main(
-        [
-            "run",
-            "--case",
-            "sphere-hyperplane",
-            "--level",
-            "2",
-            "--samples",
-            "2",
-            "--mc-samples",
-            "5000",
-            "--out",
-            str(out),
-            "--format",
-            "csv",
-        ]
-    )
-    assert code == 0
-    assert out.read_text(encoding="utf-8").startswith("case,level,name,anchor")
+    argv = ["run", "--case", "sphere-hyperplane", "--level", "2", "--samples", "2",
+            "--mc-samples", "5000", "--format", "csv"]
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith("case,level,name,anchor")
+    assert capsys.readouterr().out == "case=sphere-hyperplane level=2 verdict=pass\n"
+    # without --out the report itself goes to stdout, as a JSON report does
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -1035,6 +962,7 @@ def test_cli_section_avg_bad_input_exits_2(monkeypatch, capsys):
         (["--m", "4", "--samples", "1"], "need at least two Monte Carlo samples"),
         (["--m", "4", "--samples", "0"], "need at least two Monte Carlo samples"),
         (["--m", "2", "--samples", "100"], "ambient dimension must be at least 3"),
+        (["--m", "4", "--seed", "-1"], "seed must be nonnegative"),
     ):
         assert main(["section-avg"] + args) == 2
         captured = capsys.readouterr()
