@@ -591,6 +591,26 @@ def test_no_check_outlives_its_suite(monkeypatch, cpus):
     assert suites[0] == suites[1]
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+def test_a_failed_check_is_not_kept(monkeypatch, pooled):
+    # a failed check raises where it is read, and the next check of the same
+    # (m, mc_samples, seed) draws again
+    estimator = pipeline.monte_carlo_section_integral
+    failures = [NumericalError("injected check failure")]
+
+    def failing_once(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return estimator(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "monte_carlo_section_integral", failing_once)
+    with concurrent.futures.ThreadPoolExecutor(1) as executor:
+        pool = executor if pooled else None
+        with pytest.raises(NumericalError, match="injected check failure"):
+            pipeline._start_check(pool, 4, 5000, 11)()
+        assert pipeline._start_check(pool, 4, 5000, 11)() == section_check(4, 5000, 11)
+
+
 def test_section_average_battery_passes():
     result = section_average_battery(4, 100_000, seed=7)
     assert result["verdict"] == "pass"
