@@ -6,15 +6,23 @@ its own subdirectory of OUTDIR, which is also its working directory, so
 the relative `--out` path a report echoes is the same in every checkout.
 The subdirectory receives `stdout.txt`, `stderr.txt`, `exit_code.txt` and
 the run's `--out` file, if it writes one. OUTDIR also receives
-`environment.txt`: the Python, numpy and scipy versions and
-`OPENBLAS_NUM_THREADS`, which the report bytes depend on, so a `diff -r`
-names such a mismatch apart from a report change. Timings stay off, so
-two checkouts that should agree give directories that `diff -r` finds
-equal when both run with one BLAS thread:
+`environment.txt`: the Python, numpy and scipy versions,
+`OPENBLAS_NUM_THREADS`, which the report bytes depend on, and the number
+of CPUs the process may run on, which they do not, so a `diff -r` names
+such a mismatch apart from a report change. Timings stay off, so two
+checkouts that should agree give directories that `diff -r` finds equal
+when both run with one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout A>/src python scripts/snapshot_outputs.py a
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout B>/src python scripts/snapshot_outputs.py b
     diff -r a b
+
+One checkout run on one CPU and on all of them gives directories whose
+`diff -r` names only the CPU line of `environment.txt`:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src taskset -c 0 python scripts/snapshot_outputs.py one
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src python scripts/snapshot_outputs.py all
+    diff -r one all
 
 The runs cover the benchmark's four command lines, every shipped case at
 levels 0, 3 and 4 with n = 1 and 2, an equality threshold override, CSV
@@ -79,12 +87,22 @@ def command_lines() -> dict:
     return runs
 
 
+def cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def environment() -> str:
-    """The versions and the BLAS thread setting the report bytes depend on."""
+    """The versions and the BLAS thread setting the report bytes depend
+    on, and the CPU count they do not."""
     return (f"python {platform.python_version()}\n"
             f"numpy {numpy.__version__}\n"
             f"scipy {scipy.__version__}\n"
-            f"OPENBLAS_NUM_THREADS {os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}\n")
+            f"OPENBLAS_NUM_THREADS {os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}\n"
+            f"cpus {cpu_count()}\n")
 
 
 def snapshot(outdir: str) -> None:

@@ -61,10 +61,9 @@ class MeshGeometry:
     total_volume: float
 
 
-def mesh_geometry(mesh: ParamMesh, imm, *, with_inverse_gram: bool = False):
-    """The immersed mesh's geometry. With `with_inverse_gram`, the pair of
-    it and the (E, n, n) inverse Lorentz Gram of each element's edge
-    chords, which only assembly reads."""
+def mesh_geometry(mesh: ParamMesh, imm):
+    """The immersed mesh's geometry and the (E, n, n) inverse Lorentz Gram
+    of each element's edge chords, which only assembly reads."""
     positions = imm.eval(mesh.vertices)
     simplices = mesh.simplices
     n = mesh.n
@@ -114,7 +113,7 @@ def mesh_geometry(mesh: ParamMesh, imm, *, with_inverse_gram: bool = False):
         lumped=lumped,
         total_volume=float(volumes.sum()),
     )
-    return (geometry, gram_inv) if with_inverse_gram else geometry
+    return geometry, gram_inv
 
 
 def _difference_matrix(n: int) -> np.ndarray:
@@ -141,7 +140,7 @@ def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
     shares the stiffness's `indices` and `indptr` arrays. Nothing may sort
     or prune either matrix in place.
     """
-    geom, gram_inv = mesh_geometry(mesh, imm, with_inverse_gram=True)
+    geom, gram_inv = mesh_geometry(mesh, imm)
     n = mesh.n
     k = mesh.num_vertices
     # the index type scipy would convert to, so coo_matrix keeps these arrays

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LorentzLabError, UsageError
-from .minkowski import inner, require_unit_timelike, spacelike_complement_basis
+from .minkowski import TAU_UNIT, inner, require_unit_timelike, spacelike_complement_basis
 
 __all__ = [
     "Immersion",
@@ -50,8 +50,6 @@ class Immersion:
             raise DomainError(
                 f"compact spacelike submanifolds need m >= n+2, got n={n}, m={m}"
             )
-        if m < 3:
-            raise DomainError("ambient dimension must be at least 3")
         self.n = n
         self.m = m
 
@@ -174,8 +172,6 @@ class CylinderSphere(Immersion):
         self._check_unit_speed()
 
     def _check_unit_speed(self):
-        from .minkowski import TAU_UNIT
-
         t = np.linspace(-1.0, 1.0, 65)
         speed = inner(self.curve.d1(t), self.curve.d1(t))
         if np.abs(speed - 1.0).max() > TAU_UNIT:

@@ -11,7 +11,6 @@ runs of the same configuration.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import csv
 import functools
 import io
@@ -196,23 +195,6 @@ def _section_check(m: int, mc_samples: int, seed: int):
     return monte_carlo_section_integral(q, _axis(m), mc_samples, seed=seed + 4)
 
 
-def _start_check(pool, m: int, mc_samples: int, seed: int):
-    """The check of (m, mc_samples, seed) as a zero-argument call: the
-    result of its future once it is submitted to `pool`, or with no pool
-    the check itself, computed on the first call and kept for later ones."""
-    if pool is None:
-        return functools.cache(functools.partial(_section_check, m, mc_samples, seed))
-    return pool.submit(_section_check, m, mc_samples, seed).result
-
-
-def _helper_pool(name: str):
-    """A one-thread pool to run work beside the calling thread, as a context
-    manager that joins its thread on exit; on one CPU a context of None."""
-    if _cpu_count() == 1:
-        return contextlib.nullcontext()
-    return concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix=name)
-
-
 @dataclass
 class RunReport:
     config: dict
@@ -246,18 +228,17 @@ def run_case(config: RunConfig) -> RunReport:
     """Execute the full pipeline for one case; deterministic per config.
 
     The case and the mesh are built first, so bad input is refused before
-    any thread starts. On more than one CPU the run's Monte Carlo check then
-    starts on a helper thread, and the calling thread assembles, solves and
-    evaluates the bounds meanwhile; the identities wait for the check. The
-    helper is joined before the run returns or raises. On one CPU the check
-    runs inline with the identities and no thread starts.
+    any thread starts. The run's Monte Carlo check then starts on a helper
+    thread, and the calling thread assembles, solves and evaluates the
+    bounds meanwhile; the identities wait for the check. The helper is
+    joined before the run returns or raises.
     """
     t0 = time.perf_counter()
     imm, expect, config = _build_case(config)
     mesh = _build_mesh(imm.n, config.level)
     stamps = {"setup": time.perf_counter() - t0}
-    with _helper_pool("run") as pool:
-        check = _start_check(pool, imm.m, config.mc_samples, config.seed)
+    with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="run") as pool:
+        check = pool.submit(_section_check, imm.m, config.mc_samples, config.seed).result
         return _evaluate_case(config, imm, expect, mesh, check, stamps)
 
 
@@ -433,15 +414,14 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     Every case is built once, then each (n, level) mesh with its ND order,
     on the calling thread, so bad input is refused before any thread
     starts and no run writes a shared mesh. The Monte Carlo check of each
-    ambient dimension is then started: on one helper thread, first in its
-    queue, or inline at a run's identities on one CPU. The finest level's
-    runs run in order on the calling thread while the helper runs the
-    coarser runs in order, after the checks; every run reads its check
-    when it reaches its identities. On one CPU every run runs on the
-    calling thread. A failing lane stops at its failure, and the failure
-    of the lowest-numbered run is raised once the helper has finished, as
-    a serial loop would raise it. Reports match standalone runs byte for
-    byte whatever the CPU count.
+    ambient dimension is then started on one helper thread, first in its
+    queue. The finest level's runs run in order on the calling thread
+    while the helper runs the coarser runs in order, after the checks (a
+    single level leaves it none); every run reads its check when it
+    reaches its identities. A failing lane stops at its failure, and the
+    failure of the lowest-numbered run is raised once the helper has
+    finished, as a serial loop would raise it. Reports match standalone
+    runs byte for byte.
     """
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
@@ -470,18 +450,16 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
                 errors[i] = exc
                 return
 
-    with _helper_pool("suite") as pool:
+    with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="suite") as pool:
         # one check per ambient dimension, a function of m, mc_samples and seed
         checks = {}
         for imm, _, config in built:
             if imm.m not in checks:
-                checks[imm.m] = _start_check(pool, imm.m, config.mc_samples, config.seed)
-        if pool is not None and coarse:
-            helper = pool.submit(run_lane, coarse)
-            run_lane(fine)
-            helper.result()
-        else:
-            run_lane(range(len(runs)))
+                checks[imm.m] = pool.submit(
+                    _section_check, imm.m, config.mc_samples, config.seed).result
+        helper = pool.submit(run_lane, coarse)
+        run_lane(fine)
+        helper.result()
     if errors:
         raise errors[min(errors)]
 

@@ -488,7 +488,7 @@ def integrate_over_mesh(mesh, imm, density, geometry=None):
     Accepts per-vertex or per-element data; vertex data is averaged onto
     elements, which coincides with the lumped-mass vertex rule.
     """
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)[0]
     density = np.asarray(density, dtype=float)
     if density.shape[0] == mesh.num_vertices:
         value = geom.lumped @ density
@@ -529,7 +529,7 @@ def tangential_sq(imm: Immersion, pts, a) -> np.ndarray:
 
 def gravity_center(imm: Immersion, mesh) -> np.ndarray:
     """Componentwise mesh average of the position field."""
-    geom = mesh_geometry(mesh, imm)
+    geom, _ = mesh_geometry(mesh, imm)
     return (geom.lumped @ geom.positions) / geom.total_volume
 
 
@@ -545,7 +545,7 @@ def signed_gradient_trace_density(mesh, imm, W, geometry=None) -> np.ndarray:
     (-1, 1, ..., 1); signature weighting makes the value basis
     independent.
     """
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)[0]
     values = W.values if isinstance(W, TestField) else np.asarray(W, dtype=float)
     if values.shape != (mesh.num_vertices, imm.m):
         raise UsageError("field shape does not match mesh and ambient dimension")
@@ -622,7 +622,7 @@ def make_test_field_mean_curvature(mesh, imm, pencil=None, center_tol: float = H
 
 
 def make_test_field_position(mesh, imm, geometry=None) -> TestField:
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)[0]
     residual = _center_residual(geom, geom.positions)
     scale = max(1.0, float(np.abs(geom.positions).max()))
     if np.abs(residual).max() > 10.0 * TAU_CENTER * scale:
@@ -637,7 +637,7 @@ def make_test_field_position(mesh, imm, geometry=None) -> TestField:
 
 def make_test_field_projected(mesh, imm, a, geometry=None) -> TestField:
     a = require_unit_timelike(a)
-    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)
+    geom = geometry if geometry is not None else mesh_geometry(mesh, imm)[0]
     base = make_test_field_position(mesh, imm, geometry=geom)
     values = projected_position(base.values, a)
     return TestField(

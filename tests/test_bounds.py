@@ -224,7 +224,7 @@ def test_gradient_trace_identity_vs_pointwise_converges():
     for level in (3, 4):
         mesh = build_icosphere_mesh(level)
         recentered = recenter_to_gravity_origin(imm, mesh)
-        geom = mesh_geometry(mesh, recentered)
+        geom, _ = mesh_geometry(mesh, recentered)
         field = make_test_field_projected(mesh, recentered, a)
         density = signed_gradient_trace_density(mesh, recentered, field, geometry=geom)
         pointwise = tangential_sq(recentered, mesh.vertices, a)

@@ -313,13 +313,14 @@ def test_suite_shares_meshes_orders_and_monte_carlo_checks(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     requested = set()
-    start = pipeline._start_check
 
-    def requesting(pool, m, mc_samples, seed):
-        requested.add((m, mc_samples, seed))
-        return start(pool, m, mc_samples, seed)
+    class Requesting(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            if fn is pipeline._section_check:
+                requested.add(args)
+            return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_start_check", requesting)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Requesting)
     at_runs = []
     evaluate = pipeline._evaluate_case
 
@@ -423,7 +424,7 @@ def test_suite_runs_its_finest_level_on_the_calling_thread(monkeypatch, cpus):
     assert len(runs) == 12
     assert all(thread is main for level, thread, _ in runs if level == 2)
     helpers = {thread for _, thread, _ in runs if thread is not main}
-    assert len(helpers) == (0 if cpus == 1 else 1)
+    assert len(helpers) == 1
     assert all(live <= before + len(helpers) for _, _, live in runs)
     assert all(thread.name.startswith("suite") for thread in helpers)
     assert threading.active_count() == before
@@ -507,9 +508,8 @@ def test_run_reports_do_not_depend_on_cpu_count(monkeypatch, case):
         before = set(threading.enumerate())
         reports[cpus] = run_case(config)
         assert set(threading.enumerate()) <= before
-        # inline on one CPU, as a serial run computes it; else on the run's helper
-        assert len(names) == 1
-        assert names[0].startswith("run") == (cpus > 1)
+        # on the run's helper at every CPU count
+        assert names == ["run_0"]
     assert report_to_json(reports[1]) == report_to_json(reports[2]) == report_to_json(reports[4])
     m = 5 if case == "lightlike-hyperplane" else 4
     oracle = section_check(m, config.mc_samples, config.seed)
@@ -535,8 +535,8 @@ def test_cli_run_numerical_failure_in_the_solve_exits_3_and_joins_the_helper(mon
     assert captured.out == ""
     assert captured.err == "numerical failure: injected solve failure\n"
     assert set(threading.enumerate()) <= before
-    # the helper had started the check; on one CPU the run never reached it
-    assert names == (["run_0"] if cpus > 1 else [])
+    # the check was submitted before the solve, and the helper ran it before the run raised
+    assert names == ["run_0"]
 
 
 @pytest.mark.parametrize(
@@ -575,7 +575,7 @@ def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, 
 def test_no_check_outlives_its_suite(monkeypatch, cpus):
     # two suites in one process share no check: each draws its own, once
     # per ambient dimension (4 for counterexample, 5 for lightlike-hyperplane),
-    # on its helper, or inline on one CPU
+    # on its helper at every CPU count
     _patch_cpus(monkeypatch, cpus)
     names = _check_threads(monkeypatch)
     base = RunConfig(case="counterexample", samples=2, mc_samples=5000)
@@ -586,15 +586,16 @@ def test_no_check_outlives_its_suite(monkeypatch, cpus):
         before = set(threading.enumerate())
         reports, _ = run_suite(cases, [1, 2], base)
         assert set(threading.enumerate()) <= before
-        assert names == (["suite_0"] * 2 if cpus > 1 else ["MainThread"] * 2)
+        assert names == ["suite_0"] * 2
         suites.append([report_to_json(r) for r in reports])
     assert suites[0] == suites[1]
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
-def test_a_failed_check_is_not_kept(monkeypatch, pooled):
-    # a failed check raises where it is read, and the next check of the same
-    # (m, mc_samples, seed) draws again
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_check_is_not_kept(monkeypatch, capsys, cpus):
+    # a failed check fails its run where the run reads it, and the next run
+    # of the same (m, mc_samples, seed) draws it again
+    _patch_cpus(monkeypatch, cpus)
     estimator = pipeline.monte_carlo_section_integral
     failures = [NumericalError("injected check failure")]
 
@@ -604,11 +605,31 @@ def test_a_failed_check_is_not_kept(monkeypatch, pooled):
         return estimator(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "monte_carlo_section_integral", failing_once)
-    with concurrent.futures.ThreadPoolExecutor(1) as executor:
-        pool = executor if pooled else None
-        with pytest.raises(NumericalError, match="injected check failure"):
-            pipeline._start_check(pool, 4, 5000, 11)()
-        assert pipeline._start_check(pool, 4, 5000, 11)() == section_check(4, 5000, 11)
+    argv = ["run", "--case", "counterexample", "--level", "1", "--samples", "2",
+            "--mc-samples", "5000", "--seed", "11"]
+    before = set(threading.enumerate())
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: injected check failure\n"
+    assert set(threading.enumerate()) <= before
+    config = RunConfig(case="counterexample", level=1, samples=2, mc_samples=5000, seed=11)
+    report = run_case(config)
+    assert report.identities["section_average_mc"] == section_check(4, 5000, 11)._asdict()
+
+
+def test_runs_and_suites_do_not_read_the_cpu_count(monkeypatch):
+    base = RunConfig(case="counterexample", samples=2, mc_samples=5000)
+    levels = [1, 2]
+    standalone = [report_to_json(run_case(replace(base, level=level))) for level in levels]
+
+    def refuse():
+        raise AssertionError("a run or a suite read the CPU count")
+
+    monkeypatch.setattr(pipeline, "_cpu_count", refuse)
+    assert [report_to_json(run_case(replace(base, level=level))) for level in levels] == standalone
+    reports, _ = run_suite(["counterexample"], levels, base)
+    assert [report_to_json(r) for r in reports] == standalone
 
 
 def test_section_average_battery_passes():

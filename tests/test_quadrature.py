@@ -105,7 +105,7 @@ def test_mesh_integral_of_height_squared():
 def test_mesh_integral_accepts_element_data_and_rejects_garbage():
     mesh = build_icosphere_mesh(2)
     imm = unit_sphere()
-    geom = mesh_geometry(mesh, imm)
+    geom, _ = mesh_geometry(mesh, imm)
     per_element = integrate_over_mesh(mesh, imm, np.ones(len(mesh.simplices)), geometry=geom)
     per_vertex = integrate_over_mesh(mesh, imm, np.ones(mesh.num_vertices), geometry=geom)
     assert per_element == pytest.approx(per_vertex, rel=1e-12)
@@ -198,7 +198,7 @@ def test_slice_rejects_non_finite():
 def test_slice_vs_mesh_agreement():
     mesh = build_icosphere_mesh(4)
     imm = unit_sphere()
-    geom = mesh_geometry(mesh, imm)
+    geom, _ = mesh_geometry(mesh, imm)
     t = mesh.vertices[:, 0]
     for phi in (
         lambda x: np.ones_like(x),
