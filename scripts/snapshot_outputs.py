@@ -26,9 +26,10 @@ One checkout run on one CPU and on all of them gives directories whose
 
 The runs cover the benchmark's four command lines, every shipped case at
 levels 0, 3 and 4 with n = 1 and 2, an equality threshold override, CSV
-output to a file and to stdout, a negative seed (a usage error), a good
-and a bad spec file and the section battery at three seeds. The run
-directory names say which run is which.
+output to a file and to stdout, a negative seed and a radius whose
+n / r^2 is out of range (usage errors), a good and a bad spec file and
+the section battery at three seeds. The run directory names say which
+run is which.
 
 Usage: python scripts/snapshot_outputs.py OUTDIR
 """
@@ -78,6 +79,8 @@ def command_lines() -> dict:
     runs["run-csv-stdout"] = ["run", "--case", "counterexample", "--level", "3",
                               "--format", "csv"]
     runs["run-negative-seed"] = ["run", "--case", "counterexample", "--seed", "-1"]
+    runs["run-radius-out-of-range"] = ["run", "--case", "sphere-hyperplane",
+                                       "--radius", "1e-200"]
     for name in SPECS:
         runs[name] = ["run", "--case", "custom-spec-file", "--spec-file", "spec.json",
                       "--level", "3", "--out", "report.json"]

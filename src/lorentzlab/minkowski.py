@@ -30,7 +30,6 @@ __all__ = [
     "sq_norm",
     "CausalClass",
     "causal_classify",
-    "is_unit_timelike",
     "require_unit_timelike",
     "SymBilinearForm",
     "lorentz_trace",
@@ -88,18 +87,11 @@ def causal_classify(v) -> CausalClass:
     return CausalClass.TIMELIKE if q < 0 else CausalClass.SPACELIKE
 
 
-def is_unit_timelike(a):
-    """Whether a is a unit timelike vector; for a stack of them (rows),
-    one flag per row."""
-    a = np.asarray(a, dtype=float)
-    return a.shape[-1] >= 3 and np.abs(sq_norm(a) + 1.0) <= TAU_UNIT
-
-
 def require_unit_timelike(a) -> np.ndarray:
     """a as a float array, checked unit timelike; a stack of directions
     (rows) is checked at once, and the error names the first bad row."""
     a = np.asarray(a, dtype=float)
-    ok = is_unit_timelike(a)
+    ok = a.shape[-1] >= 3 and np.abs(sq_norm(a) + 1.0) <= TAU_UNIT
     if not np.all(ok):
         bad = a if a.ndim == 1 else a[np.argmin(ok)]
         raise DomainError(f"expected a unit timelike vector, got <a,a> = {float(sq_norm(bad))}")

@@ -165,7 +165,14 @@ def _build_case(config: RunConfig):
     # every gallery immersion is isometric to a round sphere, of radius r for
     # a hyperplane sphere and 1 otherwise; its first eigenvalue is n / r^2
     radius = imm.radius if isinstance(imm, HyperplaneSphere) else 1.0
-    return imm, CaseExpectation(*row, lambda1_reference=imm.n / radius**2), config
+    try:
+        reference = imm.n / radius**2
+    except (ZeroDivisionError, OverflowError):  # radius**2 under- or overflows
+        reference = math.nan
+    if not 0.0 < reference < math.inf:
+        raise UsageError(
+            f"radius {radius!r} is out of range: n / radius^2 must be a finite positive float")
+    return imm, CaseExpectation(*row, lambda1_reference=reference), config
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,44 +216,22 @@ class RunReport:
     timings: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config": self.config,
-            "lambda1": self.lambda1,
-            "volume": self.volume,
-            "bounds": self.bounds,
-            "identities": self.identities,
-            "equality": self.equality,
-            "verdict": self.verdict,
-            "failures": self.failures,
-            "warnings": self.warnings,
-            "timings": self.timings,
-        }
+        # shallow, in declared field order: `asdict` would deep-copy the payload
+        return {"schema_version": SCHEMA_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 def run_case(config: RunConfig) -> RunReport:
     """Execute the full pipeline for one case; deterministic per config.
-
-    The case and the mesh are built first, so bad input is refused before
-    any thread starts. The run's Monte Carlo check then starts on a helper
-    thread, and the calling thread assembles, solves and evaluates the
-    bounds meanwhile; the identities wait for the check. The helper is
-    joined before the run returns or raises.
-    """
-    t0 = time.perf_counter()
-    imm, expect, config = _build_case(config)
-    mesh = _build_mesh(imm.n, config.level)
-    stamps = {"setup": time.perf_counter() - t0}
-    with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="run") as pool:
-        check = pool.submit(_section_check, imm.m, config.mc_samples, config.seed).result
-        return _evaluate_case(config, imm, expect, mesh, check, stamps)
+    A run is a suite of one run: `run_suite` builds, schedules and joins it."""
+    return run_suite([config.case], [config.level], config)[0][0]
 
 
 def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamMesh,
                    check, stamps: dict) -> RunReport:
-    """The report of a built case on its mesh: the one per-run path of a
-    run and of a suite. `check` returns the run's Monte Carlo check and
-    `stamps` holds the set-up time."""
+    """The report of a built case on its mesh: the one per-run path of
+    every run. `check` returns the run's Monte Carlo check and `stamps`
+    holds the set-up time."""
     t1 = time.perf_counter()
     engine = BoundEngine(mesh, imm, tol_disc=config.tol_disc or TAU_DISC)
     stamps["assemble_solve"] = time.perf_counter() - t1
@@ -409,30 +394,32 @@ def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamM
 
 
 def run_suite(cases: list[str], levels: list[int], base: RunConfig):
-    """Per-case refinement sweep with a convergence table.
+    """Per-case refinement sweep with a convergence table; a standalone
+    run is a suite of one case at one level.
 
     Every case is built once, then each (n, level) mesh with its ND order,
     on the calling thread, so bad input is refused before any thread
-    starts and no run writes a shared mesh. The Monte Carlo check of each
-    ambient dimension is then started on one helper thread, first in its
-    queue. The finest level's runs run in order on the calling thread
-    while the helper runs the coarser runs in order, after the checks (a
-    single level leaves it none); every run reads its check when it
-    reaches its identities. A failing lane stops at its failure, and the
-    failure of the lowest-numbered run is raised once the helper has
-    finished, as a serial loop would raise it. Reports match standalone
-    runs byte for byte.
+    starts and no run writes a shared mesh; the time this set-up takes is
+    every run's `setup` stamp. The Monte Carlo check of each ambient
+    dimension is then started on one helper thread, first in its queue.
+    The finest level's runs run in order on the calling thread while the
+    helper runs the coarser runs in order, after the checks (a single
+    level leaves it none); every run reads its check when it reaches its
+    identities. A failing lane stops at its failure, and the failure of
+    the lowest-numbered run is raised once the helper has finished, as a
+    serial loop would raise it. Reports match standalone runs byte for
+    byte.
     """
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
+    t0 = time.perf_counter()
     built = [_build_case(replace(base, case=case)) for case in cases]
-    runs = [(imm, expect, replace(config, level=level))
+    runs = [(replace(config, level=level), imm, expect, _build_mesh(imm.n, level))
             for imm, expect, config in built for level in levels]
-    for imm, _, config in runs:
-        _build_mesh(imm.n, config.level)
+    setup = time.perf_counter() - t0
     finest = max(levels)
-    fine = [i for i, (*_, config) in enumerate(runs) if config.level == finest]
-    coarse = [i for i, (*_, config) in enumerate(runs) if config.level != finest]
+    fine = [i for i, (config, *_) in enumerate(runs) if config.level == finest]
+    coarse = [i for i, (config, *_) in enumerate(runs) if config.level != finest]
     reports: list = [None] * len(runs)
     errors: dict[int, Exception] = {}
 
@@ -440,12 +427,10 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
         """Evaluate the runs of a lane of run numbers in order, up to its
         first failure."""
         for i in lane:
-            imm, expect, config = runs[i]
-            t0 = time.perf_counter()
-            mesh = _build_mesh(imm.n, config.level)
-            stamps = {"setup": time.perf_counter() - t0}
+            config, imm, expect, mesh = runs[i]
             try:
-                reports[i] = _evaluate_case(config, imm, expect, mesh, checks[imm.m], stamps)
+                reports[i] = _evaluate_case(config, imm, expect, mesh, checks[imm.m],
+                                            {"setup": setup})
             except Exception as exc:  # raised on the calling thread below
                 errors[i] = exc
                 return
@@ -473,7 +458,7 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
             "beltrami_l2": report.identities["beltrami_l2"],
             "verdict": report.verdict,
         }
-        for (*_, config), report in zip(runs, reports)
+        for (config, *_), report in zip(runs, reports)
     ]
     overall = "pass" if all(r.verdict == "pass" for r in reports) else "fail"
     return reports, {"rows": table, "verdict": overall}
@@ -503,11 +488,10 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    dirs = [
-        _axis(m),
-        boost_direction(0.5, _unit_spatial(m, 0)),
-        boost_direction(1.0, _unit_spatial(m, 1)),
-    ]
+    spatial = np.zeros((2, m - 1))  # two spatial unit vectors
+    spatial[0, 0] = 1.0
+    spatial[1, :2] = (0.6, 0.8)
+    dirs = [_axis(m), boost_direction(0.5, spatial[0]), boost_direction(1.0, spatial[1])]
     section_forms = [SymBilinearForm.random(m, rng) for _ in range(5)]
     sphere_forms = [SymBilinearForm.random(m, rng) for _ in range(5)]
     # (lemma, form, direction, estimator, its arguments)
@@ -541,16 +525,6 @@ def section_average_battery(m: int, samples: int, seed: int) -> dict:
         "cases": cases,
         "verdict": "pass" if ok else "fail",
     }
-
-
-def _unit_spatial(m: int, k: int) -> np.ndarray:
-    u = np.zeros(m - 1)
-    if k == 0:
-        u[0] = 1.0
-    else:
-        u[0] = 0.6
-        u[1] = 0.8
-    return u
 
 
 def report_to_json(report: RunReport | dict) -> str:

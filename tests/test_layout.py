@@ -102,7 +102,7 @@ def unused_methods() -> list[str]:
 
 # records the report writes field by field, through `dataclasses.fields`
 # or `_asdict`, so that a field is read without its name being written
-REPORTED_FIELD_BY_FIELD = {"quadrature.MonteCarloCheck"}
+REPORTED_FIELD_BY_FIELD = {"pipeline.RunReport", "quadrature.MonteCarloCheck"}
 
 
 def _attribute_reads(trees: dict[str, ast.Module]) -> set[str]:

@@ -122,6 +122,10 @@ def test_timings_excluded_by_default_included_on_request():
         )
     )
     assert set(timed.to_dict()["timings"]) == {"setup", "assemble_solve", "bounds", "identities"}
+    # a suite times its shared set-up once, and every run carries it
+    reports, _ = run_suite(["sphere-hyperplane", "counterexample"], [1, 2],
+                           replace(config, include_timings=True))
+    assert len({report.timings["setup"] for report in reports}) == 1
 
 
 def test_csv_flattens_bounds(sphere_report):
@@ -508,8 +512,8 @@ def test_run_reports_do_not_depend_on_cpu_count(monkeypatch, case):
         before = set(threading.enumerate())
         reports[cpus] = run_case(config)
         assert set(threading.enumerate()) <= before
-        # on the run's helper at every CPU count
-        assert names == ["run_0"]
+        # on the helper of the run's suite of one, at every CPU count
+        assert names == ["suite_0"]
     assert report_to_json(reports[1]) == report_to_json(reports[2]) == report_to_json(reports[4])
     m = 5 if case == "lightlike-hyperplane" else 4
     oracle = section_check(m, config.mc_samples, config.seed)
@@ -536,7 +540,7 @@ def test_cli_run_numerical_failure_in_the_solve_exits_3_and_joins_the_helper(mon
     assert captured.err == "numerical failure: injected solve failure\n"
     assert set(threading.enumerate()) <= before
     # the check was submitted before the solve, and the helper ran it before the run raised
-    assert names == ["run_0"]
+    assert names == ["suite_0"]
 
 
 @pytest.mark.parametrize(
@@ -550,9 +554,16 @@ def test_cli_run_numerical_failure_in_the_solve_exits_3_and_joins_the_helper(mon
          "custom-spec-file case needs --spec-file"),
         (["run", "--case", "counterexample", "--seed", "-1"], "seed must be nonnegative"),
         (["suite", "--levels", "1,2", "--seed", "-3"], "seed must be nonnegative"),
+        # n / r^2 underflows the radius's square, or overflows it
+        (["run", "--case", "sphere-hyperplane", "--radius", "1e-200"],
+         "radius 1e-200 is out of range"),
+        (["run", "--case", "sphere-hyperplane", "--radius", "1e200"],
+         "radius 1e+200 is out of range"),
+        (["run", "--case", "custom-spec-file", "--spec-file", "{tiny}"],
+         "radius 1e-200 is out of range"),
     ],
     ids=["run-n3", "run-unknown-case", "run-bad-spec", "suite-spec-file-case", "run-negative-seed",
-         "suite-negative-seed"],
+         "suite-negative-seed", "run-tiny-radius", "run-huge-radius", "run-spec-tiny-radius"],
 )
 def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, argv, message):
     def refuse(*args, **kwargs):
@@ -560,11 +571,13 @@ def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, 
 
     spec = tmp_path / "spec.json"
     spec.write_text("{not json")
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"gallery": "round-sphere", "n": 2, "params": {"radius": 1e-200}}))
     _patch_cpus(monkeypatch, 2)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(pipeline, "monte_carlo_section_integral", refuse)
     before = set(threading.enumerate())
-    assert main([arg.format(spec=spec) for arg in argv]) == 2
+    assert main([arg.format(spec=spec, tiny=tiny) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
