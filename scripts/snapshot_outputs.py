@@ -25,11 +25,12 @@ One checkout run on one CPU and on all of them gives directories whose
     diff -r one all
 
 The runs cover the benchmark's four command lines, every shipped case at
-levels 0, 3 and 4 with n = 1 and 2, an equality threshold override, CSV
-output to a file and to stdout, a negative seed and a radius whose
-n / r^2 is out of range (usage errors), a good and a bad spec file and
-the section battery at three seeds. The run directory names say which
-run is which.
+levels 0, 3 and 4 with n = 1 and 2 and at level 11 with n = 1 (the
+two-grid solve next to its residual gate), an equality threshold
+override, CSV output to a file and to stdout, a negative seed and a
+radius whose n / r^2 is out of range (usage errors), a good and a bad
+spec file and the section battery at three seeds. The run directory
+names say which run is which.
 
 Usage: python scripts/snapshot_outputs.py OUTDIR
 """
@@ -72,6 +73,7 @@ def command_lines() -> dict:
                 runs[f"run-{case}-n{n}-l{level}"] = [
                     "run", "--case", case, "--n", str(n), "--level", str(level)
                 ]
+        runs[f"run-{case}-n1-l11"] = ["run", "--case", case, "--n", "1", "--level", "11"]
     runs["run-tol-eq"] = ["run", "--case", "sphere-hyperplane", "--level", "3",
                           "--tol-eq", "1e-9", "--out", "report.json"]
     runs["run-csv"] = ["run", "--case", "counterexample", "--level", "3",

@@ -390,10 +390,8 @@ class BoundEngine:
 
         The verdict separates discretization noise from a genuine residual;
         the noise halves per refinement level, so the threshold follows.
-        Meshes without a level use the calibration value unchanged.
         """
-        level = self.mesh.level if self.mesh.level is not None else 4
-        return TAU_EQ * 2.0 ** (4 - level)
+        return TAU_EQ * 2.0 ** (4 - self.mesh.level)
 
     def direction_catalogue(self, dirs, tau_eq: float | None = None) -> DirectionCatalogue:
         """The headline bound lambda1 <= n int |H_a|^2 / Vol, its sharp

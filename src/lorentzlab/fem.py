@@ -8,12 +8,14 @@ discrete minimum principle exact and are relied on by the bounds layer.
 
 Assembly is vectorized with a fixed reduction order, so matrices are
 reproducible bit for bit. The eigensolver iterates in float64 on a
-two-grid preconditioner whose coarse solve is a float32 factor; only its
-float64 residual gate accepts lambda1. It starts no thread of its own,
-but its dense products run in the BLAS, whose sums depend on the BLAS
-thread count: lambda1 is fixed bit for bit only for a fixed count (the
-level-6 counterexample gives 2.0001532405046913 at two OpenBLAS threads
-and 2.000153240504676 at one). Independent solves may run concurrently.
+two-grid preconditioner whose coarse solve is a float32 factor of the
+mesh's coarse level, in the order the mesh numbers it; only its float64
+residual gate accepts lambda1. A mesh without a coarse level (level 0)
+is solved densely. The solver starts no thread of its own, but its
+dense products run in the BLAS, whose sums depend on the BLAS thread
+count: lambda1 is fixed bit for bit only for a fixed count (the level-6
+counterexample gives 2.0001532405046913 at two OpenBLAS threads and
+2.000153240504676 at one). Independent solves may run concurrently.
 """
 
 from __future__ import annotations
@@ -89,12 +91,20 @@ def mesh_geometry(mesh: ParamMesh, imm):
         volumes = np.sqrt(g)
         gram_inv = (1.0 / g)[:, None, None]
     elif n == 2:
-        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-        bad = np.nonzero((gram[:, 0, 0] <= 0) | (det <= 0))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        # a determinant that is not a positive normal float is either not
+        # positive or under- or overflowed: the scale of the Gram entries,
+        # whose products it sums, tells which
+        finfo = np.finfo(float)
+        bad = np.nonzero((gram[:, 0, 0] <= 0) | ~((det >= finfo.tiny) & (det <= finfo.max)))[0]
         if bad.size:
-            raise NotSpacelikeError(
-                f"element {bad[0]} is not spacelike; mesh too coarse"
-            )
+            scale = np.abs(gram[bad]).max(axis=(1, 2))
+            out = np.nonzero(~((scale >= np.sqrt(finfo.tiny)) & (scale <= np.sqrt(finfo.max))))[0]
+            if out.size:
+                raise UsageError(f"element {bad[out[0]]} has metric scale {scale[out[0]]:.3g}, "
+                                 "out of range: its squares under- or overflow float64")
+            raise NotSpacelikeError(f"element {bad[0]} is not spacelike; mesh too coarse")
         volumes = np.sqrt(det) / 2.0
         gram_inv = np.empty_like(gram)
         gram_inv[:, 0, 0] = gram[:, 1, 1] / det
@@ -177,31 +187,11 @@ class Spectrum:
     near_degenerate: bool
 
 
-def _permuted_csc32(a: sp.csr_matrix, perm: np.ndarray) -> sp.csc_matrix:
-    """P a P' of a symmetric CSR matrix as a float32 CSC matrix, in one gather.
-
-    Row i of the result is row perm[i] of `a` with its columns renumbered;
-    `a` is symmetric, so the same arrays hold the columns.
-    """
-    inverse = np.empty(perm.size, dtype=a.indices.dtype)
-    inverse[perm] = np.arange(perm.size)
-    lengths = np.diff(a.indptr)[perm]
-    indptr = np.zeros(perm.size + 1, dtype=a.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    gather = np.repeat(a.indptr[perm] - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return sp.csc_matrix(
-        (a.data[gather].astype(np.float32), inverse[a.indices[gather]], indptr), shape=a.shape
-    )
-
-
 def prolongation(mesh: ParamMesh) -> sp.csr_matrix:
     """P1 interpolation from `mesh.coarse` to `mesh`: weight 1/2 at each of
     a vertex's two parents, so a copy of a coarse vertex takes its value
-    and a midpoint the mean of its edge's ends. The identity on a mesh
-    without a coarse level."""
+    and a midpoint the mean of its edge's ends."""
     k = mesh.num_vertices
-    if mesh.coarse is None:
-        return sp.identity(k, format="csr")
     rows = np.repeat(np.arange(k), 2)
     return sp.csr_matrix(
         (np.full(2 * k, 0.5), (rows, mesh.parents.ravel())), shape=(k, mesh.coarse.num_vertices)
@@ -229,24 +219,22 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     to 11.8 eps tr(K)/tr(M) / lambda (lightlike-hyperplane, level 2);
     14 stays below the default request through level 7 at n = 1 and 2.
     Below that floor LOBPCG would only exhaust its iterations and warn; an
-    unreachable `tol` is reported by the gate alone. A pencil of at most
-    20 vertices is solved densely: its deflated space is too small for the
-    block to iterate in.
+    unreachable `tol` is reported by the gate alone. A pencil on a mesh
+    without a coarse level (level 0: 12 or 16 vertices) is solved
+    densely: its deflated space is too small for the block to iterate in.
 
     The preconditioner is a symmetric two-grid cycle for A = K + s M
     (Briggs, Henson & McCormick, A Multigrid Tutorial): SWEEPS
     damped-Jacobi sweeps on the float64 A, the coarse correction
     P A_c^-1 P', then SWEEPS sweeps again. P is `prolongation` from the
     mesh one subdivision down, and A_c = P' A P is the Galerkin operator,
-    SPD and so factored in float32 without pivoting, in the coarse mesh's
-    nested-dissection order. Each iteration cycles its block of active
-    residuals at once, with one factor solve, and `iterations` counts the
-    cycled columns. The damping is omega = 4 / (3 rho), with rho =
-    max_i sum_j |a_ij| / a_ii: by Gershgorin rho bounds the spectrum of
-    D^-1 A, so omega rho < 2, each sweep contracts in the A norm and the
-    cycle is SPD for every pencil. On a mesh without a coarse level P = I
-    and there are no sweeps: the cycle is one solve with a float32 factor
-    of A.
+    SPD and so factored in float32 without pivoting, in the order the
+    coarse mesh is numbered in: its nested-dissection order. Each
+    iteration cycles its block of active residuals at once, with one
+    factor solve, and `iterations` counts the cycled columns. The damping
+    is omega = 4 / (3 rho), with rho = max_i sum_j |a_ij| / a_ii: by
+    Gershgorin rho bounds the spectrum of D^-1 A, so omega rho < 2, each
+    sweep contracts in the A norm and the cycle is SPD for every pencil.
 
     The shift s keeps A_c positive definite after rounding to float32
     (unit roundoff u = 2^-24). Rounding moves each entry by at most
@@ -255,29 +243,30 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     (|x_j x_l| <= (x_j^2 + x_l^2) / 2). K is semidefinite and each
     element mass matrix dominates its lumped one over n + 2, so
     M >= diag(lumped) / (n + 2) and x'A_c x = (Px)'A(Px) >=
-    s sum_i lumped_i (Px)_i^2 / (n + 2). Keep only the vertices that copy
-    coarse vertex j, where (Px)_j = x_j; the midpoint terms dropped are
-    >= 0. So A_c stays definite when, to first order in u,
+    s sum_i lumped_i (Px)_i^2 / (n + 2). Keep only the vertex i that
+    copies coarse vertex j, where (Px)_i = x_j; the midpoint terms dropped
+    are >= 0. So A_c stays definite when, to first order in u,
 
         s > u (n + 2) max_j r_j / lumped_j,
 
-    with lumped_j the fine lumped mass at the copy of j. With P = I this
-    is the fine bound: K rows sum to zero and lumped_i = (n + 2) M_ii / 2,
-    so on a quasi-uniform mesh it is about 4 u max_i K_ii / M_ii, near
+    with lumped_j the fine lumped mass at the copy of j. On the fine level
+    (P = I) K rows sum to zero and lumped_i = (n + 2) M_ii / 2, so on a
+    quasi-uniform mesh the bound is about 4 u max_i K_ii / M_ii, near
     2.4e-7 tr(K)/tr(M). A Galerkin row of the P1 stiffness has about the
     diagonal of a fine one, so the coarse bound is of the same size: the
-    shipped meshes need at most 3.2e-7 tr(K)/tr(M), fine or coarse.
+    shipped meshes need at most 3.2e-7 tr(K)/tr(M) (n = 2, level 6).
     s = FACTOR_SHIFT tr(K)/tr(M) = 1e-6 tr(K)/tr(M) leaves a factor of
     three. Below the bound factors fail: at 1e-8 tr(K)/tr(M) the n = 1,
-    level-1 cylinder-curve factor is exactly singular.
+    level-3 sphere-hyperplane factor is exactly singular.
     """
     K = pencil.stiffness
     M = pencil.mass
     k = K.shape[0]
-    nev = pencil.geometry.mesh.n + 1
+    mesh = pencil.geometry.mesh
+    nev = mesh.n + 1
     solves = 0
 
-    if k <= 20:
+    if mesh.coarse is None:
         try:
             ritz, vectors = scipy.linalg.eigh(K.toarray(), M.toarray())
         except np.linalg.LinAlgError as exc:
@@ -293,15 +282,11 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         shifted = sp.csr_matrix(
             (K.data + (FACTOR_SHIFT * diag_ratio) * M.data, K.indices, K.indptr), shape=K.shape
         )
-        mesh = pencil.geometry.mesh
-        base = mesh if mesh.coarse is None else mesh.coarse
-        sweeps = 0 if mesh.coarse is None else SWEEPS
         P = prolongation(mesh)
-        # mass is positive on every edge, so every pencil on the mesh has
-        # the edge graph of `base` as its Galerkin pattern: the order built
-        # with that mesh fits it
-        perm = base.nd_order
-        galerkin = _permuted_csc32((P.T @ shifted @ P).tocsr(), perm)
+        # the coarse level is numbered in its nested-dissection order, so
+        # the Galerkin operator is factored as it comes; it is symmetric,
+        # so its CSR arrays are its CSC arrays
+        galerkin = (P.T @ shifted @ P).tocsr().T.astype(np.float32, copy=False)
         try:
             lu = splu(
                 galerkin,
@@ -331,7 +316,7 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
 
         def coarse_solve(r):
             r = P.T @ r
-            r[perm] = lu.solve(np.asfortranarray(r[perm], dtype=np.float32))
+            r[...] = lu.solve(np.asfortranarray(r, dtype=np.float32))
             return P @ r
 
         # lobpcg takes a LinearOperator preconditioner in every supported
@@ -341,10 +326,10 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
             b = np.ascontiguousarray(block.reshape(k, -1))
             solves += b.shape[1]
             x = None
-            for _ in range(sweeps):
+            for _ in range(SWEEPS):
                 x = correct(x, b, jacobi)
             x = correct(x, b, coarse_solve)
-            for _ in range(sweeps):
+            for _ in range(SWEEPS):
                 x = correct(x, b, jacobi)
             # in the block's memory layout, which LOBPCG's products round by
             out = np.empty_like(block)

@@ -1,15 +1,17 @@
 """Simplicial meshes of the parameter manifold (circle and sphere).
 
 Vertices are stored chart-free as unit vectors; simplices are index
-tuples (segments for n=1, triangles for n=2). A mesh is complete when it
-is built: nothing writes to it afterwards, so solves on it may run
-concurrently.
+tuples (segments for n=1, triangles for n=2). Every mesh above level 0
+keeps the level below as its coarse level, numbered in the
+nested-dissection order of its edge graph: the order a solve factors it
+in. A mesh is complete when it is built: nothing writes to it
+afterwards, so solves on it may run concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ __all__ = [
     "nested_dissection_order",
     "build_circle_mesh",
     "build_icosphere_mesh",
-    "circle_segments_for_level",
 ]
 
 
@@ -31,23 +32,12 @@ __all__ = [
 class ParamMesh:
     vertices: np.ndarray
     simplices: np.ndarray
-    level: int | None = None
-    # the mesh one subdivision down, and per vertex the two coarse vertices
-    # it interpolates: (j, j) for a copy of coarse vertex j, the edge ends
-    # for a midpoint
+    level: int
+    # the mesh one subdivision down, in nested-dissection order, and per
+    # vertex the two coarse vertices it interpolates: (j, j) for a copy of
+    # coarse vertex j, the edge ends for a midpoint
     coarse: ParamMesh | None = None
     parents: np.ndarray | None = None
-    # read-only nested-dissection order of the edge graph, on a mesh without
-    # a coarse level: the level a solve's preconditioner factors on
-    nd_order: np.ndarray | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        if self.coarse is None:
-            # the vertex pairs that share a simplex
-            i, j = np.triu_indices(self.simplices.shape[1], 1)
-            edges = np.stack([self.simplices[:, i], self.simplices[:, j]], axis=-1)
-            self.nd_order = nested_dissection_order(self.vertices, edges.reshape(-1, 2))
-            self.nd_order.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -110,19 +100,41 @@ def nested_dissection_order(points: np.ndarray, edges: np.ndarray) -> np.ndarray
     return np.argsort(path, kind="stable")
 
 
-def circle_segments_for_level(level: int) -> int:
-    return 16 * 2**level
+def _nd_numbered(below: ParamMesh, parents: np.ndarray) -> tuple[ParamMesh, np.ndarray]:
+    """The coarse level `below` with its vertices permuted into the
+    nested-dissection order of its edge graph, and the (k, 2) `parents`,
+    vertices of `below`, renumbered with its simplices."""
+    # the vertex pairs that share a simplex
+    i, j = np.triu_indices(below.simplices.shape[1], 1)
+    edges = np.stack([below.simplices[:, i], below.simplices[:, j]], axis=-1)
+    order = nested_dissection_order(below.vertices, edges.reshape(-1, 2))
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return ParamMesh(below.vertices[order], number[below.simplices], below.level), number[parents]
 
 
-def build_circle_mesh(segments: int, level: int | None = None) -> ParamMesh:
-    """Uniform cyclic polyline on the unit circle."""
-    if segments < 3:
-        raise UsageError("need at least 3 segments")
+def build_circle_mesh(level: int) -> ParamMesh:
+    """Uniform cyclic polyline of 16 * 2^level segments on the unit circle.
+
+    Above level 0 the mesh keeps the level below as `coarse`: vertex 2j
+    copies coarse vertex j, and vertex 2j + 1 is the midpoint of coarse
+    vertices j and j + 1, as `parents` records.
+    """
+    if level < 0:
+        raise UsageError("level must be nonnegative")
+    segments = 16 * 2**level
     theta = 2.0 * math.pi * np.arange(segments) / segments
     vertices = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     idx = np.arange(segments)
     simplices = np.stack([idx, (idx + 1) % segments], axis=1)
-    return ParamMesh(vertices, simplices, level=level)
+    if level == 0:
+        return ParamMesh(vertices, simplices, level)
+    # vertex i interpolates coarse vertices i // 2 and (i + 1) // 2, so the
+    # odd vertices' parents are the coarse segments; vertex 2j has the
+    # angle of coarse vertex j, bit for bit
+    parents = simplices // 2
+    below = ParamMesh(vertices[::2], parents[1::2], level - 1)
+    return ParamMesh(vertices, simplices, level, *_nd_numbered(below, parents))
 
 
 _ICO_COORDS = None
@@ -151,6 +163,27 @@ def _icosahedron_vertices() -> np.ndarray:
     return _ICO_COORDS
 
 
+def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each face split in four at its edge midpoints, projected to the
+    sphere: the new vertices and faces, and per midpoint its edge's ends."""
+    # edges in face order ab, bc, ca; each midpoint is numbered at the
+    # first face that meets its edge
+    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = len(vertices) + np.arange(order.size)
+    ends = edges[first[order]]
+    mid = vertices[ends[:, 0]] + vertices[ends[:, 1]]
+    # the same ddot per row as np.linalg.norm, so vertices are bit-stable
+    mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+    a, b, c = faces.T
+    ab, bc, ca = number[inverse.reshape(-1, 3)].T
+    faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return np.concatenate([vertices, mid]), faces, ends
+
+
 def build_icosphere_mesh(level: int) -> ParamMesh:
     """Icosahedron subdivided `level` times, vertices projected to the sphere.
 
@@ -163,28 +196,11 @@ def build_icosphere_mesh(level: int) -> ParamMesh:
         raise UsageError("level must be nonnegative")
     vertices = _icosahedron_vertices().copy()
     faces = _ICO_FACES.copy()
-    coarse = parents = None
+    if level == 0:
+        return ParamMesh(vertices, faces, level)
     for step in range(level):
-        # edges in face order ab, bc, ca; each midpoint is numbered at the
-        # first face that meets its edge
-        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty_like(order)
-        number[order] = len(vertices) + np.arange(order.size)
-        ends = edges[first[order]]
-        mid = vertices[ends[:, 0]] + vertices[ends[:, 1]]
-        # the same ddot per row as np.linalg.norm, so vertices are bit-stable
-        mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
-        if step == level - 1:
-            coarse = ParamMesh(vertices, faces, level=step)
-            copies = np.arange(len(vertices))
-            parents = np.concatenate([np.stack([copies, copies], axis=1), ends])
-        vertices = np.concatenate([vertices, mid])
-        a, b, c = faces.T
-        ab, bc, ca = number[inverse.reshape(-1, 3)].T
-        faces = np.stack(
-            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
-        ).reshape(-1, 3)
-    return ParamMesh(vertices, faces, level=level, coarse=coarse, parents=parents)
+        below = ParamMesh(vertices, faces, step)
+        vertices, faces, ends = _subdivide(vertices, faces)
+    copies = np.arange(below.num_vertices)
+    parents = np.concatenate([np.stack([copies, copies], axis=1), ends])
+    return ParamMesh(vertices, faces, level, *_nd_numbered(below, parents))

@@ -33,7 +33,7 @@ from .immersions import (
     NullHyperplaneSphere,
     load_immersion_spec,
 )
-from .meshes import ParamMesh, build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
+from .meshes import ParamMesh, build_circle_mesh, build_icosphere_mesh
 from .minkowski import SymBilinearForm, boost_direction, sample_timelike_directions, sq_norm
 from .quadrature import (
     beltrami_residual,
@@ -180,7 +180,7 @@ def _build_mesh(n: int, level: int) -> ParamMesh:
     """The parameter mesh of dimension n at a level, with its coarse level:
     built once per (n, level) and read-only, so the runs of a process share it."""
     if n == 1:
-        mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
+        mesh = build_circle_mesh(level)
     elif n == 2:
         mesh = build_icosphere_mesh(level)
     else:

@@ -1071,6 +1071,61 @@ def build_icosphere_mesh_loop(level: int) -> ParamMesh:
     return ParamMesh(np.array(vertices), faces, level=level)
 
 
+def ring_mesh(segments: int) -> ParamMesh:
+    """Uniform cyclic polyline of any number of segments on the unit circle,
+    without a coarse level."""
+    theta = 2.0 * math.pi * np.arange(segments) / segments
+    idx = np.arange(segments)
+    return ParamMesh(
+        np.stack([np.cos(theta), np.sin(theta)], axis=1),
+        np.stack([idx, (idx + 1) % segments], axis=1),
+        level=0,
+    )
+
+
+def coarse_order(mesh: ParamMesh, below: ParamMesh) -> np.ndarray:
+    """Per vertex of `mesh.coarse`, its number in `below`, the level below
+    as its builder numbers it: the order the coarse level is numbered in."""
+    number = {vertex.tobytes(): i for i, vertex in enumerate(below.vertices)}
+    return np.array([number[vertex.tobytes()] for vertex in mesh.coarse.vertices])
+
+
+def parent_numbered_prolongation(mesh: ParamMesh, order: np.ndarray) -> sp.csr_matrix:
+    """`fem.prolongation` onto the coarse level numbered as its builder
+    numbers it, `order` from `coarse_order`."""
+    k = mesh.num_vertices
+    rows = np.repeat(np.arange(k), 2)
+    return sp.csr_matrix(
+        (np.full(2 * k, 0.5), (rows, order[mesh.parents].ravel())), shape=(k, order.size)
+    )
+
+
+def _permuted_csc32(a: sp.csr_matrix, perm: np.ndarray) -> sp.csc_matrix:
+    """P a P' of a symmetric CSR matrix as a float32 CSC matrix, in one gather.
+
+    Row i of the result is row perm[i] of `a` with its columns renumbered;
+    `a` is symmetric, so the same arrays hold the columns.
+    """
+    inverse = np.empty(perm.size, dtype=a.indices.dtype)
+    inverse[perm] = np.arange(perm.size)
+    lengths = np.diff(a.indptr)[perm]
+    indptr = np.zeros(perm.size + 1, dtype=a.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    gather = np.repeat(a.indptr[perm] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return sp.csc_matrix(
+        (a.data[gather].astype(np.float32), inverse[a.indices[gather]], indptr), shape=a.shape
+    )
+
+
+def edge_pattern(mesh: ParamMesh) -> sp.csr_matrix:
+    """The symmetric pattern of the vertex pairs that share a simplex,
+    loops included."""
+    rows = np.repeat(mesh.simplices, mesh.n + 1, axis=1).ravel()
+    cols = np.tile(mesh.simplices, (1, mesh.n + 1)).ravel()
+    k = mesh.num_vertices
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(k, k))
+
+
 def pattern_edges(pattern) -> np.ndarray:
     """The (e, 2) row and column pairs a sparse matrix stores."""
     coo = sp.coo_matrix(pattern)

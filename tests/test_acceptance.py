@@ -19,7 +19,7 @@ from lorentzlab.immersions import (
     HyperplaneSphere,
     NullHyperplaneSphere,
 )
-from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
+from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh
 from lorentzlab.minkowski import (
     SymBilinearForm,
     boost_direction,
@@ -64,7 +64,7 @@ def unit_sphere(n=2):
 
 def gallery_level4():
     mesh = build_icosphere_mesh(4)
-    circle = build_circle_mesh(circle_segments_for_level(4), level=4)
+    circle = build_circle_mesh(4)
     return [
         ("sphere-hyperplane", mesh, unit_sphere()),
         ("counterexample-n2", mesh, CounterexampleSphere(2)),
@@ -198,7 +198,7 @@ def test_criterion_5_volume_identities():
         residuals = []
         for level in (2, 3, 4):
             if imm.n == 1:
-                mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
+                mesh = build_circle_mesh(level)
             else:
                 mesh = build_icosphere_mesh(level)
             pencil = assemble_pencil(mesh, imm)
@@ -212,7 +212,7 @@ def test_criterion_5_volume_identities():
             assert residuals[0] > residuals[1] > residuals[2], f"{name}: {residuals}"
 
         if imm.n == 1:
-            mesh = build_circle_mesh(circle_segments_for_level(4), level=4)
+            mesh = build_circle_mesh(4)
         else:
             mesh = build_icosphere_mesh(4)
         recentered = recenter_to_gravity_origin(imm, mesh)

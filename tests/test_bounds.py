@@ -11,7 +11,7 @@ from lorentzlab.immersions import (
     HyperplaneSphere,
     NullHyperplaneSphere,
 )
-from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh, circle_segments_for_level
+from lorentzlab.meshes import build_circle_mesh, build_icosphere_mesh
 from lorentzlab.minkowski import boost_direction, sample_timelike_directions
 from oracles import (
     equality_residuals,
@@ -62,7 +62,7 @@ def null_engine():
 
 def engines_for_cases(level=3):
     mesh = build_icosphere_mesh(level)
-    circle = build_circle_mesh(circle_segments_for_level(level), level=level)
+    circle = build_circle_mesh(level)
     return [
         BoundEngine(mesh, unit_sphere()),
         BoundEngine(mesh, CounterexampleSphere(2)),

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import eigsh
 import lorentzlab.fem
 from lorentzlab.errors import EigenSolveError, NotSpacelikeError, UsageError
 from lorentzlab.fem import (
+    FACTOR_SHIFT,
     TAU_EIG,
     assemble_pencil,
     mesh_geometry,
@@ -26,15 +27,17 @@ from lorentzlab.immersions import (
 from lorentzlab.meshes import (
     build_circle_mesh,
     build_icosphere_mesh,
-    circle_segments_for_level,
     nested_dissection_order,
 )
 from lorentzlab.pipeline import RunConfig, _build_case, _build_mesh
 from lorentzlab.quadrature import beltrami_residual, mean_curvature_vertices
 
 from oracles import (
+    _permuted_csc32,
     apply_discrete_laplacian,
     build_icosphere_mesh_loop,
+    coarse_order,
+    edge_pattern,
     euler_characteristic,
     facet_incidence,
     gradient_squared_per_element,
@@ -43,7 +46,9 @@ from oracles import (
     lumped_mass_add_at,
     mass_coo,
     nested_dissection_order_recursive,
+    parent_numbered_prolongation,
     pattern_edges,
+    ring_mesh,
     stiffness_einsum,
 )
 
@@ -71,20 +76,21 @@ def closed_h_gallery():
 
 
 def test_circle_mesh_basics():
-    mesh = build_circle_mesh(4)
-    assert mesh.num_vertices == 4 and len(mesh.simplices) == 4
+    mesh = build_circle_mesh(0)
+    assert mesh.num_vertices == 16 and len(mesh.simplices) == 16
     angles = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
     gaps = np.diff(np.unwrap(angles))
-    assert np.allclose(gaps, 2 * math.pi / 4)
+    assert np.allclose(gaps, 2 * math.pi / 16)
     counts = facet_incidence(mesh)
     assert all(c == 2 for c in counts.values())
     assert euler_characteristic(mesh) == 0
-    assert circle_segments_for_level(5) == 2 * circle_segments_for_level(4)
+    assert build_circle_mesh(5).num_vertices == 2 * build_circle_mesh(4).num_vertices == 512
 
 
-def test_circle_mesh_rejects_tiny():
-    with pytest.raises(UsageError):
-        build_circle_mesh(2)
+def test_mesh_builders_reject_a_negative_level():
+    for build in (build_circle_mesh, build_icosphere_mesh):
+        with pytest.raises(UsageError):
+            build(-1)
 
 
 def test_icosphere_counts():
@@ -109,43 +115,63 @@ def test_icosphere_matches_loop_oracle_bit_for_bit():
         assert np.array_equal(mesh.simplices, ref.simplices)
 
 
+def assert_keeps_the_level_below(mesh, below):
+    """`mesh.coarse` is `below` renumbered in the nested-dissection order of
+    its edge graph, and each of its vertices is copied by one vertex of
+    `mesh`, found through `parents`."""
+    coarse = mesh.coarse
+    assert (coarse.n, coarse.level, coarse.coarse) == (below.n, below.level, None)
+    order = nested_dissection_order_recursive(below.vertices, edge_pattern(below))
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    assert np.array_equal(coarse_order(mesh, below), order)
+    for ours, theirs in ((coarse.vertices, below.vertices[order]),
+                         (coarse.simplices, number[below.simplices])):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    copies = mesh.parents[:, 0] == mesh.parents[:, 1]
+    assert np.array_equal(np.sort(mesh.parents[copies, 0]), np.arange(coarse.num_vertices))
+    assert np.array_equal(mesh.vertices[copies], coarse.vertices[mesh.parents[copies, 0]])
+
+
 def test_icosphere_keeps_the_level_below_as_coarse():
     assert build_icosphere_mesh(0).coarse is None
-    assert build_circle_mesh(64).coarse is None
     for level in range(1, 7):
         mesh, below = build_icosphere_mesh(level), build_icosphere_mesh(level - 1)
-        coarse = mesh.coarse
-        assert (coarse.n, coarse.level) == (below.n, below.level)
-        for name in ("vertices", "simplices"):
-            ours, theirs = getattr(coarse, name), getattr(below, name)
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
-        # the fine mesh starts with a copy of the coarse vertices
-        assert np.array_equal(mesh.vertices[: coarse.num_vertices], coarse.vertices)
+        assert_keeps_the_level_below(mesh, below)
+        # the fine mesh starts with a copy of the level below, as its builder numbers it
+        assert np.array_equal(mesh.vertices[: below.num_vertices], below.vertices)
+
+
+def test_circle_keeps_the_level_below_as_coarse():
+    assert build_circle_mesh(0).coarse is None
+    for level in range(1, 8):
+        mesh, below = build_circle_mesh(level), build_circle_mesh(level - 1)
+        assert_keeps_the_level_below(mesh, below)
+        # vertex 2j copies vertex j of the level below, as its builder numbers it
+        assert np.array_equal(mesh.vertices[::2], below.vertices)
 
 
 @pytest.mark.parametrize("level", range(1, 5))
-def test_prolongation_interpolates_from_the_coarse_level(level):
-    mesh = build_icosphere_mesh(level)
+@pytest.mark.parametrize("build", [build_circle_mesh, build_icosphere_mesh], ids=["circle", "sphere"])
+def test_prolongation_interpolates_from_the_coarse_level(build, level):
+    mesh = build(level)
     kc = mesh.coarse.num_vertices
     P = prolongation(mesh)
     assert P.shape == (mesh.num_vertices, kc)
     assert np.array_equal(np.asarray(P.sum(axis=1)).ravel(), np.ones(mesh.num_vertices))
     f = np.random.default_rng(level).standard_normal(kc)
     fine = P @ f
-    assert np.array_equal(fine[:kc], f)
-    # a midpoint takes the mean of its edge's ends, which are coarse edges
-    ends = mesh.parents[kc:]
-    assert np.array_equal(fine[kc:], 0.5 * (f[ends[:, 0]] + f[ends[:, 1]]))
-    faces = mesh.coarse.simplices
-    edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+    # a copy of coarse vertex j takes its value
+    copies = mesh.parents[:, 0] == mesh.parents[:, 1]
+    assert np.count_nonzero(copies) == kc
+    assert np.array_equal(fine[copies], f[mesh.parents[copies, 0]])
+    # a midpoint takes the mean of its edge's ends, and each coarse edge has one midpoint
+    ends = mesh.parents[~copies]
+    assert np.array_equal(fine[~copies], 0.5 * (f[ends[:, 0]] + f[ends[:, 1]]))
+    edges = pattern_edges(edge_pattern(mesh.coarse))
+    edges = edges[edges[:, 0] < edges[:, 1]]
     assert np.array_equal(np.unique(edges, axis=0), np.unique(np.sort(ends, axis=1), axis=0))
-    assert len(ends) == len(edges) // 2
-
-
-def test_prolongation_without_a_coarse_level_is_the_identity():
-    for mesh in (build_circle_mesh(64), build_icosphere_mesh(0)):
-        P = prolongation(mesh)
-        assert (P != sp.identity(mesh.num_vertices)).nnz == 0
+    assert len(ends) == len(edges)
 
 
 @pytest.mark.parametrize("level", range(1, 7))
@@ -156,7 +182,7 @@ def test_jacobi_damping_contracts_in_the_energy_norm(case, level):
     imm, _, _ = _build_case(RunConfig(case=case))
     pen = assemble_pencil(build_icosphere_mesh(level), imm)
     K, M = pen.stiffness, pen.mass
-    A = K + lorentzlab.fem.FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum() * M
+    A = K + FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum() * M
     rho = np.max(abs(A) @ np.ones(A.shape[0]) / A.diagonal())
     omega = 4.0 / (3.0 * rho)
     scale = sp.diags(1.0 / np.sqrt(A.diagonal()))
@@ -170,7 +196,7 @@ def test_jacobi_damping_contracts_in_the_energy_norm(case, level):
 
 
 def test_assembled_volume_circle_and_sphere():
-    circle = build_circle_mesh(256)
+    circle = build_circle_mesh(4)
     imm1 = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     pen1 = assemble_pencil(circle, imm1)
     assert pen1.geometry.lumped.sum() == pytest.approx(2 * math.pi, rel=1e-3)
@@ -214,7 +240,7 @@ def test_assembly_rejects_non_spacelike_elements():
 
 
 def test_lambda1_circle():
-    mesh = build_circle_mesh(256)
+    mesh = build_circle_mesh(4)
     imm = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     spec = solve_lambda1(assemble_pencil(mesh, imm))
     assert spec.lambda1 == pytest.approx(1.0, rel=1e-3)
@@ -230,10 +256,11 @@ def p1_circle_lambda1(segments):
 @pytest.mark.parametrize("segments, exact", [(3, 2.0), (4, 1.5), (5, p1_circle_lambda1(5))])
 def test_lambda1_tiny_circles_match_exact_p1(segments, exact):
     # the deflated space (dimension 2 to 4) is smaller than the block
-    # LOBPCG would iterate with, so these go through the dense branch
+    # LOBPCG would iterate with; a ring without a coarse level is solved
+    # densely
     assert p1_circle_lambda1(segments) == pytest.approx(exact, rel=1e-15)
     imm = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    pen = assemble_pencil(build_circle_mesh(segments), imm)
+    pen = assemble_pencil(ring_mesh(segments), imm)
     spec = solve_lambda1(pen)
     assert abs(spec.lambda1 - exact) <= 1e-12 * exact
     assert spec.residual <= 1e-12
@@ -339,7 +366,7 @@ def test_nested_dissection_matches_recursive_oracle(kind, size):
     if kind == "sphere":
         pen = assemble_pencil(build_icosphere_mesh(size), CounterexampleSphere(2))
     else:
-        pen = assemble_pencil(build_circle_mesh(size), unit_sphere(n=1))
+        pen = assemble_pencil(ring_mesh(size), unit_sphere(n=1))
     points = pen.geometry.mesh.vertices
     perm = nested_dissection_order(points, pattern_edges(pen.stiffness))
     assert perm.shape == (pen.stiffness.shape[0],)
@@ -353,18 +380,18 @@ def test_nested_dissection_matches_recursive_oracle(kind, size):
 @pytest.mark.parametrize("case", CASES)
 def test_order_built_with_the_mesh_is_the_galerkin_pattern_order(case, n, level):
     # the solve factors the Galerkin operator of K + s M on the coarse
-    # level (the mesh itself without one); its pattern gives the order the
-    # mesh stores
+    # level as it comes; the nested-dissection order of its pattern, with
+    # the coarse level numbered as its builder numbers it, is the order
+    # the mesh numbers the coarse level in
     imm, _, _ = _build_case(RunConfig(case=case, n=n))
     mesh = _build_mesh(n, level)
+    below = _build_mesh(n, level - 1)
     pen = assemble_pencil(mesh, imm)
     shift = 1e-6 * pen.stiffness.diagonal().sum() / pen.mass.diagonal().sum()
-    P = prolongation(mesh)
+    order = coarse_order(mesh, below)
+    P = parent_numbered_prolongation(mesh, order)
     galerkin = P.T @ (pen.stiffness + shift * pen.mass) @ P
-    base = mesh if mesh.coarse is None else mesh.coarse
-    order = nested_dissection_order(base.vertices, pattern_edges(galerkin))
-    assert np.array_equal(base.nd_order, order)
-    assert mesh.coarse is None or mesh.nd_order is None
+    assert np.array_equal(order, nested_dissection_order(below.vertices, pattern_edges(galerkin)))
 
 
 def test_order_ignores_pair_orientation_repeats_and_loops():
@@ -381,7 +408,7 @@ def test_nested_dissection_separates_the_halves():
     # a circle's first cut takes two of the 512 left-side vertices as the
     # separator, listed last; no stiffness edge joins the 510 remaining
     # left vertices (listed first) to the 512 right ones
-    pen = assemble_pencil(build_circle_mesh(1024), unit_sphere(n=1))
+    pen = assemble_pencil(build_circle_mesh(6), unit_sphere(n=1))
     perm = nested_dissection_order(pen.geometry.mesh.vertices, pattern_edges(pen.stiffness))
     position = np.empty_like(perm)
     position[perm] = np.arange(perm.size)
@@ -420,6 +447,55 @@ def test_preconditioner_is_one_float32_csc_factor(monkeypatch):
     assert factored == [("csc", np.float32)]
 
 
+@pytest.mark.parametrize("level", range(1, 6))
+@pytest.mark.parametrize("case", CASES)
+def test_factor_input_is_the_permuted_parent_numbered_galerkin_operator(monkeypatch, case, level):
+    # the solve factors the Galerkin operator as it comes, on the coarse
+    # level the mesh numbers in nested-dissection order: it is the
+    # operator on the level below as its builder numbers it, permuted
+    # into that order by the one-gather oracle
+    received = []
+    splu = lorentzlab.fem.splu
+
+    def recording_splu(a, **kw):
+        received.append((a, splu(a, **kw)))
+        return received[-1][1]
+
+    monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
+    imm, _, _ = _build_case(RunConfig(case=case, n=2))
+    mesh = _build_mesh(2, level)
+    pen = assemble_pencil(mesh, imm)
+    solve_lambda1(pen)
+    [(factored, lu)] = received
+    K, M = pen.stiffness, pen.mass
+    ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
+    shifted = sp.csr_matrix((K.data + (FACTOR_SHIFT * ratio) * M.data, K.indices, K.indptr),
+                            shape=K.shape)
+    order = coarse_order(mesh, _build_mesh(2, level - 1))
+    P = parent_numbered_prolongation(mesh, order)
+    oracle = _permuted_csc32((P.T @ shifted @ P).tocsr(), order)
+    # the gather lists a column's rows in the builder's numbering; SuperLU
+    # factors either listing to the same bits, so the rows are compared in
+    # order
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(factored, attr), getattr(oracle.sorted_indices(), attr))
+    ours = splu(oracle, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+    for attr in ("L", "U"):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(getattr(lu, attr), part), getattr(getattr(ours, attr), part))
+
+
+@pytest.mark.parametrize("level", range(1, 12))
+@pytest.mark.parametrize("case", CASES)
+def test_circles_pass_the_gate_on_the_two_grid_path(case, level):
+    imm, _, _ = _build_case(RunConfig(case=case, n=1))
+    mesh = _build_mesh(1, level)
+    assert mesh.coarse is not None
+    spec = solve_lambda1(assemble_pencil(mesh, imm))
+    assert spec.residual <= TAU_EIG
+
+
 @pytest.mark.parametrize(
     "n, level", [(1, level) for level in range(9)] + [(2, level) for level in range(1, 7)]
 )
@@ -434,18 +510,22 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
     monkeypatch.setattr(lorentzlab.fem, "splu", recording_splu)
     for case in CASES:
         imm, _, _ = _build_case(RunConfig(case=case, n=n))
-        pen = assemble_pencil(_build_mesh(imm.n, level), imm)
-        if pen.stiffness.shape[0] <= 20:
+        mesh = _build_mesh(imm.n, level)
+        if mesh.coarse is None:
             continue
+        pen = assemble_pencil(mesh, imm)
         # the shift outweighs float32 rounding of the coarse Galerkin
         # operator, over the fine lumped mass at the coarse copies (see
-        # solve_lambda1); without a coarse level this is the fine bound
+        # solve_lambda1), which `parents` finds
         K, M = pen.stiffness, pen.mass
-        shift = lorentzlab.fem.FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum()
-        P = prolongation(pen.geometry.mesh)
+        shift = FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum()
+        P = prolongation(mesh)
         coarse_size = P.shape[1]
         rows = abs(P.T @ (K + shift * M) @ P) @ np.ones(coarse_size)
-        assert shift > 2.0**-24 * (n + 2) * np.max(rows / pen.geometry.lumped[:coarse_size])
+        copies = mesh.parents[:, 0] == mesh.parents[:, 1]
+        lumped = np.empty(coarse_size)
+        lumped[mesh.parents[copies, 0]] = pen.geometry.lumped[copies]
+        assert shift > 2.0**-24 * (n + 2) * np.max(rows / lumped)
         solve_lambda1(pen)
         lu = factors.pop()
         assert np.array_equal(lu.perm_r, np.arange(coarse_size)), case
@@ -575,14 +655,14 @@ def test_beltrami_residual_decreases_on_circle():
     imm = CounterexampleSphere(1)
     values = []
     for level in (2, 3, 4):
-        mesh = build_circle_mesh(circle_segments_for_level(level), level=level)
+        mesh = build_circle_mesh(level)
         pencil = assemble_pencil(mesh, imm)
         values.append(beltrami_residual(pencil, mean_curvature_vertices(imm, pencil)))
     assert values[0] > values[1] > values[2]
 
 
 def test_gradient_squared_examples():
-    mesh = build_circle_mesh(256)
+    mesh = build_circle_mesh(4)
     imm = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     geom, _ = mesh_geometry(mesh, imm)
     const = gradient_squared_per_element(geom, np.ones(mesh.num_vertices))

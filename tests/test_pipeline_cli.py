@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -363,21 +364,20 @@ def test_suite_meshes_are_read_only(monkeypatch):
 
     def recording(level):
         built.append(build(level))
-        # the order is complete when the mesh is: no solve fills it
-        assert built[-1].coarse.nd_order is not None
         return built[-1]
 
     monkeypatch.setattr(pipeline, "build_icosphere_mesh", recording)
     pipeline._build_mesh.cache_clear()
     mesh = pipeline._build_mesh(2, 1)
-    order = mesh.coarse.nd_order.copy()
-    run_suite(["counterexample"], [1], RunConfig(case="counterexample", samples=2, mc_samples=5000))
-    assert len(built) == 1 and built[0] is mesh
     coarse = mesh.coarse
-    # the solve reads the coarse level's order: the preconditioner factors there
-    assert np.array_equal(coarse.nd_order, order)
-    for array in (mesh.vertices, mesh.simplices, mesh.parents, coarse.vertices, coarse.simplices,
-                  coarse.nd_order):
+    arrays = (mesh.vertices, mesh.simplices, mesh.parents, coarse.vertices, coarse.simplices)
+    copies = [array.copy() for array in arrays]
+    run_suite(["counterexample"], [1], RunConfig(case="counterexample", samples=2, mc_samples=5000))
+    assert len(built) == 1 and built[0] is mesh and mesh.coarse is coarse
+    # the mesh is complete when it is built: the solve factors the coarse
+    # level as the mesh numbers it, and renumbers nothing
+    for array, copy in zip(arrays, copies):
+        assert np.array_equal(array, copy)
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -582,6 +582,25 @@ def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, 
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("radius", ["1e-100", "1e-150", "1e100"])
+def test_cli_out_of_range_metric_exits_2_silently_and_joins_the_helper(monkeypatch, capsys, radius):
+    # n / r^2 is in range, but the squares of the element metric's entries
+    # under- or overflow: that says nothing about the metric's sign
+    names = _check_threads(monkeypatch)
+    before = set(threading.enumerate())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--case", "sphere-hyperplane", "--level", "1", "--radius", radius,
+                     "--mc-samples", "5000"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: element 0 has metric scale ")
+    assert captured.err.endswith(", out of range: its squares under- or overflow float64\n")
+    assert set(threading.enumerate()) <= before
+    assert names == ["suite_0"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

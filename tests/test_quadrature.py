@@ -86,7 +86,7 @@ def test_mesh_integral_of_one_is_volume():
     out = integrate_over_mesh(mesh, imm, np.ones(mesh.num_vertices))
     assert out == pytest.approx(4 * math.pi, rel=1.5e-3)
 
-    circle = build_circle_mesh(256)
+    circle = build_circle_mesh(4)
     two = HyperplaneSphere(1, 2.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     out = integrate_over_mesh(circle, two, np.ones(256))
     assert out == pytest.approx(4 * math.pi, rel=1e-3)
