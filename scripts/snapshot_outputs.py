@@ -28,8 +28,10 @@ The runs cover the benchmark's four command lines, every shipped case at
 levels 0, 3 and 4 with n = 1 and 2 and at level 11 with n = 1 (the
 two-grid solve next to its residual gate), an equality threshold
 override, CSV output to a file and to stdout, a negative seed and a
-radius whose n / r^2 is out of range (usage errors), a good and a bad
-spec file and the section battery at three seeds. The run directory
+radius whose n / r^2 is out of range (usage errors), a circle at radii
+1e20, 1e60 and 1e-3 (the scale of the test-field check, of the float32
+coarse factor and of the equality residual), a good and a bad spec file
+and the section battery at three seeds. The run directory
 names say which run is which.
 
 Usage: python scripts/snapshot_outputs.py OUTDIR
@@ -83,6 +85,10 @@ def command_lines() -> dict:
     runs["run-negative-seed"] = ["run", "--case", "counterexample", "--seed", "-1"]
     runs["run-radius-out-of-range"] = ["run", "--case", "sphere-hyperplane",
                                        "--radius", "1e-200"]
+    for radius in ("1e20", "1e60", "1e-3"):
+        runs[f"run-sphere-hyperplane-n1-l3-r{radius}"] = [
+            "run", "--case", "sphere-hyperplane", "--n", "1", "--level", "3", "--radius", radius
+        ]
     for name in SPECS:
         runs[name] = ["run", "--case", "custom-spec-file", "--spec-file", "spec.json",
                       "--level", "3", "--out", "report.json"]

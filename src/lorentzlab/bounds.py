@@ -15,9 +15,11 @@ The engine therefore builds the m x m Gram matrices W'KW and W'MW once;
 with b = J a each bound is then b'Gb plus a signed trace, and a batch of
 sampled directions is one einsum. A test field enters the master
 inequality through its Gram pair alone: H and psi_hat read the stored
-pairs, and the projected position psi_hat T, T = I + (J a) a', reads
-T'GT. Every bound family is a BoundTable: its columns over a stack of
-rows, one row per direction, or one row for a bound without a direction.
+pairs, and the projected position psi_hat + <psi_hat, a> a, which is
+orthogonal to a and has <W, W> = <psi_hat, psi_hat> + <psi_hat, a>^2,
+reads psi_hat's pair with the coefficient 1 where the others have m.
+Every bound family is a BoundTable: its columns over a stack of rows,
+one row per direction, or one row for a bound without a direction.
 
 Vector-equation residuals are measured in an auxiliary Euclidean norm on
 canonical components; the causal square can vanish on nonzero lightlike
@@ -122,9 +124,9 @@ class BoundEngine:
         self.lambda1 = self.spectrum.lambda1
         self.volume = self.geometry.total_volume
         self.signs = metric_signs(imm.m)
-        self.positions = self.geometry.positions
-        center = (self.geometry.lumped @ self.positions) / self.volume
-        self.positions_hat = self.positions - center
+        positions = self.geometry.positions
+        center = (self.geometry.lumped @ positions) / self.volume
+        self.positions_hat = positions - center
         self.mean_curvature = mean_curvature_vertices(imm, self.pencil)
         # the continuum H integrates to zero, the mesh field only to
         # quadrature accuracy, so its centered flag has a looser tolerance
@@ -144,10 +146,10 @@ class BoundEngine:
         self._defect_scale = max(self.lambda1 * float(np.trace(self.gram_m_pos)), 1e-300)
 
         # Delta psi_hat + lambda1 psi_hat with the lumped-mass Laplacian
-        self._resid = -k_psi / lumped[:, None] + self.lambda1 * psi
-        self._resid_integral = lumped @ self._resid
-        self._gram_m_resid = self._resid.T @ (M @ self._resid)
-        self._lumped_resid = self._resid.T @ (lumped[:, None] * self._resid)
+        resid = -k_psi / lumped[:, None] + self.lambda1 * psi
+        self._resid_integral = lumped @ resid
+        self._gram_m_resid = resid.T @ (M @ resid)
+        self._lumped_resid = resid.T @ (lumped[:, None] * resid)
         self._lumped_pos = psi.T @ (lumped[:, None] * psi)
 
     # quadratic forms in b = J a ----------------------------------------------------
@@ -161,14 +163,12 @@ class BoundEngine:
         b = np.asarray(a, dtype=float) * self.signs
         return np.einsum("...i,ij,...j->...", b, gram, b)
 
-    def _master_sides(self, k_gram, m_gram, dirs):
-        """Gradient and lambda1 sides of the master inequality,
-        m <a, W>^2 + <W, W> integrated, without the factor lambda1."""
-        m = self.imm.m
-        return (
-            m * self._form(k_gram, dirs) + self._trace(k_gram),
-            m * self._form(m_gram, dirs) + self._trace(m_gram),
-        )
+    def _side(self, gram, dirs, coef):
+        """coef <a, W>^2 + <W, W> integrated against a field's Gram matrix:
+        the master inequality's gradient side from W'KW, its lambda1 side
+        without the factor lambda1 from W'MW. coef is m, or 1 for the
+        projected position read from psi_hat's pair."""
+        return coef * self._form(gram, dirs) + self._trace(gram)
 
     def tangential_energy(self, a):
         """Integral of the squared tangential part of a (gradient of
@@ -184,23 +184,18 @@ class BoundEngine:
         return h_a_int, tangential, n * h_a_int / (self.volume + tangential / n)
 
     # bounds ----------------------------------------------------------------------
-    # Each family is a BoundTable over its rows. The b'Gb forms are one
-    # einsum over a direction stack, which rounds like the one-direction
-    # einsum; matrix products would not, so T'GT is built one row at a time.
+    # Each family is a BoundTable over its rows, and every form in b = J a
+    # is one einsum over the direction stack, which rounds like the
+    # one-direction einsum.
 
-    def test_field_bound(self, provenance, k_gram, m_gram, dirs, centered=True) -> BoundTable:
-        """Master inequality for the test field W with Gram pair
-        (W'KW, W'MW) at each row of a direction stack: the gradient side
-        dominates the lambda1 side for any centered test field and any
-        unit timelike direction."""
-        dirs = require_unit_timelike(dirs)
-        rhs, weight = self._master_sides(k_gram, m_gram, dirs)
-        return self._test_field(provenance, dirs, rhs, weight, np.abs(m_gram).max(), centered)
-
-    def _test_field(self, provenance, dirs, rhs, weight, m_scale, centered=True) -> BoundTable:
-        """The test field's table from its two sides; m_scale, the largest
-        |W'MW| entry, scales the check that the field does not vanish."""
-        if np.any(weight <= 1e-14 * np.maximum(1.0, m_scale)):
+    def _test_field(self, provenance, k_gram, m_gram, dirs, coef, centered=True) -> BoundTable:
+        """Master inequality for the test field read from the Gram pair
+        (k_gram, m_gram) with coefficient coef at each row of a direction
+        stack: the gradient side dominates the lambda1 side for any
+        centered test field and any unit timelike direction. The field
+        vanishes where its weight is negligible against m_gram's entries."""
+        rhs, weight = self._side(k_gram, dirs, coef), self._side(m_gram, dirs, coef)
+        if np.any(weight <= 1e-14 * np.abs(m_gram).max()):
             raise DomainError("test field vanishes identically")
         return BoundTable(
             f"test-field[{provenance}]",
@@ -214,22 +209,15 @@ class BoundEngine:
 
     def test_field_bounds(self, dirs):
         """Master inequality for H, psi_hat and the projected position
-        psi_hat + <psi_hat, a> a = psi_hat T, T = I + (J a) a', whose Gram
-        matrices are T'GT, at each row of a direction stack."""
+        psi_hat + <psi_hat, a> a at each row of a direction stack."""
         dirs = require_unit_timelike(dirs)
-        projected = []
-        for a in dirs:
-            t = np.eye(self.imm.m) + np.outer(self.signs * a, a)
-            m_gram = t.T @ self.gram_m_pos @ t
-            sides = self._master_sides(t.T @ self.gram_k_pos @ t, m_gram, a)
-            projected.append((*sides, np.abs(m_gram).max()))
-        rhs, weight, m_scale = np.array(projected).reshape(-1, 3).T
+        m = self.imm.m
         return (
-            self.test_field_bound(
-                "mean-curvature", self.gram_k_h, self.gram_m_h, dirs, self._h_centered
+            self._test_field(
+                "mean-curvature", self.gram_k_h, self.gram_m_h, dirs, m, self._h_centered
             ),
-            self.test_field_bound("position", self.gram_k_pos, self.gram_m_pos, dirs),
-            self._test_field("projected-position", dirs, rhs, weight, m_scale),
+            self._test_field("position", self.gram_k_pos, self.gram_m_pos, dirs, m),
+            self._test_field("projected-position", self.gram_k_pos, self.gram_m_pos, dirs, 1),
         )
 
     def reilly(self) -> BoundTable:
@@ -247,7 +235,8 @@ class BoundEngine:
 
     def mean_curvature_field_bound(self, dirs) -> BoundTable:
         dirs = require_unit_timelike(dirs)
-        num, denom = self._master_sides(self.gram_k_h, self.gram_m_h, dirs)
+        m = self.imm.m
+        num, denom = self._side(self.gram_k_h, dirs, m), self._side(self.gram_m_h, dirs, m)
         if np.any(denom <= 0):
             raise DomainError("mean curvature field has vanishing weight")
         return BoundTable(
@@ -263,21 +252,20 @@ class BoundEngine:
     def position_field_bounds(self, dirs):
         """Bounds from the centered position field and its projection.
 
-        Both right-hand sides use the exact elementwise identities for the
+        The left-hand sides are the test fields' lambda1 sides. Both
+        right-hand sides use the exact elementwise identities for the
         signed gradient trace (n for the position field, n plus the
         squared tangential part for the projected one).
         """
         dirs = require_unit_timelike(dirs)
         n, m, lam = self.imm.n, self.imm.m, self.lambda1
-        s_m = self._form(self.gram_m_pos, dirs)
-        psi_m = self._trace(self.gram_m_pos)
         tangential = self.tangential_energy(dirs)
         meta = {"tangential": tangential}
         return (
             BoundTable(
                 "position-field",
                 "position-field",
-                lam * (m * s_m + psi_m),
+                lam * self._side(self.gram_m_pos, dirs, m),
                 n * self.volume + m * tangential,
                 TAU_BOUND,
                 dirs,
@@ -286,7 +274,7 @@ class BoundEngine:
             BoundTable(
                 "projected-position-field",
                 "projected-position-field",
-                lam * (psi_m + s_m),
+                lam * self._side(self.gram_m_pos, dirs, 1),
                 n * self.volume + tangential,
                 TAU_BOUND,
                 dirs,
@@ -321,8 +309,7 @@ class BoundEngine:
     def rayleigh_defect(self, v) -> float:
         """Q(v) = int |grad F_v|^2 - lambda1 int F_v^2 for the centered
         position field; positive semi-definite by construction."""
-        bv = np.asarray(v, dtype=float) * self.signs
-        return float(bv @ self._defect @ bv)
+        return float(self._form(self._defect, v))
 
     def reilly_causal_certificate(self, ell) -> BoundTable:
         """Classical bound certified by a causal direction annihilating the
@@ -413,9 +400,6 @@ class BoundEngine:
         Verdicts: equality-case below tau_eq, strict above STRICT_FACTOR
         times tau_eq, inconclusive between. The last column is the sharp
         bound's slack relative to its larger side.
-
-        The canonical residual's a' G b and a'a and the a-component
-        integral are matrix products, so they take one row at a time.
         """
         dirs = require_unit_timelike(dirs)
         if tau_eq is None:
@@ -434,11 +418,9 @@ class BoundEngine:
         psi_l2 = np.sqrt((self._trace(g_p) + 2.0 * self._form(g_p, dirs)) / vol)
         residual_rel = rho_l2 / np.where(psi_l2 < 1e-300, 1e-300, psi_l2)
 
-        rows = []
-        for a in dirs:
-            b = self.signs * a
-            rows.append((float(a @ g_r @ b), float(a @ a), float(self._resid_integral @ b)))
-        a_g_b, a_sq, resid_b = np.array(rows).reshape(-1, 3).T
+        b = dirs * self.signs
+        a_g_b = np.einsum("...i,ij,...j->...", dirs, g_r, b)
+        a_sq = np.einsum("...i,...i->...", dirs, dirs)
         rho_canon_sq = float(np.trace(g_r)) + 2.0 * a_g_b + a_sq * c_sq
         rho_l2_canon = np.sqrt(np.where(rho_canon_sq < 0.0, 0.0, rho_canon_sq) / vol)
         psi_l2_canon = math.sqrt(float(np.trace(g_p)) / vol)
@@ -459,7 +441,7 @@ class BoundEngine:
             "residual_rel": residual_rel,
             "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300),
             "causal_residual_sq": np.full(k, self._trace(g_r) / vol),
-            "a_component_integral": -resid_b,
+            "a_component_integral": -np.einsum("i,...i->...", self._resid_integral, b),
             "tangential_ratio": tangential / vol,
             "radius_from_curvature": 1.0 / np.sqrt(np.where(h_a_mean < 1e-300, 1e-300, h_a_mean)),
             "radius_from_lambda1": np.full(k, math.sqrt(n / lam)),

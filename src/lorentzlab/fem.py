@@ -9,13 +9,14 @@ discrete minimum principle exact and are relied on by the bounds layer.
 Assembly is vectorized with a fixed reduction order, so matrices are
 reproducible bit for bit. The eigensolver iterates in float64 on a
 two-grid preconditioner whose coarse solve is a float32 factor of the
-mesh's coarse level, in the order the mesh numbers it; only its float64
-residual gate accepts lambda1. A mesh without a coarse level (level 0)
-is solved densely. The solver starts no thread of its own, but its
-dense products run in the BLAS, whose sums depend on the BLAS thread
-count: lambda1 is fixed bit for bit only for a fixed count (the level-6
-counterexample gives 2.0001532405046913 at two OpenBLAS threads and
-2.000153240504676 at one). Independent solves may run concurrently.
+mesh's coarse level, in the order the mesh numbers it and scaled exactly
+by a power of two; only its float64 residual gate accepts lambda1. A
+mesh without a coarse level (level 0) is solved densely. The solver
+starts no thread of its own, but its dense products run in the BLAS,
+whose sums depend on the BLAS thread count: lambda1 is fixed bit for bit
+only for a fixed count (the level-6 counterexample gives
+2.0001532405046913 at two OpenBLAS threads and 2.000153240504676 at
+one). Independent solves may run concurrently.
 """
 
 from __future__ import annotations
@@ -229,7 +230,11 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     P A_c^-1 P', then SWEEPS sweeps again. P is `prolongation` from the
     mesh one subdivision down, and A_c = P' A P is the Galerkin operator,
     SPD and so factored in float32 without pivoting, in the order the
-    coarse mesh is numbered in: its nested-dissection order. Each
+    coarse mesh is numbered in: its nested-dissection order. A_c and each
+    block of coarse right-hand sides are cast after scaling by the power
+    of two that brings their largest entry into [1/2, 1), undone after
+    the solve: that is exact, and at n = 1, where A scales as 1/r, it
+    keeps extreme radii in the float32 range. Each
     iteration cycles its block of active residuals at once, with one
     factor solve, and `iterations` counts the cycled columns. The damping
     is omega = 4 / (3 rho), with rho = max_i sum_j |a_ij| / a_ii: by
@@ -286,7 +291,10 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         # the coarse level is numbered in its nested-dissection order, so
         # the Galerkin operator is factored as it comes; it is symmetric,
         # so its CSR arrays are its CSC arrays
-        galerkin = (P.T @ shifted @ P).tocsr().T.astype(np.float32, copy=False)
+        galerkin = (P.T @ shifted @ P).tocsr().T
+        _, factor_exp = np.frexp(np.abs(galerkin.data).max())
+        np.ldexp(galerkin.data, -factor_exp, out=galerkin.data)
+        galerkin = galerkin.astype(np.float32, copy=False)
         try:
             lu = splu(
                 galerkin,
@@ -316,8 +324,10 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
 
         def coarse_solve(r):
             r = P.T @ r
+            _, exp = np.frexp(np.abs(r).max())
+            np.ldexp(r, -exp, out=r)
             r[...] = lu.solve(np.asfortranarray(r, dtype=np.float32))
-            return P @ r
+            return P @ np.ldexp(r, exp - factor_exp, out=r)
 
         # lobpcg takes a LinearOperator preconditioner in every supported
         # scipy; it only ever applies it to (k, c) blocks, Fortran-ordered

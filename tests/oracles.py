@@ -732,19 +732,21 @@ def bound_dict(report: BoundReport, expected) -> dict:
     }
 
 
-def _master_sides(engine, k_gram, m_gram, a):
-    """Gradient and lambda1 sides of the master inequality at one direction."""
-    m = engine.imm.m
+def _master_sides(engine, k_gram, m_gram, a, coef=None):
+    """Gradient and lambda1 sides of the master inequality at one
+    direction, coef <a, W>^2 + <W, W> integrated; coef is m by default."""
+    coef = engine.imm.m if coef is None else coef
     return (
-        m * float(engine._form(k_gram, a)) + engine._trace(k_gram),
-        m * float(engine._form(m_gram, a)) + engine._trace(m_gram),
+        coef * float(engine._form(k_gram, a)) + engine._trace(k_gram),
+        coef * float(engine._form(m_gram, a)) + engine._trace(m_gram),
     )
 
 
-def master_inequality_bound(engine, provenance, k_gram, m_gram, a, centered=True) -> BoundReport:
+def master_inequality_bound(engine, provenance, k_gram, m_gram, a, centered=True,
+                            coef=None) -> BoundReport:
     a = require_unit_timelike(a)
-    rhs, weight = _master_sides(engine, k_gram, m_gram, a)
-    if weight <= 1e-14 * max(1.0, float(np.abs(m_gram).max())):
+    rhs, weight = _master_sides(engine, k_gram, m_gram, a, coef)
+    if weight <= 1e-14 * float(np.abs(m_gram).max()):
         raise DomainError("test field vanishes identically")
     return bound_report(
         engine,
@@ -760,20 +762,18 @@ def master_inequality_bound(engine, provenance, k_gram, m_gram, a, centered=True
 
 
 def master_inequality_bounds(engine, a):
-    """H, psi_hat and the projected position psi_hat T at one direction."""
+    """H, psi_hat and the projected position psi_hat + <psi_hat, a> a at
+    one direction. The projected field is orthogonal to a and has
+    <W, W> = <psi_hat, psi_hat> + <psi_hat, a>^2, so its sides are psi_hat's
+    with the coefficient 1 in place of m."""
     a = require_unit_timelike(a)
-    t = np.eye(engine.imm.m) + np.outer(engine.signs * a, a)
     return (
         master_inequality_bound(
             engine, "mean-curvature", engine.gram_k_h, engine.gram_m_h, a, engine._h_centered
         ),
         master_inequality_bound(engine, "position", engine.gram_k_pos, engine.gram_m_pos, a),
         master_inequality_bound(
-            engine,
-            "projected-position",
-            t.T @ engine.gram_k_pos @ t,
-            t.T @ engine.gram_m_pos @ t,
-            a,
+            engine, "projected-position", engine.gram_k_pos, engine.gram_m_pos, a, coef=1
         ),
     )
 
@@ -926,7 +926,8 @@ def equality_diagnostic(engine, a, tau_eq=None) -> dict:
     psi_l2 = math.sqrt((engine._trace(g_p) + 2.0 * float(engine._form(g_p, a))) / vol)
     residual_rel = rho_l2 / max(psi_l2, 1e-300)
 
-    rho_canon_sq = float(np.trace(g_r)) + 2.0 * float(a @ g_r @ b) + float(a @ a) * c_sq
+    a_g_b = float(np.einsum("i,ij,j->", a, g_r, b))
+    rho_canon_sq = float(np.trace(g_r)) + 2.0 * a_g_b + float(np.einsum("i,i->", a, a)) * c_sq
     rho_l2_canon = math.sqrt(max(rho_canon_sq, 0.0) / vol)
     psi_l2_canon = math.sqrt(float(np.trace(g_p)) / vol)
     if residual_rel <= tau_eq:
@@ -942,7 +943,7 @@ def equality_diagnostic(engine, a, tau_eq=None) -> dict:
         "residual_rel": residual_rel,
         "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300),
         "causal_residual_sq": engine._trace(g_r) / vol,
-        "a_component_integral": -float(engine._resid_integral @ b),
+        "a_component_integral": -float(np.einsum("i,i->", engine._resid_integral, b)),
         "tangential_ratio": float(engine._form(engine.gram_k_pos, a)) / vol,
         "radius_from_curvature": 1.0 / math.sqrt(max(h_a_int / vol, 1e-300)),
         "radius_from_lambda1": math.sqrt(engine.imm.n / engine.lambda1),

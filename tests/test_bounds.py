@@ -275,6 +275,18 @@ def test_master_inequality_all_cases_and_fields():
             assert report.holds.all(), (type(eng.imm).__name__, report.meta["provenance"])
 
 
+def test_position_fields_read_the_test_fields_lambda1_sides_bitwise(case_engines):
+    # a report has the test fields at four directions and the position
+    # fields at the first three: on those rows the left-hand sides agree
+    for eng in case_engines:
+        dirs = sample_timelike_directions(eng.imm.m, 4, seed=7)
+        _, position, projected = eng.test_field_bounds(dirs)
+        first, second = eng.position_field_bounds(dirs[:3])
+        name = type(eng.imm).__name__
+        assert np.array_equal(position.lhs[:3], first.lhs), name
+        assert np.array_equal(projected.lhs[:3], second.lhs), name
+
+
 def test_master_inequality_holds_at_level5():
     eng = BoundEngine(build_icosphere_mesh(5), CounterexampleSphere(2))
     for report in eng.test_field_bounds(sample_timelike_directions(4, 2, seed=31)):
@@ -293,8 +305,8 @@ def test_master_inequality_reduces_to_minimum_principle(counter_engine):
     f = rng.standard_normal(eng.mesh.num_vertices)
     m_ones = eng.pencil.mass @ np.ones(eng.mesh.num_vertices)
     f -= (m_ones @ f) / eng.volume
-    report = eng.test_field_bound("custom", *field_grams(eng, np.outer(f, AXIS4)), [AXIS4])
     m = eng.imm.m
+    report = eng._test_field("custom", *field_grams(eng, np.outer(f, AXIS4)), AXIS4[None], m)
     # both sides carry the factor m - 1 relative to the minimum principle
     assert report.lhs[0] == pytest.approx(
         eng.lambda1 * (m - 1) * m_form(eng, f), rel=1e-12
@@ -306,7 +318,9 @@ def test_master_inequality_reduces_to_minimum_principle(counter_engine):
 def test_vanishing_test_field_is_rejected(counter_engine):
     zero = np.zeros((counter_engine.mesh.num_vertices, 4))
     with pytest.raises(DomainError):
-        counter_engine.test_field_bound("custom", *field_grams(counter_engine, zero), [AXIS4])
+        counter_engine._test_field(
+            "custom", *field_grams(counter_engine, zero), AXIS4[None], counter_engine.imm.m
+        )
 
 
 # --- named bounds ---------------------------------------------------------------------

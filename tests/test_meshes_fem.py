@@ -453,7 +453,7 @@ def test_factor_input_is_the_permuted_parent_numbered_galerkin_operator(monkeypa
     # the solve factors the Galerkin operator as it comes, on the coarse
     # level the mesh numbers in nested-dissection order: it is the
     # operator on the level below as its builder numbers it, permuted
-    # into that order by the one-gather oracle
+    # into that order by the one-gather oracle and scaled by a power of two
     received = []
     splu = lorentzlab.fem.splu
 
@@ -473,7 +473,10 @@ def test_factor_input_is_the_permuted_parent_numbered_galerkin_operator(monkeypa
                             shape=K.shape)
     order = coarse_order(mesh, _build_mesh(2, level - 1))
     P = parent_numbered_prolongation(mesh, order)
-    oracle = _permuted_csc32((P.T @ shifted @ P).tocsr(), order)
+    galerkin = (P.T @ shifted @ P).tocsr()
+    # scaled by the power of two that brings its largest entry into [1/2, 1)
+    galerkin.data = np.ldexp(galerkin.data, -np.frexp(np.abs(galerkin.data).max())[1])
+    oracle = _permuted_csc32(galerkin, order)
     # the gather lists a column's rows in the builder's numbering; SuperLU
     # factors either listing to the same bits, so the rows are compared in
     # order

@@ -603,6 +603,19 @@ def test_cli_out_of_range_metric_exits_2_silently_and_joins_the_helper(monkeypat
     assert names == ["suite_0"]
 
 
+@pytest.mark.parametrize("radius", ["1e20", "1e30", "1e40", "1e60", "1e100"])
+def test_cli_circle_at_extreme_radius_exits_0(capsys, radius):
+    # the test-field check compares a field's weight with its own Gram
+    # scale, and the float32 coarse factor sees its operator scaled by a
+    # power of two, so neither depends on the radius (K scales as 1/r at n = 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--case", "sphere-hyperplane", "--n", "1", "--level", "3",
+                     "--radius", radius, "--mc-samples", "5000", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_no_check_outlives_its_suite(monkeypatch, cpus):
     # two suites in one process share no check: each draws its own, once
