@@ -30,8 +30,10 @@ two-grid solve next to its residual gate), an equality threshold
 override, CSV output to a file and to stdout, a negative seed and a
 radius whose n / r^2 is out of range (usage errors), a circle at radii
 1e20, 1e60 and 1e-3 (the scale of the test-field check, of the float32
-coarse factor and of the equality residual), a good and a bad spec file
-and the section battery at three seeds. The run directory
+coarse factor and of the equality residual), a cylinder of scale 1e-3
+(whose curve overflows), a single-level suite of every case and a
+one-case suite (the two ends of the suite's schedule), a good and a bad
+spec file and the section battery at three seeds. The run directory
 names say which run is which.
 
 Usage: python scripts/snapshot_outputs.py OUTDIR
@@ -76,6 +78,10 @@ def command_lines() -> dict:
                     "run", "--case", case, "--n", str(n), "--level", str(level)
                 ]
         runs[f"run-{case}-n1-l11"] = ["run", "--case", case, "--n", "1", "--level", "11"]
+    # a single level, which both threads share, and one finest-level run,
+    # which the calling thread keeps
+    runs["suite-l4-all"] = ["suite", "--levels", "4", "--cases", "all"]
+    runs["suite-l2-3-counterexample"] = ["suite", "--levels", "2,3", "--cases", "counterexample"]
     runs["run-tol-eq"] = ["run", "--case", "sphere-hyperplane", "--level", "3",
                           "--tol-eq", "1e-9", "--out", "report.json"]
     runs["run-csv"] = ["run", "--case", "counterexample", "--level", "3",
@@ -89,6 +95,8 @@ def command_lines() -> dict:
         runs[f"run-sphere-hyperplane-n1-l3-r{radius}"] = [
             "run", "--case", "sphere-hyperplane", "--n", "1", "--level", "3", "--radius", radius
         ]
+    runs["run-cylinder-curve-scale1e-3"] = ["run", "--case", "cylinder-curve", "--scale", "1e-3",
+                                            "--level", "2"]
     for name in SPECS:
         runs[name] = ["run", "--case", "custom-spec-file", "--spec-file", "spec.json",
                       "--level", "3", "--out", "report.json"]

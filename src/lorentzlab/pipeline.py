@@ -10,6 +10,7 @@ runs of the same configuration.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import csv
 import functools
@@ -18,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -402,13 +404,18 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     starts and no run writes a shared mesh; the time this set-up takes is
     every run's `setup` stamp. The Monte Carlo check of each ambient
     dimension is then started on one helper thread, first in its queue.
-    The finest level's runs run in order on the calling thread while the
-    helper runs the coarser runs in order, after the checks (a single
-    level leaves it none); every run reads its check when it reaches its
-    identities. A failing lane stops at its failure, and the failure of
-    the lowest-numbered run is raised once the helper has finished, as a
-    serial loop would raise it. Reports match standalone runs byte for
-    byte.
+    The finest level's runs wait in one queue in report order. The
+    calling thread takes its first run before the helper starts, then
+    takes the rest from the front. After the checks, the helper takes one
+    run from the back, if any is left, then runs the coarser runs in
+    report order, then takes from the back what the calling thread has
+    not started. So at most two finest-level engines are in flight, and a
+    one-case suite, and so every `lab run`, never shares its finest
+    level. Every run reads its check when it reaches its identities. Once
+    a run fails, no run numbered above the lowest failure starts, and
+    every run numbered below it still runs, so the failure raised once the
+    helper has finished is the one a serial loop would raise. Reports
+    match standalone runs byte for byte.
     """
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
@@ -418,22 +425,42 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
             for imm, expect, config in built for level in levels]
     setup = time.perf_counter() - t0
     finest = max(levels)
-    fine = [i for i, (config, *_) in enumerate(runs) if config.level == finest]
+    fine = collections.deque(i for i, (config, *_) in enumerate(runs) if config.level == finest)
     coarse = [i for i, (config, *_) in enumerate(runs) if config.level != finest]
     reports: list = [None] * len(runs)
     errors: dict[int, Exception] = {}
+    lock = threading.Lock()  # guards `fine` and `errors`
 
-    def run_lane(lane) -> None:
-        """Evaluate the runs of a lane of run numbers in order, up to its
-        first failure."""
-        for i in lane:
-            config, imm, expect, mesh = runs[i]
-            try:
-                reports[i] = _evaluate_case(config, imm, expect, mesh, checks[imm.m],
-                                            {"setup": setup})
-            except Exception as exc:  # raised on the calling thread below
+    def take(pop) -> int | None:
+        """A finest-level run from one end of the queue, None if it is empty."""
+        with lock:
+            return pop() if fine else None
+
+    def start(i: int | None) -> bool:
+        """Evaluate run i, unless it is None or numbered above a failed
+        run; False if it does not start."""
+        with lock:
+            if i is None or (errors and i > min(errors)):
+                return False
+        config, imm, expect, mesh = runs[i]
+        try:
+            reports[i] = _evaluate_case(config, imm, expect, mesh, checks[imm.m],
+                                        {"setup": setup})
+        except Exception as exc:  # raised on the calling thread below
+            with lock:
                 errors[i] = exc
-                return
+        return True
+
+    def helper_lane() -> None:
+        """One finest-level run early, beside the calling thread's first,
+        which peaks lower than stealing only at the end; then the coarser
+        runs; then the finest-level runs that are left."""
+        start(take(fine.pop))
+        for i in coarse:
+            if not start(i):
+                break
+        while start(take(fine.pop)):
+            pass
 
     with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="suite") as pool:
         # one check per ambient dimension, a function of m, mc_samples and seed
@@ -442,8 +469,10 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
             if imm.m not in checks:
                 checks[imm.m] = pool.submit(
                     _section_check, imm.m, config.mc_samples, config.seed).result
-        helper = pool.submit(run_lane, coarse)
-        run_lane(fine)
+        i = fine.popleft()
+        helper = pool.submit(helper_lane)
+        while start(i):
+            i = take(fine.popleft)
         helper.result()
     if errors:
         raise errors[min(errors)]

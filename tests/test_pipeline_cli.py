@@ -386,17 +386,34 @@ def _patch_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)), raising=False)
 
 
-def _suite_threads(monkeypatch) -> list:
-    """Record (level, thread, live threads) for every run of a suite."""
-    runs = []
+def _record_suite(monkeypatch, hold: bool) -> list:
+    """Record ("start" or "end", case, level, thread, live threads) as
+    every run of a suite starts and ends. With `hold`, each run on the
+    calling thread waits until the helper has started a run."""
+    events = []
+    lock = threading.Lock()
+    caller = threading.current_thread()
+    helper_started = threading.Event()
     evaluate = pipeline._evaluate_case
 
+    def record(kind, config) -> None:
+        with lock:
+            events.append((kind, config.case, config.level, threading.current_thread(),
+                           threading.active_count()))
+
     def recorded(config, *args):
-        runs.append((config.level, threading.current_thread(), threading.active_count()))
-        return evaluate(config, *args)
+        record("start", config)
+        if threading.current_thread() is not caller:
+            helper_started.set()
+        elif hold:
+            assert helper_started.wait(timeout=60)
+        try:
+            return evaluate(config, *args)
+        finally:
+            record("end", config)
 
     monkeypatch.setattr(pipeline, "_evaluate_case", recorded)
-    return runs
+    return events
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
@@ -418,24 +435,70 @@ def test_suite_reports_do_not_depend_on_cpu_count(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_suite_runs_its_finest_level_on_the_calling_thread(monkeypatch, cpus):
+def test_suite_shares_its_finest_level_from_both_ends_of_one_queue(monkeypatch, cpus):
     _patch_cpus(monkeypatch, cpus)
-    runs = _suite_threads(monkeypatch)
+    caller = threading.current_thread()
     before = threading.active_count()
     base = RunConfig(case="sphere-hyperplane", samples=2, mc_samples=5000)
-    run_suite(SUITE_CASES, [2, 0, 1], base)
-    main = threading.current_thread()
-    assert len(runs) == 12
-    assert all(thread is main for level, thread, _ in runs if level == 2)
-    helpers = {thread for _, thread, _ in runs if thread is not main}
-    assert len(helpers) == 1
-    assert all(live <= before + len(helpers) for _, _, live in runs)
-    assert all(thread.name.startswith("suite") for thread in helpers)
+    # (cases, levels, hold); a held calling thread lets the helper reach
+    # the queue while it is still full
+    suites = [
+        (SUITE_CASES, [2, 0, 1], True),
+        (SUITE_CASES, [1], True),
+        (["counterexample"], [0, 2, 1], False),
+        (["counterexample"], [1], False),
+    ]
+    for cases, levels, hold in suites:
+        with monkeypatch.context() as patch:
+            events = _record_suite(patch, hold)
+            run_suite(cases, levels, base)
+        number = {run: i for i, run in enumerate((c, level) for c in cases for level in levels)}
+        finest = [number[case, max(levels)] for case in cases]
+        starts = [(number[case, level], thread, live)
+                  for kind, case, level, thread, live in events if kind == "start"]
+        assert sorted(i for i, _, _ in starts) == list(range(len(number)))
+        helpers = {thread for _, thread, _ in starts if thread is not caller}
+        assert len(helpers) <= 1
+        assert all(thread.name.startswith("suite") for thread in helpers)
+        assert all(live <= before + 1 for _, _, live in starts)
+        # the calling thread takes from the front, the helper from the back
+        mine = [i for i, thread, _ in starts if thread is caller and i in finest]
+        theirs = [i for i, thread, _ in starts if thread is not caller and i in finest]
+        assert mine + theirs[::-1] == finest
+        assert mine[0] == finest[0]
+        if len(cases) > 1:
+            # the helper's first run is the last in the queue
+            assert [i for i, thread, _ in starts if thread is not caller][0] == finest[-1]
+        else:
+            assert theirs == []
+        in_flight = peak = 0
+        for kind, case, level, _, _ in events:
+            if level == max(levels):
+                in_flight += 1 if kind == "start" else -1
+                peak = max(peak, in_flight)
+        assert peak == (2 if len(cases) > 1 else 1)
     assert threading.active_count() == before
-    # one level: nothing to run beside it
-    runs.clear()
-    run_suite(SUITE_CASES, [1], base)
-    assert {thread for _, thread, _ in runs} == {main}
+
+
+def test_suite_queue_hands_out_each_run_once_under_fast_thread_switching(monkeypatch):
+    # a lost update on the shared queue would run a run twice or drop one
+    cases = SUITE_CASES * 6
+    base = RunConfig(case="sphere-hyperplane", samples=2, mc_samples=2000)
+    events = _record_suite(monkeypatch, hold=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports, _ = run_suite(cases, [0], base)
+    finally:
+        sys.setswitchinterval(interval)
+    caller = threading.current_thread()
+    starts = [(thread, case) for kind, case, _, thread, _ in events if kind == "start"]
+    assert len(starts) == len(cases) == len(reports)
+    assert [report.config["case"] for report in reports] == cases
+    mine = sum(thread is caller for thread, _ in starts)
+    # the caller's runs are the queue's front, in report order
+    assert [case for thread, case in starts if thread is caller] == cases[:mine]
+    assert sorted(case for thread, case in starts if thread is not caller) == sorted(cases[mine:])
 
 
 @pytest.mark.parametrize(
@@ -445,8 +508,10 @@ def test_suite_runs_its_finest_level_on_the_calling_thread(monkeypatch, cpus):
         [("counterexample", 1), ("cylinder-curve", 0)],  # the calling thread's lane first
         [("counterexample", 0), ("cylinder-curve", 1)],  # the helper's lane first
         [("sphere-hyperplane", 0), ("sphere-hyperplane", 1), ("lightlike-hyperplane", 0)],
+        # the helper's first, stolen, finest-level run and a coarser run before it
+        [("cylinder-curve", 0), ("lightlike-hyperplane", 1)],
     ],
-    ids=["finest-lane-first", "coarse-lane-first", "both-lanes-early"],
+    ids=["finest-lane-first", "coarse-lane-first", "both-lanes-early", "stolen-run-and-coarser"],
 )
 def test_cli_suite_numerical_failure_in_a_lane_exits_3(monkeypatch, capsys, failing):
     _patch_cpus(monkeypatch, 2)
@@ -872,6 +937,17 @@ def test_cli_zero_cylinder_scale_exits_2(capsys):
     args = ["run", "--case", "cylinder-curve", "--level", "2", "--scale", "0"]
     assert main(args) == 2
     assert "scale must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["2.9e-3", "2.8e-3", "1e-3", "1e-8", "-1e-3"])
+def test_cli_short_cylinder_scale_exits_2_without_warnings(capsys, scale):
+    # below about 2.8e-3, cosh(1 / scale) overflows and the curve's speed is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--case", "cylinder-curve", "--level", "2", f"--scale={scale}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: curve must be unit-speed spacelike on [-1, 1]\n"
 
 
 def test_cli_non_numeric_spec_field_exits_2(tmp_path, capsys):
