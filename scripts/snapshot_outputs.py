@@ -30,8 +30,10 @@ two-grid solve next to its residual gate), an equality threshold
 override, CSV output to a file and to stdout, a negative seed and a
 radius whose n / r^2 is out of range (usage errors), a circle at radii
 1e20, 1e60 and 1e-3 (the scale of the test-field check, of the float32
-coarse factor and of the equality residual), a cylinder of scale 1e-3
-(whose curve overflows), a single-level suite of every case and a
+coarse factor and of the equality residual) and 1e154 (whose position
+Gram pair overflows), a circle in the null hyperplane of amplitude 1e300
+(whose chord metric overflows), a cylinder of scale 1e-3 (whose curve
+overflows), a single-level suite of every case and a
 one-case suite (the two ends of the suite's schedule), a good and a bad
 spec file and the section battery at three seeds. The run directory
 names say which run is which.
@@ -91,10 +93,13 @@ def command_lines() -> dict:
     runs["run-negative-seed"] = ["run", "--case", "counterexample", "--seed", "-1"]
     runs["run-radius-out-of-range"] = ["run", "--case", "sphere-hyperplane",
                                        "--radius", "1e-200"]
-    for radius in ("1e20", "1e60", "1e-3"):
+    for radius in ("1e20", "1e60", "1e-3", "1e154"):
         runs[f"run-sphere-hyperplane-n1-l3-r{radius}"] = [
             "run", "--case", "sphere-hyperplane", "--n", "1", "--level", "3", "--radius", radius
         ]
+    runs["run-lightlike-hyperplane-n1-l3-a1e300"] = [
+        "run", "--case", "lightlike-hyperplane", "--n", "1", "--level", "3", "--amplitude", "1e300"
+    ]
     runs["run-cylinder-curve-scale1e-3"] = ["run", "--case", "cylinder-curve", "--scale", "1e-3",
                                             "--level", "2"]
     for name in SPECS:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .fem import assemble_pencil, solve_lambda1
 from .minkowski import (
     CausalClass,
@@ -125,8 +125,6 @@ class BoundEngine:
         self.volume = self.geometry.total_volume
         self.signs = metric_signs(imm.m)
         positions = self.geometry.positions
-        center = (self.geometry.lumped @ positions) / self.volume
-        self.positions_hat = positions - center
         self.mean_curvature = mean_curvature_vertices(imm, self.pencil)
         # the continuum H integrates to zero, the mesh field only to
         # quadrature accuracy, so its centered flag has a looser tolerance
@@ -134,12 +132,23 @@ class BoundEngine:
         self._h_centered = bool(np.abs(h_center).max() <= H_CENTER_TOL)
 
         K, M, lumped = self.pencil.stiffness, self.pencil.mass, self.geometry.lumped
-        psi, h = self.positions_hat, self.mean_curvature
-        k_psi = K @ psi
-        self.gram_k_pos = psi.T @ k_psi
-        self.gram_m_pos = psi.T @ (M @ psi)
-        self.gram_k_h = h.T @ (K @ h)
-        self.gram_m_h = h.T @ (M @ h)
+        h = self.mean_curvature
+        # a Gram pair grows as a power of its field's scale (psi_hat'M psi_hat
+        # as r^3 on a circle of radius r): one that overflows is refused
+        # below, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = (lumped @ positions) / self.volume
+            psi = self.positions_hat = positions - center
+            k_psi = K @ psi
+            self.gram_k_pos = psi.T @ k_psi
+            self.gram_m_pos = psi.T @ (M @ psi)
+            self.gram_k_h = h.T @ (K @ h)
+            self.gram_m_h = h.T @ (M @ h)
+        for name, values, pair in (("position", positions, (self.gram_k_pos, self.gram_m_pos)),
+                                   ("mean curvature", h, (self.gram_k_h, self.gram_m_h))):
+            if not np.isfinite(pair).all():
+                raise UsageError(f"the {name} field's Gram pair is not finite: its scale "
+                                 f"{np.abs(values).max():.3g} is out of range for float64")
         self.curvature_sq_integral = self._trace(self.gram_m_h)
         defect = self.gram_k_pos - self.lambda1 * self.gram_m_pos
         self._defect = 0.5 * (defect + defect.T)

@@ -77,43 +77,43 @@ def mesh_geometry(mesh: ParamMesh, imm):
     # only (E,) temporaries, where scaling all chords at once would copy them
     signs = metric_signs(imm.m)
     gram = np.zeros((len(chords), n, n))
-    for a, b in zip(*np.triu_indices(n)):
-        for i in range(imm.m):
-            gram[:, a, b] += signs[i] * chords[:, a, i] * chords[:, b, i]
-        gram[:, b, a] = gram[:, a, b]
-
-    if n == 1:
-        g = gram[:, 0, 0]
-        bad = np.nonzero(g <= 0)[0]
-        if bad.size:
-            raise NotSpacelikeError(
-                f"element {bad[0]} is not spacelike; mesh too coarse"
-            )
-        volumes = np.sqrt(g)
-        gram_inv = (1.0 / g)[:, None, None]
-    elif n == 2:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an entry, or the n = 2 determinant, may under- or overflow: the check
+    # below refuses it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(*np.triu_indices(n)):
+            for i in range(imm.m):
+                gram[:, a, b] += signs[i] * chords[:, a, i] * chords[:, b, i]
+            gram[:, b, a] = gram[:, a, b]
+        if n == 1:
+            det = gram[:, 0, 0]
+        elif n == 2:
             det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-        # a determinant that is not a positive normal float is either not
-        # positive or under- or overflowed: the scale of the Gram entries,
-        # whose products it sums, tells which
-        finfo = np.finfo(float)
-        bad = np.nonzero((gram[:, 0, 0] <= 0) | ~((det >= finfo.tiny) & (det <= finfo.max)))[0]
-        if bad.size:
-            scale = np.abs(gram[bad]).max(axis=(1, 2))
-            out = np.nonzero(~((scale >= np.sqrt(finfo.tiny)) & (scale <= np.sqrt(finfo.max))))[0]
-            if out.size:
-                raise UsageError(f"element {bad[out[0]]} has metric scale {scale[out[0]]:.3g}, "
-                                 "out of range: its squares under- or overflow float64")
-            raise NotSpacelikeError(f"element {bad[0]} is not spacelike; mesh too coarse")
+        else:
+            raise UsageError(f"unsupported intrinsic dimension {n}")
+    # a determinant that is not a positive normal float is either not
+    # positive or under- or overflowed: the scale of the Gram entries,
+    # whose products it sums, tells which; an exactly zero Gram has
+    # cancelled (as -dh^2 + dh^2 does), not under- or overflowed
+    finfo = np.finfo(float)
+    bad = np.nonzero((gram[:, 0, 0] <= 0) | ~((det >= finfo.tiny) & (det <= finfo.max)))[0]
+    if bad.size:
+        scale = np.abs(gram[bad]).max(axis=(1, 2))
+        in_range = (scale >= np.sqrt(finfo.tiny)) & (scale <= np.sqrt(finfo.max))
+        out = np.nonzero(~(in_range | (scale == 0)))[0]
+        if out.size:
+            raise UsageError(f"element {bad[out[0]]} has metric scale {scale[out[0]]:.3g}, "
+                             "out of range: its squares under- or overflow float64")
+        raise NotSpacelikeError(f"element {bad[0]} is not spacelike; mesh too coarse")
+    if n == 1:
+        volumes = np.sqrt(det)
+        gram_inv = (1.0 / det)[:, None, None]
+    else:
         volumes = np.sqrt(det) / 2.0
         gram_inv = np.empty_like(gram)
         gram_inv[:, 0, 0] = gram[:, 1, 1] / det
         gram_inv[:, 1, 1] = gram[:, 0, 0] / det
         gram_inv[:, 0, 1] = -gram[:, 0, 1] / det
         gram_inv[:, 1, 0] = -gram[:, 1, 0] / det
-    else:
-        raise UsageError(f"unsupported intrinsic dimension {n}")
 
     # bincount adds element by element, in the order np.add.at would
     lumped = np.bincount(simplices.ravel(), np.repeat(volumes / (n + 1), n + 1), mesh.num_vertices)

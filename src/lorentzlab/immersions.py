@@ -179,7 +179,7 @@ class CylinderSphere(Immersion):
             d1 = self.curve.d1(t)
             unit = np.abs(inner(d1, d1) - 1.0).max() <= TAU_UNIT
         if not unit:
-            raise DomainError("curve must be unit-speed spacelike on [-1, 1]")
+            raise DomainError(f"curve {self.curve!r} must be unit-speed spacelike on [-1, 1]")
 
     def _value(self, x):
         t = x[..., 0]

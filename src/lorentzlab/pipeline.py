@@ -27,14 +27,7 @@ import numpy as np
 
 from .bounds import BoundEngine, TAU_DISC
 from .errors import UsageError
-from .immersions import (
-    CounterexampleSphere,
-    CylinderSphere,
-    HyperbolicArc,
-    HyperplaneSphere,
-    NullHyperplaneSphere,
-    load_immersion_spec,
-)
+from .immersions import immersion_from_spec, load_immersion_spec
 from .meshes import ParamMesh, build_circle_mesh, build_icosphere_mesh
 from .minkowski import SymBilinearForm, boost_direction, sample_timelike_directions, sq_norm
 from .quadrature import (
@@ -47,13 +40,6 @@ from .quadrature import (
 )
 
 SCHEMA_VERSION = "1"
-CASE_NAMES = (
-    "sphere-hyperplane",
-    "counterexample",
-    "cylinder-curve",
-    "lightlike-hyperplane",
-    "custom-spec-file",
-)
 
 __all__ = [
     "RunConfig",
@@ -135,38 +121,40 @@ class CaseExpectation:
     lambda1_reference: float
 
 
+# case name -> its gallery item (None: the spec file names it), the
+# RunConfig field the item reads, and its expectation row: reilly_holds,
+# equality_direction and the certificate of the built immersion
+_CASES = {
+    "sphere-hyperplane": ("round-sphere", "radius", (True, True, lambda imm: _axis(imm.m))),
+    "counterexample": ("counterexample", None, (False, False, None)),
+    # a negative scale is the time reflection, an isometric image
+    "cylinder-curve": ("cylinder-curve", "scale", (False, None, None)),
+    "lightlike-hyperplane": ("lightlike-hyperplane", "amplitude",
+                             (True, None, lambda imm: imm.null_normal)),
+    "custom-spec-file": (None, None, (None, None, None)),
+}
+CASE_NAMES = tuple(_CASES)
+
+
 def _build_case(config: RunConfig):
-    """Immersion, expectation row and the config as run of a named case:
-    a spec file sets n and the radius, scale or amplitude it was built with."""
-    n = config.n
-    if config.case == "sphere-hyperplane":
-        m = n + 2
-        imm = HyperplaneSphere(n, config.radius, np.zeros(m), _axis(m))
-        row = (True, True, _axis(m))
-    elif config.case == "counterexample":
-        imm = CounterexampleSphere(n)
-        row = (False, False, None)
-    elif config.case == "cylinder-curve":
-        # a negative scale is the time reflection, an isometric image
-        imm = CylinderSphere(n, HyperbolicArc(config.scale))
-        row = (False, None, None)
-    elif config.case == "lightlike-hyperplane":
-        imm = NullHyperplaneSphere(n, config.amplitude)
-        row = (True, None, imm.null_normal)
-    elif config.case == "custom-spec-file":
-        if not config.spec_file:
-            raise UsageError("custom-spec-file case needs --spec-file")
-        imm, spec_config = load_immersion_spec(config.spec_file)
+    """Immersion, expectation row and the config as run of a named case,
+    built as a spec file naming its gallery item would be: a spec file
+    also sets n and the radius, scale or amplitude it was built with."""
+    if config.case not in _CASES:
+        raise UsageError(f"unknown case {config.case!r}; choose from {', '.join(CASE_NAMES)}")
+    item, param, (reilly_holds, equality_direction, certify) = _CASES[config.case]
+    if item is not None:
+        params = {} if param is None else {param: getattr(config, param)}
+        imm, taken = immersion_from_spec({"gallery": item, "n": config.n, "params": params})
+    elif config.spec_file:
+        imm, taken = load_immersion_spec(config.spec_file)
         # the report echoes what the spec file set
-        config = replace(config, **spec_config)
-        row = (None, None, None)
+        config = replace(config, **taken)
     else:
-        raise UsageError(
-            f"unknown case {config.case!r}; choose from {', '.join(CASE_NAMES)}"
-        )
-    # every gallery immersion is isometric to a round sphere, of radius r for
-    # a hyperplane sphere and 1 otherwise; its first eigenvalue is n / r^2
-    radius = imm.radius if isinstance(imm, HyperplaneSphere) else 1.0
+        raise UsageError("custom-spec-file case needs --spec-file")
+    # every gallery immersion is isometric to a round sphere, of the radius
+    # the item took, or 1; its first eigenvalue is n / r^2
+    radius = taken.get("radius", 1.0)
     try:
         reference = imm.n / radius**2
     except (ZeroDivisionError, OverflowError):  # radius**2 under- or overflows
@@ -174,7 +162,8 @@ def _build_case(config: RunConfig):
     if not 0.0 < reference < math.inf:
         raise UsageError(
             f"radius {radius!r} is out of range: n / radius^2 must be a finite positive float")
-    return imm, CaseExpectation(*row, lambda1_reference=reference), config
+    certificate = None if certify is None else certify(imm)
+    return imm, CaseExpectation(reilly_holds, equality_direction, certificate, reference), config
 
 
 @functools.lru_cache(maxsize=None)

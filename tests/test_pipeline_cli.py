@@ -16,6 +16,7 @@ from lorentzlab import bounds, cli, meshes, pipeline
 from lorentzlab.bounds import BoundEngine
 from lorentzlab.cli import main
 from lorentzlab.errors import NumericalError, UsageError
+from lorentzlab.immersions import immersion_from_spec
 from lorentzlab.pipeline import (
     RunConfig,
     RunReport,
@@ -608,6 +609,71 @@ def test_cli_run_numerical_failure_in_the_solve_exits_3_and_joins_the_helper(mon
     assert names == ["suite_0"]
 
 
+# each named case: its gallery item, a non-default parameter, and its
+# expectation row (reilly_holds, equality_direction, certificate of m)
+NAMED_CASES = {
+    # an integer, as a --config file may give it
+    "sphere-hyperplane": ("round-sphere", {"radius": 2}, (True, True, lambda m: np.eye(m)[0])),
+    "counterexample": ("counterexample", {}, (False, False, None)),
+    "cylinder-curve": ("cylinder-curve", {"scale": -3.0}, (False, None, None)),
+    "lightlike-hyperplane": ("lightlike-hyperplane", {"amplitude": 0.25},
+                             (True, None, lambda m: np.eye(m)[0] + np.eye(m)[-1])),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("case", NAMED_CASES)
+def test_named_case_is_its_gallery_item(case, n):
+    item, params, (reilly_holds, equality_direction, certificate) = NAMED_CASES[case]
+    config = RunConfig(case=case, n=n, **params)
+    imm, expect, as_run = pipeline._build_case(config)
+    spec_imm, _ = immersion_from_spec({"gallery": item, "n": n, "params": params})
+    p = pipeline._build_mesh(n, 2).vertices
+    assert type(imm) is type(spec_imm)
+    for a, b in ((imm.eval(p), spec_imm.eval(p)),
+                 (imm.mean_curvature(p), spec_imm.mean_curvature(p))):
+        assert a.tobytes() == b.tobytes()
+    assert expect.lambda1_reference == n / params.get("radius", 1.0) ** 2
+    assert (expect.reilly_holds, expect.equality_direction) == (reilly_holds, equality_direction)
+    if certificate is None:
+        assert expect.certificate is None
+    else:
+        assert np.array_equal(expect.certificate, certificate(imm.m))
+    # a named case runs the config it was given: the item takes float(2),
+    # and the report still echoes the 2
+    assert as_run == config
+    assert [type(getattr(as_run, key)) for key in params] == list(map(type, params.values()))
+
+
+# every gallery parameter's sign and magnitude, from underflow to overflow
+EXTREMES = [sign + value for value in ("1e-300", "1e-153", "1e-3", "1", "1e103", "1e154", "1e300")
+            for sign in ("", "-")]
+
+
+# some inputs still warn on their way to a documented exit (ROADMAP item 5)
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("n", ["1", "2"])
+@pytest.mark.parametrize("case, flag", [("sphere-hyperplane", "--radius"),
+                                        ("counterexample", None),
+                                        ("cylinder-curve", "--scale"),
+                                        ("lightlike-hyperplane", "--amplitude")])
+def test_every_extreme_parameter_ends_in_a_documented_exit_code(capsys, case, flag, n):
+    for value in EXTREMES if flag else [None]:
+        argv = ["run", "--case", case, "--n", n, "--level", "1", "--samples", "1",
+                "--mc-samples", "2000", "--format", "csv"]
+        if flag:
+            argv.append(f"{flag}={value}")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code in (2, 3):
+            assert len(err.splitlines()) == 1, argv
+            assert err.startswith(("error: ", "numerical failure: ")), argv
+        if code == 1:
+            assert "FAIL: " in err, argv
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -649,21 +715,50 @@ def test_cli_bad_input_exits_2_before_any_thread(monkeypatch, capsys, tmp_path, 
     assert set(threading.enumerate()) <= before
 
 
-@pytest.mark.parametrize("radius", ["1e-100", "1e-150", "1e100"])
-def test_cli_out_of_range_metric_exits_2_silently_and_joins_the_helper(monkeypatch, capsys, radius):
-    # n / r^2 is in range, but the squares of the element metric's entries
-    # under- or overflow: that says nothing about the metric's sign
+_METRIC_OUT_OF_RANGE = ("element 0 has metric scale ",
+                        ", out of range: its squares under- or overflow float64")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param("sphere-hyperplane --radius 1e-100", _METRIC_OUT_OF_RANGE, id="1e-100"),
+        pytest.param("sphere-hyperplane --radius 1e-150", _METRIC_OUT_OF_RANGE, id="1e-150"),
+        pytest.param("sphere-hyperplane --radius 1e100", _METRIC_OUT_OF_RANGE, id="1e100"),
+        # at n = 1 the metric is its own scale; an overflowed chord Gram is NaN
+        pytest.param("sphere-hyperplane --n 1 --radius 1e-154", _METRIC_OUT_OF_RANGE,
+                     id="n1-1e-154"),
+        pytest.param("lightlike-hyperplane --n 1 --amplitude 1e160", _METRIC_OUT_OF_RANGE,
+                     id="n1-amplitude-1e160"),
+        pytest.param("lightlike-hyperplane --n 1 --amplitude=-1e300", _METRIC_OUT_OF_RANGE,
+                     id="n1-amplitude--1e300"),
+        # the metric is in range, but psi_hat'M psi_hat grows as r^3 and overflows
+        pytest.param("sphere-hyperplane --n 1 --radius 1e103",
+                     ("the position field's Gram pair is not finite: its scale 1e+103",
+                      " is out of range for float64"), id="n1-gram-1e103"),
+        pytest.param("sphere-hyperplane --n 1 --radius 1e154",
+                     ("the position field's Gram pair is not finite: its scale 1e+154",
+                      " is out of range for float64"), id="n1-gram-1e154"),
+        pytest.param("cylinder-curve --n 1 --scale 1e300",
+                     ("the position field's Gram pair is not finite: its scale 1e+300",
+                      " is out of range for float64"), id="n1-gram-scale-1e300"),
+    ],
+)
+def test_cli_out_of_range_metric_exits_2_silently_and_joins_the_helper(monkeypatch, capsys, args,
+                                                                       message):
+    # the input is in range, but the squares of the element metric's entries,
+    # or a field's Gram pair, under- or overflow: that says nothing about the
+    # metric's sign or the bounds
     names = _check_threads(monkeypatch)
     before = set(threading.enumerate())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["run", "--case", "sphere-hyperplane", "--level", "1", "--radius", radius,
-                     "--mc-samples", "5000"])
+        code = main(["run", "--case", *args.split(), "--level", "1", "--mc-samples", "5000"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: element 0 has metric scale ")
-    assert captured.err.endswith(", out of range: its squares under- or overflow float64\n")
+    assert captured.err.startswith("error: " + message[0])
+    assert captured.err.endswith(message[1] + "\n") and captured.err.count("\n") == 1
     assert set(threading.enumerate()) <= before
     assert names == ["suite_0"]
 
@@ -939,15 +1034,17 @@ def test_cli_zero_cylinder_scale_exits_2(capsys):
     assert "scale must be nonzero" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", ["2.9e-3", "2.8e-3", "1e-3", "1e-8", "-1e-3"])
+@pytest.mark.parametrize("scale", ["0.105", "2.9e-3", "2.8e-3", "1e-3", "1e-8", "-1e-3"])
 def test_cli_short_cylinder_scale_exits_2_without_warnings(capsys, scale):
-    # below about 2.8e-3, cosh(1 / scale) overflows and the curve's speed is NaN
+    # below about 0.11, cosh^2 - sinh^2 rounds off 1 by more than TAU_UNIT;
+    # below about 2.8e-3, cosh(1 / scale) overflows and the speed is NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", "--case", "cylinder-curve", "--level", "2", f"--scale={scale}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: curve must be unit-speed spacelike on [-1, 1]\n"
+    assert captured.err == (f"error: curve HyperbolicArc(scale={float(scale)!r}) "
+                            "must be unit-speed spacelike on [-1, 1]\n")
 
 
 def test_cli_non_numeric_spec_field_exits_2(tmp_path, capsys):
