@@ -7,18 +7,18 @@ the relative `--out` path a report echoes is the same in every checkout.
 The subdirectory receives `stdout.txt`, `stderr.txt`, `exit_code.txt` and
 the run's `--out` file, if it writes one. OUTDIR also receives
 `environment.txt`: the Python, numpy and scipy versions,
-`OPENBLAS_NUM_THREADS`, which the report bytes depend on, and the number
-of CPUs the process may run on, which they do not, so a `diff -r` names
-such a mismatch apart from a report change. Timings stay off, so two
-checkouts that should agree give directories that `diff -r` finds equal
-when both run with one BLAS thread:
+`OPENBLAS_NUM_THREADS` and the number of CPUs the process may run on;
+the report bytes depend on neither of the last two, so a `diff -r` that
+names only those lines shows equal outputs. Timings stay off, so two
+checkouts that should agree give directories that `diff -r` finds equal:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout A>/src python scripts/snapshot_outputs.py a
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout B>/src python scripts/snapshot_outputs.py b
     diff -r a b
 
-One checkout run on one CPU and on all of them gives directories whose
-`diff -r` names only the CPU line of `environment.txt`:
+One checkout run on one CPU and on all of them, or at two BLAS thread
+counts, gives directories whose `diff -r` names only that line of
+`environment.txt`:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src taskset -c 0 python scripts/snapshot_outputs.py one
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src python scripts/snapshot_outputs.py all
@@ -30,8 +30,9 @@ two-grid solve next to its residual gate), an equality threshold
 override, CSV output to a file and to stdout, a negative seed and a
 radius whose n / r^2 is out of range (usage errors), a circle at radii
 1e20, 1e60 and 1e-3 (the scale of the test-field check, of the float32
-coarse factor and of the equality residual) and 1e154 (whose position
-Gram pair overflows), a circle in the null hyperplane of amplitude 1e300
+coarse factor and of the equality residual), 1e-120 (whose pencil the
+eigensolve normalises; its mean-curvature Gram pair overflows) and 1e154
+(whose position Gram pair overflows), a circle in the null hyperplane of amplitude 1e300
 (whose chord metric overflows), a cylinder of scale 1e-3 (whose curve
 overflows), a single-level suite of every case and a
 one-case suite (the two ends of the suite's schedule), a good and a bad
@@ -93,7 +94,7 @@ def command_lines() -> dict:
     runs["run-negative-seed"] = ["run", "--case", "counterexample", "--seed", "-1"]
     runs["run-radius-out-of-range"] = ["run", "--case", "sphere-hyperplane",
                                        "--radius", "1e-200"]
-    for radius in ("1e20", "1e60", "1e-3", "1e154"):
+    for radius in ("1e20", "1e60", "1e-3", "1e-120", "1e154"):
         runs[f"run-sphere-hyperplane-n1-l3-r{radius}"] = [
             "run", "--case", "sphere-hyperplane", "--n", "1", "--level", "3", "--radius", radius
         ]
@@ -120,8 +121,8 @@ def cpu_count() -> int:
 
 
 def environment() -> str:
-    """The versions and the BLAS thread setting the report bytes depend
-    on, and the CPU count they do not."""
+    """The versions the report bytes depend on, and the BLAS thread
+    setting and CPU count they do not."""
     return (f"python {platform.python_version()}\n"
             f"numpy {numpy.__version__}\n"
             f"scipy {scipy.__version__}\n"

@@ -42,6 +42,7 @@ from .minkowski import (
     require_unit_timelike,
     sample_causal_directions,
     sample_timelike_directions,
+    vertex_sum,
 )
 from .quadrature import mean_curvature_vertices
 
@@ -128,7 +129,7 @@ class BoundEngine:
         self.mean_curvature = mean_curvature_vertices(imm, self.pencil)
         # the continuum H integrates to zero, the mesh field only to
         # quadrature accuracy, so its centered flag has a looser tolerance
-        h_center = (self.geometry.lumped @ self.mean_curvature) / self.volume
+        h_center = vertex_sum(self.geometry.lumped, self.mean_curvature) / self.volume
         self._h_centered = bool(np.abs(h_center).max() <= H_CENTER_TOL)
 
         K, M, lumped = self.pencil.stiffness, self.pencil.mass, self.geometry.lumped
@@ -137,7 +138,7 @@ class BoundEngine:
         # as r^3 on a circle of radius r): one that overflows is refused
         # below, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            center = (lumped @ positions) / self.volume
+            center = vertex_sum(lumped, positions) / self.volume
             psi = self.positions_hat = positions - center
             k_psi = K @ psi
             self.gram_k_pos = psi.T @ k_psi
@@ -156,7 +157,7 @@ class BoundEngine:
 
         # Delta psi_hat + lambda1 psi_hat with the lumped-mass Laplacian
         resid = -k_psi / lumped[:, None] + self.lambda1 * psi
-        self._resid_integral = lumped @ resid
+        self._resid_integral = vertex_sum(lumped, resid)
         self._gram_m_resid = resid.T @ (M @ resid)
         self._lumped_resid = resid.T @ (lumped[:, None] * resid)
         self._lumped_pos = psi.T @ (lumped[:, None] * psi)

@@ -26,6 +26,7 @@ __all__ = [
     "TAU_UNIT",
     "TAU_CAUSAL",
     "metric_signs",
+    "vertex_sum",
     "inner",
     "sq_norm",
     "CausalClass",
@@ -51,6 +52,15 @@ def metric_signs(m: int) -> np.ndarray:
     signs = np.ones(m)
     signs[0] = -1.0
     return signs
+
+
+def vertex_sum(weights, values):
+    """sum_i weights[i] values[i, ...]: a sum over the first axis,
+    broadcasting the rest, as (k,) weights against (k, c) columns or (k, c)
+    columns against their own kind. numpy's einsum loop forms it, never the
+    BLAS, whose `ddot` and `gemv` sum in an order that depends on the BLAS
+    thread count; every 1-D reduction over a mesh's vertices goes here."""
+    return np.einsum("i...,i...->...", weights, values)
 
 
 def inner(u, v):

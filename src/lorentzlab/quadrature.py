@@ -24,6 +24,7 @@ from .minkowski import (
     spacelike_complement_basis,
     sphere_integral_exact,
     unit_sphere_volume,
+    vertex_sum,
 )
 
 SLICE_NODES = 64
@@ -104,7 +105,7 @@ def minkowski_residual(geometry, h) -> float:
     quadrature plus discretization error.
     """
     density = 1.0 + inner(geometry.positions, h)
-    return float(geometry.lumped @ density)
+    return float(vertex_sum(geometry.lumped, density))
 
 
 def minkowski_projected_identities(pencil, psi_hat, h, a) -> tuple[float, float]:
@@ -126,9 +127,9 @@ def minkowski_projected_identities(pencil, psi_hat, h, a) -> tuple[float, float]
     h_a = h + ha[:, None] * a
     cross = inner(pos_a, h_a)
 
-    first = float(geometry.lumped @ (1.0 + cross - s * ha))
-    tangential = float(s @ (pencil.stiffness @ s))
-    cross_int = float(geometry.lumped @ cross)
+    first = float(vertex_sum(geometry.lumped, 1.0 + cross - s * ha))
+    tangential = float(vertex_sum(s, pencil.stiffness @ s))
+    cross_int = float(vertex_sum(geometry.lumped, cross))
     return first, cross_int + geometry.total_volume + tangential / geometry.mesh.n
 
 
@@ -141,9 +142,13 @@ def beltrami_residual(pencil, h) -> float:
     """
     geom = pencil.geometry
     lap = -(pencil.stiffness @ geom.positions) / geom.lumped[:, None]
-    target = geom.mesh.n * h
-    diff_sq = ((lap - target) ** 2).sum(axis=1)
-    return float(np.sqrt(geom.lumped @ diff_sq / geom.total_volume))
+    diff = lap - geom.mesh.n * h
+    # squared after scaling by the power of two that brings its largest
+    # entry into [1/2, 1), and unscaled after the square root: exact, so
+    # the squares cannot overflow and the norm keeps its bits
+    _, exp = np.frexp(np.abs(diff).max())
+    diff_sq = (np.ldexp(diff, -exp, out=diff) ** 2).sum(axis=1)
+    return float(np.ldexp(np.sqrt(vertex_sum(geom.lumped, diff_sq) / geom.total_volume), exp))
 
 
 def _blocked_values(samples: int, values_of_block) -> np.ndarray:

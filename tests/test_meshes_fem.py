@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
@@ -539,11 +540,15 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
 @pytest.mark.parametrize("level", (3, 4, 5))
 @pytest.mark.parametrize("case", CASES)
 def test_block_solves_take_12_or_15_columns(case, level):
-    # named for the fine-factor counts; the two-grid cycle takes 6 block
-    # iterations at level 3 and 5 above it, 3 columns each, on every case
+    # the solve stops at the first Rayleigh-Ritz step whose explicit
+    # residual passes the gate, each step cutting it by 20 to 50: 5 steps
+    # of 3 columns at level 3, and 4 at level 5; at level 4 the two
+    # hyperplane sections pass after 4 (5.9e-9) and the others after 5
+    # (2.6e-8 after 4 on the counterexample)
     imm, _, _ = _build_case(RunConfig(case=case))
     spec = solve_lambda1(assemble_pencil(build_icosphere_mesh(level), imm))
-    assert spec.iterations == {3: 18, 4: 15, 5: 15}[level]
+    hyperplane = case in ("sphere-hyperplane", "lightlike-hyperplane")
+    assert spec.iterations == {3: 15, 4: 12 if hyperplane else 15, 5: 12}[level]
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -570,9 +575,9 @@ def test_unattainable_tolerance_raises_quickly():
     assert time.perf_counter() - start < 5.0
 
 
-def test_lobpcg_requests_stay_reachable_and_silent():
-    # LOBPCG warns when asked for less than float64 can reach; the request
-    # is floored there, so neither the default nor an unreachable tol warns
+def test_solves_stay_silent_and_unreachable_tolerances_raise():
+    # the solve stops at the gate, which float64 products either pass or
+    # not: an unreachable tol ends in EigenSolveError, neither warns
     grid = [(2, level) for level in range(1, 6)] + [(1, level) for level in range(8)]
     for n, level in grid:
         for case in CASES:
@@ -584,6 +589,63 @@ def test_lobpcg_requests_stay_reachable_and_silent():
                 with pytest.raises(EigenSolveError):
                     solve_lambda1(pen, tol=1e-20)
             assert not caught, (case, n, level, [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("n, level", [(1, 3), (1, 7), (2, 3), (2, 4), (2, 6)])
+@pytest.mark.parametrize("case", CASES)
+def test_solve_stops_at_the_first_residual_that_passes_the_gate(case, n, level):
+    imm, _, _ = _build_case(RunConfig(case=case, n=n))
+    spec = solve_lambda1(assemble_pencil(_build_mesh(n, level), imm))
+    *before, last = spec.residuals
+    assert last == spec.residual <= TAU_EIG
+    assert all(r > TAU_EIG for r in before)
+    # one preconditioned block of n + 1 columns between two residuals
+    assert spec.iterations == (n + 1) * len(before)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("k", (-3, 1, 5))
+def test_dilated_pencil_gives_lambda1_over_r_squared_bitwise(n, k):
+    # the solve normalises K and M by powers of two; a sphere of radius
+    # r = 2^k scales them by r^(n - 2) and r^n exactly, so it iterates on
+    # the same bits as r = 1
+    def solve(radius):
+        imm, _, _ = _build_case(RunConfig(case="sphere-hyperplane", n=n, radius=radius))
+        return solve_lambda1(assemble_pencil(_build_mesh(n, 3), imm))
+
+    r = 2.0**k
+    unit, dilated = solve(1.0), solve(r)
+    assert dilated.lambda1 * r**2 == unit.lambda1
+    assert (dilated.iterations, dilated.residuals) == (unit.iterations, unit.residuals)
+
+
+def test_rayleigh_ritz_breakdown_restarts_without_p_then_raises(monkeypatch):
+    eigh = scipy.linalg.eigh
+    widths = []
+
+    def failing_with_p(a, b):
+        widths.append(len(a))
+        if len(a) == 9 and widths.count(9) == 1:
+            raise np.linalg.LinAlgError("synthetic breakdown")
+        return eigh(a, b)
+
+    pen = assemble_pencil(build_icosphere_mesh(3), CounterexampleSphere(2))
+    reference = solve_lambda1(pen)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_with_p)
+    spec = solve_lambda1(pen)
+    # the first step with P broke down and was redone on [X, W]
+    assert widths[:4] == [3, 6, 9, 6]
+    assert spec.residual <= TAU_EIG
+    assert spec.lambda1 == pytest.approx(reference.lambda1, rel=1e-10)
+
+    def failing(a, b):
+        if len(a) > 3:
+            raise np.linalg.LinAlgError("synthetic breakdown")
+        return eigh(a, b)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    with pytest.raises(EigenSolveError, match="breakdown after 3 solves"):
+        solve_lambda1(pen)
 
 
 def test_lambda1_convergence_through_level5():

@@ -650,8 +650,6 @@ EXTREMES = [sign + value for value in ("1e-300", "1e-153", "1e-3", "1", "1e103",
             for sign in ("", "-")]
 
 
-# some inputs still warn on their way to a documented exit (ROADMAP item 5)
-@pytest.mark.filterwarnings("ignore")
 @pytest.mark.parametrize("n", ["1", "2"])
 @pytest.mark.parametrize("case, flag", [("sphere-hyperplane", "--radius"),
                                         ("counterexample", None),
@@ -663,7 +661,10 @@ def test_every_extreme_parameter_ends_in_a_documented_exit_code(capsys, case, fl
                 "--mc-samples", "2000", "--format", "csv"]
         if flag:
             argv.append(f"{flag}={value}")
-        code = main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not caught, (argv, [str(w.message) for w in caught])
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err, argv
@@ -1277,6 +1278,37 @@ def test_cli_never_loads_scipy_special(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the BLAS reads its thread count once, at start-up, so each count
+    # runs in a child process, and only the child's environment sets it;
+    # the package itself never pins the count
+    runs = {
+        "counterexample-l5": ["run", "--case", "counterexample", "--level", "5"],
+        "cylinder-n1-l10": ["run", "--case", "cylinder-curve", "--n", "1", "--level", "10"],
+        "section-avg": ["section-avg", "--samples", "20000"],
+    }
+    script = (
+        "import json, sys\n"
+        "from lorentzlab.cli import main\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    assert main(argv + ['--out', name + '.json']) == 0, name\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    reports = {}
+    for threads in ("1", "2", "4"):
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], cwd=workdir,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports[threads] = {name: (workdir / f"{name}.json").read_bytes() for name in runs}
+    for threads in ("2", "4"):
+        changed = [name for name in runs if reports[threads][name] != reports["1"][name]]
+        assert not changed, (threads, changed)
 
 
 def _types(value):
