@@ -10,12 +10,12 @@ Assembly is vectorized with a fixed reduction order, so matrices are
 reproducible bit for bit. The eigensolver is the package's block LOBPCG,
 iterating in float64 on the pencil normalised by powers of two, with a
 two-grid preconditioner whose coarse solve is a float32 factor of the
-mesh's coarse level, in the order the mesh numbers it and scaled exactly
-by a power of two; it stops as soon as its float64 residual gate accepts
-lambda1. A mesh without a coarse level (level 0) is solved densely. The
-solver starts no thread of its own, and its sums over the vertices are
-`gemm`s of at least two columns or einsums, whose order does not depend
-on the BLAS thread count: lambda1 is the same bit for bit at any count.
+mesh's coarse level, in the order the mesh numbers it; it stops as soon
+as its float64 residual gate accepts lambda1. A mesh without a coarse
+level (level 0) is solved densely. The solver starts no thread of its
+own, and its sums over the vertices are `gemm`s of at least two columns
+or einsums, whose order does not depend on the BLAS thread count:
+lambda1 is the same bit for bit at any count.
 Independent solves may run concurrently.
 """
 
@@ -241,10 +241,7 @@ def _two_grid(mesh: ParamMesh, K, M, k_exp: int):
     # the coarse level is numbered in its nested-dissection order, so
     # the Galerkin operator is factored as it comes; it is symmetric,
     # so its CSR arrays are its CSC arrays
-    galerkin = (P.T @ shifted @ P).tocsr().T
-    _, factor_exp = np.frexp(np.abs(galerkin.data).max())
-    np.ldexp(galerkin.data, -factor_exp, out=galerkin.data)
-    galerkin = galerkin.astype(np.float32, copy=False)
+    galerkin = (P.T @ shifted @ P).tocsr().T.astype(np.float32)
     try:
         lu = splu(
             galerkin,
@@ -261,33 +258,15 @@ def _two_grid(mesh: ParamMesh, K, M, k_exp: int):
     del magnitude
     damped = ((4.0 / (3.0 * rho)) / diagonal)[:, None]
 
-    # x = None stands for the zero start of the cycle
-    def correct(x, b, step):
-        """x + step(b - A x)."""
-        if x is None:
-            return step(b)
-        x += step(b - shifted @ x)
-        return x
-
-    def jacobi(r):
-        return damped * r
-
-    def coarse_solve(r):
-        r = P.T @ r
-        _, exp = np.frexp(np.abs(r).max())
-        np.ldexp(r, -exp, out=r)
-        r[...] = lu.solve(np.asfortranarray(r, dtype=np.float32))
-        return P @ np.ldexp(r, exp - factor_exp, out=r)
-
     def two_grid(block):
         # C order, in which the sparse products read their blocks
         b = np.ascontiguousarray(block)
-        x = None
+        x = damped * b
+        for _ in range(SWEEPS - 1):
+            x += damped * (b - shifted @ x)
+        x += P @ lu.solve(np.asfortranarray(P.T @ (b - shifted @ x), dtype=np.float32))
         for _ in range(SWEEPS):
-            x = correct(x, b, jacobi)
-        x = correct(x, b, coarse_solve)
-        for _ in range(SWEEPS):
-            x = correct(x, b, jacobi)
+            x += damped * (b - shifted @ x)
         return x
 
     return two_grid
@@ -409,13 +388,14 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     P A_c^-1 P', then SWEEPS sweeps again. P is `prolongation` from the
     mesh one subdivision down, and A_c = P' A P is the Galerkin operator,
     SPD and so factored in float32 without pivoting, in the order the
-    coarse mesh is numbered in: its nested-dissection order. A_c and each
-    block of coarse right-hand sides are cast after scaling by the power
-    of two that brings their largest entry into [1/2, 1), undone after
-    the solve: that is exact, and keeps every radius in the float32
-    range. Each step cycles its block of n + 1 residuals at once, with one
-    factor solve, and `iterations` counts the cycled columns. The damping
-    is omega = 4 / (3 rho), with rho = max_i sum_j |a_ij| / a_ii: by
+    coarse mesh is numbered in: its nested-dissection order. A_c and the
+    coarse right-hand sides are cast to float32 as they come: A is
+    normalised as K is, so both are of order one at every radius, and a
+    scaling by a power of two commutes with the cast and the solve, short
+    of subnormals, so a scaling of their own would change no bit. Each
+    step cycles its block of n + 1 residuals at once, with one factor
+    solve, and `iterations` counts the cycled columns. The damping is
+    omega = 4 / (3 rho), with rho = max_i sum_j |a_ij| / a_ii: by
     Gershgorin rho bounds the spectrum of D^-1 A, so omega rho < 2, each
     sweep contracts in the A norm and the cycle is SPD for every pencil.
 
