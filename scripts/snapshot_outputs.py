@@ -26,18 +26,19 @@ counts, gives directories whose `diff -r` names only that line of
 
 The runs cover the benchmark's four command lines, every shipped case at
 levels 0, 3 and 4 with n = 1 and 2 and at level 11 with n = 1 (the
-two-grid solve next to its residual gate), an equality threshold
-override, CSV output to a file and to stdout, a negative seed and a
-radius whose n / r^2 is out of range (usage errors), a circle at radii
-1e20, 1e60 and 1e-3 (the scale of the test-field check, of the float32
-coarse factor and of the equality residual), 1e-120 (whose pencil the
-eigensolve normalises; its mean-curvature Gram pair overflows) and 1e154
-(whose position Gram pair overflows), a circle in the null hyperplane of amplitude 1e300
-(whose chord metric overflows), a cylinder of scale 1e-3 (whose curve
-overflows), a single-level suite of every case and a
-one-case suite (the two ends of the suite's schedule), a good and a bad
-spec file and the section battery at three seeds. The run directory
-names say which run is which.
+two-grid solve next to its residual gate), the counterexample at level
+12 with n = 1 (a solve that stalls above the gate and exits 3), an
+equality threshold override, CSV output to a file and to stdout, a
+negative seed and a radius whose n / r^2 is out of range (usage errors),
+a circle at radii 1e20, 1e60 and 1e-3 (the scale of the test-field
+check, of the float32 coarse factor and of the equality residual),
+1e-120 (whose pencil the eigensolve normalises; its mean-curvature Gram
+pair overflows) and 1e154 (whose position Gram pair overflows), a circle
+in the null hyperplane of amplitude 1e300 (whose chord metric
+overflows), a cylinder of scale 1e-3 (whose curve overflows), a
+single-level suite of every case and a one-case suite (the two ends of
+the suite's schedule), a good and a bad spec file and the section
+battery at three seeds. The run directory names say which run is which.
 
 Usage: python scripts/snapshot_outputs.py OUTDIR
 """
@@ -81,6 +82,8 @@ def command_lines() -> dict:
                     "run", "--case", case, "--n", str(n), "--level", str(level)
                 ]
         runs[f"run-{case}-n1-l11"] = ["run", "--case", case, "--n", "1", "--level", "11"]
+    runs["run-counterexample-n1-l12"] = ["run", "--case", "counterexample", "--n", "1",
+                                         "--level", "12"]
     # a single level, which both threads share, and one finest-level run,
     # which the calling thread keeps
     runs["suite-l4-all"] = ["suite", "--levels", "4", "--cases", "all"]

@@ -406,7 +406,9 @@ class BoundEngine:
         and the position field are measured in the Euclidean norm of the
         frame adapted to a (this coincides with the canonical Euclidean
         norm when a is the time axis, and keeps verdicts boost
-        equivariant). The canonical-frame number is reported alongside.
+        equivariant), and their ratio is multiplied by n / lambda1, so it
+        is the same at every scale. The canonical-frame number is reported
+        alongside, without that factor.
         Verdicts: equality-case below tau_eq, strict above STRICT_FACTOR
         times tau_eq, inconclusive between. The last column is the sharp
         bound's slack relative to its larger side.
@@ -426,7 +428,9 @@ class BoundEngine:
         rho_sq = self._trace(g_r) + c_sq
         rho_l2 = np.sqrt(np.where(rho_sq < 0.0, 0.0, rho_sq) / vol)
         psi_l2 = np.sqrt((self._trace(g_p) + 2.0 * self._form(g_p, dirs)) / vol)
-        residual_rel = rho_l2 / np.where(psi_l2 < 1e-300, 1e-300, psi_l2)
+        # rho / psi has units of 1/length^2: times n / lambda1, the squared
+        # radius `radius_from_lambda1` reports, it has none
+        residual_rel = rho_l2 / np.where(psi_l2 < 1e-300, 1e-300, psi_l2) * (n / lam)
 
         b = dirs * self.signs
         a_g_b = np.einsum("...i,ij,...j->...", dirs, g_r, b)

@@ -42,7 +42,7 @@ FACTOR_SHIFT = 1e-6
 SWEEPS = 2
 
 # preconditioned LOBPCG steps before the solve gives up; the shipped cases
-# pass the gate within 5 through level 11
+# pass the gate within 5 through level 11, each step lowering the residual
 MAX_STEPS = 20
 
 __all__ = [
@@ -231,30 +231,27 @@ def _two_grid(mesh: ParamMesh, K, M, k_exp: int):
     """The symmetric two-grid cycle for 2^-k_exp (K + s M), as a map from a
     (k, c) block of residuals to a C-ordered (k, c) block (see
     `solve_lambda1`)."""
-    k = K.shape[0]
     diag_ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
     # K and M share one pattern, so K + s M is a sum of data arrays; the
     # sparse sum would build its own pattern
     data = K.data + (FACTOR_SHIFT * diag_ratio) * M.data
     shifted = sp.csr_matrix((np.ldexp(data, -k_exp, out=data), K.indices, K.indptr), shape=K.shape)
     P = prolongation(mesh)
-    # the coarse level is numbered in its nested-dissection order, so
-    # the Galerkin operator is factored as it comes; it is symmetric,
-    # so its CSR arrays are its CSC arrays
-    galerkin = (P.T @ shifted @ P).tocsr().T.astype(np.float32)
+    # the coarse level is numbered in its nested-dissection order, so the
+    # Galerkin operator is factored as it comes, and dropped once factored;
+    # it is symmetric, so its CSR arrays are its CSC arrays
     try:
         lu = splu(
-            galerkin,
+            (P.T @ shifted @ P).tocsr().T.astype(np.float32),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # pragma: no cover - singular pencil
         raise EigenSolveError(f"factorization failed: {exc}") from exc
-    del galerkin
     diagonal = shifted.diagonal()
     magnitude = sp.csr_matrix((np.abs(shifted.data), K.indices, K.indptr), shape=K.shape)
-    rho = float(np.max(magnitude @ np.ones(k) / diagonal))
+    rho = float(np.max(magnitude @ np.ones(K.shape[0]) / diagonal))
     del magnitude
     damped = ((4.0 / (3.0 * rho)) / diagonal)[:, None]
 
@@ -272,11 +269,12 @@ def _two_grid(mesh: ParamMesh, K, M, k_exp: int):
     return two_grid
 
 
-def _lobpcg(k_times, m_times, precondition, start, tol: float):
+def _lobpcg(k_times, m_times, precondition, start):
     """Block LOBPCG for the smallest eigenpairs of (K, M) orthogonal to the
     constant vector, from the (k, b) start block, until the smallest Ritz
     pair passes the gate: its ascending Ritz values, the gate residual
-    after each Rayleigh-Ritz step and the number of cycled columns.
+    after each Rayleigh-Ritz step and the number of cycled columns. A step
+    whose residual is not below the previous one ends the solve.
 
     X, W and P live in the columns of one (k, 3b) workspace, with M and K
     times it beside it. W and P are M-orthonormalised by Cholesky before
@@ -331,9 +329,9 @@ def _lobpcg(k_times, m_times, precondition, start, tol: float):
     width = 2 * b
     for step in range(MAX_STEPS + 1):
         residuals.append(_gate_residual(k_times, m_times, basis[:, 0], ritz[0]))
-        if residuals[-1] <= tol:
+        if residuals[-1] <= TAU_EIG:
             return ritz, residuals, solves
-        if step == MAX_STEPS:
+        if step == MAX_STEPS or (step and not residuals[-1] < residuals[-2]):
             break
         basis[:, w_cols] = precondition(k_basis[:, x_cols] - m_basis[:, x_cols] * ritz)
         solves += b
@@ -355,7 +353,7 @@ def _lobpcg(k_times, m_times, precondition, start, tol: float):
     raise EigenSolveError(f"no convergence after {solves} solves (residual {residuals[-1]:.3e})")
 
 
-def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
+def solve_lambda1(pencil: FEMPencil) -> Spectrum:
     """Smallest nonzero generalized eigenvalue of (K, Mass).
 
     Block LOBPCG (Knyazev 2001; Duersch, Shao, Yang & Gu 2018) with the
@@ -367,12 +365,14 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
     after each Rayleigh-Ritz step on [X, W, P] the smallest Ritz pair's
     float64 relative residual |K x - lambda M x| / max(|K x|, lambda |M x|)
     is formed from explicit products, and lambda1 is accepted as soon as
-    it is at most `tol`. A solve still above it after MAX_STEPS
-    preconditioned steps, or whose Rayleigh-Ritz step breaks down even
-    without P, raises EigenSolveError. X, W and P, and M and K times them,
-    live in three (k, 3(n + 1)) arrays allocated once per solve. Every sum
-    over the vertices is a `gemm` of at least two columns or an einsum
-    (`vertex_sum`), whose order does not depend on the BLAS thread count.
+    it is at most TAU_EIG. A solve still above it after MAX_STEPS
+    preconditioned steps, or after a step whose residual is not below the
+    previous one (the gate is then out of float64's reach), or whose
+    Rayleigh-Ritz step breaks down even without P, raises EigenSolveError.
+    X, W and P, and M and K times them, live in three (k, 3(n + 1)) arrays
+    allocated once per solve. Every sum over the vertices is a `gemm` of
+    at least two columns or an einsum (`vertex_sum`), whose order does not
+    depend on the BLAS thread count.
 
     The iteration runs on 2^-a K and 2^-b M, with the largest entry of
     each in [1/2, 1): the scaling is exact, is applied to the products
@@ -441,11 +441,11 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         ritz = ritz[1 : nev + 1]
         residuals = [_gate_residual(k_times, m_times, vectors[:, 1], ritz[0])]
         solves = 0
-        if not residuals[0] <= tol:
+        if not residuals[0] <= TAU_EIG:
             raise EigenSolveError(f"no convergence after 0 solves (residual {residuals[0]:.3e})")
     else:
         precondition = _two_grid(mesh, K, M, k_exp)
-        ritz, residuals, solves = _lobpcg(k_times, m_times, precondition, mesh.vertices, tol)
+        ritz, residuals, solves = _lobpcg(k_times, m_times, precondition, mesh.vertices)
     lam, second = (float(v) for v in np.ldexp(ritz[:2], k_exp - m_exp))
     if lam <= 0:
         raise EigenSolveError(f"nonpositive eigenvalue {lam}")
@@ -453,5 +453,5 @@ def solve_lambda1(pencil: FEMPencil, tol: float = TAU_EIG) -> Spectrum:
         lambda1=lam,
         iterations=solves,
         residuals=tuple(residuals),
-        near_degenerate=bool(abs(second - lam) <= 10.0 * tol * max(lam, 1.0)),
+        near_degenerate=bool(abs(second - lam) <= 10.0 * TAU_EIG * max(lam, 1.0)),
     )

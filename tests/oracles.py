@@ -667,7 +667,7 @@ def equality_residuals(engine, a) -> dict:
     rho_l2_canon = np.sqrt(float(lumped @ (rho * rho).sum(axis=1)) / vol)
     psi_l2_canon = np.sqrt(float(lumped @ (psi**2).sum(axis=1)) / vol)
     return {
-        "residual_rel": rho_l2 / psi_l2,
+        "residual_rel": rho_l2 / psi_l2 * (engine.imm.n / engine.lambda1),
         "residual_rel_canonical": rho_l2_canon / psi_l2_canon,
         "causal_residual_sq": float(lumped @ inner(resid, resid)) / vol,
         "a_component_integral": float(lumped @ mu),
@@ -924,7 +924,7 @@ def equality_diagnostic(engine, a, tau_eq=None) -> dict:
     c_sq = float(engine._form(g_r, a))
     rho_l2 = math.sqrt(max(engine._trace(g_r) + c_sq, 0.0) / vol)
     psi_l2 = math.sqrt((engine._trace(g_p) + 2.0 * float(engine._form(g_p, a))) / vol)
-    residual_rel = rho_l2 / max(psi_l2, 1e-300)
+    residual_rel = rho_l2 / max(psi_l2, 1e-300) * (engine.imm.n / engine.lambda1)
 
     a_g_b = float(np.einsum("i,ij,j->", a, g_r, b))
     rho_canon_sq = float(np.trace(g_r)) + 2.0 * a_g_b + float(np.einsum("i,i->", a, a)) * c_sq

@@ -454,7 +454,9 @@ def test_factor_input_is_the_permuted_parent_numbered_galerkin_operator(monkeypa
     # the solve factors the Galerkin operator as it comes, on the coarse
     # level the mesh numbers in nested-dissection order: it is the
     # operator on the level below as its builder numbers it, permuted
-    # into that order by the one-gather oracle and scaled by a power of two
+    # into that order by the one-gather oracle, of the shifted operator
+    # normalised as K is: by the power of two that brings K's largest
+    # entry into [1/2, 1)
     received = []
     splu = lorentzlab.fem.splu
 
@@ -470,14 +472,12 @@ def test_factor_input_is_the_permuted_parent_numbered_galerkin_operator(monkeypa
     [(factored, lu)] = received
     K, M = pen.stiffness, pen.mass
     ratio = K.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
-    shifted = sp.csr_matrix((K.data + (FACTOR_SHIFT * ratio) * M.data, K.indices, K.indptr),
-                            shape=K.shape)
+    k_exp = np.frexp(np.abs(K.data).max())[1]
+    data = np.ldexp(K.data + (FACTOR_SHIFT * ratio) * M.data, -k_exp)
+    shifted = sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
     order = coarse_order(mesh, _build_mesh(2, level - 1))
     P = parent_numbered_prolongation(mesh, order)
-    galerkin = (P.T @ shifted @ P).tocsr()
-    # scaled by the power of two that brings its largest entry into [1/2, 1)
-    galerkin.data = np.ldexp(galerkin.data, -np.frexp(np.abs(galerkin.data).max())[1])
-    oracle = _permuted_csc32(galerkin, order)
+    oracle = _permuted_csc32((P.T @ shifted @ P).tocsr(), order)
     # the gather lists a column's rows in the builder's numbering; SuperLU
     # factors either listing to the same bits, so the rows are compared in
     # order
@@ -567,17 +567,18 @@ def test_lambda1_level6_matches_fine_factor_oracle():
     assert spec.lambda1 == pytest.approx(lambda1_fine_factor(pen), rel=1e-10)
 
 
-def test_unattainable_tolerance_raises_quickly():
+def test_unattainable_tolerance_raises_quickly(monkeypatch):
     pen = assemble_pencil(build_icosphere_mesh(2), CounterexampleSphere(2))
+    monkeypatch.setattr(lorentzlab.fem, "TAU_EIG", 1e-20)
     start = time.perf_counter()
     with pytest.raises(EigenSolveError):
-        solve_lambda1(pen, tol=1e-20)
+        solve_lambda1(pen)
     assert time.perf_counter() - start < 5.0
 
 
-def test_solves_stay_silent_and_unreachable_tolerances_raise():
+def test_solves_stay_silent_and_unreachable_tolerances_raise(monkeypatch):
     # the solve stops at the gate, which float64 products either pass or
-    # not: an unreachable tol ends in EigenSolveError, neither warns
+    # not: an unreachable gate ends in EigenSolveError, neither warns
     grid = [(2, level) for level in range(1, 6)] + [(1, level) for level in range(8)]
     for n, level in grid:
         for case in CASES:
@@ -586,8 +587,9 @@ def test_solves_stay_silent_and_unreachable_tolerances_raise():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 solve_lambda1(pen)
-                with pytest.raises(EigenSolveError):
-                    solve_lambda1(pen, tol=1e-20)
+                with monkeypatch.context() as patch, pytest.raises(EigenSolveError):
+                    patch.setattr(lorentzlab.fem, "TAU_EIG", 1e-20)
+                    solve_lambda1(pen)
             assert not caught, (case, n, level, [str(w.message) for w in caught])
 
 
@@ -599,6 +601,8 @@ def test_solve_stops_at_the_first_residual_that_passes_the_gate(case, n, level):
     *before, last = spec.residuals
     assert last == spec.residual <= TAU_EIG
     assert all(r > TAU_EIG for r in before)
+    # every step lowers the residual: a step that does not ends the solve
+    assert all(a > b for a, b in zip(spec.residuals, spec.residuals[1:]))
     # one preconditioned block of n + 1 columns between two residuals
     assert spec.iterations == (n + 1) * len(before)
 

@@ -1153,6 +1153,13 @@ def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_case", boom)
     assert main(["run", "--case", "sphere-hyperplane"]) == 3
     capsys.readouterr()
+    monkeypatch.undo()
+    # float64 cannot reach the gate at level 12, and the solve ends at the
+    # first step that does not lower its residual
+    assert main(["run", "--case", "counterexample", "--n", "1", "--level", "12"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: no convergence after 2 solves (residual 5.683e-08)\n"
+    )
 
 
 def test_tolerance_overrides_take_effect():
