@@ -40,15 +40,28 @@ single-level suite of every case and a one-case suite (the two ends of
 the suite's schedule), a good and a bad spec file and the section
 battery at three seeds. The run directory names say which run is which.
 
+With `--manifest PATH` the script writes the snapshot to a temporary
+directory and records at PATH, as JSON, the Python, numpy and scipy
+versions and the SHA-256 of every file the snapshot writes except
+`environment.txt`, keyed by its path under OUTDIR.
+`tests/golden/manifest.json` is that record for the checked-in code, and
+a test rewrites the snapshot and compares; a change that moves report
+bytes on purpose re-records it:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/snapshot_outputs.py --manifest tests/golden/manifest.json
+
 Usage: python scripts/snapshot_outputs.py OUTDIR
+       python scripts/snapshot_outputs.py --manifest PATH
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import platform
 import sys
+import tempfile
 
 import numpy
 import scipy
@@ -123,14 +136,18 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def versions() -> dict:
+    """The versions the report bytes depend on."""
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
 def environment() -> str:
     """The versions the report bytes depend on, and the BLAS thread
     setting and CPU count they do not."""
-    return (f"python {platform.python_version()}\n"
-            f"numpy {numpy.__version__}\n"
-            f"scipy {scipy.__version__}\n"
-            f"OPENBLAS_NUM_THREADS {os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}\n"
-            f"cpus {cpu_count()}\n")
+    return ("".join(f"{name} {version}\n" for name, version in versions().items())
+            + f"OPENBLAS_NUM_THREADS {os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}\n"
+            + f"cpus {cpu_count()}\n")
 
 
 def snapshot(outdir: str) -> None:
@@ -159,7 +176,34 @@ def snapshot(outdir: str) -> None:
         print(f"{name}: exit {code}")
 
 
+def digests(outdir: str) -> dict:
+    """Path under OUTDIR -> SHA-256 of every file but `environment.txt`,
+    in path order."""
+    out = {}
+    for root, _, names in os.walk(outdir):
+        for filename in names:
+            path = os.path.join(root, filename)
+            key = os.path.relpath(path, outdir).replace(os.sep, "/")
+            if key != "environment.txt":
+                with open(path, "rb") as fh:
+                    out[key] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(out.items()))
+
+
+def write_manifest(path: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "snapshot")
+        snapshot(outdir)
+        record = {"versions": versions(), "files": digests(outdir)}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 3 and sys.argv[1] == "--manifest":
+        write_manifest(sys.argv[2])
+    elif len(sys.argv) == 2 and not sys.argv[1].startswith("-"):
+        snapshot(sys.argv[1])
+    else:
         sys.exit(__doc__)
-    snapshot(sys.argv[1])
