@@ -21,6 +21,7 @@ Independent solves may run concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,39 +70,47 @@ class MeshGeometry:
 
 
 def mesh_geometry(mesh: ParamMesh, imm):
-    """The immersed mesh's geometry and the (E, n, n) inverse Lorentz Gram
-    of each element's edge chords, which only assembly reads."""
+    """The immersed mesh's geometry and each element's energy matrix
+    A_T = vol_T G_T^-1, with G_T the Lorentz Gram of its edge chords, which
+    only assembly reads: an n x n nested list of (E,) entries whose lower
+    triangle shares the upper's arrays.
+
+    The Gram is formed one ambient coordinate at a time: its positions are
+    gathered once, and the products of its n (E,) chord arrays are added
+    to or subtracted from the (E,) Gram entries, so no (E, n, m) chord or
+    (E, n, n) Gram array is made. An element whose Gram is not positive
+    definite is refused, the first one named."""
     positions = imm.eval(mesh.vertices)
-    simplices = mesh.simplices
     n = mesh.n
-    chords = positions[simplices[:, 1:]] - positions[simplices[:, :1]]
-    # the Lorentz Gram entry by entry, each summed from zero over the
-    # coordinates in order: the sums the einsum "eam,m,ebm->eab" forms, bit
-    # for bit, as scaling by a sign (+-1) is exact and products commute;
-    # only (E,) temporaries, where scaling all chords at once would copy them
     signs = metric_signs(imm.m)
-    gram = np.zeros((len(chords), n, n))
-    # an entry, or the n = 2 determinant, may under- or overflow: the check
+    if n not in (1, 2):
+        raise UsageError(f"unsupported intrinsic dimension {n}")
+    corners = [np.ascontiguousarray(mesh.simplices[:, c]) for c in range(n + 1)]
+    pairs = list(zip(*np.triu_indices(n)))
+    gram = {pair: np.zeros(len(corners[0])) for pair in pairs}
+    # each entry summed from zero over the coordinates in order: the sums
+    # the einsum "eam,m,ebm->eab" forms, bit for bit, as subtracting a
+    # product is adding it scaled by the sign -1, and products commute; an
+    # entry, or the n = 2 determinant, may under- or overflow: the check
     # below refuses it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(*np.triu_indices(n)):
-            for i in range(imm.m):
-                gram[:, a, b] += signs[i] * chords[:, a, i] * chords[:, b, i]
-            gram[:, b, a] = gram[:, a, b]
-        if n == 1:
-            det = gram[:, 0, 0]
-        elif n == 2:
-            det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-        else:
-            raise UsageError(f"unsupported intrinsic dimension {n}")
+        for i, sign in enumerate(signs):
+            x = np.ascontiguousarray(positions[:, i])
+            base = x[corners[0]]
+            chords = [x[c] - base for c in corners[1:]]
+            accumulate = np.add if sign > 0 else np.subtract
+            for a, b in pairs:
+                accumulate(gram[a, b], chords[a] * chords[b], out=gram[a, b])
+        g00 = gram[0, 0]
+        det = g00 if n == 1 else g00 * gram[1, 1] - gram[0, 1] * gram[0, 1]
     # a determinant that is not a positive normal float is either not
     # positive or under- or overflowed: the scale of the Gram entries,
     # whose products it sums, tells which; an exactly zero Gram has
     # cancelled (as -dh^2 + dh^2 does), not under- or overflowed
     finfo = np.finfo(float)
-    bad = np.nonzero((gram[:, 0, 0] <= 0) | ~((det >= finfo.tiny) & (det <= finfo.max)))[0]
+    bad = np.nonzero((g00 <= 0) | ~((det >= finfo.tiny) & (det <= finfo.max)))[0]
     if bad.size:
-        scale = np.abs(gram[bad]).max(axis=(1, 2))
+        scale = np.max([np.abs(entry[bad]) for entry in gram.values()], axis=0)
         in_range = (scale >= np.sqrt(finfo.tiny)) & (scale <= np.sqrt(finfo.max))
         out = np.nonzero(~(in_range | (scale == 0)))[0]
         if out.size:
@@ -110,17 +119,15 @@ def mesh_geometry(mesh: ParamMesh, imm):
         raise NotSpacelikeError(f"element {bad[0]} is not spacelike; mesh too coarse")
     if n == 1:
         volumes = np.sqrt(det)
-        gram_inv = (1.0 / det)[:, None, None]
+        energy = [[(1.0 / det) * volumes]]
     else:
         volumes = np.sqrt(det) / 2.0
-        gram_inv = np.empty_like(gram)
-        gram_inv[:, 0, 0] = gram[:, 1, 1] / det
-        gram_inv[:, 1, 1] = gram[:, 0, 0] / det
-        gram_inv[:, 0, 1] = -gram[:, 0, 1] / det
-        gram_inv[:, 1, 0] = -gram[:, 1, 0] / det
+        # the adjugate over the determinant, then scaled by the volume
+        a01 = (-gram[0, 1] / det) * volumes
+        energy = [[(gram[1, 1] / det) * volumes, a01], [a01, (g00 / det) * volumes]]
 
     # bincount adds element by element, in the order np.add.at would
-    lumped = np.bincount(simplices.ravel(), np.repeat(volumes / (n + 1), n + 1), mesh.num_vertices)
+    lumped = np.bincount(mesh.simplices.ravel(), np.repeat(volumes / (n + 1), n + 1), mesh.num_vertices)
     geometry = MeshGeometry(
         mesh=mesh,
         positions=positions,
@@ -128,7 +135,7 @@ def mesh_geometry(mesh: ParamMesh, imm):
         lumped=lumped,
         total_volume=float(volumes.sum()),
     )
-    return geometry, gram_inv
+    return geometry, energy
 
 
 def _difference_matrix(n: int) -> np.ndarray:
@@ -150,12 +157,15 @@ class FEMPencil:
 def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
     """Assemble P1 stiffness and consistent mass under the chord metric.
 
-    Both matrices come from one COO pattern, and the conversion to CSR
+    Each element's stiffness D'A_T D, with D = [-1 | I] its edge-difference
+    matrix and A_T its energy matrix from `mesh_geometry`, is written in
+    closed form, [[1'A1, -1'A], [-A1, A]], one (E,) entry at a time. Both
+    matrices come from one COO pattern, and the conversion to CSR
     sorts and sums a pattern the same way whatever its values, so the mass
     shares the stiffness's `indices` and `indptr` arrays. Nothing may sort
     or prune either matrix in place.
     """
-    geom, gram_inv = mesh_geometry(mesh, imm)
+    geom, energy = mesh_geometry(mesh, imm)
     n = mesh.n
     k = mesh.num_vertices
     # the index type scipy would convert to, so coo_matrix keeps these arrays
@@ -164,9 +174,18 @@ def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
     cols = np.tile(simplices, (1, n + 1)).ravel()
     del simplices
 
-    diff = _difference_matrix(n)
-    k_loc = diff.T @ ((gram_inv * geom.volumes[:, None, None]) @ diff)
-    del gram_inv
+    # D'AD with D the edge-difference matrix [-1 | I]: [[1'A1, -1'A],
+    # [-A1, A]], the sums the products D'(AD) form, bit for bit, as A is
+    # symmetric, D's entries are 0 and +-1 and each sum has at most two
+    # nonzero terms
+    k_loc = np.empty((len(geom.volumes), n + 1, n + 1))
+    row_sums = [functools.reduce(np.add, row) for row in energy]
+    k_loc[:, 0, 0] = functools.reduce(np.add, row_sums)
+    for a in range(n):
+        k_loc[:, 0, a + 1] = k_loc[:, a + 1, 0] = -row_sums[a]
+        for b in range(n):
+            k_loc[:, a + 1, b + 1] = energy[a][b]
+    del energy, row_sums
     stiffness = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(k, k)).tocsr()
     del k_loc
     m_loc = (np.ones((n + 1, n + 1)) + np.eye(n + 1)) / ((n + 1) * (n + 2))

@@ -104,10 +104,8 @@ def _nd_numbered(below: ParamMesh, parents: np.ndarray) -> tuple[ParamMesh, np.n
     """The coarse level `below` with its vertices permuted into the
     nested-dissection order of its edge graph, and the (k, 2) `parents`,
     vertices of `below`, renumbered with its simplices."""
-    # the vertex pairs that share a simplex
-    i, j = np.triu_indices(below.simplices.shape[1], 1)
-    edges = np.stack([below.simplices[:, i], below.simplices[:, j]], axis=-1)
-    order = nested_dissection_order(below.vertices, edges.reshape(-1, 2))
+    # the midpoints' parents: the edges of `below`, each once
+    order = nested_dissection_order(below.vertices, parents[parents[:, 0] != parents[:, 1]])
     number = np.empty_like(order)
     number[order] = np.arange(order.size)
     return ParamMesh(below.vertices[order], number[below.simplices], below.level), number[parents]
@@ -169,7 +167,7 @@ def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.
     # edges in face order ab, bc, ca; each midpoint is numbered at the
     # first face that meets its edge
     edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
+    key = np.minimum(edges[:, 0], edges[:, 1]) * len(vertices) + np.maximum(edges[:, 0], edges[:, 1])
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     number = np.empty_like(order)
