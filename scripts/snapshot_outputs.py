@@ -35,6 +35,8 @@ check, of the float32 coarse factor and of the equality residual),
 1e-120 (whose pencil the eigensolve normalises; its mean-curvature Gram
 pair overflows) and 1e154 (whose position Gram pair overflows), a circle
 in the null hyperplane of amplitude 1e300 (whose chord metric
+overflows), a sphere in it at level 3 of amplitude 1e8 (whose chord
+metric rounds to not spacelike) and 1e300 (whose chord metric
 overflows), a cylinder of scale 1e-3 (whose curve overflows), a
 single-level suite of every case and a one-case suite (the two ends of
 the suite's schedule), a good and a bad spec file and the section
@@ -117,6 +119,10 @@ def command_lines() -> dict:
     runs["run-lightlike-hyperplane-n1-l3-a1e300"] = [
         "run", "--case", "lightlike-hyperplane", "--n", "1", "--level", "3", "--amplitude", "1e300"
     ]
+    for amplitude in ("1e8", "1e300"):
+        runs[f"run-lightlike-hyperplane-n2-l3-a{amplitude}"] = [
+            "run", "--case", "lightlike-hyperplane", "--level", "3", "--amplitude", amplitude
+        ]
     runs["run-cylinder-curve-scale1e-3"] = ["run", "--case", "cylinder-curve", "--scale", "1e-3",
                                             "--level", "2"]
     for name in SPECS:

@@ -73,13 +73,9 @@ def mesh_geometry(mesh: ParamMesh, imm):
     """The immersed mesh's geometry and each element's energy matrix
     A_T = vol_T G_T^-1, with G_T the Lorentz Gram of its edge chords, which
     only assembly reads: an n x n nested list of (E,) entries whose lower
-    triangle shares the upper's arrays.
-
-    The Gram is formed one ambient coordinate at a time: its positions are
-    gathered once, and the products of its n (E,) chord arrays are added
-    to or subtracted from the (E,) Gram entries, so no (E, n, m) chord or
-    (E, n, n) Gram array is made. An element whose Gram is not positive
-    definite is refused, the first one named."""
+    triangle shares the upper's arrays. The Gram is formed one ambient
+    coordinate at a time from (E,) chord arrays: no (E, n, m) chord or
+    (E, n, n) Gram array is made."""
     positions = imm.eval(mesh.vertices)
     n = mesh.n
     signs = metric_signs(imm.m)
@@ -88,11 +84,11 @@ def mesh_geometry(mesh: ParamMesh, imm):
     corners = [np.ascontiguousarray(mesh.simplices[:, c]) for c in range(n + 1)]
     pairs = list(zip(*np.triu_indices(n)))
     gram = {pair: np.zeros(len(corners[0])) for pair in pairs}
-    # each entry summed from zero over the coordinates in order: the sums
-    # the einsum "eam,m,ebm->eab" forms, bit for bit, as subtracting a
-    # product is adding it scaled by the sign -1, and products commute; an
-    # entry, or the n = 2 determinant, may under- or overflow: the check
-    # below refuses it, so numpy need not warn
+    # each entry is summed from zero over the coordinates in order: the
+    # sums the einsum "eam,m,ebm->eab" forms, bit for bit, as subtracting a
+    # product adds it times the sign -1 and products commute. An entry, or
+    # the n = 2 determinant, may under- or overflow: the check below
+    # refuses it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for i, sign in enumerate(signs):
             x = np.ascontiguousarray(positions[:, i])
@@ -138,13 +134,6 @@ def mesh_geometry(mesh: ParamMesh, imm):
     return geometry, energy
 
 
-def _difference_matrix(n: int) -> np.ndarray:
-    d = np.zeros((n, n + 1))
-    d[:, 0] = -1.0
-    d[np.arange(n), np.arange(1, n + 1)] = 1.0
-    return d
-
-
 @dataclass
 class FEMPencil:
     """Stiffness/mass pair for the generalized eigenproblem K f = lambda M f."""
@@ -174,10 +163,8 @@ def assemble_pencil(mesh: ParamMesh, imm) -> FEMPencil:
     cols = np.tile(simplices, (1, n + 1)).ravel()
     del simplices
 
-    # D'AD with D the edge-difference matrix [-1 | I]: [[1'A1, -1'A],
-    # [-A1, A]], the sums the products D'(AD) form, bit for bit, as A is
-    # symmetric, D's entries are 0 and +-1 and each sum has at most two
-    # nonzero terms
+    # the sums the products D'(AD) form, bit for bit: A is symmetric, D's
+    # entries are 0 and +-1 and each sum has at most two nonzero terms
     k_loc = np.empty((len(geom.volumes), n + 1, n + 1))
     row_sums = [functools.reduce(np.add, row) for row in energy]
     k_loc[:, 0, 0] = functools.reduce(np.add, row_sums)
@@ -444,7 +431,8 @@ def solve_lambda1(pencil: FEMPencil) -> Spectrum:
     K = pencil.stiffness
     M = pencil.mass
     mesh = pencil.geometry.mesh
-    nev = mesh.n + 1
+    # the start block's width: the cluster the solve resolves
+    nev = mesh.vertices.shape[1]
     k_exp = int(np.frexp(np.abs(K.data).max())[1])
     m_exp = int(np.frexp(np.abs(M.data).max())[1])
     k_times, m_times = _scaled_product(K, k_exp), _scaled_product(M, m_exp)

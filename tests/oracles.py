@@ -59,7 +59,7 @@ from lorentzlab.bounds import (
     TIE_RTOL,
 )
 from lorentzlab.errors import DomainError, NotSpacelikeError, NumericalError, UsageError
-from lorentzlab.fem import _difference_matrix, assemble_pencil, mesh_geometry
+from lorentzlab.fem import assemble_pencil, mesh_geometry
 from lorentzlab.immersions import (
     CylinderSphere,
     HyperplaneSphere,
@@ -1156,6 +1156,15 @@ def nested_dissection_order_recursive(points, pattern) -> np.ndarray:
         )
 
     return np.array(order(np.arange(points.shape[0])), dtype=np.int64)
+
+
+def _difference_matrix(n: int) -> np.ndarray:
+    """The (n, n + 1) edge-difference matrix [-1 | I]: row a maps an
+    element's corner values to the difference along its chord a."""
+    d = np.zeros((n, n + 1))
+    d[:, 0] = -1.0
+    d[np.arange(n), np.arange(1, n + 1)] = 1.0
+    return d
 
 
 def stiffness_einsum(mesh, geometry) -> sp.csr_matrix:

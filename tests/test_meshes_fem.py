@@ -37,6 +37,7 @@ from oracles import (
     _permuted_csc32,
     apply_discrete_laplacian,
     build_icosphere_mesh_loop,
+    chord_gram_inverse,
     coarse_order,
     edge_pattern,
     euler_characteristic,
@@ -329,6 +330,18 @@ def test_element_stiffness_matches_einsum_oracle_bitwise(n, case, level):
     oracle = stiffness_einsum(mesh, pen.geometry)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(pen.stiffness, attr), getattr(oracle, attr))
+
+
+@pytest.mark.parametrize("level", (0, 3, 5))
+@pytest.mark.parametrize("n, case", [(n, case) for n in (1, 2) for case in CASES])
+def test_element_energy_matches_chord_gram_inverse_bitwise(n, case, level):
+    imm, _, _ = _build_case(RunConfig(case=case, n=n))
+    mesh = _build_mesh(imm.n, level)
+    geom, energy = mesh_geometry(mesh, imm)
+    oracle = chord_gram_inverse(geom) * geom.volumes[:, None, None]
+    for a in range(n):
+        for b in range(n):
+            assert np.array_equal(energy[a][b], oracle[:, a, b]), (a, b)
 
 
 @pytest.mark.parametrize("level", (0, 3, 5))
