@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 import os
-import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -392,19 +391,18 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
     on the calling thread, so bad input is refused before any thread
     starts and no run writes a shared mesh; the time this set-up takes is
     every run's `setup` stamp. The Monte Carlo check of each ambient
-    dimension is then started on one helper thread, first in its queue.
-    The finest level's runs wait in one queue in report order. The
-    calling thread takes its first run before the helper starts, then
-    takes the rest from the front. After the checks, the helper takes one
-    run from the back, if any is left, then runs the coarser runs in
-    report order, then takes from the back what the calling thread has
-    not started. So at most two finest-level engines are in flight, and a
-    one-case suite, and so every `lab run`, never shares its finest
-    level. Every run reads its check when it reaches its identities. Once
-    a run fails, no run numbered above the lowest failure starts, and
-    every run numbered below it still runs, so the failure raised once the
-    helper has finished is the one a serial loop would raise. Reports
-    match standalone runs byte for byte.
+    dimension is then started on one helper thread, ahead of any run.
+    The runs wait in one deque. With f0 ... f(L-1) the finest level's runs
+    and c0 ... c(C-1) the coarser ones, each in report order, it reads
+    f(L-1), c0 ... c(C-1), f(L-2) ... f1, f0, or c0 ... c(C-1), f0 when
+    L is 1. The calling thread pops from the right, its first run before
+    the helper starts; the helper, after the checks, pops from the left.
+    So at most two finest-level engines are in flight, and a `lab run`
+    keeps its run on the calling thread. A failed run leaves its
+    exception in its report slot and the other runs still run; once the
+    helper has finished, the first failure in report order is raised,
+    the one a serial loop would raise. Reports match standalone runs byte
+    for byte.
     """
     if not cases or not levels:
         raise UsageError("suite needs nonempty case and level lists")
@@ -414,42 +412,25 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
             for imm, expect, config in built for level in levels]
     setup = time.perf_counter() - t0
     finest = max(levels)
-    fine = collections.deque(i for i, (config, *_) in enumerate(runs) if config.level == finest)
+    first, *rest = (i for i, (config, *_) in enumerate(runs) if config.level == finest)
     coarse = [i for i, (config, *_) in enumerate(runs) if config.level != finest]
+    queue = collections.deque([*rest[-1:], *coarse, *reversed(rest[:-1]), first])
     reports: list = [None] * len(runs)
-    errors: dict[int, Exception] = {}
-    lock = threading.Lock()  # guards `fine` and `errors`
 
-    def take(pop) -> int | None:
-        """A finest-level run from one end of the queue, None if it is empty."""
-        with lock:
-            return pop() if fine else None
-
-    def start(i: int | None) -> bool:
-        """Evaluate run i, unless it is None or numbered above a failed
-        run; False if it does not start."""
-        with lock:
-            if i is None or (errors and i > min(errors)):
-                return False
-        config, imm, expect, mesh = runs[i]
-        try:
-            reports[i] = _evaluate_case(config, imm, expect, mesh, checks[imm.m],
-                                        {"setup": setup})
-        except Exception as exc:  # raised on the calling thread below
-            with lock:
-                errors[i] = exc
-        return True
-
-    def helper_lane() -> None:
-        """One finest-level run early, beside the calling thread's first,
-        which peaks lower than stealing only at the end; then the coarser
-        runs; then the finest-level runs that are left."""
-        start(take(fine.pop))
-        for i in coarse:
-            if not start(i):
-                break
-        while start(take(fine.pop)):
-            pass
+    def lane(pop) -> None:
+        """Evaluate the runs `pop` takes from one end of the queue until it
+        is empty; deque pops are atomic, so each run is taken once."""
+        while True:
+            try:
+                i = pop()
+            except IndexError:  # the queue is empty
+                return
+            config, imm, expect, mesh = runs[i]
+            try:
+                reports[i] = _evaluate_case(config, imm, expect, mesh, checks[imm.m],
+                                            {"setup": setup})
+            except Exception as exc:  # raised on the calling thread below
+                reports[i] = exc
 
     with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="suite") as pool:
         # one check per ambient dimension, a function of m, mc_samples and seed
@@ -458,13 +439,14 @@ def run_suite(cases: list[str], levels: list[int], base: RunConfig):
             if imm.m not in checks:
                 checks[imm.m] = pool.submit(
                     _section_check, imm.m, config.mc_samples, config.seed).result
-        i = fine.popleft()
-        helper = pool.submit(helper_lane)
-        while start(i):
-            i = take(fine.popleft)
+        mine = [queue.pop()]  # taken before the helper can reach the queue
+        helper = pool.submit(lane, queue.popleft)
+        lane(mine.pop)
+        lane(queue.pop)
         helper.result()
-    if errors:
-        raise errors[min(errors)]
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
 
     table = [
         {

@@ -9,7 +9,8 @@ matched by attribute name, so a read of any attribute with that name
 counts. Likewise a field of a package dataclass or NamedTuple, or a
 `self.<attr>` a package class stores, must be read as an attribute of
 that name somewhere in the package: a value computed and never read is
-work and code for nothing. `minkowski` and `quadrature` (the section
+work and code for nothing. So is a module-level import the module never
+reads. `minkowski` and `quadrature` (the section
 frame, the exact integrals and the estimators) import nothing from the
 FEM pipeline or scipy.
 """
@@ -165,6 +166,27 @@ def unread_attributes(trees: dict[str, ast.Module]) -> list[str]:
     return unread
 
 
+def unread_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """Names a module-level import binds that nothing in its module loads;
+    a `from __future__` import binds none."""
+    unread = []
+    for module, tree in trees.items():
+        loads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loads:
+                        unread.append(f"{module}.{name}")
+    return unread
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """First component of every module a tree imports, relative to the
     package for package modules."""
@@ -201,7 +223,14 @@ def test_every_stored_field_and_attribute_is_read_inside_the_package():
     assert unread_attributes(trees) == []
 
 
+def test_every_module_level_import_is_read_by_its_module():
+    assert unread_imports(_trees()) == []
+
+
 SAMPLE = """
+from __future__ import annotations
+
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -234,3 +263,4 @@ def test_stored_value_guards_flag_what_is_never_read():
     trees = {"sample": ast.parse(SAMPLE)}
     assert unread_fields(trees) == ["sample.Record.unused", "sample.Pair.right"]
     assert unread_attributes(trees) == ["sample.Holder.kind"]
+    assert unread_imports(trees) == ["sample.threading"]

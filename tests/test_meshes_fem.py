@@ -249,10 +249,12 @@ def test_lambda1_circle():
 
 
 def p1_circle_lambda1(segments):
-    """P1 eigenvalue of the first Fourier mode on the inscribed regular polygon."""
+    """P1 eigenvalue of the first Fourier mode on the inscribed regular
+    polygon, 6 (1 - cos t) / (h^2 (2 + cos t)) written with sin^2(t/2),
+    which keeps full relative precision as t goes to 0."""
     t = 2.0 * math.pi / segments
     h = 2.0 * math.sin(math.pi / segments)
-    return 6.0 * (1.0 - math.cos(t)) / (h**2 * (2.0 + math.cos(t)))
+    return 12.0 * math.sin(t / 2.0) ** 2 / (h**2 * (2.0 + math.cos(t)))
 
 
 @pytest.mark.parametrize("segments, exact", [(3, 2.0), (4, 1.5), (5, p1_circle_lambda1(5))])
@@ -266,6 +268,16 @@ def test_lambda1_tiny_circles_match_exact_p1(segments, exact):
     spec = solve_lambda1(pen)
     assert abs(spec.lambda1 - exact) <= 1e-12 * exact
     assert spec.residual <= 1e-12
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_lambda1_circle_levels_match_exact_p1(level):
+    # the case's circle is a regular polygon of 16 * 2^level segments; the
+    # solve's lambda1 is measured within 4.8e-13 of the closed form here
+    imm, _, _ = _build_case(RunConfig(case="sphere-hyperplane", n=1))
+    spec = solve_lambda1(assemble_pencil(_build_mesh(imm.n, level), imm))
+    exact = p1_circle_lambda1(16 * 2**level)
+    assert abs(spec.lambda1 - exact) <= 1e-12 * exact
 
 
 def test_lambda1_sphere_and_counterexample():

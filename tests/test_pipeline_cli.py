@@ -502,6 +502,38 @@ def test_suite_queue_hands_out_each_run_once_under_fast_thread_switching(monkeyp
     assert sorted(case for thread, case in starts if thread is not caller) == sorted(cases[mine:])
 
 
+def test_suite_calling_thread_takes_coarser_runs_last_first_once_the_finest_level_is_gone(
+        monkeypatch):
+    # the helper is held at its first run until the calling thread has
+    # started every other run, which it reaches from the queue's right end
+    levels = [0, 1]
+    total = len(SUITE_CASES) * len(levels)
+    caller = threading.current_thread()
+    helper_started = threading.Event()
+    queue_empty = threading.Event()
+    starts = []
+    evaluate = pipeline._evaluate_case
+
+    def held(config, *args):
+        mine = threading.current_thread() is caller
+        starts.append((SUITE_CASES.index(config.case) * len(levels) + config.level, mine))
+        if mine:
+            assert helper_started.wait(timeout=60)
+            if sum(on_caller for _, on_caller in starts) == total - 1:
+                queue_empty.set()
+        elif not helper_started.is_set():
+            helper_started.set()
+            queue_empty.wait(timeout=10)  # held at its first run, not forever
+        return evaluate(config, *args)
+
+    monkeypatch.setattr(pipeline, "_evaluate_case", held)
+    run_suite(SUITE_CASES, levels, RunConfig(case="sphere-hyperplane", samples=2, mc_samples=2000))
+    # the finest level (odd runs) from the front of report order, then the
+    # coarser runs last first; the helper keeps only the last finest run
+    assert [i for i, mine in starts if mine] == [1, 3, 5, 6, 4, 2, 0]
+    assert [i for i, mine in starts if not mine] == [7]
+
+
 @pytest.mark.parametrize(
     "failing",
     [
