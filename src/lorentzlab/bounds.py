@@ -407,8 +407,9 @@ class BoundEngine:
         frame adapted to a (this coincides with the canonical Euclidean
         norm when a is the time axis, and keeps verdicts boost
         equivariant), and their ratio is multiplied by n / lambda1, so it
-        is the same at every scale. The canonical-frame number is reported
-        alongside, without that factor.
+        is the same at every scale. The canonical-frame ratio and the
+        residual's causal square are reported alongside, with the same
+        factor.
         Verdicts: equality-case below tau_eq, strict above STRICT_FACTOR
         times tau_eq, inconclusive between. The last column is the sharp
         bound's slack relative to its larger side.
@@ -453,8 +454,8 @@ class BoundEngine:
                 "inconclusive",
             ),
             "residual_rel": residual_rel,
-            "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300),
-            "causal_residual_sq": np.full(k, self._trace(g_r) / vol),
+            "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300) * (n / lam),
+            "causal_residual_sq": np.full(k, self._trace(g_r) / vol * (n / lam)),
             "a_component_integral": -np.einsum("i,...i->...", self._resid_integral, b),
             "tangential_ratio": tangential / vol,
             "radius_from_curvature": 1.0 / np.sqrt(np.where(h_a_mean < 1e-300, 1e-300, h_a_mean)),

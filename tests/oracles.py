@@ -666,10 +666,11 @@ def equality_residuals(engine, a) -> dict:
     psi_l2 = np.sqrt(float(lumped @ (inner(psi, psi) + 2.0 * s_hat**2)) / vol)
     rho_l2_canon = np.sqrt(float(lumped @ (rho * rho).sum(axis=1)) / vol)
     psi_l2_canon = np.sqrt(float(lumped @ (psi**2).sum(axis=1)) / vol)
+    scale = engine.imm.n / engine.lambda1  # a squared length
     return {
-        "residual_rel": rho_l2 / psi_l2 * (engine.imm.n / engine.lambda1),
-        "residual_rel_canonical": rho_l2_canon / psi_l2_canon,
-        "causal_residual_sq": float(lumped @ inner(resid, resid)) / vol,
+        "residual_rel": rho_l2 / psi_l2 * scale,
+        "residual_rel_canonical": rho_l2_canon / psi_l2_canon * scale,
+        "causal_residual_sq": float(lumped @ inner(resid, resid)) / vol * scale,
         "a_component_integral": float(lumped @ mu),
         "a_component": mu,
     }
@@ -924,7 +925,8 @@ def equality_diagnostic(engine, a, tau_eq=None) -> dict:
     c_sq = float(engine._form(g_r, a))
     rho_l2 = math.sqrt(max(engine._trace(g_r) + c_sq, 0.0) / vol)
     psi_l2 = math.sqrt((engine._trace(g_p) + 2.0 * float(engine._form(g_p, a))) / vol)
-    residual_rel = rho_l2 / max(psi_l2, 1e-300) * (engine.imm.n / engine.lambda1)
+    scale = engine.imm.n / engine.lambda1  # a squared length
+    residual_rel = rho_l2 / max(psi_l2, 1e-300) * scale
 
     a_g_b = float(np.einsum("i,ij,j->", a, g_r, b))
     rho_canon_sq = float(np.trace(g_r)) + 2.0 * a_g_b + float(np.einsum("i,i->", a, a)) * c_sq
@@ -941,8 +943,8 @@ def equality_diagnostic(engine, a, tau_eq=None) -> dict:
         "direction": [float(x) for x in a],
         "verdict": verdict,
         "residual_rel": residual_rel,
-        "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300),
-        "causal_residual_sq": engine._trace(g_r) / vol,
+        "residual_rel_canonical": rho_l2_canon / max(psi_l2_canon, 1e-300) * scale,
+        "causal_residual_sq": engine._trace(g_r) / vol * scale,
         "a_component_integral": -float(np.einsum("i,i->", engine._resid_integral, b)),
         "tangential_ratio": float(engine._form(engine.gram_k_pos, a)) / vol,
         "radius_from_curvature": 1.0 / math.sqrt(max(h_a_int / vol, 1e-300)),

@@ -529,20 +529,22 @@ def test_equality_diagnostic_null_graph_strict(null_engine):
     assert abs(diag["causal_residual_sq"][0]) <= 1e-2
 
 
+@pytest.mark.parametrize("key", ("residual_rel", "residual_rel_canonical", "causal_residual_sq"))
 @pytest.mark.parametrize("n", (1, 2))
 @pytest.mark.parametrize("k", (-3, 1, 5))
-def test_dilated_sphere_keeps_residual_rel_bitwise(n, k):
+def test_dilated_sphere_keeps_residual_rel_bitwise(n, k, key):
     # residual_rel is rho / psi times n / lambda1: a sphere of radius
     # r = 2^k scales rho by 1/r, psi by r and lambda1 by 1/r^2, each
-    # exactly, so the product has no unit and keeps the unit sphere's bits
+    # exactly, so the product has no unit and keeps the unit sphere's bits;
+    # the causal square of the residual, 1/r^2, takes the same factor
     mesh = build_icosphere_mesh(3) if n == 2 else build_circle_mesh(3)
     dirs = sample_timelike_directions(n + 2, 8, seed=11)
 
-    def residual_rel(radius):
+    def residual(radius):
         imm = HyperplaneSphere(n, radius, np.zeros(n + 2), np.eye(n + 2)[0])
-        return BoundEngine(mesh, imm).direction_catalogue(dirs).equality["residual_rel"]
+        return BoundEngine(mesh, imm).direction_catalogue(dirs).equality[key]
 
-    assert np.array_equal(residual_rel(2.0**k), residual_rel(1.0))
+    assert np.array_equal(residual(2.0**k), residual(1.0))
 
 
 def test_equality_tolerance_tracks_level():
