@@ -528,8 +528,8 @@ def test_suite_calling_thread_takes_coarser_runs_last_first_once_the_finest_leve
 
     monkeypatch.setattr(pipeline, "_evaluate_case", held)
     run_suite(SUITE_CASES, levels, RunConfig(case="sphere-hyperplane", samples=2, mc_samples=2000))
-    # the finest level (odd runs) from the front of report order, then the
-    # coarser runs last first; the helper keeps only the last finest run
+    # the finest level (the odd runs) in report order, then the coarser
+    # runs last first; the helper runs only the last finest-level run
     assert [i for i, mine in starts if mine] == [1, 3, 5, 6, 4, 2, 0]
     assert [i for i, mine in starts if not mine] == [7]
 
