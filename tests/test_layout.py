@@ -9,10 +9,10 @@ matched by attribute name, so a read of any attribute with that name
 counts. Likewise a field of a package dataclass or NamedTuple, or a
 `self.<attr>` a package class stores, must be read as an attribute of
 that name somewhere in the package: a value computed and never read is
-work and code for nothing. So is a module-level import the module never
-reads. `minkowski` and `quadrature` (the section
-frame, the exact integrals and the estimators) import nothing from the
-FEM pipeline or scipy.
+work and code for nothing. So is a module-level import its module never
+reads. `minkowski` and `quadrature` (the section frame, the exact
+integrals and the estimators) import nothing from the FEM pipeline or
+scipy.
 """
 
 import ast
