@@ -11,9 +11,8 @@ reproducible bit for bit. The eigensolver is the package's block LOBPCG,
 iterating in float64 on the pencil normalised by powers of two, with a
 two-grid preconditioner whose coarse solve is a float32 factor of the
 mesh's coarse level, in the order the mesh numbers it; it stops as soon
-as its float64 residual gate accepts lambda1. A mesh without a coarse
-level (level 0) is solved densely. The solver starts no thread of its
-own, and its sums over the vertices are `gemm`s of at least two columns
+as its float64 residual gate accepts lambda1. The solver starts no
+thread of its own, and its sums over the vertices are `gemm`s of at least two columns
 or einsums, whose order does not depend on the BLAS thread count:
 lambda1 is the same bit for bit at any count.
 Independent solves may run concurrently.
@@ -206,8 +205,11 @@ class Spectrum:
 def prolongation(mesh: ParamMesh) -> sp.csr_matrix:
     """P1 interpolation from `mesh.coarse` to `mesh`: weight 1/2 at each of
     a vertex's two parents, so a copy of a coarse vertex takes its value
-    and a midpoint the mean of its edge's ends."""
+    and a midpoint the mean of its edge's ends. A mesh without a coarse
+    level (level 0) is its own coarse level: P = I."""
     k = mesh.num_vertices
+    if mesh.coarse is None:
+        return sp.identity(k, format="csr")
     rows = np.repeat(np.arange(k), 2)
     return sp.csr_matrix(
         (np.full(2 * k, 0.5), (rows, mesh.parents.ravel())), shape=(k, mesh.coarse.num_vertices)
@@ -384,17 +386,21 @@ def solve_lambda1(pencil: FEMPencil) -> Spectrum:
     each in [1/2, 1): the scaling is exact, is applied to the products
     and undone on lambda, so every intermediate is of order one whatever
     the immersion's scale, and a pencil dilated by a power of two gives
-    the same bits. A pencil on a mesh without a coarse level (level 0: 12
-    or 16 vertices) is solved densely: its deflated space is too small for
-    the block to iterate in.
+    the same bits. A mesh whose deflated space is smaller than the
+    3(n + 1)-column workspace, as a ring of 3 to 5 segments is (no CLI
+    input builds one), leaves the block no room to grow: it is sure to
+    pass only when its start block already passes the gate, as the
+    regular rings' does.
 
     The preconditioner is a symmetric two-grid cycle for A = K + s M
     (Briggs, Henson & McCormick, A Multigrid Tutorial), scaled as K is:
     SWEEPS damped-Jacobi sweeps on the float64 A, the coarse correction
     P A_c^-1 P', then SWEEPS sweeps again. P is `prolongation` from the
-    mesh one subdivision down, and A_c = P' A P is the Galerkin operator,
-    SPD and so factored in float32 without pivoting, in the order the
-    coarse mesh is numbered in: its nested-dissection order. A_c and the
+    mesh one subdivision down, or the identity on a mesh without a coarse
+    level (level 0), whose coarse correction is then an exact float32
+    solve. A_c = P' A P is the Galerkin operator, SPD and so factored in
+    float32 without pivoting, in the order the coarse mesh is numbered in:
+    its nested-dissection order. A_c and the
     coarse right-hand sides are cast to float32 as they come: A is
     normalised as K is, so both are of order one at every radius, and a
     scaling by a power of two commutes with the cast and the solve, short
@@ -431,28 +437,12 @@ def solve_lambda1(pencil: FEMPencil) -> Spectrum:
     K = pencil.stiffness
     M = pencil.mass
     mesh = pencil.geometry.mesh
-    # the start block's width: the cluster the solve resolves
-    nev = mesh.vertices.shape[1]
     k_exp = int(np.frexp(np.abs(K.data).max())[1])
     m_exp = int(np.frexp(np.abs(M.data).max())[1])
     k_times, m_times = _scaled_product(K, k_exp), _scaled_product(M, m_exp)
 
-    if mesh.coarse is None:
-        try:
-            ritz, vectors = scipy.linalg.eigh(
-                np.ldexp(K.toarray(), -k_exp), np.ldexp(M.toarray(), -m_exp)
-            )
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolveError(f"dense eigensolve failed: {exc}") from exc
-        # the zero eigenvalue (constant mode) comes first
-        ritz = ritz[1 : nev + 1]
-        residuals = [_gate_residual(k_times, m_times, vectors[:, 1], ritz[0])]
-        solves = 0
-        if not residuals[0] <= TAU_EIG:
-            raise EigenSolveError(f"no convergence after 0 solves (residual {residuals[0]:.3e})")
-    else:
-        precondition = _two_grid(mesh, K, M, k_exp)
-        ritz, residuals, solves = _lobpcg(k_times, m_times, precondition, mesh.vertices)
+    precondition = _two_grid(mesh, K, M, k_exp)
+    ritz, residuals, solves = _lobpcg(k_times, m_times, precondition, mesh.vertices)
     lam, second = (float(v) for v in np.ldexp(ritz[:2], k_exp - m_exp))
     if lam <= 0:
         raise EigenSolveError(f"nonpositive eigenvalue {lam}")
