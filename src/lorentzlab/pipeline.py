@@ -142,6 +142,14 @@ def _build_case(config: RunConfig):
     if config.case not in _CASES:
         raise UsageError(f"unknown case {config.case!r}; choose from {', '.join(CASE_NAMES)}")
     item, param, (reilly_holds, equality_direction, certify) = _CASES[config.case]
+    # a value the case does not read would be echoed in the report as run;
+    # a spec file sets all three itself
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for name in ("radius", "scale", "amplitude"):
+        if name != param and getattr(config, name) != defaults[name]:
+            raise UsageError(f"case {config.case!r} does not read --{name}")
+    if item is not None and config.spec_file is not None:
+        raise UsageError(f"case {config.case!r} does not read --spec-file")
     if item is not None:
         params = {} if param is None else {param: getattr(config, param)}
         imm, taken = immersion_from_spec({"gallery": item, "n": config.n, "params": params})

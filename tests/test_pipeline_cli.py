@@ -1026,6 +1026,38 @@ def test_cli_malformed_spec_file_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, args, flag", [
+    ("counterexample", ["--radius", "5", "--amplitude", "9"], "--radius"),
+    ("counterexample", ["--amplitude", "9"], "--amplitude"),
+    ("sphere-hyperplane", ["--radius", "2", "--scale", "3"], "--scale"),
+    ("cylinder-curve", ["--radius", "2"], "--radius"),
+    ("lightlike-hyperplane", ["--scale", "-3"], "--scale"),
+    # the spec file sets all three
+    ("custom-spec-file", ["--amplitude", "0.25"], "--amplitude"),
+    ("counterexample", [], "--spec-file"),
+])
+def test_cli_flag_the_case_does_not_read_exits_2(tmp_path, capsys, case, args, flag):
+    # the report's config would echo the value as if it had been run
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"gallery": "round-sphere", "n": 1}), encoding="utf-8")
+    if case == "custom-spec-file" or flag == "--spec-file":
+        args = args + ["--spec-file", str(spec)]
+    quick = ["--level", "0", "--samples", "2", "--mc-samples", "2000"]
+    assert main(["run", "--case", case] + args + quick) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: case {case!r} does not read {flag}\n"
+    # so is the value from a config file, which the flags override
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"amplitude": 9.0}), encoding="utf-8")
+    assert main(["run", "--case", "counterexample", "--config", str(config)] + quick) == 2
+    assert capsys.readouterr().err == "error: case 'counterexample' does not read --amplitude\n"
+    # a value equal to its default is no change, and runs
+    defaults = ["--radius", "1", "--scale", "2", "--amplitude", "0.5"]
+    assert main(["run", "--case", "counterexample"] + defaults + quick) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["radius"] == 1.0
+
+
 def test_cli_malformed_config_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"level": 2,', encoding="utf-8")
