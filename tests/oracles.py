@@ -17,7 +17,8 @@ the element stiffness is summed by one einsum over the edge-difference
 matrix, and the first eigenvalue is recomputed by shift-invert Lanczos on
 SuperLU's own COLAMD factor, with the constant mode left in the spectrum
 instead of deflated, and by LOBPCG preconditioned with a float64 factor of
-the whole fine pencil instead of the two-grid cycle.
+the whole fine pencil instead of the two-grid cycle, and on a small mesh
+by a dense eigensolve of the whole pencil.
 Pointwise chart data (tangential parts of a direction, per-element
 signed gradient traces) and the gravity-center recentering are the
 continuum references for the engine's discrete identities. Light-cone
@@ -46,6 +47,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 
@@ -1222,6 +1224,13 @@ def lambda1_colamd(pencil, seed: int = 0) -> float:
         return_eigenvectors=False,
     )
     return float(np.sort(ritz)[1])
+
+
+def lambda1_dense(pencil) -> float:
+    """Smallest nonzero eigenvalue by a dense generalized eigensolve of the
+    whole pencil: the zero eigenvalue (the constant mode) comes first."""
+    ritz = scipy.linalg.eigh(pencil.stiffness.toarray(), pencil.mass.toarray(), eigvals_only=True)
+    return float(ritz[1])
 
 
 def lambda1_fine_factor(pencil) -> float:

@@ -44,6 +44,7 @@ from oracles import (
     facet_incidence,
     gradient_squared_per_element,
     lambda1_colamd,
+    lambda1_dense,
     lambda1_fine_factor,
     lumped_mass_add_at,
     mass_coo,
@@ -260,14 +261,33 @@ def p1_circle_lambda1(segments):
 @pytest.mark.parametrize("segments, exact", [(3, 2.0), (4, 1.5), (5, p1_circle_lambda1(5))])
 def test_lambda1_tiny_circles_match_exact_p1(segments, exact):
     # the deflated space (dimension 2 to 4) is smaller than the block
-    # LOBPCG would iterate with; a ring without a coarse level is solved
-    # densely
+    # LOBPCG's workspace, and the start block passes the gate at step 0
     assert p1_circle_lambda1(segments) == pytest.approx(exact, rel=1e-15)
     imm = HyperplaneSphere(1, 1.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     pen = assemble_pencil(ring_mesh(segments), imm)
     spec = solve_lambda1(pen)
     assert abs(spec.lambda1 - exact) <= 1e-12 * exact
     assert spec.residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case, size", [(case, n) for case in CASES for n in (1, 2)] + [("ring", k) for k in (3, 4, 5)]
+)
+def test_level0_lambda1_matches_the_dense_oracle(case, size):
+    # a mesh without a coarse level is its own coarse level (P = I), so
+    # level 0 takes the block LOBPCG and its two-grid cycle as every level does
+    if case == "ring":
+        pen = assemble_pencil(ring_mesh(size), unit_sphere(n=1))
+    else:
+        imm, _, _ = _build_case(RunConfig(case=case, n=size))
+        pen = assemble_pencil(_build_mesh(size, 0), imm)
+    spec = solve_lambda1(pen)
+    exact = lambda1_dense(pen)
+    assert abs(spec.lambda1 - exact) <= 1e-13 * exact
+    assert spec.residual <= TAU_EIG
+    if (case, size) == ("counterexample", 2):
+        # its start block does not pass the gate: the solve iterates
+        assert spec.iterations > 0
 
 
 @pytest.mark.parametrize("level", range(1, 8))
@@ -526,7 +546,7 @@ def test_circles_pass_the_gate_on_the_two_grid_path(case, level):
 
 
 @pytest.mark.parametrize(
-    "n, level", [(1, level) for level in range(9)] + [(2, level) for level in range(1, 7)]
+    "n, level", [(1, level) for level in range(9)] + [(2, level) for level in range(7)]
 )
 def test_float32_factor_pivots_positive(monkeypatch, n, level):
     factors = []
@@ -540,20 +560,21 @@ def test_float32_factor_pivots_positive(monkeypatch, n, level):
     for case in CASES:
         imm, _, _ = _build_case(RunConfig(case=case, n=n))
         mesh = _build_mesh(imm.n, level)
-        if mesh.coarse is None:
-            continue
         pen = assemble_pencil(mesh, imm)
         # the shift outweighs float32 rounding of the coarse Galerkin
         # operator, over the fine lumped mass at the coarse copies (see
-        # solve_lambda1), which `parents` finds
+        # solve_lambda1): the entries of weight 1 in P, every vertex at
+        # level 0, where P = I
         K, M = pen.stiffness, pen.mass
         shift = FACTOR_SHIFT * K.diagonal().sum() / M.diagonal().sum()
         P = prolongation(mesh)
         coarse_size = P.shape[1]
         rows = abs(P.T @ (K + shift * M) @ P) @ np.ones(coarse_size)
-        copies = mesh.parents[:, 0] == mesh.parents[:, 1]
+        copies = P.tocoo()
+        copy = copies.data == 1.0
+        assert np.count_nonzero(copy) == coarse_size
         lumped = np.empty(coarse_size)
-        lumped[mesh.parents[copies, 0]] = pen.geometry.lumped[copies]
+        lumped[copies.col[copy]] = pen.geometry.lumped[copies.row[copy]]
         assert shift > 2.0**-24 * (n + 2) * np.max(rows / lumped)
         solve_lambda1(pen)
         lu = factors.pop()
