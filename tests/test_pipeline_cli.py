@@ -1047,12 +1047,15 @@ def test_cli_flag_the_case_does_not_read_exits_2(tmp_path, capsys, case, args, f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: case {case!r} does not read {flag}\n"
-    # so is the value from a config file, which the flags override
+
+
+def test_cli_config_key_the_case_does_not_read_exits_2_and_a_default_runs(tmp_path, capsys):
+    quick = ["--level", "0", "--samples", "2", "--mc-samples", "2000"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"amplitude": 9.0}), encoding="utf-8")
     assert main(["run", "--case", "counterexample", "--config", str(config)] + quick) == 2
     assert capsys.readouterr().err == "error: case 'counterexample' does not read --amplitude\n"
-    # a value equal to its default is no change, and runs
+    # a value equal to its default changes nothing, and runs
     defaults = ["--radius", "1", "--scale", "2", "--amplitude", "0.5"]
     assert main(["run", "--case", "counterexample"] + defaults + quick) == 0
     assert json.loads(capsys.readouterr().out)["config"]["radius"] == 1.0
