@@ -10,11 +10,12 @@ Assembly is vectorized with a fixed reduction order, so matrices are
 reproducible bit for bit. The eigensolver is the package's block LOBPCG,
 iterating in float64 on the pencil normalised by powers of two, with a
 two-grid preconditioner whose coarse solve is a float32 factor of the
-mesh's coarse level, in the order the mesh numbers it; it stops as soon
-as its float64 residual gate accepts lambda1. The solver starts no
-thread of its own, and its sums over the vertices are `gemm`s of at least two columns
-or einsums, whose order does not depend on the BLAS thread count:
-lambda1 is the same bit for bit at any count.
+mesh's coarse level, in the order the mesh numbers it, or of the mesh
+itself at level 0; it stops as soon as its float64 residual gate accepts
+lambda1, at every level. The solver starts no thread of its own, and its
+sums over the vertices are `gemm`s of at least two columns or einsums,
+whose order does not depend on the BLAS thread count: lambda1 is the
+same bit for bit at any count.
 Independent solves may run concurrently.
 """
 
@@ -400,16 +401,16 @@ def solve_lambda1(pencil: FEMPencil) -> Spectrum:
     level (level 0), whose coarse correction is then an exact float32
     solve. A_c = P' A P is the Galerkin operator, SPD and so factored in
     float32 without pivoting, in the order the coarse mesh is numbered in:
-    its nested-dissection order. A_c and the
-    coarse right-hand sides are cast to float32 as they come: A is
-    normalised as K is, so both are of order one at every radius, and a
-    scaling by a power of two commutes with the cast and the solve, short
-    of subnormals, so a scaling of their own would change no bit. Each
-    step cycles its block of n + 1 residuals at once, with one factor
-    solve, and `iterations` counts the cycled columns. The damping is
-    omega = 4 / (3 rho), with rho = max_i sum_j |a_ij| / a_ii: by
-    Gershgorin rho bounds the spectrum of D^-1 A, so omega rho < 2, each
-    sweep contracts in the A norm and the cycle is SPD for every pencil.
+    its nested-dissection order. A_c and the coarse right-hand sides are
+    cast to float32 as they come: A is normalised as K is, so both are of
+    order one at every radius, and a scaling by a power of two commutes
+    with the cast and the solve, short of subnormals, so a scaling of
+    their own would change no bit. Each step cycles its block of n + 1
+    residuals at once, with one factor solve, and `iterations` counts the
+    cycled columns. The damping is omega = 4 / (3 rho), with
+    rho = max_i sum_j |a_ij| / a_ii: by Gershgorin rho bounds the spectrum
+    of D^-1 A, so omega rho < 2, each sweep contracts in the A norm and
+    the cycle is SPD for every pencil.
 
     The shift s keeps A_c positive definite after rounding to float32
     (unit roundoff u = 2^-24). Rounding moves each entry by at most
