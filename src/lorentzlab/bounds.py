@@ -18,7 +18,10 @@ inequality through its Gram pair alone: H and psi_hat read the stored
 pairs, and the projected position psi_hat + <psi_hat, a> a, which is
 orthogonal to a and has <W, W> = <psi_hat, psi_hat> + <psi_hat, a>^2,
 reads psi_hat's pair with the coefficient 1 where the others have m.
-Every bound family is a BoundTable: its columns over a stack of rows,
+`field_bounds` forms each field's two sides once, with one vanishing
+check, and reads from them every bound a test field gives: the mean
+curvature field's quotient, the position fields' left-hand sides and
+the master inequality itself. Every bound family is a BoundTable: its columns over a stack of rows,
 one row per direction, or one row for a bound without a direction.
 
 Vector-equation residuals are measured in an auxiliary Euclidean norm on
@@ -173,13 +176,6 @@ class BoundEngine:
         b = np.asarray(a, dtype=float) * self.signs
         return np.einsum("...i,ij,...j->...", b, gram, b)
 
-    def _side(self, gram, dirs, coef):
-        """coef <a, W>^2 + <W, W> integrated against a field's Gram matrix:
-        the master inequality's gradient side from W'KW, its lambda1 side
-        without the factor lambda1 from W'MW. coef is m, or 1 for the
-        projected position read from psi_hat's pair."""
-        return coef * self._form(gram, dirs) + self._trace(gram)
-
     def tangential_energy(self, a):
         """Integral of the squared tangential part of a (gradient of
         <a, psi>), for one direction or a stack of them (rows)."""
@@ -198,37 +194,19 @@ class BoundEngine:
     # is one einsum over the direction stack, which rounds like the
     # one-direction einsum.
 
-    def _test_field(self, provenance, k_gram, m_gram, dirs, coef, centered=True) -> BoundTable:
-        """Master inequality for the test field read from the Gram pair
-        (k_gram, m_gram) with coefficient coef at each row of a direction
-        stack: the gradient side dominates the lambda1 side for any
-        centered test field and any unit timelike direction. The field
-        vanishes where its weight is negligible against m_gram's entries."""
-        rhs, weight = self._side(k_gram, dirs, coef), self._side(m_gram, dirs, coef)
+    def _field_sides(self, k_gram, m_gram, dirs, coef):
+        """The master inequality's sides for the test field W read from the
+        Gram pair (k_gram, m_gram) at each row of a direction stack: coef
+        <a, W>^2 + <W, W> integrated against W'KW is the gradient side,
+        against W'MW the lambda1 side without the factor lambda1. coef is
+        m, or 1 for the projected position read from psi_hat's pair. The
+        field vanishes where its weight is negligible against m_gram's
+        entries."""
+        grad, weight = (coef * self._form(gram, dirs) + self._trace(gram)
+                        for gram in (k_gram, m_gram))
         if np.any(weight <= 1e-14 * np.abs(m_gram).max()):
             raise DomainError("test field vanishes identically")
-        return BoundTable(
-            f"test-field[{provenance}]",
-            "test-field",
-            self.lambda1 * weight,
-            rhs,
-            TAU_BOUND,
-            dirs,
-            {"provenance": provenance, "centered": centered},
-        )
-
-    def test_field_bounds(self, dirs):
-        """Master inequality for H, psi_hat and the projected position
-        psi_hat + <psi_hat, a> a at each row of a direction stack."""
-        dirs = require_unit_timelike(dirs)
-        m = self.imm.m
-        return (
-            self._test_field(
-                "mean-curvature", self.gram_k_h, self.gram_m_h, dirs, m, self._h_centered
-            ),
-            self._test_field("position", self.gram_k_pos, self.gram_m_pos, dirs, m),
-            self._test_field("projected-position", self.gram_k_pos, self.gram_m_pos, dirs, 1),
-        )
+        return grad, weight
 
     def reilly(self) -> BoundTable:
         """Classical bound lambda1 <= n * mean of the causal curvature square.
@@ -243,53 +221,43 @@ class BoundEngine:
             {"curvature_integral": h_sq_int},
         )
 
-    def mean_curvature_field_bound(self, dirs) -> BoundTable:
-        dirs = require_unit_timelike(dirs)
-        m = self.imm.m
-        num, denom = self._side(self.gram_k_h, dirs, m), self._side(self.gram_m_h, dirs, m)
-        if np.any(denom <= 0):
-            raise DomainError("mean curvature field has vanishing weight")
-        return BoundTable(
-            "mean-curvature-field",
-            "mean-curvature-field",
-            self.lambda1,
-            num / denom,
-            self.tol_disc,
-            dirs,
-            {"numerator": num, "denominator": denom},
-        )
+    def field_bounds(self, dirs):
+        """Every bound from a test field of the master inequality, at each
+        row of a direction stack, in report order: the mean-curvature
+        field's quotient, the position field psi_hat and its projection
+        psi_hat + <psi_hat, a> a, then the master inequality for H,
+        psi_hat and the projection.
 
-    def position_field_bounds(self, dirs):
-        """Bounds from the centered position field and its projection.
-
-        The left-hand sides are the test fields' lambda1 sides. Both
+        Each field's two sides are formed once. The position fields'
+        left-hand sides are the test fields' lambda1 sides; their
         right-hand sides use the exact elementwise identities for the
         signed gradient trace (n for the position field, n plus the
         squared tangential part for the projected one).
         """
         dirs = require_unit_timelike(dirs)
         n, m, lam = self.imm.n, self.imm.m, self.lambda1
+        pos = self.gram_k_pos, self.gram_m_pos
+        h_sides = self._field_sides(self.gram_k_h, self.gram_m_h, dirs, m)
+        tests = [
+            BoundTable(f"test-field[{provenance}]", "test-field", lam * weight, grad, TAU_BOUND,
+                       dirs, {"provenance": provenance, "centered": centered})
+            for provenance, (grad, weight), centered in (
+                ("mean-curvature", h_sides, self._h_centered),
+                ("position", self._field_sides(*pos, dirs, m), True),
+                ("projected-position", self._field_sides(*pos, dirs, 1), True),
+            )
+        ]
+        num, denom = h_sides
         tangential = self.tangential_energy(dirs)
         meta = {"tangential": tangential}
         return (
-            BoundTable(
-                "position-field",
-                "position-field",
-                lam * self._side(self.gram_m_pos, dirs, m),
-                n * self.volume + m * tangential,
-                TAU_BOUND,
-                dirs,
-                meta,
-            ),
-            BoundTable(
-                "projected-position-field",
-                "projected-position-field",
-                lam * self._side(self.gram_m_pos, dirs, 1),
-                n * self.volume + tangential,
-                TAU_BOUND,
-                dirs,
-                meta,
-            ),
+            BoundTable("mean-curvature-field", "mean-curvature-field", lam, num / denom,
+                       self.tol_disc, dirs, {"numerator": num, "denominator": denom}),
+            BoundTable("position-field", "position-field", tests[1].lhs,
+                       n * self.volume + m * tangential, TAU_BOUND, dirs, meta),
+            BoundTable("projected-position-field", "projected-position-field", tests[2].lhs,
+                       n * self.volume + tangential, TAU_BOUND, dirs, meta),
+            *tests,
         )
 
     def infimum_over_directions(self, count: int, seed: int) -> BoundTable:

@@ -255,10 +255,12 @@ def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamM
 
     stamp = {"vertices": mesh.num_vertices, "level": mesh.level}
 
-    def add_entries(tables, expected: bool | None = True, tag: str = " dir{}") -> None:
+    def add_entries(tables, expected: bool | None = True, tag: str = " dir{}",
+                    limit: int | None = None) -> None:
         """Append the bound entries of tables with one row count, row by row
         and table by table within a row, and gate each missed expectation;
-        `tag` is formatted with the row number."""
+        `tag` is formatted with the row number. Only the first `limit` rows
+        are entered, if there are more."""
         rows = 1 if tables[0].directions is None else len(tables[0].directions)
 
         def column(values) -> list:
@@ -273,7 +275,7 @@ def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamM
             )
             for table in tables
         ]
-        for j in range(rows):
+        for j in range(rows)[:limit]:
             for table, lhs, rhs, slack, holds, dirs, meta in columns:
                 entry = {
                     "name": table.name,
@@ -298,9 +300,9 @@ def _evaluate_case(config: RunConfig, imm, expect: CaseExpectation, mesh: ParamM
                     )
 
     add_entries([engine.reilly()], expect.reilly_holds, tag="")
-    add_entries([engine.mean_curvature_field_bound(directions[:3]),
-                 *engine.position_field_bounds(directions[:3])])
-    add_entries(engine.test_field_bounds(directions[:4]))
+    field_tables = engine.field_bounds(directions[:4])
+    add_entries(field_tables[:3], limit=3)
+    add_entries(field_tables[3:])
     catalogue = engine.direction_catalogue(directions, tau_eq=config.tol_eq)
     add_entries([catalogue.sharp, catalogue.plain])
     infimum = engine.infimum_over_directions(max(config.samples, 20), seed=config.seed + 1)

@@ -115,18 +115,17 @@ def test_gram_forms_match_sparse_oracle(case_engines):
                 field_m_trace(eng, h) + m_form(eng, f_h),
                 _magnitude(M, h) + _magnitude(M, g_h),
             )
-            mc = eng.mean_curvature_field_bound([a]).meta
+            mc_table, first, _, _, _, report = eng.field_bounds([a])
+            mc = mc_table.meta
             close(mc["numerator"][0], m * k_form(eng, f_h) + field_k_trace(eng, h),
                   m * _magnitude(K, g_h) + _magnitude(K, h))
             close(mc["denominator"][0], m * m_form(eng, f_h) + field_m_trace(eng, h),
                   m * _magnitude(M, g_h) + _magnitude(M, h))
-            first, _ = eng.position_field_bounds([a])
             close(first.lhs[0], lam * (m * m_form(eng, f_psi) + field_m_trace(eng, psi)),
                   lam * (m * _magnitude(M, g_psi) + _magnitude(M, psi)))
             close(first.meta["tangential"][0], k_form(eng, f_psi), _magnitude(K, g_psi))
 
             w = projected_position(psi, a)
-            report = eng.test_field_bounds([a])[2]
             g_w = np.abs(psi) @ (1.0 + np.abs(np.outer(b, a)))  # magnitude of psi_hat T
             close(report.lhs[0], lam * (m * m_form(eng, w @ b) + field_m_trace(eng, w)),
                   lam * (m + 1) * _magnitude(M, g_w))
@@ -266,7 +265,7 @@ def test_gradient_trace_basis_independence(counter_engine):
 def test_master_inequality_all_cases_and_fields():
     for eng in engines_for_cases(level=3):
         h_field = make_test_field_mean_curvature(eng.mesh, eng.imm, pencil=eng.pencil)
-        reports = eng.test_field_bounds(sample_timelike_directions(eng.imm.m, 3, seed=21))
+        reports = eng.field_bounds(sample_timelike_directions(eng.imm.m, 3, seed=21))[3:]
         assert [r.meta["provenance"] for r in reports] == [
             "mean-curvature", "position", "projected-position"
         ]
@@ -275,26 +274,27 @@ def test_master_inequality_all_cases_and_fields():
             assert report.holds.all(), (type(eng.imm).__name__, report.meta["provenance"])
 
 
-def test_position_fields_read_the_test_fields_lambda1_sides_bitwise(case_engines):
-    # a report has the test fields at four directions and the position
-    # fields at the first three: on those rows the left-hand sides agree
+def test_field_bounds_read_each_fields_sides_bitwise(case_engines):
+    # the mean-curvature field's quotient is H's two sides, and the position
+    # fields' left-hand sides are their test fields' lambda1 sides
     for eng in case_engines:
         dirs = sample_timelike_directions(eng.imm.m, 4, seed=7)
-        _, position, projected = eng.test_field_bounds(dirs)
-        first, second = eng.position_field_bounds(dirs[:3])
+        mc, first, second, h_test, position, projected = eng.field_bounds(dirs)
         name = type(eng.imm).__name__
-        assert np.array_equal(position.lhs[:3], first.lhs), name
-        assert np.array_equal(projected.lhs[:3], second.lhs), name
+        assert np.array_equal(mc.meta["numerator"], h_test.rhs), name
+        assert np.array_equal(eng.lambda1 * mc.meta["denominator"], h_test.lhs), name
+        assert np.array_equal(first.lhs, position.lhs), name
+        assert np.array_equal(second.lhs, projected.lhs), name
 
 
 def test_master_inequality_holds_at_level5():
     eng = BoundEngine(build_icosphere_mesh(5), CounterexampleSphere(2))
-    for report in eng.test_field_bounds(sample_timelike_directions(4, 2, seed=31)):
+    for report in eng.field_bounds(sample_timelike_directions(4, 2, seed=31))[3:]:
         assert report.holds.all()
 
 
 def test_master_inequality_equality_case_slack(sphere_engine):
-    report = sphere_engine.test_field_bounds([AXIS4])[0]
+    report = sphere_engine.field_bounds([AXIS4])[3]
     assert report.holds[0]
     assert report.slack[0] / max(abs(report.lhs[0]), abs(report.rhs[0])) <= 1e-2
 
@@ -306,20 +306,18 @@ def test_master_inequality_reduces_to_minimum_principle(counter_engine):
     m_ones = eng.pencil.mass @ np.ones(eng.mesh.num_vertices)
     f -= (m_ones @ f) / eng.volume
     m = eng.imm.m
-    report = eng._test_field("custom", *field_grams(eng, np.outer(f, AXIS4)), AXIS4[None], m)
+    grad, weight = eng._field_sides(*field_grams(eng, np.outer(f, AXIS4)), AXIS4[None], m)
     # both sides carry the factor m - 1 relative to the minimum principle
-    assert report.lhs[0] == pytest.approx(
-        eng.lambda1 * (m - 1) * m_form(eng, f), rel=1e-12
-    )
-    assert report.rhs[0] == pytest.approx((m - 1) * k_form(eng, f), rel=1e-12)
-    assert report.holds[0]
+    assert weight[0] == pytest.approx((m - 1) * m_form(eng, f), rel=1e-12)
+    assert grad[0] == pytest.approx((m - 1) * k_form(eng, f), rel=1e-12)
+    assert grad[0] >= eng.lambda1 * weight[0]
 
 
 def test_vanishing_test_field_is_rejected(counter_engine):
     zero = np.zeros((counter_engine.mesh.num_vertices, 4))
     with pytest.raises(DomainError):
-        counter_engine._test_field(
-            "custom", *field_grams(counter_engine, zero), AXIS4[None], counter_engine.imm.m
+        counter_engine._field_sides(
+            *field_grams(counter_engine, zero), AXIS4[None], counter_engine.imm.m
         )
 
 
@@ -349,22 +347,22 @@ def test_reilly_cylinder_violated():
 
 
 def test_mean_curvature_field_bound(sphere_engine, counter_engine):
-    eq = sphere_engine.mean_curvature_field_bound([AXIS4])
+    eq = sphere_engine.field_bounds([AXIS4])[0]
     assert eq.holds[0] and abs(eq.slack[0]) / 2.0 <= 1e-2
-    strict = counter_engine.mean_curvature_field_bound([AXIS4])
+    strict = counter_engine.field_bounds([AXIS4])[0]
     assert strict.holds[0] and strict.slack[0] > 0
 
 
 def test_position_field_bounds_hold_exactly():
     for eng in engines_for_cases(level=3):
-        first, second = eng.position_field_bounds(sample_timelike_directions(eng.imm.m, 3, seed=5))
+        _, first, second, *_ = eng.field_bounds(sample_timelike_directions(eng.imm.m, 3, seed=5))
         assert first.holds.all() and second.holds.all()
         scale = np.maximum(abs(first.lhs), abs(first.rhs))
         assert (first.slack >= -TAU_BOUND * scale).all()
 
 
 def test_position_field_bounds_sphere_reduce_to_classical(sphere_engine):
-    first, second = sphere_engine.position_field_bounds([AXIS4])
+    _, first, second, *_ = sphere_engine.field_bounds([AXIS4])
     # orthogonal hyperplane: tangential term vanishes, both collapse
     assert first.meta["tangential"][0] <= 1e-20
     assert first.lhs[0] == pytest.approx(second.lhs[0], rel=1e-12)
