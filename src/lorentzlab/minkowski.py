@@ -129,9 +129,6 @@ class SymBilinearForm:
     def m(self) -> int:
         return self.matrix.shape[0]
 
-    def __call__(self, u, v):
-        return np.einsum("...i,ij,...j->...", np.asarray(u, float), self.matrix, np.asarray(v, float))
-
     @staticmethod
     def random(m: int, rng: np.random.Generator) -> "SymBilinearForm":
         a = rng.standard_normal((m, m))

@@ -86,8 +86,15 @@ class RunConfig:
                 isinstance(value, bool) and kind != "bool"
             ):
                 raise UsageError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if kind == "float" and not math.isfinite(value):
-                raise UsageError(f"{f.name} must be finite, got {value!r}")
+            if kind == "float":
+                # an int is stored, and echoed, as the float a flag would give
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise UsageError(f"{f.name} is out of range for float64") from None
+                if not math.isfinite(value):
+                    raise UsageError(f"{f.name} must be finite, got {value!r}")
+                setattr(self, f.name, value)
         if self.level < 0:
             raise UsageError("level must be nonnegative")
         if self.samples < 1:
@@ -143,9 +150,10 @@ def _build_case(config: RunConfig):
         raise UsageError(f"unknown case {config.case!r}; choose from {', '.join(CASE_NAMES)}")
     item, param, (reilly_holds, equality_direction, certify) = _CASES[config.case]
     # a value the case does not read would be echoed in the report as run;
-    # a spec file sets all three itself
+    # a spec file sets n and all three itself
     defaults = {f.name: f.default for f in fields(RunConfig)}
-    for name in ("radius", "scale", "amplitude"):
+    unread = ("radius", "scale", "amplitude") if item else ("n", "radius", "scale", "amplitude")
+    for name in unread:
         if name != param and getattr(config, name) != defaults[name]:
             raise UsageError(f"case {config.case!r} does not read --{name}")
     if item is not None and config.spec_file is not None:

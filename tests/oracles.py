@@ -23,8 +23,8 @@ Pointwise chart data (tangential parts of a direction, per-element
 signed gradient traces) and the gravity-center recentering are the
 continuum references for the engine's discrete identities. Light-cone
 section samples are formed as points v = a + u, the direct way the Monte
-Carlo estimators' reduced quadratic must reproduce, and the section
-averaging battery is rerun as one serial loop with the closed forms
+Carlo estimators' reduced quadratic must reproduce, with the form
+evaluated on them by `form_values`, and the section averaging battery is rerun as one serial loop with the closed forms
 evaluated apart from the estimators.
 
 The pointwise geometry is rebuilt from first principles: stereographic
@@ -1283,6 +1283,11 @@ def sample_spherical_section(a, rng_seed, count: int) -> np.ndarray:
     g = rng.standard_normal((count, a.shape[-1] - 1))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return a + g @ basis
+
+
+def form_values(q: SymBilinearForm, u, v):
+    """Q(u, v) = u' Q v, row by row for stacks of points."""
+    return np.einsum("...i,ij,...j->...", np.asarray(u, float), q.matrix, np.asarray(v, float))
 
 
 def section_average_battery_serial(m: int, samples: int, seed: int) -> dict:

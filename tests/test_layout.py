@@ -6,7 +6,9 @@ A name in a module's `__all__`, or a public method or property of a
 package class, that nothing in `src/lorentzlab` reads is a helper only
 tests use; it belongs in `tests/oracles.py` or nowhere. Methods are
 matched by attribute name, so a read of any attribute with that name
-counts. Likewise a field of a package dataclass or NamedTuple, or a
+counts. A dunder method other than `__init__` and `__post_init__` is
+refused outright: Python calls it for the caller (`q(u, v)` reads no
+attribute), so no read of it can be seen. Likewise a field of a package dataclass or NamedTuple, or a
 `self.<attr>` a package class stores, must be read as an attribute of
 that name somewhere in the package: a value computed and never read is
 work and code for nothing. So is a module-level import its module never
@@ -99,6 +101,22 @@ def unused_methods() -> list[str]:
                 if not used:
                     unused.append(f"{module}.{cls.name}.{method.name}")
     return unused
+
+
+# construction hooks: the only dunder methods a package class may define
+CONSTRUCTION_HOOKS = {"__init__", "__post_init__"}
+
+
+def dunder_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Dunder methods of package classes other than the construction hooks."""
+    return [
+        f"{module}.{cls.name}.{method.name}"
+        for module, cls in _classes(trees)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name.startswith("__") and method.name.endswith("__")
+        and method.name not in CONSTRUCTION_HOOKS
+    ]
 
 
 # records the report writes field by field, through `dataclasses.fields`
@@ -217,6 +235,10 @@ def test_every_public_method_is_used_inside_the_package():
     assert unused_methods() == []
 
 
+def test_no_package_class_defines_a_dunder_beyond_its_construction_hooks():
+    assert dunder_methods(_trees()) == []
+
+
 def test_every_stored_field_and_attribute_is_read_inside_the_package():
     trees = _trees()
     assert unread_fields(trees) == []
@@ -251,6 +273,9 @@ class Holder:
         self.kind = kind
         self.size = 1
 
+    def __len__(self):
+        return 1
+
 
 def read(record, pair, holder):
     kind = record.used + pair.left
@@ -264,3 +289,4 @@ def test_stored_value_guards_flag_what_is_never_read():
     assert unread_fields(trees) == ["sample.Record.unused", "sample.Pair.right"]
     assert unread_attributes(trees) == ["sample.Holder.kind"]
     assert unread_imports(trees) == ["sample.threading"]
+    assert dunder_methods(trees) == ["sample.Holder.__len__"]

@@ -25,6 +25,7 @@ from lorentzlab.minkowski import (
     unit_sphere_volume,
 )
 from oracles import (
+    form_values,
     gram_schmidt_complement_basis,
     sample_causal_directions_loop,
     sample_spherical_section,
@@ -104,7 +105,7 @@ def test_lorentz_trace_equals_signed_basis_sum():
         basis, signs = signature_orthonormalize(
             [rng.standard_normal(5) for _ in range(8)], need=5
         )
-        total = sum(s * q(b, b) for b, s in zip(basis, signs))
+        total = sum(s * form_values(q, b, b) for b, s in zip(basis, signs))
         assert total == pytest.approx(lorentz_trace(q), rel=1e-10, abs=1e-10)
 
 
@@ -187,7 +188,7 @@ def test_section_integral_monte_carlo_oracle():
     for a in (AXIS4, boost_direction(0.7, np.array([0.0, 1.0, 0.0]))):
         q = SymBilinearForm.random(4, rng)
         v = sample_spherical_section(a, rng_seed=17, count=400_000)
-        vals = q(v, v)
+        vals = form_values(q, v, v)
         estimate = unit_sphere_volume(2) * vals.mean()
         stderr = unit_sphere_volume(2) * vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(estimate - section_integral_exact(q, a)) < 4.0 * stderr
@@ -198,7 +199,7 @@ def test_sphere_integral_exact_matches_sampling():
     q = SymBilinearForm.random(4, rng)
     g = rng.standard_normal((400_000, 4))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    vals = q(g, g)
+    vals = form_values(q, g, g)
     estimate = unit_sphere_volume(3) * vals.mean()
     stderr = unit_sphere_volume(3) * vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(estimate - sphere_integral_exact(q)) < 4.0 * stderr

@@ -671,10 +671,10 @@ def test_named_case_is_its_gallery_item(case, n):
         assert expect.certificate is None
     else:
         assert np.array_equal(expect.certificate, certificate(imm.m))
-    # a named case runs the config it was given: the item takes float(2),
-    # and the report still echoes the 2
+    # a named case runs the config it was given, whose float fields hold
+    # floats: the item takes float(2), and the report echoes the 2.0 it ran
     assert as_run == config
-    assert [type(getattr(as_run, key)) for key in params] == list(map(type, params.values()))
+    assert [type(getattr(as_run, key)) for key in params] == [float] * len(params)
 
 
 # every gallery parameter's sign and magnitude, from underflow to overflow
@@ -1034,6 +1034,8 @@ def test_cli_malformed_spec_file_exits_2(tmp_path, capsys):
     ("lightlike-hyperplane", ["--scale", "-3"], "--scale"),
     # the spec file sets all three
     ("custom-spec-file", ["--amplitude", "0.25"], "--amplitude"),
+    # and n: the spec's n = 1 would run, and be echoed
+    ("custom-spec-file", ["--n", "3"], "--n"),
     ("counterexample", [], "--spec-file"),
 ])
 def test_cli_flag_the_case_does_not_read_exits_2(tmp_path, capsys, case, args, flag):
@@ -1061,6 +1063,44 @@ def test_cli_config_key_the_case_does_not_read_exits_2_and_a_default_runs(tmp_pa
     assert json.loads(capsys.readouterr().out)["config"]["radius"] == 1.0
 
 
+@pytest.mark.parametrize("case, key, value", [
+    ("sphere-hyperplane", "radius", 2),
+    # the default, which the case does not read
+    ("counterexample", "radius", 1),
+])
+def test_cli_config_integer_in_a_float_field_is_echoed_as_the_flag_would_be(
+        tmp_path, case, key, value):
+    quick = ["--level", "0", "--samples", "2", "--mc-samples", "2000"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    reports = []
+    for name, args in (("config", ["--config", str(config)]),
+                       ("flag", [f"--{key}", str(value)])):
+        out = tmp_path / f"{name}.json"
+        assert main(["run", "--case", case, *args, *quick, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["config"].pop("out") == str(out)
+        reports.append(json.dumps(report))
+    from_config, from_flag = reports
+    assert from_config == from_flag
+    assert f'"{key}": {float(value)!r}' in from_config
+
+
+@pytest.mark.parametrize("samples, first_group, test_fields", [(1, 2, 2), (2, 3, 3), (3, 3, 4)])
+def test_cli_field_bound_entries_per_family(capsys, samples, first_group, test_fields):
+    # the field bounds are one evaluation on the first four directions, the
+    # first group entered on the first three: --samples s gives s + 1
+    argv = ["run", "--case", "counterexample", "--level", "0", "--samples", str(samples),
+            "--mc-samples", "2000"]
+    assert main(argv) == 0
+    counts = Counter(b["name"] for b in json.loads(capsys.readouterr().out)["bounds"])
+    for name in ("mean-curvature-field", "position-field", "projected-position-field"):
+        assert counts[name] == first_group, name
+    for field in ("mean-curvature", "position", "projected-position"):
+        assert counts[f"test-field[{field}]"] == test_fields, field
+    assert counts["projected-curvature"] == samples + 1
+
+
 def test_cli_malformed_config_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"level": 2,', encoding="utf-8")
@@ -1078,6 +1118,10 @@ def test_cli_config_value_of_wrong_type_exits_2(tmp_path, capsys):
     config.write_text(json.dumps({"level": "two"}), encoding="utf-8")
     assert main(["run", "--case", "sphere-hyperplane", "--config", str(config)]) == 2
     assert "level must be of type int" in capsys.readouterr().err
+    # an integer float64 cannot hold is refused, not raised
+    config.write_text(json.dumps({"radius": 10**400}), encoding="utf-8")
+    assert main(["run", "--case", "sphere-hyperplane", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: radius is out of range for float64\n"
     with pytest.raises(UsageError):
         RunConfig(case="sphere-hyperplane", samples=True)
     with pytest.raises(UsageError):

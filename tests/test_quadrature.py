@@ -36,6 +36,7 @@ from lorentzlab.quadrature import (
 )
 from oracles import (
     apply_discrete_laplacian,
+    form_values,
     gradient_squared_per_element,
     integrate_over_mesh,
     recenter_to_gravity_origin,
@@ -394,7 +395,7 @@ def test_section_values_match_sampled_points(sample_values, m, boost):
     for count in (2 * MC_BLOCK, MC_BLOCK + 777):
         monte_carlo_section_integral(q, a, count, seed=31)
         v = sample_spherical_section(a, np.random.default_rng(31), count)
-        expected = q(v, v)
+        expected = form_values(q, v, v)
         assert sample_values[-1].shape == (count,)
         assert np.abs(sample_values[-1] - expected).max() <= tol
 
@@ -407,7 +408,7 @@ def test_sphere_values_match_normalized_draws(sample_values, m):
         monte_carlo_sphere_integral(q, count, seed=32)
         g = np.random.default_rng(32).standard_normal((count, m))
         v = g / np.linalg.norm(g, axis=1, keepdims=True)
-        expected = q(v, v)
+        expected = form_values(q, v, v)
         assert np.abs(sample_values[-1] - expected).max() <= tol
 
 
